@@ -10,6 +10,7 @@ be replayed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -55,7 +56,13 @@ def _emit(doc: dict, fmt: str) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing does not modify the parser (every call gets a fresh namespace),
+    so all calls of run_command share this one.
+    """
     parser = argparse.ArgumentParser(
         prog="cubecover",
         description="Verify, construct, decompose and refute hyperplane covers of {0,1}^n.",
@@ -194,13 +201,13 @@ def _cmd_find_uncovered(args, params) -> tuple[int, dict]:
     doc = json.loads(_read_input(args.input))
     rows = [unit_row(r) for r in doc["rows"]]
     targets = [parse_rational(t) for t in doc["targets"]]
+    check = plank.check_small_norm_precondition(rows)
     try:
-        vertex, attempts = plank.find_uncovered_small_norm(rows, targets, params)
+        vertex, attempts = plank.find_uncovered_small_norm(rows, targets, params, check=check)
     except plank.PlankPreconditionError as exc:
         return 2, {"error": str(exc), "check": exc.check.to_json_dict()}
     except plank.SampleCapError as exc:
         return 1, {"error": str(exc), "attempts": exc.attempts}
-    check = plank.check_small_norm_precondition(rows)
     return 0, {"vertex": vertex.to_json(), "attempts": attempts, "check": check.to_json_dict()}
 
 

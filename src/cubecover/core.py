@@ -12,6 +12,7 @@ them are performed on squares.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,7 +168,8 @@ def parse_system(text: str) -> CoveringSystem:
         if key not in doc:
             raise SystemFormatError(f"missing key {key!r}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    # bool is an int subclass; "n": true must not read as n = 1.
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise SystemFormatError(f"n must be a positive integer, got {n!r}")
     raw_rows, raw_mu = doc["rows"], doc["mu"]
     if not isinstance(raw_rows, list) or not raw_rows:
@@ -227,6 +229,16 @@ def apply_rescaling(system: CoveringSystem, scaling: RowScaling | Sequence[Fract
     )
     mu = tuple(f * m for f, m in zip(scaling.factors, system.mu))
     return CoveringSystem(n=system.n, k=system.k, rows=rows, mu=mu)
+
+
+def clear_denominators(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """Scale values by the least common denominator D of their entries: (D * values, D).
+
+    D is positive, so a row and its right-hand side scaled together keep the
+    same hyperplane; squared norms scale by D^2.
+    """
+    mult = math.lcm(*(c.denominator for c in values))
+    return [c.numerator * (mult // c.denominator) for c in values], mult
 
 
 def row_squared_norms(system: CoveringSystem) -> tuple[Fraction, ...]:

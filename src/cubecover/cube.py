@@ -13,12 +13,11 @@ reported witness is therefore the lexicographically smallest uncovered vertex.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CapExceededError, CoveringSystem, Params, DEFAULT_PARAMS, Vertex
+from .core import CapExceededError, CoveringSystem, Params, DEFAULT_PARAMS, Vertex, clear_denominators
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ def evaluate_row(system: CoveringSystem, i: int, x: Vertex) -> bool:
     if len(x) != system.n:
         raise ValueError(f"vertex has {len(x)} bits, expected {system.n}")
     row = system.rows[i]
-    total = sum((row[j] for j, b in enumerate(x.bits) if b), Fraction(0))
+    total = sum((row[j] for j, b in enumerate(x.bits) if b and row[j]), Fraction(0))
     return total == system.mu[i]
 
 
@@ -73,9 +72,9 @@ def _integerized(system: CoveringSystem) -> tuple[list[list[int]], list[int]]:
     int_rows: list[list[int]] = []
     int_mu: list[int] = []
     for row, mu in zip(system.rows, system.mu):
-        mult = math.lcm(mu.denominator, *(c.denominator for c in row))
-        int_rows.append([int(c * mult) for c in row])
-        int_mu.append(int(mu * mult))
+        scaled, _ = clear_denominators((*row, mu))
+        int_rows.append(scaled[:-1])
+        int_mu.append(scaled[-1])
     return int_rows, int_mu
 
 
@@ -212,42 +211,59 @@ def enumerate_uncovered(
     )
 
 
-def sample_uncovered(system: CoveringSystem, trials: int, seed: int) -> CoverageReport:
+def sample_uncovered(
+    system: CoveringSystem,
+    trials: int,
+    seed: int,
+    *,
+    stop_at_witness: bool = False,
+) -> CoverageReport:
     """Draw ``trials`` uniform vertices; report the first uncovered one found.
 
-    The witness is re-verified exactly against the rational rows.  Identical
-    (system, trials, seed) yields identical reports.
+    With ``stop_at_witness`` the draws stop at the first uncovered vertex:
+    the RNG sequence and hence the witness are the same, and ``samples`` and
+    ``uncovered_count`` count only the draws made (all ``trials`` when no
+    vertex is uncovered).  The witness is re-verified exactly against the
+    rational rows.  Identical (system, trials, seed, stop_at_witness) yields
+    identical reports.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    n, k = system.n, system.k
+    n = system.n
     int_rows, int_mu = _integerized(system)
+    # Per row, (bit position, coefficient) over the support: coordinate j
+    # sits at bit n-1-j of the drawn word, as in Vertex.from_code.
+    sparse = [
+        ([(n - 1 - j, c) for j, c in enumerate(row) if c], mu)
+        for row, mu in zip(int_rows, int_mu)
+    ]
     rng = random.Random(seed)
     uncovered = 0
     witness: Vertex | None = None
-    for _ in range(trials):
+    for drawn in range(1, trials + 1):
         word = rng.getrandbits(n)
-        bits = tuple((word >> (n - 1 - j)) & 1 for j in range(n))
-        covered = False
-        for i in range(k):
-            row = int_rows[i]
+        for terms, mu in sparse:
             total = 0
-            for j, b in enumerate(bits):
-                if b:
-                    total += row[j]
-            if total == int_mu[i]:
-                covered = True
+            for b, c in terms:
+                if (word >> b) & 1:
+                    total += c
+            if total == mu:
                 break
-        if not covered:
+        else:
             uncovered += 1
             if witness is None:
-                cand = Vertex(bits)
-                assert not any(evaluate_row(system, i, cand) for i in range(k))
-                witness = cand
+                witness = Vertex.from_code(word, n)
+                hit = [i for i in range(system.k) if evaluate_row(system, i, witness)]
+                if hit:
+                    raise RuntimeError(
+                        f"sampled witness {witness.bits} lies on rows {hit} in exact arithmetic"
+                    )
+                if stop_at_witness:
+                    break
     return CoverageReport(
         total_vertices=1 << n,
         uncovered_count=uncovered,
         witness=witness,
         mode="sampled",
-        samples=trials,
+        samples=drawn,
     )

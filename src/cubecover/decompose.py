@@ -6,9 +6,11 @@ Three algorithms:
   leaving a block in which every row has support at least ell.
 * first_decomposition repeatedly moves heavy columns out of the working
   block, renormalizing rows whose residual mass drops below tau; a row
-  renormalized S times has acquired S scales and is moved aside.  Rows are
-  tracked as (rational row, rational squared norm q) pairs, so the whole run
-  is exact: the rational entries never change, only q does.
+  renormalized S times has acquired S scales and is moved aside.  Each row
+  is scaled once to integers by its least common denominator, and tracked
+  as (integer row, integer squared norm q) with its residual squared norm
+  and the column masses updated incrementally as columns leave, so the
+  whole run is exact: the entries never change, only q does.
 * second_decomposition iterates the first decomposition, absorbing
   zero-residual rows and their columns, until the leftover zero rows are few
   and all have large support on the final moved columns.
@@ -19,18 +21,26 @@ blocks M1/M2 and N1..N3.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .anticonc import ScalePartition, validate_scales
-from .core import CoveringSystem, Params, DEFAULT_PARAMS, RowScaling, format_rational
+from .core import (
+    CoveringSystem,
+    Params,
+    DEFAULT_PARAMS,
+    RowScaling,
+    clear_denominators,
+    format_rational,
+)
 
 Matrix = Sequence[Sequence[Fraction | int]]
 
 
 def _coerce_matrix(matrix: Matrix) -> list[tuple[Fraction, ...]]:
-    return [tuple(Fraction(c) for c in row) for row in matrix]
+    return [tuple(c if type(c) is Fraction else Fraction(c) for c in row) for row in matrix]
 
 
 @dataclass(frozen=True)
@@ -147,6 +157,14 @@ def first_decomposition(
     (0, tau]; the S-th renormalization moves the row to L2 together with its
     remaining support.  Terminates in at most m iterations since every
     iteration removes one column.
+
+    Each row is scaled once to integers b_i = D_i a_i (D_i its least common
+    denominator).  Residual squared norms over M1 are kept per row and lose
+    b_ij^2 as column j leaves M1; column masses sum_i b_ij^2 / Q_i (the D_i^2
+    cancel) change only when a row is renormalized, which only makes them
+    grow, so the set of heavy columns only gains members while in M1.  The
+    move picks the smallest heavy column, as a rescan of M1 in column order
+    would.  ``row_norm_sq`` is reported in the original units, Q_i / D_i^2.
     """
     if S < 1:
         raise ValueError(f"S must be >= 1, got {S}")
@@ -157,15 +175,28 @@ def first_decomposition(
     ell = len(rows)
     m = len(rows[0]) if rows else 0
     tau = params.tau
+    tau_num, tau_den = tau.numerator, tau.denominator
     threshold = tau / w
     c1 = params.C1
 
-    supports = [frozenset(j for j, c in enumerate(row) if c != 0) for row in rows]
-    q: list[Fraction] = []
-    for row in rows:
-        full = sum((c * c for c in row), Fraction(0))
-        q.append(full if full > 0 else Fraction(1))
-    l1 = set(range(ell))
+    scales: list[int] = []
+    col_sq: list[list[tuple[int, int]]] = [[] for _ in range(m)]  # (row, b_ij^2), b_ij != 0
+    row_sq: list[list[tuple[int, int]]] = []  # per row, (column, b_ij^2), b_ij != 0
+    for i, row in enumerate(rows):
+        ints, mult = clear_denominators(row)
+        scales.append(mult)
+        entries = [(j, b * b) for j, b in enumerate(ints) if b]
+        row_sq.append(entries)
+        for j, sq in entries:
+            col_sq[j].append((i, sq))
+    resid = [sum(sq for _, sq in entries) for entries in row_sq]  # sum over M1 of b_ij^2
+    q = [r if r > 0 else 1 for r in resid]
+    mass = [sum((Fraction(sq, q[i]) for i, sq in col), Fraction(0)) for col in col_sq]
+    # A heap of the heavy columns; a column leaving M1 is dropped when it
+    # surfaces.  Masses only grow, so each column crosses the threshold once.
+    heavy = [j for j in range(m) if mass[j] >= threshold]
+
+    l1 = list(range(ell))
     l2: list[int] = []
     m1 = set(range(m))
     m2: list[int] = []
@@ -173,47 +204,56 @@ def first_decomposition(
     snapshots: list[list[frozenset[int]]] = [[] for _ in range(ell)]
     partitions: dict[int, ScalePartition] = {}
 
+    def leave_m1(j: int) -> None:
+        m1.remove(j)
+        for i, sq in col_sq[j]:
+            resid[i] -= sq
+
     while True:
-        pick = None
-        for j in sorted(m1):
-            mass = sum((rows[i][j] * rows[i][j] / q[i] for i in l1), Fraction(0))
-            if mass >= threshold:
-                pick = j
-                break
-        if pick is None:
+        while heavy and heavy[0] not in m1:
+            heapq.heappop(heavy)
+        if not heavy:
             break
-        m1.remove(pick)
+        pick = heapq.heappop(heavy)
+        leave_m1(pick)
         m2.append(pick)
         departures: list[int] = []
-        for i in sorted(l1):
-            residual = sum((rows[i][j] * rows[i][j] for j in m1), Fraction(0))
-            p = residual / q[i]
-            if 0 < p <= tau:
-                q[i] = residual
+        for i in l1:
+            r = resid[i]
+            if r > 0 and r * tau_den <= tau_num * q[i]:
+                old = q[i]
+                q[i] = r
                 renorms[i] += 1
                 snapshots[i].append(frozenset(m1))
                 if renorms[i] == S:
                     departures.append(i)
+                    continue  # its whole support leaves M1 below
+                for j, sq in row_sq[i]:
+                    if j in m1:
+                        before = mass[j]
+                        mass[j] = before + Fraction(sq * (old - r), old * r)
+                        if before < threshold <= mass[j]:
+                            heapq.heappush(heavy, j)
         for i in departures:
             l1.remove(i)
             l2.append(i)
             partitions[i] = _partition_from_snapshots(rows[i], snapshots[i], m, c1)
-            moved = sorted(supports[i] & m1)
-            m1 -= supports[i]
+            moved = [j for j, _ in row_sq[i] if j in m1]
+            for j in moved:
+                leave_m1(j)
             m2.extend(moved)
 
     # Final renormalization to unit residual norm; not a scale boundary.
-    for i in sorted(l1):
-        residual = sum((rows[i][j] * rows[i][j] for j in m1), Fraction(0))
-        if residual > 0:
-            q[i] = residual
+    for i in l1:
+        if resid[i] > 0:
+            q[i] = resid[i]
 
     return Decomposition1(
-        L1=tuple(sorted(l1)),
+        L1=tuple(l1),
         L2=tuple(sorted(l2)),
         M1=tuple(sorted(m1)),
         M2=tuple(m2),
-        row_norm_sq=tuple(q),
+        row_norm_sq=tuple(Fraction(qi, d * d) for qi, d in zip(q, scales)),
         scale_partitions=partitions,
         renorm_counts=tuple(renorms),
         S=S,
@@ -382,9 +422,12 @@ def second_decomposition(
     k1 = {i for i in range(k) if supports[i] <= n3}
     work_rows = sorted(set(range(k)) - k1)
     work_cols = sorted(set(range(n)) - n3)
-    q_final: dict[int, Fraction] = {
-        i: (sum((c * c for c in rows[i]), Fraction(0)) or Fraction(1)) for i in range(k)
-    }
+    # Rows the filter absorbs keep their full squared norm; every other row
+    # is in the first round's working block and takes its normalizer there.
+    q_final: dict[int, Fraction] = {}
+    for i in k1:
+        ints, mult = clear_denominators([rows[i][j] for j in supports[i]])
+        q_final[i] = Fraction(sum(b * b for b in ints), mult * mult)
     trace: list[dict] = []
     if n3 or k1:
         trace.append(

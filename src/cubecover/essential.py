@@ -86,7 +86,9 @@ def check_cover(
         if sample_fallback:
             from .cube import sample_uncovered
 
-            report = sample_uncovered(system, trials=params.sample_cap, seed=params.seed)
+            report = sample_uncovered(
+                system, trials=params.sample_cap, seed=params.seed, stop_at_witness=True
+            )
             if report.witness is not None:
                 return False, report.witness
             raise CapExceededError(

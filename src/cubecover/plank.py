@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Params, DEFAULT_PARAMS, UnitRow, Vertex, format_rational
+from .core import Params, DEFAULT_PARAMS, UnitRow, Vertex, clear_denominators, format_rational
 
 
 class PlankPreconditionError(ValueError):
@@ -139,24 +139,25 @@ def check_small_norm_precondition(rows: Sequence[UnitRow]) -> SmallNormCheck:
     """Compute alpha, beta, ell and the product 2*alpha*beta*log(4*ell).
 
     Column norms are those of the unit-normalized rows: column j contributes
-    sum_i coeffs_ij^2 / q_i, exactly.
+    sum_i coeffs_ij^2 / q_i, exactly, summed over the nonzero coefficients.
     """
     ell = len(rows)
     if ell == 0:
         return SmallNormCheck(alpha=0, beta=Fraction(0), ell=0, lhs=0.0, ok=True)
     m = len(rows[0])
+    supp = [0] * m
+    col_sq = [Fraction(0)] * m
     for r in rows:
         if len(r) != m:
             raise ValueError("rows have inconsistent lengths")
-        if all(c == 0 for c in r.coeffs):
+        nonzero = [(j, c) for j, c in enumerate(r.coeffs) if c != 0]
+        if not nonzero:
             raise ValueError("zero row")
-    alpha = 0
-    beta = Fraction(0)
-    for j in range(m):
-        supp = sum(1 for r in rows if r.coeffs[j] != 0)
-        col_sq = sum((r.coeffs[j] ** 2 / r.norm_sq for r in rows), Fraction(0))
-        alpha = max(alpha, supp)
-        beta = max(beta, col_sq)
+        for j, c in nonzero:
+            supp[j] += 1
+            col_sq[j] += c * c / r.norm_sq
+    alpha = max(supp)
+    beta = max(col_sq)
     lhs = 2.0 * alpha * float(beta) * math.log(4.0 * ell)
     return SmallNormCheck(alpha=alpha, beta=beta, ell=ell, lhs=lhs, ok=lhs <= 1.0)
 
@@ -179,10 +180,12 @@ def find_uncovered_small_norm(
     targets: Sequence[Fraction | int | float],
     params: Params = DEFAULT_PARAMS,
     seed: int | None = None,
+    check: SmallNormCheck | None = None,
 ) -> tuple[Vertex, int]:
     """Return a vertex off every hyperplane <coeffs_i, x> = targets_i, plus attempts.
 
-    Requires the small-norm precondition.  Pipeline: theta = sqrt(2 log 4l),
+    Requires the small-norm precondition; ``check`` is its result on these
+    rows when the caller has computed it already.  Pipeline: theta = sqrt(2 log 4l),
     zeta = 2*mu - V*1, eps from the sign search on V V^T, y' = theta V^T eps
     (guaranteed ||y'||_inf <= 1), y = (y'+1)/2, then per-coordinate rounding
     P(w_j = 1) = y_j until all separations hold.  Rational targets are
@@ -192,7 +195,8 @@ def find_uncovered_small_norm(
     if ell == 0:
         raise ValueError("need at least one row")
     m = len(rows[0])
-    check = check_small_norm_precondition(rows)
+    if check is None:
+        check = check_small_norm_precondition(rows)
     if not check.ok:
         raise PlankPreconditionError(
             f"precondition 2*alpha*beta*log(4*ell) = {check.lhs:.6f} > 1", check
@@ -200,9 +204,10 @@ def find_uncovered_small_norm(
     if len(targets) != ell:
         raise ValueError(f"expected {ell} targets, got {len(targets)}")
 
-    vf = [
-        [float(c) / math.sqrt(float(r.norm_sq)) for c in r.coeffs] for r in rows
-    ]
+    vf = []
+    for r in rows:
+        root = math.sqrt(float(r.norm_sq))
+        vf.append([float(c) / root if c else 0.0 for c in r.coeffs])
     mu_f = [
         float(t) / math.sqrt(float(r.norm_sq)) if isinstance(t, (Fraction, int)) else float(t)
         for t, r in zip(targets, rows)
@@ -226,17 +231,24 @@ def find_uncovered_small_norm(
         )
     y = [min(1.0, max(0.0, (c + 1.0) / 2.0)) for c in y_prime]
 
-    exact = [isinstance(t, (Fraction, int)) for t in targets]
+    # Rational targets are tested on the row and target with denominators
+    # cleared: (support with integer coefficients, integer target).
+    exact: dict[int, tuple[list[tuple[int, int]], int]] = {}
+    for i, (r, t) in enumerate(zip(rows, targets)):
+        if isinstance(t, (Fraction, int)):
+            scaled, _ = clear_denominators((*r.coeffs, t))
+            exact[i] = ([(j, b) for j, b in enumerate(scaled[:-1]) if b], scaled[-1])
     for attempt in range(1, params.sample_cap + 1):
         w = [1 if rng.random() < y_j else 0 for y_j in y]
         ok = True
         for i in range(ell):
-            dot = sum((rows[i].coeffs[j] for j in range(m) if w[j]), Fraction(0))
-            if exact[i]:
-                if dot == Fraction(targets[i]):
+            if i in exact:
+                terms, target = exact[i]
+                if sum(b for j, b in terms if w[j]) == target:
                     ok = False
                     break
             else:
+                dot = sum((rows[i].coeffs[j] for j in range(m) if w[j]), Fraction(0))
                 approx = float(dot) / math.sqrt(float(rows[i].norm_sq))
                 if abs(approx - float(targets[i])) <= params.float_tol:
                     ok = False

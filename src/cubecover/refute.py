@@ -43,7 +43,8 @@ class StageFailure(Exception):
     """A pipeline stage could not produce its certificate."""
 
     def __init__(self, stage: str, detail: dict):
-        assert stage in STAGES
+        if stage not in STAGES:
+            raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
         super().__init__(f"stage {stage} failed")
         self.stage = stage
         self.detail = detail
@@ -105,7 +106,10 @@ def choose_n3_assignment(
     if sub.n <= params.enumeration_cap:
         report = enumerate_uncovered(sub, params)
     else:
-        report = sample_uncovered(sub, trials=params.sample_cap, seed=params.seed)
+        # Only the witness is used, so the draws stop at the first one.
+        report = sample_uncovered(
+            sub, trials=params.sample_cap, seed=params.seed, stop_at_witness=True
+        )
     if report.witness is None:
         raise StageFailure(
             "n3-assignment",
@@ -251,16 +255,13 @@ def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) 
     fixed.update(w2)
     n1_bits: dict[int, int] = {j: 0 for j in d.N1}
     if d.K3:
-        block = [
-            UnitRow(
-                coeffs=tuple(system.rows[i][j] for j in d.N1),
-                norm_sq=sum((system.rows[i][j] ** 2 for j in d.N1), Fraction(0)),
-            )
-            for i in d.K3
-        ]
+        block = []
+        for i in d.K3:
+            coeffs = tuple(system.rows[i][j] for j in d.N1)
+            block.append(UnitRow(coeffs=coeffs, norm_sq=sum((c * c for c in coeffs if c), Fraction(0))))
+        set_cols = [j for j in (*d.N2, *d.N3) if fixed[j]]
         targets = [
-            system.mu[i]
-            - sum((system.rows[i][j] * fixed[j] for j in list(d.N2) + list(d.N3)), Fraction(0))
+            system.mu[i] - sum((system.rows[i][j] for j in set_cols), Fraction(0))
             for i in d.K3
         ]
         precheck = check_small_norm_precondition(block)
@@ -271,7 +272,7 @@ def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) 
             )
         try:
             witness, attempts = find_uncovered_small_norm(
-                block, targets, params, seed=params.seed + 2
+                block, targets, params, seed=params.seed + 2, check=precheck
             )
         except SampleCapError as exc:
             detail["rounding"] = {"attempts": exc.attempts}

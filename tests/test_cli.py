@@ -59,6 +59,16 @@ def test_malformed_input(tmp_path):
     assert "input error" in result.stderr
 
 
+@pytest.mark.parametrize("n", ["true", "false", "1.0", '"1"'])
+def test_non_integer_n_is_an_input_error(tmp_path, n):
+    # bool is an int subclass in Python; "n": true must not read as n = 1.
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": %s, "rows": [["1"]], "mu": ["0"]}' % n)
+    result = run_command(["refute", "--input", str(path), "--seed", "0"])
+    assert result.exit_code == 3
+    assert "n must be a positive integer" in result.stderr
+
+
 def test_missing_input_file():
     result = run_command(["verify", "--input", "/nonexistent/x.json", "--seed", "0"])
     assert result.exit_code == 3

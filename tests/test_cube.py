@@ -148,3 +148,29 @@ def test_coverage_report_json_round_trip():
     assert CoverageReport.from_json_dict(doc) == rep
     sampled = sample_uncovered(lr_cover(4), trials=10, seed=0)
     assert CoverageReport.from_json_dict(sampled.to_json_dict()) == sampled
+
+
+def test_stop_at_witness_draws_the_same_witness():
+    rng = random.Random(31)
+    for _ in range(40):
+        sys_ = random_system(rng, rng.randint(3, 30), rng.randint(1, 6))
+        seed = rng.randrange(10**6)
+        full = sample_uncovered(sys_, trials=200, seed=seed)
+        first = sample_uncovered(sys_, trials=200, seed=seed, stop_at_witness=True)
+        assert first.witness == full.witness
+        if full.witness is None:
+            assert first.samples == 200 and first.uncovered_count == 0
+        else:
+            assert first.uncovered_count == 1 and 1 <= first.samples <= 200
+    assert full.samples == 200  # the default still draws and counts every trial
+
+
+def test_sampled_witness_failing_exact_recheck_raises(monkeypatch):
+    import cubecover.cube as cube_mod
+
+    # x0 = 0 and x0 = 1 cover the cube; an integer form that reads both targets
+    # as 2 makes the draw loop call every vertex uncovered.
+    sys_ = CoveringSystem.from_rows([[1] + [0] * 9, [1] + [0] * 9], [0, 1])
+    monkeypatch.setattr(cube_mod, "_integerized", lambda system: ([[1] + [0] * 9] * 2, [2, 2]))
+    with pytest.raises(RuntimeError, match="exact arithmetic"):
+        sample_uncovered(sys_, trials=64, seed=0)

@@ -18,6 +18,7 @@ from cubecover import (
     k4_row_excluded,
     lr_cover,
     sample_n2_assignment,
+    sample_uncovered,
     second_decomposition,
 )
 
@@ -245,3 +246,93 @@ def test_refute_reports_diagnostics():
     doc = out.to_json_dict()
     assert doc["status"] == "failed"
     assert doc["stage"] == out.stage
+
+
+# ------------------------------------------------ soundness checks under -O
+
+
+def test_stage_failure_rejects_unknown_stage():
+    with pytest.raises(ValueError, match="unknown stage"):
+        StageFailure("no-such-stage", {})
+
+
+def test_sampled_n3_search_returns_the_full_sample_witness():
+    # |N3| above the enumeration cap: the search stops at its first uncovered
+    # draw, which is the witness a full sample_uncovered run reports.
+    rng = random.Random(85)
+    checked = 0
+    for _ in range(30):
+        n = 24
+        rows = [[Fraction(rng.randint(-2, 2)) if rng.random() < 0.5 else Fraction(0) for _ in range(n)]
+                for _ in range(3)]
+        rows = [r for r in rows if any(r)]
+        if not rows:
+            continue
+        sys_ = CoveringSystem.from_rows(rows, [Fraction(rng.randint(-1, 1)) for _ in rows])
+        cols = tuple(range(n))
+        d = empty_decomposition(sys_, K1=tuple(range(sys_.k)), N3=cols)
+        params = Params(enumeration_cap=8, sample_cap=40, seed=rng.randrange(1000))
+        full = sample_uncovered(sys_, trials=params.sample_cap, seed=params.seed)
+        if full.witness is None:
+            with pytest.raises(StageFailure) as info:
+                choose_n3_assignment(sys_, d, params)
+            assert info.value.detail["searched"] == params.sample_cap
+            continue
+        assignment = choose_n3_assignment(sys_, d, params)
+        assert tuple(assignment[j] for j in cols) == full.witness.bits
+        checked += 1
+    assert checked > 0
+
+
+_UNDER_O = r"""
+import io, json, sys
+from fractions import Fraction
+
+import cubecover.cube as cube
+from cubecover import CoveringSystem, StageFailure, Vertex, evaluate_row, sample_uncovered
+from cubecover.cli import run_command
+
+if __debug__:
+    sys.exit("not running under -O")
+
+# Four disjoint plank rows: refute assembles and re-verifies a vertex.
+rows = [[Fraction(1, 4) if 16 * i <= j < 16 * i + 16 else Fraction(0) for j in range(64)] for i in range(4)]
+system = CoveringSystem.from_rows(rows, [2] * 4)
+sys.stdin = io.StringIO(system.to_json())
+result = run_command(["refute", "--input", "-", "--seed", "3", "--w", "1/1000000"])
+doc = json.loads(result.stdout)
+if result.exit_code != 0 or doc["status"] != "uncovered":
+    sys.exit(f"refute found no vertex: {doc}")
+if any(evaluate_row(system, i, Vertex(tuple(doc["vertex"]))) for i in range(system.k)):
+    sys.exit("refute returned a covered vertex")
+
+try:
+    StageFailure("no-such-stage", {})
+    sys.exit("StageFailure accepted an unknown stage")
+except ValueError:
+    pass
+
+# x0 = 0 and x0 = 1 cover the cube; a wrong integer form calls every draw uncovered.
+cover = CoveringSystem.from_rows([[1] + [0] * 9, [1] + [0] * 9], [0, 1])
+cube._integerized = lambda system: ([[1] + [0] * 9] * 2, [2, 2])
+try:
+    sample_uncovered(cover, trials=8, seed=0)
+    sys.exit("a covered vertex was returned as a witness")
+except RuntimeError:
+    pass
+print("ok")
+"""
+
+
+def test_soundness_checks_hold_under_python_O():
+    # -O strips every assert; the exact re-checks must be explicit raises.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
