@@ -5,6 +5,11 @@ A vector has S scales (with respect to a constant C1) when its coordinates
 split into ordered parts P_1..P_S whose l2-norms decay by a factor >= C1
 between consecutive parts.  All decay comparisons here are exact: they are
 performed on squared norms with a rational C1.
+
+Probabilities over uniform x in {0,1}^dim are taken on the vector scaled by
+the least common denominator D of its entries and of the target: the subset
+sums (exact mode) and drawn sums (sampled mode) are then integers, and every
+window is an integer inequality on them.
 """
 
 from __future__ import annotations
@@ -13,13 +18,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import compress
+from typing import Callable, Sequence
 
 from .core import (
     CapExceededError,
     Params,
     DEFAULT_PARAMS,
     UnitRow,
+    clear_denominators,
     format_rational,
     parse_rational,
     unit_row,
@@ -34,20 +41,70 @@ def _coerce_vector(v: Sequence[Fraction | int | str]) -> tuple[Fraction, ...]:
     return tuple(parse_rational(c) if isinstance(c, str) else Fraction(c) for c in v)
 
 
-def subset_sum_counts(v: Sequence[Fraction | int]) -> dict[Fraction, int]:
-    """Multiset of subset sums of v as {sum: count}; 2^len(v) total mass."""
-    vec = _coerce_vector(v)
-    counts: dict[Fraction, int] = {Fraction(0): 1}
+def subset_sum_counts(v: Sequence[Fraction | int]) -> dict[Fraction | int, int]:
+    """Multiset of subset sums of v as {sum: count}; 2^len(v) total mass.
+
+    Integer entries give int keys (equal, and hashing equal, to the Fraction
+    keys the same values would give); anything else is read as Fractions.
+    """
+    if all(isinstance(c, int) for c in v):
+        vec, zero = v, 0
+    else:
+        vec, zero = _coerce_vector(v), Fraction(0)
+    counts = {zero: 1}
     for c in vec:
         if c == 0:
             counts = {s: 2 * m for s, m in counts.items()}
             continue
-        nxt: dict[Fraction, int] = dict(counts)
+        nxt = dict(counts)
         for s, m in counts.items():
             key = s + c
             nxt[key] = nxt.get(key, 0) + m
         counts = nxt
     return counts
+
+
+def _integer_form(
+    v: Sequence[Fraction | int | str], *extra: Fraction
+) -> tuple[list[int], list[int], int]:
+    """(D * v, D * extra, D) for the least D that makes all of them integers.
+
+    Scaling by D > 0 is a bijection on subset sums that keeps their order.
+    """
+    vec = _coerce_vector(v)
+    scaled, mult = clear_denominators((*vec, *extra))
+    return scaled[: len(vec)], scaled[len(vec) :], mult
+
+
+def _window_mass(
+    ints: Sequence[int],
+    inside: Callable[[int], bool],
+    mode: str,
+    trials: int,
+    seed: int,
+    params: Params,
+    cap_message: str,
+) -> Fraction:
+    """P(inside(<x, ints>)) for x uniform on {0,1}^dim.
+
+    Exact mode sums the subset-sum counts inside the window (dim must be
+    within the enumeration cap); sampled mode returns the hit frequency over
+    ``trials`` draws, one ``getrandbits(1)`` per coordinate.
+    """
+    dim = len(ints)
+    if mode == "exact":
+        if dim > params.enumeration_cap:
+            raise CapExceededError(cap_message)
+        counts = subset_sum_counts(ints)
+        return Fraction(sum(compress(counts.values(), map(inside, counts))), 1 << dim)
+    if mode != "sampled":
+        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    draw = random.Random(seed).getrandbits
+    ones = (1,) * dim
+    hits = sum(1 for _ in range(trials) if inside(sum(compress(ints, map(draw, ones)))))
+    return Fraction(hits, trials)
 
 
 def atom_probability(
@@ -64,38 +121,23 @@ def atom_probability(
     cap) and returns a reduced rational; sampled mode returns the empirical
     frequency over ``trials`` draws.
     """
-    vec = _coerce_vector(v)
-    target = _coerce_vector([a])[0]
-    if mode == "exact":
-        if len(vec) > params.enumeration_cap:
-            raise CapExceededError(
-                f"dim={len(vec)} exceeds enumeration cap {params.enumeration_cap}"
-            )
-        counts = subset_sum_counts(vec)
-        return Fraction(counts.get(target, 0), 1 << len(vec))
-    if mode != "sampled":
-        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = random.Random(seed)
-    hits = 0
-    for _ in range(trials):
-        s = sum((c for c in vec if rng.getrandbits(1)), Fraction(0))
-        if s == target:
-            hits += 1
-    return Fraction(hits, trials)
+    ints, (target,), _ = _integer_form(v, _coerce_vector([a])[0])
+    return _window_mass(
+        ints, lambda s: s == target, mode, trials, seed, params,
+        f"dim={len(ints)} exceeds enumeration cap {params.enumeration_cap}",
+    )
 
 
 def max_atom_probability(
     v: Sequence[Fraction | int], params: Params = DEFAULT_PARAMS
 ) -> tuple[Fraction, Fraction]:
     """(max_a P(<x,v> = a), an argmax a), computed exactly by enumeration."""
-    vec = _coerce_vector(v)
-    if len(vec) > params.enumeration_cap:
-        raise CapExceededError(f"dim={len(vec)} exceeds enumeration cap")
-    counts = subset_sum_counts(vec)
-    best_a, best_m = max(counts.items(), key=lambda kv: (kv[1], kv[0]))
-    return Fraction(best_m, 1 << len(vec)), best_a
+    ints, _, mult = _integer_form(v)
+    if len(ints) > params.enumeration_cap:
+        raise CapExceededError(f"dim={len(ints)} exceeds enumeration cap")
+    counts = subset_sum_counts(ints)
+    best_s, best_m = max(counts.items(), key=lambda kv: (kv[1], kv[0]))
+    return Fraction(best_m, 1 << len(ints)), Fraction(best_s, mult)
 
 
 def littlewood_offord_bound(v: Sequence[Fraction | int]) -> float:
@@ -278,31 +320,16 @@ def check_anticoncentration(
     b_exact = Fraction(b)
     if b_exact < 2:
         raise ValueError(f"b must be >= 2, got {b}")
-    target = _coerce_vector([a])[0]
-    window_sq = b_exact * b_exact * partition.smallest_scale_sq
+    ints, (target,), mult = _integer_form(vec, _coerce_vector([a])[0])
+    # (s - a)^2 < b^2 delta^2 on sums scaled by D: (S - A)^2 * den < num.
+    window_sq = b_exact * b_exact * partition.smallest_scale_sq * mult * mult
+    num, den = window_sq.numerator, window_sq.denominator
 
-    def in_window(s: Fraction) -> bool:
-        d = s - target
-        return d * d < window_sq
+    def in_window(s: int) -> bool:
+        return (s - target) ** 2 * den < num
 
-    if mode == "exact":
-        if len(vec) > params.enumeration_cap:
-            raise CapExceededError(f"dim={len(vec)} exceeds enumeration cap")
-        counts = subset_sum_counts(vec)
-        hits = sum(m for s, m in counts.items() if in_window(s))
-        prob = Fraction(hits, 1 << len(vec))
-    elif mode == "sampled":
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
-        rng = random.Random(seed)
-        hits = 0
-        for _ in range(trials):
-            s = sum((c for c in vec if rng.getrandbits(1)), Fraction(0))
-            if in_window(s):
-                hits += 1
-        prob = Fraction(hits, trials)
-    else:
-        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    prob = _window_mass(ints, in_window, mode, trials, seed, params,
+                        f"dim={len(vec)} exceeds enumeration cap")
     bound = many_scales_bound(partition.S, float(b_exact), float(params.C0))
     return prob, bound, float(prob) <= bound
 
@@ -333,32 +360,19 @@ def concentration_window_prob(
         c0 = Fraction(C0)
     if c0 < Fraction(4706, 1000):
         raise ValueError(f"C0 must be >= 4.706, got {float(c0)}")
-    vec = row.coeffs
-    q = row.norm_sq
-    half_sum = sum(vec, Fraction(0)) / 2
-    c0_sq = c0 * c0
+    ints, _, mult = _integer_form(row.coeffs)
+    # On sums scaled by D, 2 D z = 2S - T with T = D sum(v).  For c0 = p/r
+    # and q = qn/qd, z^2 c0^2 >= q and z^2 <= c0^2 q read
+    # (2S - T)^2 qd p^2 >= 4 D^2 qn r^2 and (2S - T)^2 qd r^2 <= 4 D^2 qn p^2.
+    total = sum(ints)
+    p_sq, r_sq = c0.numerator ** 2, c0.denominator ** 2
+    qd, qn4 = row.norm_sq.denominator, 4 * mult * mult * row.norm_sq.numerator
+    lo, hi = qn4 * r_sq, qn4 * p_sq
 
-    def in_window(s: Fraction) -> bool:
-        z = s - half_sum
-        z_sq = z * z
-        return z_sq * c0_sq >= q and z_sq <= c0_sq * q
+    def in_window(s: int) -> bool:
+        z = (2 * s - total) ** 2 * qd
+        return z * p_sq >= lo and z * r_sq <= hi
 
-    if mode == "exact":
-        if len(vec) > params.enumeration_cap:
-            raise CapExceededError(f"dim={len(vec)} exceeds enumeration cap")
-        counts = subset_sum_counts(vec)
-        hits = sum(m for s, m in counts.items() if in_window(s))
-        prob = Fraction(hits, 1 << len(vec))
-    elif mode == "sampled":
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
-        rng = random.Random(seed)
-        hits = 0
-        for _ in range(trials):
-            s = sum((c for c in vec if rng.getrandbits(1)), Fraction(0))
-            if in_window(s):
-                hits += 1
-        prob = Fraction(hits, trials)
-    else:
-        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    prob = _window_mass(ints, in_window, mode, trials, seed, params,
+                        f"dim={len(ints)} exceeds enumeration cap")
     return prob, prob * c0 >= 1

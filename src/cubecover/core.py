@@ -37,16 +37,17 @@ def parse_rational(text: str, where: str = "") -> Fraction:
     Rejects anything else, including float syntax; ``where`` is prepended to
     error messages for row/column attribution.
     """
-    prefix = f"{where}: " if where else ""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
-        raise SystemFormatError(f"{prefix}bad rational {text!r} (expected 'p' or 'p/q')")
-    body = text.strip()
-    if "/" in body:
-        num, den = body.split("/")
-        if int(den) == 0:
-            raise SystemFormatError(f"{prefix}zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(body))
+    body = text.strip() if isinstance(text, str) else ""
+    if _RATIONAL_RE.match(body):
+        num, _, den = body.partition("/")
+        if not den:
+            return Fraction(int(num))
+        if int(den):
+            return Fraction(int(num), int(den))
+        problem = f"zero denominator in {text!r}"
+    else:
+        problem = f"bad rational {text!r} (expected 'p' or 'p/q')"
+    raise SystemFormatError(f"{where}: {problem}" if where else problem)
 
 
 def format_rational(x: Fraction) -> str:
@@ -153,6 +154,17 @@ class CoveringSystem:
         return json.dumps(self.to_json_dict())
 
 
+def _parse_entries(raw: list, where) -> tuple[Fraction, ...]:
+    """Parse a list of rationals; ``where(j)`` names entry j, and is only
+    formatted once some entry has failed to parse."""
+    try:
+        return tuple(map(parse_rational, raw))
+    except SystemFormatError:
+        for j, c in enumerate(raw):
+            parse_rational(c, where=where(j))
+        raise
+
+
 def parse_system(text: str) -> CoveringSystem:
     """Parse the JSON wire format {"n": int, "rows": [[ratstr]], "mu": [ratstr]}.
 
@@ -183,33 +195,20 @@ def parse_system(text: str) -> CoveringSystem:
     for i, raw in enumerate(raw_rows):
         if not isinstance(raw, list) or len(raw) != n:
             raise SystemFormatError(f"row {i} has {len(raw) if isinstance(raw, list) else '??'} entries, expected {n}")
-        rows.append(tuple(parse_rational(c, where=f"row {i}, column {j}") for j, c in enumerate(raw)))
-    mu = tuple(parse_rational(m, where=f"mu[{i}]") for i, m in enumerate(raw_mu))
+        rows.append(_parse_entries(raw, lambda j: f"row {i}, column {j}"))
+    mu = _parse_entries(raw_mu, lambda j: f"mu[{j}]")
     return CoveringSystem(n=n, k=len(rows), rows=tuple(rows), mu=mu)
 
 
 @dataclass(frozen=True)
 class RowScaling:
-    """Positive per-row factors phi_i; hyperplane solution sets are invariant.
-
-    When ``unit_normalized`` is set, the effective row i is
-    (phi_i * v_i) / sqrt(norm_sq[i]) with norm_sq[i] the rational squared norm
-    of the scaled row on its reference column set.  The square roots are never
-    materialized; consumers compare squares.
-    """
+    """Positive per-row factors phi_i; hyperplane solution sets are invariant."""
 
     factors: tuple[Fraction, ...]
-    unit_normalized: bool = False
-    norm_sq: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
         if any(f <= 0 for f in self.factors):
             raise ValueError("rescaling factors must be positive")
-        if self.unit_normalized:
-            if self.norm_sq is None or len(self.norm_sq) != len(self.factors):
-                raise ValueError("unit_normalized scaling needs one norm_sq per row")
-            if any(q <= 0 for q in self.norm_sq):
-                raise ValueError("norm_sq entries must be positive")
 
     @classmethod
     def identity(cls, k: int) -> "RowScaling":
@@ -220,8 +219,6 @@ def apply_rescaling(system: CoveringSystem, scaling: RowScaling | Sequence[Fract
     """Return the system with row i replaced by phi_i * v_i and mu_i by phi_i * mu_i."""
     if not isinstance(scaling, RowScaling):
         scaling = RowScaling(factors=tuple(Fraction(f) for f in scaling))
-    if scaling.unit_normalized:
-        raise ValueError("unit-normalized factors are square-tracked metadata and cannot be materialized")
     if len(scaling.factors) != system.k:
         raise ValueError(f"expected {system.k} factors, got {len(scaling.factors)}")
     rows = tuple(
@@ -259,10 +256,6 @@ class UnitRow:
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-    def squared_norm_on(self, cols: Sequence[int]) -> Fraction:
-        """Squared norm of the effective (normalized) row restricted to cols."""
-        return sum((self.coeffs[j] ** 2 for j in cols), Fraction(0)) / self.norm_sq
 
 
 def unit_row(coeffs: Sequence[Fraction | int | str]) -> UnitRow:

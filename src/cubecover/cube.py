@@ -1,14 +1,22 @@
 """Exhaustive and sampled evaluation of hyperplane membership over {0,1}^n.
 
-The exhaustive engine walks the reflected Gray code over vertex codes, so each
-step flips one coordinate and updates only the running inner products of the
-rows whose coefficient there is nonzero.  Denominators are cleared row-wise up
-front (a positive row rescaling, so membership is unchanged) and the walk runs
-on plain Python integers: the whole sweep is exact.
+Denominators are cleared row-wise up front (a positive row rescaling, so
+membership is unchanged) and everything after runs on plain Python integers:
+the whole sweep is exact.
 
 Coordinate j of a vertex is stored at bit (n-1-j) of its integer code, which
 makes numeric order on codes equal to lexicographic order on bit tuples; the
 reported witness is therefore the lexicographically smallest uncovered vertex.
+
+The exhaustive engine splits a code into a high part y (the first h = n//2
+coordinates) and a low part x (the last l = n - h), code = (y << l) | x.  For
+each row it tabulates, per low partial sum s, the 2^l-bit mask of low codes
+whose sum is s; at most 2^l keys of 2^l bits each per row.  A high code y then
+puts the row's vertices of block y in the mask stored under mu - (high
+partial sum of y), so one dict lookup per row decides a block of 2^l
+vertices.  OR-ing the masks of a block gives its covered vertices, and
+tracking the bits hit at least twice gives the vertices on exactly one row
+(the exclusive witnesses of the essential-cover axiom E3).
 """
 
 from __future__ import annotations
@@ -78,101 +86,75 @@ def _integerized(system: CoveringSystem) -> tuple[list[list[int]], list[int]]:
     return int_rows, int_mu
 
 
-def _gray(t: int) -> int:
-    return t ^ (t >> 1)
-
-
 def _coverage_sweep(
     system: CoveringSystem,
-    t_lo: int = 0,
-    t_hi: int | None = None,
+    lo: int = 0,
+    hi: int | None = None,
     collect_exclusive: bool = False,
 ) -> tuple[int, int | None, list[int | None] | None]:
-    """Walk Gray-code steps t in [t_lo, t_hi) and classify every visited vertex.
+    """Classify every vertex code in [lo, hi), 2^l of them per step.
 
     Returns (uncovered_count, min uncovered code or None, per-row minimal
-    exclusive codes when requested).  Ranges of t partition the vertex space,
-    so results from disjoint ranges merge by summing counts and taking
-    minima.
+    exclusive codes when requested).  Disjoint code ranges merge by summing
+    counts and taking minima.
     """
     n, k = system.n, system.k
-    if t_hi is None:
-        t_hi = 1 << n
+    if hi is None:
+        hi = 1 << n
+    low = (n + 1) // 2
+    width = 1 << low
     int_rows, int_mu = _integerized(system)
 
-    # cols[b]: (row, coefficient) pairs for the coordinate stored at bit b.
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, row in enumerate(int_rows):
-        for j, c in enumerate(row):
-            if c:
-                cols[n - 1 - j].append((i, c))
-
-    code = _gray(t_lo)
-    sums = [0] * k
-    for b in range(n):
-        if (code >> b) & 1:
-            for i, c in cols[b]:
-                sums[i] += c
-    sat = 0
-    sat_sum = 0
-    for i in range(k):
-        if sums[i] == int_mu[i]:
-            sat += 1
-            sat_sum += i
+    tables: list[dict[int, int]] = []
+    needs: list[list[int]] = []
+    for row, mu in zip(int_rows, int_mu):
+        # table[s]: the low codes x (as bits of a 2^l-bit mask) whose low
+        # coordinates sum to s; bit b of x is coordinate n-1-b.
+        table = {0: 1}
+        for b in range(low):
+            c, shift = row[n - 1 - b], 1 << b
+            nxt = dict(table)
+            for s, m in table.items():
+                nxt[s + c] = nxt.get(s + c, 0) | (m << shift)
+            table = nxt
+        # need[y]: the low sum that puts high code y on the hyperplane; bit
+        # b of y is coordinate n-1-low-b.
+        need = [mu]
+        for b in range(n - low):
+            c = row[n - 1 - low - b]
+            need += [t - c for t in need]
+        tables.append(table)
+        needs.append(need)
 
     uncovered = 0
     min_code: int | None = None
     excl: list[int | None] | None = [None] * k if collect_exclusive else None
-
-    if sat == 0:
-        uncovered = 1
-        min_code = code
-    elif collect_exclusive and sat == 1:
-        excl[sat_sum] = code
-
-    mu = int_mu
-    for t in range(t_lo + 1, t_hi):
-        b = (t & -t).bit_length() - 1
-        mask = 1 << b
-        code ^= mask
-        if code & mask:
-            for i, c in cols[b]:
-                s = sums[i]
-                m = mu[i]
-                was = s == m
-                s += c
-                sums[i] = s
-                if (s == m) != was:
-                    if was:
-                        sat -= 1
-                        sat_sum -= i
-                    else:
-                        sat += 1
-                        sat_sum += i
-        else:
-            for i, c in cols[b]:
-                s = sums[i]
-                m = mu[i]
-                was = s == m
-                s -= c
-                sums[i] = s
-                if (s == m) != was:
-                    if was:
-                        sat -= 1
-                        sat_sum -= i
-                    else:
-                        sat += 1
-                        sat_sum += i
-        if sat == 0:
-            uncovered += 1
-            if min_code is None or code < min_code:
-                min_code = code
-        elif sat == 1 and collect_exclusive:
-            r = sat_sum
-            prev = excl[r]
-            if prev is None or code < prev:
-                excl[r] = code
-
+    open_rows = list(range(k)) if collect_exclusive else []
+    full = (1 << width) - 1
+    for y in range(lo >> low, -(-hi >> low)):
+        base = y << low
+        window = full
+        if base < lo:
+            window &= -1 << (lo - base)
+        if base + width > hi:
+            window &= (1 << (hi - base)) - 1
+        ones = twos = 0
+        masks = [t.get(d[y], 0) for t, d in zip(tables, needs)]
+        for m in masks:
+            twos |= ones & m
+            ones |= m
+        free = window & ~ones
+        if free:
+            uncovered += free.bit_count()
+            if min_code is None:
+                min_code = base + (free & -free).bit_length() - 1
+        if open_rows:
+            alone = window & ~twos
+            for i in open_rows:
+                m = masks[i] & alone
+                if m:
+                    excl[i] = base + (m & -m).bit_length() - 1
+            open_rows = [i for i in open_rows if excl[i] is None]
     return uncovered, min_code, excl
 
 
@@ -183,7 +165,7 @@ def enumerate_uncovered(
 ) -> CoverageReport:
     """Exhaustively count uncovered vertices; n must be within the enumeration cap.
 
-    ``chunks`` splits the walk into contiguous sub-ranges processed
+    ``chunks`` splits the vertex codes into contiguous sub-ranges processed
     independently and merged deterministically (sum of counts, minimum
     witness); the result is identical for any chunking.
     """

@@ -31,7 +31,6 @@ from .core import (
     CoveringSystem,
     Params,
     DEFAULT_PARAMS,
-    RowScaling,
     clear_denominators,
     format_rational,
 )
@@ -107,14 +106,6 @@ class Decomposition1:
     renorm_counts: tuple[int, ...]
     S: int
     W: Fraction
-
-    @property
-    def rescaling(self) -> RowScaling:
-        return RowScaling(
-            factors=(Fraction(1),) * len(self.row_norm_sq),
-            unit_normalized=True,
-            norm_sq=self.row_norm_sq,
-        )
 
 
 def _partition_from_snapshots(
@@ -345,14 +336,6 @@ class Decomposition2:
         support bound 2k caps the dense-column absorption at n/8, which the
         two numeric hypotheses alone do not."""
         return self.hyp_product_ok and self.hyp_rowcount_ok and self.hyp_support_ok
-
-    @property
-    def rescaling(self) -> RowScaling:
-        return RowScaling(
-            factors=(Fraction(1),) * len(self.row_norm_sq),
-            unit_normalized=True,
-            norm_sq=self.row_norm_sq,
-        )
 
     def to_json_dict(self) -> dict:
         return {

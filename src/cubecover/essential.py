@@ -2,10 +2,12 @@
 
 A system is an essential cover when (E1) every vertex lies on some hyperplane,
 (E2) every variable appears in some row, and (E3) every row owns a vertex
-exclusively.  E1 and E3 are decided in a single exhaustive Gray-code sweep
-that tracks, per vertex, how many rows are satisfied and which one when the
-count is 1.  Above the enumeration cap these operations refuse rather than
-guess: their outputs feed certificates.
+exclusively.  E1 and E3 are decided in a single exhaustive sweep of the cube
+(``cube._coverage_sweep``) that finds, block by block, the vertices on no row
+and the vertices on exactly one row.  Every witness it reports is checked
+again against the rational rows before it is returned.  Above the
+enumeration cap these operations refuse rather than guess: their outputs
+feed certificates.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import CapExceededError, CoveringSystem, Params, DEFAULT_PARAMS, Vertex
-from .cube import _coverage_sweep
+from .cube import _coverage_sweep, evaluate_row
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,21 @@ def _require_cap(system: CoveringSystem, params: Params) -> None:
         )
 
 
+def _rechecked(system: CoveringSystem, code: int, row: int | None = None) -> Vertex:
+    """The vertex of ``code``, re-verified in exact arithmetic to lie on no row
+    (``row`` None) or on ``row`` alone; raises RuntimeError otherwise."""
+    x = Vertex.from_code(code, system.n)
+    hit = [i for i in range(system.k) if evaluate_row(system, i, x)]
+    if hit != ([] if row is None else [row]):
+        wanted = "no row" if row is None else f"row {row} alone"
+        raise RuntimeError(f"sweep witness {x.bits} lies on rows {hit}, not on {wanted}")
+    return x
+
+
+def _exclusive_witnesses(system: CoveringSystem, excl: list[int | None]) -> tuple[Vertex | None, ...]:
+    return tuple(_rechecked(system, c, i) if c is not None else None for i, c in enumerate(excl))
+
+
 def check_cover(
     system: CoveringSystem,
     params: Params = DEFAULT_PARAMS,
@@ -100,7 +117,7 @@ def check_cover(
     uncovered, min_code, _ = _coverage_sweep(system)
     if uncovered == 0:
         return True, None
-    return False, Vertex.from_code(min_code, system.n)
+    return False, _rechecked(system, min_code)
 
 
 def check_variable_usage(system: CoveringSystem) -> tuple[bool, tuple[int, ...]]:
@@ -115,13 +132,12 @@ def check_minimality(
     """(E3): per row, a vertex on that hyperplane and off all others, or None.
 
     One sweep harvests exclusive witnesses for all rows simultaneously; each
-    reported witness is the lexicographically smallest for its row.
+    reported witness is the lexicographically smallest for its row and is
+    re-verified exactly.
     """
     _require_cap(system, params)
     _, _, excl = _coverage_sweep(system, collect_exclusive=True)
-    witnesses = tuple(
-        Vertex.from_code(c, system.n) if c is not None else None for c in excl
-    )
+    witnesses = _exclusive_witnesses(system, excl)
     return all(w is not None for w in witnesses), witnesses
 
 
@@ -136,11 +152,9 @@ def verify_essential(system: CoveringSystem, params: Params = DEFAULT_PARAMS) ->
     _require_cap(system, params)
     uncovered, min_code, excl = _coverage_sweep(system, collect_exclusive=True)
     e1 = uncovered == 0
-    e1_witness = None if e1 else Vertex.from_code(min_code, system.n)
+    e1_witness = None if e1 else _rechecked(system, min_code)
     e2, unused = check_variable_usage(system)
-    e3_witnesses = tuple(
-        Vertex.from_code(c, system.n) if c is not None else None for c in excl
-    )
+    e3_witnesses = _exclusive_witnesses(system, excl)
     e3 = all(w is not None for w in e3_witnesses)
     support_ok, sizes = check_support_bound(system)
     return EssentialReport(

@@ -284,7 +284,7 @@ def test_criterion_09_pipeline_soundness():
 
 
 def test_criterion_10_oracle_equivalence():
-    """Gray-code engine vs naive per-vertex reference on 100 systems, bit for bit."""
+    """Exhaustive sweep vs naive per-vertex reference on 100 systems, bit for bit."""
     rng = random.Random(101010)
     ok = True
     for _ in range(100):

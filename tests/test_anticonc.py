@@ -9,6 +9,7 @@ from cubecover import (
     Params,
     ScalePartition,
     ScalePartitionError,
+    UnitRow,
     atom_probability,
     check_anticoncentration,
     concentration_window_prob,
@@ -192,6 +193,18 @@ def test_check_anticoncentration_small_instance():
     assert ok == (float(prob) <= bound)
 
 
+def test_window_boundaries_are_exact():
+    # [100, 1] with delta^2 = 1, b = 2, a = 2: the sum 0 sits on |s - a| = b * delta,
+    # which the strict window excludes; only the sum 1 is inside.
+    part = scale_partition([100, 1])
+    assert check_anticoncentration([100, 1], part, a=2, b=2)[0] == Fraction(1, 4)
+    # [3, 4] with C0 = 10: the sums 3 and 4 sit on z^2 C0^2 = q (z = -1/2, 1/2, q = 25),
+    # which the closed window includes.
+    assert concentration_window_prob([3, 4], C0=10)[0] == 1
+    # A unit row whose stored q = 1/100 puts z = +-1 on z^2 = C0^2 q, also included.
+    assert concentration_window_prob(UnitRow((Fraction(1), Fraction(1)), Fraction(1, 100)), C0=10)[0] == Fraction(1, 2)
+
+
 def test_check_anticoncentration_geometric_blocks():
     v = [2**i for i in range(16)]
     parts = [list(range(7, 16)), list(range(7))]
@@ -272,3 +285,114 @@ def test_singleton_partition_of_geometric_vector_is_invalid():
     v = [2**i for i in range(16)]
     singletons = ScalePartition.build(v, [[j] for j in range(15, -1, -1)], C1)
     assert validate_scales(v, singletons) is False
+
+
+# The Fraction-keyed subset-sum loop and the Fraction sampling loop that the
+# integer kernels replaced, kept as oracles.
+def fraction_subset_sum_counts(vec):
+    counts = {Fraction(0): 1}
+    for c in vec:
+        if c == 0:
+            counts = {s: 2 * m for s, m in counts.items()}
+            continue
+        nxt = dict(counts)
+        for s, m in counts.items():
+            key = s + c
+            nxt[key] = nxt.get(key, 0) + m
+        counts = nxt
+    return counts
+
+
+def fraction_sampled_mass(vec, in_window, trials, seed):
+    rng = random.Random(seed)
+    hits = 0
+    for _ in range(trials):
+        s = sum((c for c in vec if rng.getrandbits(1)), Fraction(0))
+        if in_window(s):
+            hits += 1
+    return Fraction(hits, trials)
+
+
+def fraction_exact_mass(vec, in_window):
+    counts = fraction_subset_sum_counts(vec)
+    return Fraction(sum(m for s, m in counts.items() if in_window(s)), 1 << len(vec))
+
+
+def _oracle_vectors():
+    """Negative and zero entries, and denominators that do not divide one another."""
+    rng = random.Random(4242)
+    for _ in range(120):
+        n = rng.randint(1, 11)
+        v = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5, 7))) if rng.random() < 0.8 else Fraction(0)
+             for _ in range(n)]
+        if not any(v):
+            v[0] = Fraction(-2, 3)
+        # Either a reachable subset sum, or a target with a denominator (11) no entry has.
+        a = sum((c for c in v if rng.random() < 0.5), Fraction(0)) if rng.random() < 0.6 \
+            else Fraction(rng.randint(-20, 20), 11)
+        yield v, a, rng.randrange(10**6)
+
+
+def test_subset_sums_match_fraction_oracle():
+    for v, _, _ in _oracle_vectors():
+        expected = fraction_subset_sum_counts(v)
+        got = subset_sum_counts(v)
+        assert got == expected and all(type(s) is Fraction for s in got)
+        # Integer input gives int keys; scaling by the common denominator is a bijection.
+        d = math.lcm(*(c.denominator for c in v))
+        ints = subset_sum_counts([int(c * d) for c in v])
+        assert len(ints) == len(expected)
+        assert ints == {s * d: m for s, m in expected.items()}
+        assert all(type(s) is int for s in ints)
+
+
+def test_atom_probability_matches_fraction_oracle():
+    for v, a, seed in _oracle_vectors():
+        assert atom_probability(v, a) == fraction_exact_mass(v, lambda s: s == a)
+        sampled = atom_probability(v, a, mode="sampled", trials=300, seed=seed)
+        assert sampled == fraction_sampled_mass(v, lambda s: s == a, 300, seed)
+
+
+def test_max_atom_probability_matches_fraction_oracle():
+    for v, _, _ in _oracle_vectors():
+        counts = fraction_subset_sum_counts(v)
+        best_a, best_m = max(counts.items(), key=lambda kv: (kv[1], kv[0]))
+        prob, a = max_atom_probability(v)
+        assert (prob, a) == (Fraction(best_m, 1 << len(v)), best_a) and type(a) is Fraction
+
+
+def test_window_probability_matches_fraction_oracle():
+    for v, _, seed in _oracle_vectors():
+        for c0 in (Fraction(4706, 1000), Fraction(37, 7)):
+            row = unit_row(v)
+            half = sum(v, Fraction(0)) / 2
+            c0_sq = c0 * c0
+
+            def inside(s):
+                z_sq = (s - half) ** 2
+                return z_sq * c0_sq >= row.norm_sq and z_sq <= c0_sq * row.norm_sq
+
+            assert concentration_window_prob(row, C0=c0)[0] == fraction_exact_mass(v, inside)
+            sampled, _ = concentration_window_prob(row, C0=c0, mode="sampled", trials=200, seed=seed)
+            assert sampled == fraction_sampled_mass(v, inside, 200, seed)
+
+
+def test_anticoncentration_window_matches_fraction_oracle():
+    checked = 0
+    for v, a, seed in _oracle_vectors():
+        try:
+            part = scale_partition(v)
+        except ValueError:
+            continue
+        for b in (2, Fraction(7, 3)):
+            window_sq = Fraction(b) ** 2 * part.smallest_scale_sq
+
+            def inside(s):
+                return (s - a) ** 2 < window_sq
+
+            prob, _, _ = check_anticoncentration(v, part, a=a, b=b)
+            assert prob == fraction_exact_mass(v, inside)
+            sampled, _, _ = check_anticoncentration(v, part, a=a, b=b, mode="sampled", trials=200, seed=seed)
+            assert sampled == fraction_sampled_mass(v, inside, 200, seed)
+            checked += 1
+    assert checked > 100

@@ -10,11 +10,13 @@ from cubecover import (
     CoveringSystem,
     Params,
     Vertex,
+    apply_rescaling,
     enumerate_uncovered,
     evaluate_row,
     lr_cover,
     sample_uncovered,
 )
+from cubecover.cube import _coverage_sweep, _integerized
 
 
 def naive_uncovered(system):
@@ -174,3 +176,164 @@ def test_sampled_witness_failing_exact_recheck_raises(monkeypatch):
     monkeypatch.setattr(cube_mod, "_integerized", lambda system: ([[1] + [0] * 9] * 2, [2, 2]))
     with pytest.raises(RuntimeError, match="exact arithmetic"):
         sample_uncovered(sys_, trials=64, seed=0)
+
+
+# The one-vertex-per-step Gray-code sweep that the split-table engine
+# replaced, kept verbatim as an oracle for counts, witnesses and E3 codes.
+def _gray(t: int) -> int:
+    return t ^ (t >> 1)
+
+
+def gray_coverage_sweep(
+    system,
+    t_lo: int = 0,
+    t_hi: int | None = None,
+    collect_exclusive: bool = False,
+):
+    """Walk Gray-code steps t in [t_lo, t_hi) and classify every visited vertex.
+
+    Returns (uncovered_count, min uncovered code or None, per-row minimal
+    exclusive codes when requested).  Ranges of t partition the vertex space,
+    so results from disjoint ranges merge by summing counts and taking
+    minima.
+    """
+    n, k = system.n, system.k
+    if t_hi is None:
+        t_hi = 1 << n
+    int_rows, int_mu = _integerized(system)
+
+    # cols[b]: (row, coefficient) pairs for the coordinate stored at bit b.
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, row in enumerate(int_rows):
+        for j, c in enumerate(row):
+            if c:
+                cols[n - 1 - j].append((i, c))
+
+    code = _gray(t_lo)
+    sums = [0] * k
+    for b in range(n):
+        if (code >> b) & 1:
+            for i, c in cols[b]:
+                sums[i] += c
+    sat = 0
+    sat_sum = 0
+    for i in range(k):
+        if sums[i] == int_mu[i]:
+            sat += 1
+            sat_sum += i
+
+    uncovered = 0
+    min_code: int | None = None
+    excl: list[int | None] | None = [None] * k if collect_exclusive else None
+
+    if sat == 0:
+        uncovered = 1
+        min_code = code
+    elif collect_exclusive and sat == 1:
+        excl[sat_sum] = code
+
+    mu = int_mu
+    for t in range(t_lo + 1, t_hi):
+        b = (t & -t).bit_length() - 1
+        mask = 1 << b
+        code ^= mask
+        if code & mask:
+            for i, c in cols[b]:
+                s = sums[i]
+                m = mu[i]
+                was = s == m
+                s += c
+                sums[i] = s
+                if (s == m) != was:
+                    if was:
+                        sat -= 1
+                        sat_sum -= i
+                    else:
+                        sat += 1
+                        sat_sum += i
+        else:
+            for i, c in cols[b]:
+                s = sums[i]
+                m = mu[i]
+                was = s == m
+                s -= c
+                sums[i] = s
+                if (s == m) != was:
+                    if was:
+                        sat -= 1
+                        sat_sum -= i
+                    else:
+                        sat += 1
+                        sat_sum += i
+        if sat == 0:
+            uncovered += 1
+            if min_code is None or code < min_code:
+                min_code = code
+        elif sat == 1 and collect_exclusive:
+            r = sat_sum
+            prev = excl[r]
+            if prev is None or code < prev:
+                excl[r] = code
+
+    return uncovered, min_code, excl
+
+
+def _grid_systems():
+    """Seeded systems for n = 1..14, k = 1..6, each with one structural twist."""
+    rng = random.Random(20261018)
+    for n in range(1, 15):
+        for k in range(1, 7):
+            sys_ = random_system(rng, n, k)
+            rows, mu = [list(r) for r in sys_.rows], list(sys_.mu)
+            twist = (n + k) % 4
+            if twist == 0 and n > 1:  # a zero column
+                j = rng.randrange(n)
+                for r in rows:
+                    r[j] = Fraction(0)
+                    if not any(r):
+                        r[(j + 1) % n] = Fraction(1)
+            elif twist == 1:  # a duplicated row
+                i = rng.randrange(k)
+                rows.append(list(rows[i]))
+                mu.append(mu[i])
+            elif twist == 2:  # mu on the row's own subset sums, so rows are hit
+                mu = [sum(c for c in r if rng.random() < 0.5) for r in rows]
+            sys_ = CoveringSystem.from_rows(rows, mu)
+            yield sys_
+            if twist == 3:
+                yield apply_rescaling(sys_, [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in rows])
+    for n in range(2, 15, 2):
+        lr = lr_cover(n)
+        yield lr
+        yield CoveringSystem.from_rows(lr.rows[1:] or lr.rows, lr.mu[1:] or lr.mu)
+
+
+def test_split_table_sweep_matches_gray_oracle():
+    for sys_ in _grid_systems():
+        expected = gray_coverage_sweep(sys_, collect_exclusive=True)
+        assert _coverage_sweep(sys_, collect_exclusive=True) == expected, sys_
+        assert _coverage_sweep(sys_) == (*expected[:2], None)
+
+
+def test_chunked_enumeration_matches_gray_oracle():
+    rng = random.Random(5)
+    for sys_ in _grid_systems():
+        count, min_code, _ = gray_coverage_sweep(sys_)
+        rep = enumerate_uncovered(sys_, chunks=rng.choice([1, 2, 3, 5, 64]))
+        assert rep.uncovered_count == count
+        assert rep.witness == (Vertex.from_code(min_code, sys_.n) if min_code is not None else None)
+
+
+def test_code_ranges_partition_the_sweep():
+    # Arbitrary cut points, including ones inside a 2^l block, merge to the whole.
+    rng = random.Random(9)
+    for _ in range(40):
+        sys_ = random_system(rng, rng.randint(1, 10), rng.randint(1, 4))
+        total = 1 << sys_.n
+        cuts = sorted({0, total, *(rng.randrange(total + 1) for _ in range(3))})
+        parts = [_coverage_sweep(sys_, lo, hi, collect_exclusive=True) for lo, hi in zip(cuts, cuts[1:])]
+        whole = _coverage_sweep(sys_, collect_exclusive=True)
+        assert sum(p[0] for p in parts) == whole[0]
+        assert min((p[1] for p in parts if p[1] is not None), default=None) == whole[1]
+        for i in range(sys_.k):
+            assert min((p[2][i] for p in parts if p[2][i] is not None), default=None) == whole[2][i]

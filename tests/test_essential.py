@@ -167,3 +167,17 @@ def test_check_cover_sampling_fallback():
     # A true cover above the cap cannot be certified by sampling.
     with pytest.raises(CapExceededError):
         check_cover(lr_cover(12), Params(enumeration_cap=10, sample_cap=50), sample_fallback=True)
+
+
+def test_sweep_witnesses_are_rechecked(monkeypatch):
+    import cubecover.essential as essential_mod
+
+    # x0 = 0 and x0 = 1: the zero vertex lies on row 0 alone, (1, 0) on row 1 alone.
+    sys_ = CoveringSystem.from_rows([[1, 0], [1, 0]], [0, 1])
+    monkeypatch.setattr(essential_mod, "_coverage_sweep", lambda system, **kw: (1, 0, [0, 2]))
+    with pytest.raises(RuntimeError, match="not on no row"):
+        check_cover(sys_)
+    assert check_minimality(sys_) == (True, (Vertex((0, 0)), Vertex((1, 0))))
+    monkeypatch.setattr(essential_mod, "_coverage_sweep", lambda system, **kw: (0, None, [2, 2]))
+    with pytest.raises(RuntimeError, match="not on row 0 alone"):
+        verify_essential(sys_)

@@ -320,6 +320,19 @@ try:
     sys.exit("a covered vertex was returned as a witness")
 except RuntimeError:
     pass
+
+# A sweep that reports the covered vertex 0 as uncovered, and as exclusive to
+# the wrong row: verify must refuse both witnesses.
+import cubecover.essential as essential
+from cubecover import check_cover, check_minimality, verify_essential
+
+essential._coverage_sweep = lambda system, **kw: (1, 0, [None, 0])
+for check in (check_cover, check_minimality, verify_essential):
+    try:
+        check(cover)
+        sys.exit(f"{check.__name__} returned an unverified witness")
+    except RuntimeError:
+        pass
 print("ok")
 """
 

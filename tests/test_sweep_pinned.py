@@ -1,0 +1,136 @@
+"""Byte-for-byte pins of `cubecover verify`, `atom-prob` and `window` output.
+
+The expected outputs in data/sweep_pinned.json were recorded from the
+Gray-code coverage sweep and the Fraction-keyed subset-sum and sampling
+loops, before both became integer kernels.  Any change to the sweep or to
+the anti-concentration arithmetic that alters a single byte of output
+(exit code, stdout or stderr) fails here.
+
+    python tests/test_sweep_pinned.py    # rewrite the data file from the current code
+"""
+
+import io
+import json
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from cubecover import lr_cover
+from cubecover.cli import run_command
+
+DATA = Path(__file__).parent / "data" / "sweep_pinned.json"
+
+
+def _fmt(x: Fraction) -> str:
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _system_text(rows, mu) -> str:
+    return json.dumps({"n": len(rows[0]), "rows": [[_fmt(c) for c in r] for r in rows], "mu": [_fmt(m) for m in mu]})
+
+
+def _dense_system(rng, k, n, zero_cols=()):
+    rows = []
+    for _ in range(k):
+        row = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4)) for _ in range(n)]
+        for j in zero_cols:
+            row[j] = Fraction(0)
+        rows.append(row)
+    # Subset sums of the rows; the first row also holds the zero vertex.
+    mu = [sum((c for c in row if rng.random() < 0.5), Fraction(0)) for row in rows]
+    mu[0] = Fraction(0)
+    return rows, mu
+
+
+def _lr_variant(rng, n):
+    """The LR cover with rows and columns permuted and rows positively rescaled."""
+    lr = lr_cover(n)
+    cols = list(range(n))
+    order = list(range(lr.k))
+    rng.shuffle(cols)
+    rng.shuffle(order)
+    scale = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in order]
+    rows = [[f * lr.rows[i][j] for j in cols] for f, i in zip(scale, order)]
+    return rows, [f * lr.mu[i] for f, i in zip(scale, order)]
+
+
+def pinned_cases() -> list[tuple[str, list[str], str]]:
+    """(name, argv, stdin) for verify, atom-prob and window, exact and sampled."""
+    rng = random.Random(20261018)
+    verify = ["verify", "--input", "-", "--seed", "0"]
+    cases = []
+    for n in (2, 8, 10, 14):
+        lr = lr_cover(n)
+        cases.append((f"verify-lr-{n}", verify, _system_text(lr.rows, lr.mu)))
+        cases.append((f"verify-lr-{n}-no-sum-row", verify, _system_text(lr.rows[1:] or lr.rows, lr.mu[1:] or lr.mu)))
+    for n in (10, 12):
+        cases.append((f"verify-lr-{n}-permuted-rescaled", verify, _system_text(*_lr_variant(rng, n))))
+    for k, n, zeros in ((1, 5, ()), (3, 8, ()), (4, 11, (2, 7)), (6, 12, ()), (8, 13, (0,))):
+        cases.append((f"verify-dense-{k}x{n}", verify, _system_text(*_dense_system(rng, k, n, zeros))))
+    rows, mu = _dense_system(rng, 3, 9)
+    cases.append(("verify-duplicate-row", verify, _system_text([*rows, rows[1]], [*mu, mu[1]])))
+    lr = lr_cover(12)
+    cases.append(("verify-above-cap", [*verify, "--cap", "10"], _system_text(lr.rows, lr.mu)))
+
+    vectors = {
+        "ones": ["1"] * 14,
+        "pow2": [str(1 << i) for i in range(13)],
+        "signed": ["3", "-2", "0", "5", "-7", "1", "0", "2", "-2", "4", "6"],
+        "rational": ["1/2", "-2/3", "3/5", "0", "7/4", "-1/6", "5/7", "2", "-3/2", "1/3", "4/9", "5/11"],
+    }
+    for name, vec in vectors.items():
+        for a in ("0", "3", "1/2", "-5/13"):
+            doc = json.dumps({"vector": vec, "a": a})
+            cases.append((f"atom-{name}-{a}", ["atom-prob", "--input", "-", "--seed", "2"], doc))
+            cases.append((f"atom-{name}-{a}-sampled",
+                          ["atom-prob", "--input", "-", "--seed", "5", "--mode", "sampled", "--trials", "3000"], doc))
+        doc = json.dumps({"vector": vec})
+        for c0 in (None, "37/7", "12"):
+            extra = [] if c0 is None else ["--c0", c0]
+            cases.append((f"window-{name}-{c0}", ["window", "--input", "-", "--seed", "1", *extra], doc))
+            cases.append((f"window-{name}-{c0}-sampled",
+                          ["window", "--input", "-", "--seed", "7", "--mode", "sampled", "--trials", "2500", *extra], doc))
+    doc = json.dumps({"vector": ["1"] * 12, "a": "2"})
+    cases.append(("atom-above-cap", ["atom-prob", "--input", "-", "--seed", "0", "--cap", "8"], doc))
+    cases.append(("window-above-cap", ["window", "--input", "-", "--seed", "0", "--cap", "8"], doc))
+    return cases
+
+
+def _run(argv, text):
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        result = run_command(argv)
+    finally:
+        sys.stdin = stdin
+    return {"exit_code": result.exit_code, "stdout": result.stdout, "stderr": result.stderr}
+
+
+CASES = pinned_cases()
+
+
+@pytest.mark.parametrize("name, argv, text", CASES, ids=[c[0] for c in CASES])
+def test_output_is_byte_identical_to_pinned(name, argv, text):
+    expected = json.loads(DATA.read_text())[name]
+    assert _run(argv, text) == expected
+
+
+def test_pins_cover_witnesses_and_verdicts():
+    expected = json.loads(DATA.read_text())
+    reports = [json.loads(expected[name]["stdout"]) for name, argv, _ in CASES
+               if argv[0] == "verify" and expected[name]["stdout"]]
+    assert any(r["is_essential"] for r in reports)
+    assert any(r["e1_witness"] for r in reports)
+    assert any(not r["e3"] and any(r["e3_witnesses"]) for r in reports)
+    assert any(expected[name]["exit_code"] == 2 for name, _, _ in CASES)
+    probabilities = {json.loads(expected[name]["stdout"])["probability"] for name, argv, _ in CASES
+                     if argv[0] != "verify" and expected[name]["stdout"]}
+    assert len(probabilities) > 20
+
+
+if __name__ == "__main__":
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text(json.dumps({name: _run(argv, text) for name, argv, text in CASES}, indent=1) + "\n")
