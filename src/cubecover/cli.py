@@ -75,8 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
         p.add_argument("--trials", type=int, default=None, help="sampling budget override")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for interface stability; evaluation is single-threaded")
 
     p = sub.add_parser("verify", help="decide the essential-cover axioms")
     common(p)

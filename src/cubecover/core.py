@@ -7,6 +7,11 @@ rational.  Quantities that would be irrational (the 1/sqrt(q) factor of a
 unit-normalized row) are never materialized; they are carried as a rational
 row together with its rational squared norm, and all comparisons involving
 them are performed on squares.
+
+The exact kernels elsewhere work on integers: ``clear_denominators`` scales
+a row (usually just its nonzero entries) by its least common denominator,
+and ``CoveringSystem.supports`` lists the nonzeros of every row and column
+in one pass.  ``parse_system`` parses each distinct entry string once.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterator, Sequence
 
 Scalar = Fraction
@@ -130,9 +136,11 @@ class CoveringSystem:
         mu: Sequence[Fraction | int | str],
     ) -> "CoveringSystem":
         def coerce(x: Fraction | int | str) -> Fraction:
+            if type(x) is Fraction:
+                return x
             return parse_rational(x) if isinstance(x, str) else Fraction(x)
 
-        tup_rows = tuple(tuple(coerce(c) for c in row) for row in rows)
+        tup_rows = tuple(tuple([coerce(c) for c in row]) for row in rows)
         tup_mu = tuple(coerce(m) for m in mu)
         n = len(tup_rows[0]) if tup_rows else 0
         return cls(n=n, k=len(tup_rows), rows=tup_rows, mu=tup_mu)
@@ -142,6 +150,17 @@ class CoveringSystem:
 
     def column_support_size(self, j: int) -> int:
         return sum(1 for i in range(self.k) if self.rows[i][j] != 0)
+
+    def supports(self) -> tuple[list[list[int]], list[int]]:
+        """Every row's support and every column's support size, from one pass
+        over the entries and one over the nonzeros."""
+        cols = range(self.n)
+        rows = [list(compress(cols, row)) for row in self.rows]
+        sizes = [0] * self.n
+        for support in rows:
+            for j in support:
+                sizes[j] += 1
+        return rows, sizes
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,21 +173,31 @@ class CoveringSystem:
         return json.dumps(self.to_json_dict())
 
 
-def _parse_entries(raw: list, where) -> tuple[Fraction, ...]:
-    """Parse a list of rationals; ``where(j)`` names entry j, and is only
-    formatted once some entry has failed to parse."""
+def _parse_entries(raw: list, where, parsed: dict[str, Fraction]) -> tuple[Fraction, ...]:
+    """Parse a list of rationals, each distinct string once: ``parsed`` maps the
+    strings already seen to their values.  ``where(j)`` names entry j, and is
+    only formatted once some entry has failed to parse."""
+    out = []
     try:
-        return tuple(map(parse_rational, raw))
+        for c in raw:
+            x = parsed.get(c) if type(c) is str else None
+            if x is None:
+                # A non-string entry fails here, before it could be stored.
+                x = parsed[c] = parse_rational(c)
+            out.append(x)
     except SystemFormatError:
         for j, c in enumerate(raw):
             parse_rational(c, where=where(j))
         raise
+    return tuple(out)
 
 
 def parse_system(text: str) -> CoveringSystem:
     """Parse the JSON wire format {"n": int, "rows": [[ratstr]], "mu": [ratstr]}.
 
-    Every malformation is reported with its row/column location.
+    Every malformation is reported with its row/column location.  Each
+    distinct entry string is parsed once per call; equal strings share one
+    Fraction.
     """
     try:
         doc = json.loads(text)
@@ -191,12 +220,13 @@ def parse_system(text: str) -> CoveringSystem:
             f"mu has {len(raw_mu) if isinstance(raw_mu, list) else '??'} entries, "
             f"expected {len(raw_rows)}"
         )
+    parsed: dict[str, Fraction] = {}
     rows = []
     for i, raw in enumerate(raw_rows):
         if not isinstance(raw, list) or len(raw) != n:
             raise SystemFormatError(f"row {i} has {len(raw) if isinstance(raw, list) else '??'} entries, expected {n}")
-        rows.append(_parse_entries(raw, lambda j: f"row {i}, column {j}"))
-    mu = _parse_entries(raw_mu, lambda j: f"mu[{j}]")
+        rows.append(_parse_entries(raw, lambda j: f"row {i}, column {j}", parsed))
+    mu = _parse_entries(raw_mu, lambda j: f"mu[{j}]", parsed)
     return CoveringSystem(n=n, k=len(rows), rows=tuple(rows), mu=mu)
 
 
@@ -234,7 +264,11 @@ def clear_denominators(values: Sequence[Fraction | int]) -> tuple[list[int], int
     D is positive, so a row and its right-hand side scaled together keep the
     same hyperplane; squared norms scale by D^2.
     """
-    mult = math.lcm(*(c.denominator for c in values))
+    # The lcm's argument tuple comes from a list, not a generator, as do the
+    # row tuples of from_rows and decompose._coerce_matrix: a tuple grown from
+    # a generator is resized, and resized short tuples pile up on CPython's
+    # tuple free lists (2-3 MB of peak RSS over the refute benchmark).
+    mult = math.lcm(*[c.denominator for c in values])
     return [c.numerator * (mult // c.denominator) for c in values], mult
 
 

@@ -22,8 +22,10 @@ blocks M1/M2 and N1..N3.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Mapping, Sequence
 
 from .anticonc import ScalePartition, validate_scales
@@ -39,7 +41,7 @@ Matrix = Sequence[Sequence[Fraction | int]]
 
 
 def _coerce_matrix(matrix: Matrix) -> list[tuple[Fraction, ...]]:
-    return [tuple(c if type(c) is Fraction else Fraction(c) for c in row) for row in matrix]
+    return [tuple([c if type(c) is Fraction else Fraction(c) for c in row]) for row in matrix]
 
 
 @dataclass(frozen=True)
@@ -174,18 +176,28 @@ def first_decomposition(
     col_sq: list[list[tuple[int, int]]] = [[] for _ in range(m)]  # (row, b_ij^2), b_ij != 0
     row_sq: list[list[tuple[int, int]]] = []  # per row, (column, b_ij^2), b_ij != 0
     for i, row in enumerate(rows):
-        ints, mult = clear_denominators(row)
+        cols = list(compress(range(m), row))
+        ints, mult = clear_denominators([row[j] for j in cols])
         scales.append(mult)
-        entries = [(j, b * b) for j, b in enumerate(ints) if b]
+        entries = [(j, b * b) for j, b in zip(cols, ints)]
         row_sq.append(entries)
         for j, sq in entries:
             col_sq[j].append((i, sq))
     resid = [sum(sq for _, sq in entries) for entries in row_sq]  # sum over M1 of b_ij^2
     q = [r if r > 0 else 1 for r in resid]
-    mass = [sum((Fraction(sq, q[i]) for i, sq in col), Fraction(0)) for col in col_sq]
+    # Initial column masses sum_i b_ij^2 / q_i, as integers over the common
+    # L = lcm(q): column j's mass is col_num[j] / L.  It becomes a Fraction in
+    # ``mass`` when a renormalization first changes it.
+    common = math.lcm(*q)
+    col_num = [0] * m
+    for entries, qi in zip(row_sq, q):
+        weight = common // qi
+        for j, sq in entries:
+            col_num[j] += sq * weight
+    mass: dict[int, Fraction] = {}
     # A heap of the heavy columns; a column leaving M1 is dropped when it
     # surfaces.  Masses only grow, so each column crosses the threshold once.
-    heavy = [j for j in range(m) if mass[j] >= threshold]
+    heavy = [j for j, num in enumerate(col_num) if num * threshold.denominator >= threshold.numerator * common]
 
     l1 = list(range(ell))
     l2: list[int] = []
@@ -221,7 +233,7 @@ def first_decomposition(
                     continue  # its whole support leaves M1 below
                 for j, sq in row_sq[i]:
                     if j in m1:
-                        before = mass[j]
+                        before = mass[j] if j in mass else Fraction(col_num[j], common)
                         mass[j] = before + Fraction(sq * (old - r), old * r)
                         if before < threshold <= mass[j]:
                             heapq.heappush(heavy, j)
@@ -398,10 +410,11 @@ def second_decomposition(
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     rows = system.rows
-    supports = [frozenset(system.row_support(i)) for i in range(k)]
+    row_supports, column_sizes = system.supports()
+    supports = [frozenset(s) for s in row_supports]
 
-    thresh16 = Fraction(16 * k * k, n)
-    n3 = {j for j in range(n) if system.column_support_size(j) >= thresh16}
+    # Dense columns: support size >= 16 k^2 / n.
+    n3 = {j for j, size in enumerate(column_sizes) if size * n >= 16 * k * k}
     k1 = {i for i in range(k) if supports[i] <= n3}
     work_rows = sorted(set(range(k)) - k1)
     work_cols = sorted(set(range(n)) - n3)
@@ -409,7 +422,7 @@ def second_decomposition(
     # is in the first round's working block and takes its normalizer there.
     q_final: dict[int, Fraction] = {}
     for i in k1:
-        ints, mult = clear_denominators([rows[i][j] for j in supports[i]])
+        ints, mult = clear_denominators([rows[i][j] for j in row_supports[i]])
         q_final[i] = Fraction(sum(b * b for b in ints), mult * mult)
     trace: list[dict] = []
     if n3 or k1:

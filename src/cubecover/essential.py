@@ -122,7 +122,7 @@ def check_cover(
 
 def check_variable_usage(system: CoveringSystem) -> tuple[bool, tuple[int, ...]]:
     """(E2): True iff every column has a nonzero entry; lists unused columns (0-indexed)."""
-    unused = tuple(j for j in range(system.n) if system.column_support_size(j) == 0)
+    unused = tuple(j for j, size in enumerate(system.supports()[1]) if size == 0)
     return (len(unused) == 0, unused)
 
 
@@ -143,7 +143,7 @@ def check_minimality(
 
 def check_support_bound(system: CoveringSystem) -> tuple[bool, tuple[int, ...]]:
     """True iff max_i |supp(v_i)| <= 2k (a theorem for essential systems)."""
-    sizes = tuple(len(system.row_support(i)) for i in range(system.k))
+    sizes = tuple(map(len, system.supports()[0]))
     return max(sizes) <= 2 * system.k, sizes
 
 

@@ -7,9 +7,14 @@ is merely single-flip optimal for the quadratic objective
 inequality, so the search here is strict steepest-ascent coordinate flipping
 from a seeded random start rather than exhaustive maximization.
 
-The finder then turns the separated point into a randomized rounding
-distribution over the cube; every candidate vertex is re-verified exactly
-against the rational rows before being returned.
+The small-norm precondition is exact: each row is cleared to integers once,
+over its nonzero coefficients, and the column norms are summed as integers
+over one common denominator.  The finder then turns the separated point into
+a randomized rounding distribution over the cube, building the Gram matrix
+and the projection from the nonzero coefficients in column order (zero terms
+cannot change a float sum, so the floats are those of the dense sums); every
+candidate vertex is re-verified exactly against the cleared rational rows
+before being returned.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 from .core import Params, DEFAULT_PARAMS, UnitRow, Vertex, clear_denominators, format_rational
@@ -139,25 +145,35 @@ def check_small_norm_precondition(rows: Sequence[UnitRow]) -> SmallNormCheck:
     """Compute alpha, beta, ell and the product 2*alpha*beta*log(4*ell).
 
     Column norms are those of the unit-normalized rows: column j contributes
-    sum_i coeffs_ij^2 / q_i, exactly, summed over the nonzero coefficients.
+    sum_i c_ij^2 / q_i, exactly.  Each row is cleared once over its nonzero
+    coefficients, b_ij = D_i c_ij, and D_i^2 q_i = P_i / R_i in lowest terms,
+    so the sum is sum_i b_ij^2 R_i (L / P_i) over the common L = lcm(P_i):
+    integers, with beta = max_j (that sum) / L.
     """
     ell = len(rows)
     if ell == 0:
         return SmallNormCheck(alpha=0, beta=Fraction(0), ell=0, lhs=0.0, ok=True)
     m = len(rows[0])
-    supp = [0] * m
-    col_sq = [Fraction(0)] * m
+    cleared = []  # per row: (support, cleared coefficients, P_i, R_i)
     for r in rows:
         if len(r) != m:
             raise ValueError("rows have inconsistent lengths")
-        nonzero = [(j, c) for j, c in enumerate(r.coeffs) if c != 0]
-        if not nonzero:
+        support = list(compress(range(m), r.coeffs))
+        if not support:
             raise ValueError("zero row")
-        for j, c in nonzero:
+        ints, mult = clear_denominators([r.coeffs[j] for j in support])
+        q = r.norm_sq * (mult * mult)
+        cleared.append((support, ints, q.numerator, q.denominator))
+    common = math.lcm(*[p for _, _, p, _ in cleared])
+    supp = [0] * m
+    col_sq = [0] * m
+    for support, ints, p, rr in cleared:
+        weight = rr * (common // p)
+        for j, b in zip(support, ints):
             supp[j] += 1
-            col_sq[j] += c * c / r.norm_sq
+            col_sq[j] += b * b * weight
     alpha = max(supp)
-    beta = max(col_sq)
+    beta = Fraction(max(col_sq), common)
     lhs = 2.0 * alpha * float(beta) * math.log(4.0 * ell)
     return SmallNormCheck(alpha=alpha, beta=beta, ell=ell, lhs=lhs, ok=lhs <= 1.0)
 
@@ -204,26 +220,33 @@ def find_uncovered_small_norm(
     if len(targets) != ell:
         raise ValueError(f"expected {ell} targets, got {len(targets)}")
 
+    # Each row as its nonzero (column, coefficient / sqrt(q)) pairs in column
+    # order.  A zero term leaves a float sum unchanged, so every sum below
+    # equals its dense form bit for bit.
     vf = []
     for r in rows:
         root = math.sqrt(float(r.norm_sq))
-        vf.append([float(c) / root if c else 0.0 for c in r.coeffs])
+        vf.append([(j, float(c) / root) for j, c in enumerate(r.coeffs) if c])
     mu_f = [
         float(t) / math.sqrt(float(r.norm_sq)) if isinstance(t, (Fraction, int)) else float(t)
         for t, r in zip(targets, rows)
     ]
     theta = math.sqrt(2.0 * math.log(4.0 * ell))
-    zeta = [2.0 * mu_f[i] - sum(vf[i]) for i in range(ell)]
-    gram = [
-        [sum(vf[i][j] * vf[i2][j] for j in range(m)) for i2 in range(ell)]
-        for i in range(ell)
-    ]
+    zeta = [2.0 * mu_f[i] - sum(v for _, v in vf[i]) for i in range(ell)]
+    lookup = [dict(entries) for entries in vf]
+    gram = [[0.0] * ell for _ in range(ell)]
+    for i in range(ell):
+        for i2 in range(i, ell):
+            other = lookup[i2]
+            gram[i][i2] = gram[i2][i] = sum(v * other[j] for j, v in vf[i] if j in other)
     seed = params.seed if seed is None else seed
     rng = random.Random(seed)
     sv = bang_signs(gram, zeta, [theta] * ell, seed=rng.getrandbits(63), float_tol=params.float_tol)
-    y_prime = [
-        theta * sum(vf[i][j] * sv.signs[i] for i in range(ell)) for j in range(m)
-    ]
+    column_sums = [0.0] * m
+    for entries, sign in zip(vf, sv.signs):
+        for j, v in entries:
+            column_sums[j] += v * sign
+    y_prime = [theta * c for c in column_sums]
     overflow = max(abs(c) for c in y_prime)
     if overflow > 1.0 + params.float_tol:
         raise RuntimeError(
@@ -236,8 +259,9 @@ def find_uncovered_small_norm(
     exact: dict[int, tuple[list[tuple[int, int]], int]] = {}
     for i, (r, t) in enumerate(zip(rows, targets)):
         if isinstance(t, (Fraction, int)):
-            scaled, _ = clear_denominators((*r.coeffs, t))
-            exact[i] = ([(j, b) for j, b in enumerate(scaled[:-1]) if b], scaled[-1])
+            support = [j for j, _ in vf[i]]
+            scaled, _ = clear_denominators([*(r.coeffs[j] for j in support), t])
+            exact[i] = (list(zip(support, scaled)), scaled[-1])
     for attempt in range(1, params.sample_cap + 1):
         w = [1 if rng.random() < y_j else 0 for y_j in y]
         ok = True

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .core import CoveringSystem, Params, DEFAULT_PARAMS, UnitRow, Vertex, format_rational
+from .core import CoveringSystem, Params, DEFAULT_PARAMS, UnitRow, Vertex, clear_denominators, format_rational
 from .cube import enumerate_uncovered, sample_uncovered, evaluate_row
 from .decompose import Decomposition2, second_decomposition
 from .plank import (
@@ -255,15 +255,19 @@ def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) 
     fixed.update(w2)
     n1_bits: dict[int, int] = {j: 0 for j in d.N1}
     if d.K3:
-        block = []
-        for i in d.K3:
-            coeffs = tuple(system.rows[i][j] for j in d.N1)
-            block.append(UnitRow(coeffs=coeffs, norm_sq=sum((c * c for c in coeffs if c), Fraction(0))))
         set_cols = [j for j in (*d.N2, *d.N3) if fixed[j]]
-        targets = [
-            system.mu[i] - sum((system.rows[i][j] for j in set_cols), Fraction(0))
-            for i in d.K3
-        ]
+        block, targets = [], []
+        for i in d.K3:
+            row = system.rows[i]
+            coeffs = tuple(row[j] for j in d.N1)
+            # One common denominator for the row's nonzero N1 entries, its
+            # nonzero entries on the set columns, and mu_i.
+            inside = [c for c in coeffs if c]
+            outside = [c for c in (row[j] for j in set_cols) if c]
+            ints, mult = clear_denominators([*inside, *outside, system.mu[i]])
+            cut = len(inside)
+            block.append(UnitRow(coeffs=coeffs, norm_sq=Fraction(sum(b * b for b in ints[:cut]), mult * mult)))
+            targets.append(Fraction(ints[-1] - sum(ints[cut:-1]), mult))
         precheck = check_small_norm_precondition(block)
         detail["small_norm"] = precheck.to_json_dict()
         if not precheck.ok:

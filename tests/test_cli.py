@@ -205,10 +205,11 @@ def test_system_json_round_trips_through_cli(tmp_path):
     assert system.to_json_dict() == json.loads(built.stdout)
 
 
-def test_threads_flag_accepted(tmp_path):
+def test_threads_flag_rejected(tmp_path):
+    # Evaluation is single-threaded; a flag that did nothing is not accepted.
     path = write(tmp_path, "sys.json", lr_cover(4).to_json_dict())
     result = run_command(["verify", "--input", path, "--seed", "0", "--threads", "4"])
-    assert result.exit_code == 0
+    assert result.exit_code == 3
 
 
 def test_csv_format_flattens_top_level(tmp_path):

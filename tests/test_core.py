@@ -140,3 +140,58 @@ def test_arbitrary_precision_round_trip():
     big = 10**50
     sys_ = CoveringSystem.from_rows([[Fraction(big, big + 1), 1]], [Fraction(-big)])
     assert parse_system(sys_.to_json()) == sys_
+
+
+# Messages recorded from the parser before it memoized entry strings; a
+# string that parsed once must not hide a bad entry that merely resembles it.
+MALFORMED_ENTRIES = [
+    ({"n": 3, "rows": [["1/2", "1/2", "1/2 x"]], "mu": ["0"]},
+     "row 0, column 2: bad rational '1/2 x' (expected 'p' or 'p/q')"),
+    ({"n": 3, "rows": [["1", "x", "x"]], "mu": ["0"]},
+     "row 0, column 1: bad rational 'x' (expected 'p' or 'p/q')"),
+    ({"n": 2, "rows": [["1", 1]], "mu": ["0"]},
+     "row 0, column 1: bad rational 1 (expected 'p' or 'p/q')"),
+    ({"n": 2, "rows": [["1", 1.0]], "mu": ["0"]},
+     "row 0, column 1: bad rational 1.0 (expected 'p' or 'p/q')"),
+    ({"n": 2, "rows": [["1", True]], "mu": ["0"]},
+     "row 0, column 1: bad rational True (expected 'p' or 'p/q')"),
+    ({"n": 2, "rows": [["1", "0"], ["2", None]], "mu": ["0", "1"]},
+     "row 1, column 1: bad rational None (expected 'p' or 'p/q')"),
+    ({"n": 2, "rows": [["1", ["1"]]], "mu": ["0"]},
+     "row 0, column 1: bad rational ['1'] (expected 'p' or 'p/q')"),
+    ({"n": 2, "rows": [["1", {"p": 1}]], "mu": ["0"]},
+     "row 0, column 1: bad rational {'p': 1} (expected 'p' or 'p/q')"),
+    ({"n": 2, "rows": [["1/2", "3/0"]], "mu": ["0"]},
+     "row 0, column 1: zero denominator in '3/0'"),
+    ({"n": 2, "rows": [["3/1", "1"], ["1", "3/0"]], "mu": ["0", "0"]},
+     "row 1, column 1: zero denominator in '3/0'"),
+    ({"n": 2, "rows": [["1", "0.5"]], "mu": ["0"]},
+     "row 0, column 1: bad rational '0.5' (expected 'p' or 'p/q')"),
+    ({"n": 1, "rows": [["1"]], "mu": [1]},
+     "mu[0]: bad rational 1 (expected 'p' or 'p/q')"),
+    ({"n": 1, "rows": [["1"]], "mu": [False]},
+     "mu[0]: bad rational False (expected 'p' or 'p/q')"),
+    ({"n": 2, "rows": [["1", "0"], ["0", "1"]], "mu": ["0", None]},
+     "mu[1]: bad rational None (expected 'p' or 'p/q')"),
+    ({"n": 1, "rows": [["1"]], "mu": [[]]},
+     "mu[0]: bad rational [] (expected 'p' or 'p/q')"),
+    ({"n": 1, "rows": [["7"]], "mu": ["7 /0"]},
+     "mu[0]: bad rational '7 /0' (expected 'p' or 'p/q')"),
+    ({"n": 1, "rows": [["1/3"]], "mu": ["1/0"]},
+     "mu[0]: zero denominator in '1/0'"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED_ENTRIES)
+def test_parse_system_entry_messages_unchanged(doc, message):
+    with pytest.raises(SystemFormatError) as exc:
+        parse_system(json.dumps(doc))
+    assert str(exc.value) == message
+
+
+def test_parse_system_repeated_strings_parse_alike():
+    system = parse_system(json.dumps({"n": 4, "rows": [["-2/4", "0", " -1/2", "-2/4"], ["0", "3", "-2/4", "0"]],
+                                      "mu": ["-2/4", "+3"]}))
+    assert system.rows == ((Fraction(-1, 2), 0, Fraction(-1, 2), Fraction(-1, 2)), (0, 3, Fraction(-1, 2), 0))
+    assert system.mu == (Fraction(-1, 2), 3)
+    assert all(type(c) is Fraction for row in system.rows for c in row)

@@ -428,6 +428,17 @@ def _oracle_grid():
         ws = (("tiny", Fraction(1, 10**6)), ("1", Fraction(1)), ("derived", derived_column_budget(n, n // 2 + 1)))
         for s, (w_name, w) in zip(ss, ws):
             yield f"lr-n{n}-S{s}-W{w_name}", lr_cover(n).rows, s, w
+    # Every column's mass is exactly tau / W = 1/4: the heavy test is inclusive.
+    yield "boundary-mass-equals-threshold", [[1, 1, 1, 1]], 1, 4 * PARAMS.tau
+    # Under W = 1/10000 some column turns heavy only once two renormalizations
+    # have both added to its mass.
+    for seed in (28, 150):
+        rng = random.Random(seed)
+        k, n = rng.choice((4, 6, 8)), rng.choice((6, 8, 12))
+        rows = [_decay_row(rng, n) if rng.random() < 0.7 else
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.5 else Fraction(0)
+                 for _ in range(n)] for _ in range(k)]
+        yield f"mass-from-two-renorms-{seed}", rows, rng.choice((2, 3, 4)), Fraction(1, 10000)
 
 
 ORACLE_GRID = list(_oracle_grid())

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import cubecover.plank as plank_module
 from cubecover import (
     Params,
     PlankPreconditionError,
@@ -15,6 +16,8 @@ from cubecover import (
     hoeffding_bound,
     unit_row,
 )
+from cubecover.core import UnitRow, Vertex
+from cubecover.plank import SmallNormCheck
 
 
 def bang_holds(M, zeta, theta, signs, tol):
@@ -228,3 +231,168 @@ def test_rounding_soundness_reverification():
         for r, t in zip(rows, targets):
             dot = sum((c for c, b in zip(r.coeffs, vertex.bits) if b), Fraction(0))
             assert dot != t
+
+
+# The all-Fraction precondition and the dense Gram build, kept verbatim as
+# oracles for the cleared-integer precondition and the sparse finder.
+
+
+def _fraction_precondition(rows):
+    ell = len(rows)
+    if ell == 0:
+        return SmallNormCheck(alpha=0, beta=Fraction(0), ell=0, lhs=0.0, ok=True)
+    m = len(rows[0])
+    supp = [0] * m
+    col_sq = [Fraction(0)] * m
+    for r in rows:
+        if len(r) != m:
+            raise ValueError("rows have inconsistent lengths")
+        nonzero = [(j, c) for j, c in enumerate(r.coeffs) if c != 0]
+        if not nonzero:
+            raise ValueError("zero row")
+        for j, c in nonzero:
+            supp[j] += 1
+            col_sq[j] += c * c / r.norm_sq
+    alpha = max(supp)
+    beta = max(col_sq)
+    lhs = 2.0 * alpha * float(beta) * math.log(4.0 * ell)
+    return SmallNormCheck(alpha=alpha, beta=beta, ell=ell, lhs=lhs, ok=lhs <= 1.0)
+
+
+def _dense_find_uncovered(rows, targets, params, seed):
+    """The finder before the sparse Gram build; also returns the sign search's
+    arguments and result."""
+    ell = len(rows)
+    m = len(rows[0])
+    vf = []
+    for r in rows:
+        root = math.sqrt(float(r.norm_sq))
+        vf.append([float(c) / root if c else 0.0 for c in r.coeffs])
+    mu_f = [
+        float(t) / math.sqrt(float(r.norm_sq)) if isinstance(t, (Fraction, int)) else float(t)
+        for t, r in zip(targets, rows)
+    ]
+    theta = math.sqrt(2.0 * math.log(4.0 * ell))
+    zeta = [2.0 * mu_f[i] - sum(vf[i]) for i in range(ell)]
+    gram = [
+        [sum(vf[i][j] * vf[i2][j] for j in range(m)) for i2 in range(ell)]
+        for i in range(ell)
+    ]
+    rng = random.Random(seed)
+    sv = bang_signs(gram, zeta, [theta] * ell, seed=rng.getrandbits(63), float_tol=params.float_tol)
+    y_prime = [
+        theta * sum(vf[i][j] * sv.signs[i] for i in range(ell)) for j in range(m)
+    ]
+    y = [min(1.0, max(0.0, (c + 1.0) / 2.0)) for c in y_prime]
+    for attempt in range(1, params.sample_cap + 1):
+        w = [1 if rng.random() < y_j else 0 for y_j in y]
+        ok = True
+        for i in range(ell):
+            dot = sum((rows[i].coeffs[j] for j in range(m) if w[j]), Fraction(0))
+            if isinstance(targets[i], (Fraction, int)):
+                if dot == targets[i]:
+                    ok = False
+                    break
+            elif abs(float(dot) / math.sqrt(float(rows[i].norm_sq)) - float(targets[i])) <= params.float_tol:
+                ok = False
+                break
+        if ok:
+            return (Vertex(tuple(w)), attempt), (gram, zeta), sv
+    raise SampleCapError("cap", params.sample_cap)
+
+
+MIXED = (Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7), Fraction(-1), Fraction(5, 2))
+
+
+def _random_block(rng, ell, m, density, shared=(), zero=()):
+    """ell rows over m columns: random supports, the ``shared`` columns in every
+    row, the ``zero`` columns in none; every third row gets a norm_sq that is not
+    its squared norm, as a decomposition's residual normalizer is."""
+    rows = []
+    for i in range(ell):
+        coeffs = [Fraction(0)] * m
+        for j in range(m):
+            if j not in zero and (j in shared or rng.random() < density):
+                coeffs[j] = rng.choice(MIXED)
+        if not any(coeffs):
+            coeffs[next(j for j in range(m) if j not in zero)] = Fraction(2, 5)
+        row = unit_row(coeffs)
+        if i % 3 == 2:
+            row = UnitRow(coeffs=row.coeffs, norm_sq=row.norm_sq * Fraction(rng.randint(2, 9), rng.randint(2, 9)))
+        rows.append(row)
+    return rows
+
+
+def test_precondition_equals_fraction_oracle():
+    rng = random.Random(2024)
+    blocks = [[], [unit_row([Fraction(2, 5), 0, Fraction(-1, 3)])]]
+    for trial in range(60):
+        ell, m = rng.randint(1, 7), rng.randint(1, 40)
+        shared = {rng.randrange(m)} if trial % 2 else set()
+        zero = {j for j in range(1, m) if j not in shared and rng.random() < 0.2}
+        blocks.append(_random_block(rng, ell, m, rng.choice((0.1, 0.4, 0.9)), shared, zero))
+    for rows in blocks:
+        assert check_small_norm_precondition(rows) == _fraction_precondition(rows)
+    assert any(_fraction_precondition(rows).ok for rows in blocks)
+    assert any(not _fraction_precondition(rows).ok for rows in blocks)
+
+
+def test_precondition_errors_match_fraction_oracle():
+    for rows in ([unit_row([1, 2]), unit_row([1, 2, 3])], [unit_row([1, 0]), UnitRow((Fraction(0),) * 2, Fraction(1))]):
+        with pytest.raises(ValueError) as new:
+            check_small_norm_precondition(rows)
+        with pytest.raises(ValueError) as old:
+            _fraction_precondition(rows)
+        assert str(new.value) == str(old.value)
+
+
+def _plank_block(rng, ell, s, shared):
+    """Consecutive rows share ``shared`` columns; the precondition usually holds."""
+    step = s - shared
+    m = ell * step + shared
+    rows = []
+    for i in range(ell):
+        coeffs = [Fraction(0)] * m
+        for j in range(i * step, i * step + s):
+            coeffs[j] = rng.choice(MIXED[:3])
+        rows.append(unit_row(coeffs))
+    return rows
+
+
+def test_sparse_finder_equals_dense_oracle(monkeypatch):
+    calls = []
+    original = plank_module.bang_signs
+
+    def recording(M, zeta, theta, **kwargs):
+        calls.append((M, zeta))
+        sv = original(M, zeta, theta, **kwargs)
+        calls.append(sv)
+        return sv
+
+    monkeypatch.setattr(plank_module, "bang_signs", recording)
+    rng = random.Random(31)
+    params = Params(sample_cap=200)
+    compared = 0
+    for trial in range(40):
+        rows = _plank_block(rng, rng.randint(1, 6), rng.randint(8, 40), rng.choice((0, 0, 2, 4)))
+        if not _fraction_precondition(rows).ok:
+            continue
+        targets = []
+        for r in rows:
+            half = sum(r.coeffs, Fraction(0)) / 2
+            targets.append(rng.choice((half, Fraction(rng.randint(-2, 2)), float(half), 1)))
+        seed = rng.randrange(1 << 20)
+        try:
+            expected, (gram, zeta), sv = _dense_find_uncovered(rows, targets, params, seed)
+        except SampleCapError:
+            with pytest.raises(SampleCapError):
+                find_uncovered_small_norm(rows, targets, params, seed=seed)
+            continue
+        calls.clear()
+        assert find_uncovered_small_norm(rows, targets, params, seed=seed) == expected
+        (new_gram, new_zeta), new_sv = calls
+        assert [[float(c).hex() for c in r] for r in new_gram] == [[float(c).hex() for c in r] for r in gram]
+        assert [z.hex() for z in new_zeta] == [z.hex() for z in zeta]
+        assert (new_sv.signs, new_sv.flips, new_sv.objective) == (sv.signs, sv.flips, sv.objective)
+        compared += 1
+    assert compared >= 20

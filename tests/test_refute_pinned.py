@@ -2,10 +2,15 @@
 
 The expected outputs in data/refute_pinned.json were recorded from the
 all-Fraction implementation, before rows were cleared to integers and the
-first decomposition was made incremental.  Any change to the arithmetic of
-the refute path that alters a single byte of output fails here.
+first decomposition was made incremental; the plank-8x48, plank-mixed-* and
+plank-dense-columns pins from the code before the precondition, the K3
+block and the Gram matrix ran on cleared, sparse rows.  Any change to the
+arithmetic of the refute path that alters a single byte of output fails here.
 
-    python tests/test_refute_pinned.py    # rewrite the data file from the current code
+    python tests/test_refute_pinned.py    # record the cases the data file lacks
+
+That command keeps every existing pin; it exits non-zero, naming the cases,
+if the current code would change one of them.
 """
 
 import io
@@ -17,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from _pins import record_missing
 from cubecover import lr_cover
 from cubecover.cli import run_command
 
@@ -41,18 +47,39 @@ def _random_system(rng, k, n):
     return rows, [Fraction(rng.randint(-3, 3)) for _ in range(k)]
 
 
-def _plank_system(rng, k, s):
-    n = k * s
+PLANK_ENTRIES = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+MIXED_ENTRIES = (Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7))
+
+
+def _plank_system(rng, k, s, entries=PLANK_ENTRIES, shared=0):
+    """k rows of support s, mu = half the row sum; consecutive rows share ``shared`` columns."""
+    step = s - shared
+    n = k * step + shared
     layout = list(range(n))
     rng.shuffle(layout)
     rows, mu = [], []
     for i in range(k):
         row = [Fraction(0)] * n
-        entries = [rng.choice((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))) for _ in range(s)]
-        for j, c in zip(layout[i * s:(i + 1) * s], entries):
+        values = [rng.choice(entries) for _ in range(s)]
+        for j, c in zip(layout[i * step:i * step + s], values):
             row[j] = c
         rows.append(row)
-        mu.append(sum(entries) / 2)
+        mu.append(sum(values) / 2)
+    return rows, mu
+
+
+def _plank_with_dense_columns(rng, k, s, dense):
+    """A plank system on k * s columns plus ``dense`` columns that every row
+    touches, and one more row that lives on those columns alone.  The filter
+    sends the dense columns to N3 and the extra row to K1; its smallest
+    avoiding vertex sets the last dense column, which the K3 targets subtract."""
+    rows, mu = _plank_system(rng, k, s, MIXED_ENTRIES)
+    for i, row in enumerate(rows):
+        extra = [rng.choice(MIXED_ENTRIES) for _ in range(dense)]
+        row.extend(extra)
+        mu[i] += extra[-1]
+    rows.append([Fraction(0)] * (k * s) + [Fraction(1)] * dense)
+    mu.append(Fraction(0))
     return rows, mu
 
 
@@ -64,9 +91,14 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
         text = _system_text(*_random_system(rng, k, n))
         cases.append((f"random-{k}x{n}", ["refute", "--input", "-", "--seed", "3", "--cap", "16"], text))
         cases.append((f"random-{k}x{n}-decompose", ["decompose", "--input", "-", "--seed", "3"], text))
-    for k, s in ((4, 16), (4, 32), (6, 24)):
-        text = _system_text(*_plank_system(rng, k, s))
-        cases.append((f"plank-{k}x{s}", ["refute", "--input", "-", "--seed", "5", "--w", "1/1000000"], text))
+    plank_argv = ["refute", "--input", "-", "--seed", "5", "--w", "1/1000000"]
+    for k, s in ((4, 16), (4, 32), (6, 24), (8, 48)):
+        cases.append((f"plank-{k}x{s}", plank_argv, _system_text(*_plank_system(rng, k, s))))
+    # Denominators 3, 5 and 7 in one row; then rows that share columns (alpha = 2).
+    cases.append(("plank-mixed-6x30", plank_argv, _system_text(*_plank_system(rng, 6, 30, MIXED_ENTRIES))))
+    cases.append(("plank-mixed-shared-4x32", plank_argv,
+                  _system_text(*_plank_system(rng, 4, 32, MIXED_ENTRIES, shared=8))))
+    cases.append(("plank-dense-columns-4x24", plank_argv, _system_text(*_plank_with_dense_columns(rng, 4, 24, 4))))
     for n, extra in ((8, []), (12, []), (16, ["--cap", "4", "--trials", "50"])):
         lr = lr_cover(n)
         text = _system_text(lr.rows, lr.mu)
@@ -106,8 +138,29 @@ def test_pins_cover_witnesses_and_failures():
     sampled_failures = [doc for doc in refutes if doc.get("stage") == "n3-assignment"
                         and doc["detail"]["n3-assignment"]["search_mode"] == "sampled"]
     assert sampled_failures and all(doc["detail"]["n3-assignment"]["searched"] == 50 for doc in sampled_failures)
+    checks = {name: json.loads(expected[name]["stdout"])["detail"]["small_norm"]
+              for name in ("plank-8x48", "plank-mixed-6x30", "plank-mixed-shared-4x32")}
+    assert all(check["ok"] for check in checks.values())
+    assert checks["plank-8x48"]["ell"] == 8 and checks["plank-mixed-shared-4x32"]["alpha"] == 2
+    assert "/" in checks["plank-mixed-6x30"]["beta"]
+    dense = json.loads(expected["plank-dense-columns-4x24"]["stdout"])["detail"]
+    assert dense["block_sizes"]["K1"] == 1 and dense["block_sizes"]["K3"] == 4 and 1 in dense["n3_assignment"].values()
+
+
+def test_recording_adds_missing_cases_and_refuses_to_rewrite(tmp_path):
+    path = tmp_path / "pins.json"
+    cases = [("a", ["x"], "1"), ("b", ["y"], "2")]
+    run = lambda argv, text: {"stdout": argv[0] + text}
+    path.write_text(json.dumps({"b": {"stdout": "y2"}, "gone": {"stdout": "kept"}}))
+    record_missing(path, cases, run)
+    assert list(json.loads(path.read_text()).items()) == [
+        ("a", {"stdout": "x1"}), ("b", {"stdout": "y2"}), ("gone", {"stdout": "kept"})]
+    stale = json.dumps({"a": {"stdout": "x0"}, "b": {"stdout": "y3"}})
+    path.write_text(stale)
+    with pytest.raises(SystemExit, match="a, b; nothing written"):
+        record_missing(path, cases, run)
+    assert path.read_text() == stale
 
 
 if __name__ == "__main__":
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps({name: _run(argv, text) for name, argv, text in CASES}, indent=1) + "\n")
+    record_missing(DATA, CASES, _run)

@@ -6,7 +6,10 @@ loops, before both became integer kernels.  Any change to the sweep or to
 the anti-concentration arithmetic that alters a single byte of output
 (exit code, stdout or stderr) fails here.
 
-    python tests/test_sweep_pinned.py    # rewrite the data file from the current code
+    python tests/test_sweep_pinned.py    # record the cases the data file lacks
+
+That command keeps every existing pin; it exits non-zero, naming the cases,
+if the current code would change one of them.
 """
 
 import io
@@ -18,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from _pins import record_missing
 from cubecover import lr_cover
 from cubecover.cli import run_command
 
@@ -132,5 +136,4 @@ def test_pins_cover_witnesses_and_verdicts():
 
 
 if __name__ == "__main__":
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps({name: _run(argv, text) for name, argv, text in CASES}, indent=1) + "\n")
+    record_missing(DATA, CASES, _run)
