@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / property holds, 1 property fails (not essential,
 refutation failed soundly, no separated vertex), 2 precondition or hypothesis
-failure, 3 input error.  Every command is deterministic given --seed; when
+failure, 3 input error, 4 internal error (an unexpected exception; the
+traceback goes to stderr).  Every command is deterministic given --seed; when
 --seed is omitted a random seed is drawn and logged to stderr so the run can
 be replayed.
 """
@@ -259,44 +260,23 @@ def _cmd_refute(args, params) -> tuple[int, dict]:
 def _cmd_bounds(args, params) -> tuple[int, dict]:
     n, k, s = args.n, args.k, args.s
     w = parse_rational(args.w)
-    c3 = params.C3
-    h1_lhs = c3 * k * s * w
-    h1_rhs = Fraction(n, 8)
-    h2_lhs = k**5 * (s * w) ** 2
-    h2_rhs = params.C4**5 * n**3
+    (h1_lhs, h1_rhs), (h2_lhs, h2_rhs) = decompose.hypothesis_sides(n, k, s, w, params)
     # Pipeline-shaped small-norm product with alpha ~ 16k^2/n, beta ~ 1/W, ell ~ k.
     small_norm_lhs = 2.0 * (16.0 * k * k / n) * (1.0 / float(w)) * math.log(4.0 * k)
-    w_floor = Fraction(math.log(n) if n > 1 else 1.0) * k * k / n
+    w_floor = refute.column_budget_floor(n, k)
+    inequalities = (
+        ("column-budget: C3*k*S*W <= n/8", h1_lhs, h1_rhs, h1_lhs <= h1_rhs),
+        ("row-count: k^5*(S*W)^2 <= C4^5*n^3", h2_lhs, h2_rhs, h2_lhs <= h2_rhs),
+        ("small-norm (pipeline shape): 2*(16k^2/n)*(1/W)*log(4k) <= 1", small_norm_lhs, 1.0, small_norm_lhs <= 1.0),
+        ("window floor: W >= log(n)*k^2/n", w, w_floor, w >= w_floor),
+    )
     return 0, {
         "n": n,
         "k": k,
         "S": s,
         "W": format_rational(w),
         "inequalities": [
-            {
-                "name": "column-budget: C3*k*S*W <= n/8",
-                "lhs": float(h1_lhs),
-                "rhs": float(h1_rhs),
-                "ok": h1_lhs <= h1_rhs,
-            },
-            {
-                "name": "row-count: k^5*(S*W)^2 <= C4^5*n^3",
-                "lhs": float(h2_lhs),
-                "rhs": float(h2_rhs),
-                "ok": h2_lhs <= h2_rhs,
-            },
-            {
-                "name": "small-norm (pipeline shape): 2*(16k^2/n)*(1/W)*log(4k) <= 1",
-                "lhs": small_norm_lhs,
-                "rhs": 1.0,
-                "ok": small_norm_lhs <= 1.0,
-            },
-            {
-                "name": "window floor: W >= log(n)*k^2/n",
-                "lhs": float(w),
-                "rhs": float(w_floor),
-                "ok": w >= w_floor,
-            },
+            {"name": name, "lhs": float(lhs), "rhs": float(rhs), "ok": ok} for name, lhs, rhs, ok in inequalities
         ],
     }
 
@@ -346,6 +326,13 @@ def run_command(argv: list[str]) -> CommandResult:
     except ValueError as exc:
         stderr_lines.append(f"input error: {exc}")
         return CommandResult(3, "", "\n".join(stderr_lines) + "\n")
+    except Exception:
+        # Exit 1 means "property fails"; a bug must not read as a verdict.
+        # Imported here: traceback pulls in textwrap, +0.4 MB RSS at start-up.
+        import traceback
+
+        stderr_lines.append("internal error\n" + traceback.format_exc().rstrip("\n"))
+        return CommandResult(4, "", "\n".join(stderr_lines) + "\n")
 
 
 def main() -> None:

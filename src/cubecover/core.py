@@ -8,10 +8,11 @@ unit-normalized row) are never materialized; they are carried as a rational
 row together with its rational squared norm, and all comparisons involving
 them are performed on squares.
 
-The exact kernels elsewhere work on integers: ``clear_denominators`` scales
-a row (usually just its nonzero entries) by its least common denominator,
-and ``CoveringSystem.supports`` lists the nonzeros of every row and column
-in one pass.  ``parse_system`` parses each distinct entry string once.
+The exact kernels elsewhere work on integers through one helper,
+``clear_row``: a row's nonzero entries and an optional right-hand side,
+scaled by their least common denominator D.  ``CoveringSystem.cleared_rows``
+(row i with mu_i) and ``UnitRow.cleared`` hold that form, computed on first
+use.  ``parse_system`` parses each distinct entry string once.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 Scalar = Fraction
 
@@ -151,11 +153,15 @@ class CoveringSystem:
     def column_support_size(self, j: int) -> int:
         return sum(1 for i in range(self.k) if self.rows[i][j] != 0)
 
+    @cached_property
+    def cleared_rows(self) -> list[ClearedRow]:
+        """Row i and mu_i cleared over one D_i (``clear_row``), for every row."""
+        return [clear_row(row, mu) for row, mu in zip(self.rows, self.mu)]
+
     def supports(self) -> tuple[list[list[int]], list[int]]:
-        """Every row's support and every column's support size, from one pass
-        over the entries and one over the nonzeros."""
-        cols = range(self.n)
-        rows = [list(compress(cols, row)) for row in self.rows]
+        """Every row's support (the lists of ``cleared_rows``, not copies) and
+        every column's support size."""
+        rows = [cleared.support for cleared in self.cleared_rows]
         sizes = [0] * self.n
         for support in rows:
             for j in support:
@@ -272,6 +278,25 @@ def clear_denominators(values: Sequence[Fraction | int]) -> tuple[list[int], int
     return [c.numerator * (mult // c.denominator) for c in values], mult
 
 
+class ClearedRow(NamedTuple):
+    """A rational row <a, x> = rhs scaled by a positive integer D: the columns
+    of its nonzero entries in ascending order, D * a over them, D * rhs and D."""
+
+    support: list[int]
+    ints: list[int]
+    rhs: int
+    D: int
+
+
+def clear_row(row: Sequence[Fraction | int], rhs: Fraction | int = 0) -> ClearedRow:
+    """Clear a row over its nonzero entries, together with ``rhs``, by the least
+    common denominator of those entries and ``rhs``."""
+    support = list(compress(range(len(row)), row))
+    ints, mult = clear_denominators([*[row[j] for j in support], rhs])
+    top = ints.pop()
+    return ClearedRow(support, ints, top, mult)
+
+
 def row_squared_norms(system: CoveringSystem) -> tuple[Fraction, ...]:
     """Exact q_i = sum_j v_ij^2 per row."""
     return tuple(sum((c * c for c in row), Fraction(0)) for row in system.rows)
@@ -290,6 +315,11 @@ class UnitRow:
 
     def __len__(self) -> int:
         return len(self.coeffs)
+
+    @cached_property
+    def cleared(self) -> ClearedRow:
+        """The coefficients cleared over their nonzeros (``clear_row``, rhs 0)."""
+        return clear_row(self.coeffs)
 
 
 def unit_row(coeffs: Sequence[Fraction | int | str]) -> UnitRow:

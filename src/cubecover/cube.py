@@ -1,8 +1,8 @@
 """Exhaustive and sampled evaluation of hyperplane membership over {0,1}^n.
 
-Denominators are cleared row-wise up front (a positive row rescaling, so
-membership is unchanged) and everything after runs on plain Python integers:
-the whole sweep is exact.
+Both engines read ``CoveringSystem.cleared_rows`` (each row and its mu_i
+scaled by one positive D, so membership is unchanged) and run on plain
+Python integers from there: the whole sweep is exact.
 
 Coordinate j of a vertex is stored at bit (n-1-j) of its integer code, which
 makes numeric order on codes equal to lexicographic order on bit tuples; the
@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CapExceededError, CoveringSystem, Params, DEFAULT_PARAMS, Vertex, clear_denominators
+from .core import CapExceededError, CoveringSystem, Params, DEFAULT_PARAMS, Vertex
 
 
 @dataclass(frozen=True)
@@ -75,17 +75,6 @@ def evaluate_row(system: CoveringSystem, i: int, x: Vertex) -> bool:
     return total == system.mu[i]
 
 
-def _integerized(system: CoveringSystem) -> tuple[list[list[int]], list[int]]:
-    """Clear denominators row-wise; membership-equivalent integer system."""
-    int_rows: list[list[int]] = []
-    int_mu: list[int] = []
-    for row, mu in zip(system.rows, system.mu):
-        scaled, _ = clear_denominators((*row, mu))
-        int_rows.append(scaled[:-1])
-        int_mu.append(scaled[-1])
-    return int_rows, int_mu
-
-
 def _coverage_sweep(
     system: CoveringSystem,
     lo: int = 0,
@@ -103,16 +92,16 @@ def _coverage_sweep(
         hi = 1 << n
     low = (n + 1) // 2
     width = 1 << low
-    int_rows, int_mu = _integerized(system)
 
     tables: list[dict[int, int]] = []
     needs: list[list[int]] = []
-    for row, mu in zip(int_rows, int_mu):
+    for support, ints, mu, _ in system.cleared_rows:
+        row = dict(zip(support, ints))
         # table[s]: the low codes x (as bits of a 2^l-bit mask) whose low
         # coordinates sum to s; bit b of x is coordinate n-1-b.
         table = {0: 1}
         for b in range(low):
-            c, shift = row[n - 1 - b], 1 << b
+            c, shift = row.get(n - 1 - b, 0), 1 << b
             nxt = dict(table)
             for s, m in table.items():
                 nxt[s + c] = nxt.get(s + c, 0) | (m << shift)
@@ -121,7 +110,7 @@ def _coverage_sweep(
         # b of y is coordinate n-1-low-b.
         need = [mu]
         for b in range(n - low):
-            c = row[n - 1 - low - b]
+            c = row.get(n - 1 - low - b, 0)
             need += [t - c for t in need]
         tables.append(table)
         needs.append(need)
@@ -212,12 +201,11 @@ def sample_uncovered(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = system.n
-    int_rows, int_mu = _integerized(system)
     # Per row, (bit position, coefficient) over the support: coordinate j
     # sits at bit n-1-j of the drawn word, as in Vertex.from_code.
     sparse = [
-        ([(n - 1 - j, c) for j, c in enumerate(row) if c], mu)
-        for row, mu in zip(int_rows, int_mu)
+        ([(n - 1 - j, c) for j, c in zip(support, ints)], mu)
+        for support, ints, mu, _ in system.cleared_rows
     ]
     rng = random.Random(seed)
     uncovered = 0

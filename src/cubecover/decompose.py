@@ -7,7 +7,7 @@ Three algorithms:
 * first_decomposition repeatedly moves heavy columns out of the working
   block, renormalizing rows whose residual mass drops below tau; a row
   renormalized S times has acquired S scales and is moved aside.  Each row
-  is scaled once to integers by its least common denominator, and tracked
+  is cleared once over its nonzero entries (``core.clear_row``), and tracked
   as (integer row, integer squared norm q) with its residual squared norm
   and the column masses updated incrementally as columns leave, so the
   whole run is exact: the entries never change, only q does.
@@ -25,7 +25,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Mapping, Sequence
 
 from .anticonc import ScalePartition, validate_scales
@@ -33,7 +32,7 @@ from .core import (
     CoveringSystem,
     Params,
     DEFAULT_PARAMS,
-    clear_denominators,
+    clear_row,
     format_rational,
 )
 
@@ -151,8 +150,8 @@ def first_decomposition(
     remaining support.  Terminates in at most m iterations since every
     iteration removes one column.
 
-    Each row is scaled once to integers b_i = D_i a_i (D_i its least common
-    denominator).  Residual squared norms over M1 are kept per row and lose
+    Each row is cleared once over its nonzero entries (``core.clear_row``),
+    b_i = D_i a_i.  Residual squared norms over M1 are kept per row and lose
     b_ij^2 as column j leaves M1; column masses sum_i b_ij^2 / Q_i (the D_i^2
     cancel) change only when a row is renormalized, which only makes them
     grow, so the set of heavy columns only gains members while in M1.  The
@@ -176,8 +175,7 @@ def first_decomposition(
     col_sq: list[list[tuple[int, int]]] = [[] for _ in range(m)]  # (row, b_ij^2), b_ij != 0
     row_sq: list[list[tuple[int, int]]] = []  # per row, (column, b_ij^2), b_ij != 0
     for i, row in enumerate(rows):
-        cols = list(compress(range(m), row))
-        ints, mult = clear_denominators([row[j] for j in cols])
+        cols, ints, _, mult = clear_row(row)
         scales.append(mult)
         entries = [(j, b * b) for j, b in zip(cols, ints)]
         row_sq.append(entries)
@@ -381,6 +379,12 @@ def _gamma_exceeds(count: int, base: int, gamma: Fraction) -> bool:
     return count**qq > base**p
 
 
+def hypothesis_sides(n: int, k: int, S: int, W: Fraction, params: Params) -> tuple[tuple[Fraction, Fraction], ...]:
+    """(lhs, rhs) of the two hypotheses of the second decomposition:
+    C3*k*S*W <= n/8 and k^5 (S*W)^2 <= C4^5 n^3."""
+    return (params.C3 * k * S * W, Fraction(n, 8)), (k**5 * (S * W) ** 2, params.C4**5 * n**3)
+
+
 def second_decomposition(
     system: CoveringSystem,
     S: int,
@@ -422,7 +426,7 @@ def second_decomposition(
     # is in the first round's working block and takes its normalizer there.
     q_final: dict[int, Fraction] = {}
     for i in k1:
-        ints, mult = clear_denominators([rows[i][j] for j in row_supports[i]])
+        _, ints, _, mult = system.cleared_rows[i]
         q_final[i] = Fraction(sum(b * b for b in ints), mult * mult)
     trace: list[dict] = []
     if n3 or k1:
@@ -505,11 +509,9 @@ def second_decomposition(
             )
         break
 
-    c3 = params.C3
-    h1_lhs = c3 * k * S * w
-    h1_rhs = Fraction(n, 8)
+    (h1_lhs, h1_rhs), (h2_lhs, h2_rhs) = hypothesis_sides(n, k, S, w, params)
     h1 = h1_lhs <= h1_rhs
-    h2 = k**5 * (S * w) ** 2 <= params.C4**5 * n**3
+    h2 = h2_lhs <= h2_rhs
     h3 = max(len(s) for s in supports) <= 2 * k
     return Decomposition2(
         K1=tuple(sorted(k1)),

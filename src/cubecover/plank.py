@@ -7,14 +7,13 @@ is merely single-flip optimal for the quadratic objective
 inequality, so the search here is strict steepest-ascent coordinate flipping
 from a seeded random start rather than exhaustive maximization.
 
-The small-norm precondition is exact: each row is cleared to integers once,
-over its nonzero coefficients, and the column norms are summed as integers
-over one common denominator.  The finder then turns the separated point into
-a randomized rounding distribution over the cube, building the Gram matrix
-and the projection from the nonzero coefficients in column order (zero terms
-cannot change a float sum, so the floats are those of the dense sums); every
-candidate vertex is re-verified exactly against the cleared rational rows
-before being returned.
+Both stages read each row's cleared form ``UnitRow.cleared``.  The small-norm
+precondition is exact: column norms are integer sums over one common
+denominator.  The finder turns the separated point into a randomized rounding
+distribution over the cube, building the Gram matrix and the projection over
+the nonzero coefficients (zero terms cannot change a float sum, so the floats
+are those of the dense sums), and tests every candidate vertex with one
+integer subset sum per row, exactly against a rational target.
 """
 
 from __future__ import annotations
@@ -23,10 +22,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Sequence
 
-from .core import Params, DEFAULT_PARAMS, UnitRow, Vertex, clear_denominators, format_rational
+from .core import Params, DEFAULT_PARAMS, UnitRow, Vertex, format_rational
 
 
 class PlankPreconditionError(ValueError):
@@ -145,10 +143,10 @@ def check_small_norm_precondition(rows: Sequence[UnitRow]) -> SmallNormCheck:
     """Compute alpha, beta, ell and the product 2*alpha*beta*log(4*ell).
 
     Column norms are those of the unit-normalized rows: column j contributes
-    sum_i c_ij^2 / q_i, exactly.  Each row is cleared once over its nonzero
-    coefficients, b_ij = D_i c_ij, and D_i^2 q_i = P_i / R_i in lowest terms,
-    so the sum is sum_i b_ij^2 R_i (L / P_i) over the common L = lcm(P_i):
-    integers, with beta = max_j (that sum) / L.
+    sum_i c_ij^2 / q_i, exactly.  With each row's cleared form b_ij = D_i c_ij
+    and D_i^2 q_i = P_i / R_i in lowest terms, the sum is
+    sum_i b_ij^2 R_i (L / P_i) over the common L = lcm(P_i): integers, with
+    beta = max_j (that sum) / L.
     """
     ell = len(rows)
     if ell == 0:
@@ -158,10 +156,9 @@ def check_small_norm_precondition(rows: Sequence[UnitRow]) -> SmallNormCheck:
     for r in rows:
         if len(r) != m:
             raise ValueError("rows have inconsistent lengths")
-        support = list(compress(range(m), r.coeffs))
+        support, ints, _, mult = r.cleared
         if not support:
             raise ValueError("zero row")
-        ints, mult = clear_denominators([r.coeffs[j] for j in support])
         q = r.norm_sq * (mult * mult)
         cleared.append((support, ints, q.numerator, q.denominator))
     common = math.lcm(*[p for _, _, p, _ in cleared])
@@ -204,8 +201,10 @@ def find_uncovered_small_norm(
     rows when the caller has computed it already.  Pipeline: theta = sqrt(2 log 4l),
     zeta = 2*mu - V*1, eps from the sign search on V V^T, y' = theta V^T eps
     (guaranteed ||y'||_inf <= 1), y = (y'+1)/2, then per-coordinate rounding
-    P(w_j = 1) = y_j until all separations hold.  Rational targets are
-    checked exactly; float targets with |.| > float_tol separation.
+    P(w_j = 1) = y_j until all separations hold.  A candidate's inner product
+    with row i is the subset sum s of the cleared row over D_i: a rational
+    target t is hit iff s * den(t) == num(t) * D_i, exactly; a float target
+    iff s / D_i / sqrt(q_i) is within float_tol of it.
     """
     ell = len(rows)
     if ell == 0:
@@ -222,15 +221,15 @@ def find_uncovered_small_norm(
 
     # Each row as its nonzero (column, coefficient / sqrt(q)) pairs in column
     # order.  A zero term leaves a float sum unchanged, so every sum below
-    # equals its dense form bit for bit.
-    vf = []
-    for r in rows:
+    # equals its dense form bit for bit.  ``checks`` holds, per row, what the
+    # rounding tests: the cleared (column, b_j) pairs, D, sqrt(q), the target.
+    vf, mu_f, checks = [], [], []
+    for r, t in zip(rows, targets):
+        support, ints, _, mult = r.cleared
         root = math.sqrt(float(r.norm_sq))
-        vf.append([(j, float(c) / root) for j, c in enumerate(r.coeffs) if c])
-    mu_f = [
-        float(t) / math.sqrt(float(r.norm_sq)) if isinstance(t, (Fraction, int)) else float(t)
-        for t, r in zip(targets, rows)
-    ]
+        vf.append([(j, float(r.coeffs[j]) / root) for j in support])
+        mu_f.append(float(t) / root if isinstance(t, (Fraction, int)) else float(t))
+        checks.append((list(zip(support, ints)), mult, root, t))
     theta = math.sqrt(2.0 * math.log(4.0 * ell))
     zeta = [2.0 * mu_f[i] - sum(v for _, v in vf[i]) for i in range(ell)]
     lookup = [dict(entries) for entries in vf]
@@ -254,30 +253,16 @@ def find_uncovered_small_norm(
         )
     y = [min(1.0, max(0.0, (c + 1.0) / 2.0)) for c in y_prime]
 
-    # Rational targets are tested on the row and target with denominators
-    # cleared: (support with integer coefficients, integer target).
-    exact: dict[int, tuple[list[tuple[int, int]], int]] = {}
-    for i, (r, t) in enumerate(zip(rows, targets)):
-        if isinstance(t, (Fraction, int)):
-            support = [j for j, _ in vf[i]]
-            scaled, _ = clear_denominators([*(r.coeffs[j] for j in support), t])
-            exact[i] = (list(zip(support, scaled)), scaled[-1])
     for attempt in range(1, params.sample_cap + 1):
         w = [1 if rng.random() < y_j else 0 for y_j in y]
-        ok = True
-        for i in range(ell):
-            if i in exact:
-                terms, target = exact[i]
-                if sum(b for j, b in terms if w[j]) == target:
-                    ok = False
+        for terms, mult, root, t in checks:
+            s = sum(b for j, b in terms if w[j])
+            if isinstance(t, (Fraction, int)):
+                if s * t.denominator == t.numerator * mult:
                     break
-            else:
-                dot = sum((rows[i].coeffs[j] for j in range(m) if w[j]), Fraction(0))
-                approx = float(dot) / math.sqrt(float(rows[i].norm_sq))
-                if abs(approx - float(targets[i])) <= params.float_tol:
-                    ok = False
-                    break
-        if ok:
+            elif abs(s / mult / root - float(t)) <= params.float_tol:
+                break
+        else:
             return Vertex(tuple(w)), attempt
     raise SampleCapError(
         f"no separated vertex within {params.sample_cap} rounding samples", params.sample_cap

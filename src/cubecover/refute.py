@@ -4,10 +4,11 @@ report exactly which stage failed.
 The pipeline decomposes the system, fixes the N3 coordinates from a vertex
 avoiding the K1 hyperplanes, rejection-samples the N2 coordinates until the
 K2/K4 acceptance certificate holds, and runs the small-norm finder on the
-K3 x N1 block.  Every certificate is a per-instance exact sufficient
-condition; the assembled vertex is additionally re-verified row by row, in
-exact arithmetic, against the original unrescaled system before being
-returned.  A returned vertex is never unverified.
+K3 x N1 block, whose squared norms and targets are integer sums over
+``CoveringSystem.cleared_rows``.  Every certificate is a per-instance exact
+sufficient condition; the assembled vertex is additionally re-verified row
+by row, in exact arithmetic, against the original unrescaled system before
+being returned.  A returned vertex is never unverified.
 
 Stage seeds are derived deterministically from params.seed (seed, seed+1,
 seed+2 for the N3 search, the N2 sampler and the rounding stage).
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .core import CoveringSystem, Params, DEFAULT_PARAMS, UnitRow, Vertex, clear_denominators, format_rational
+from .core import CoveringSystem, Params, DEFAULT_PARAMS, UnitRow, Vertex, format_rational
 from .cube import enumerate_uncovered, sample_uncovered, evaluate_row
 from .decompose import Decomposition2, second_decomposition
 from .plank import (
@@ -75,11 +76,16 @@ def derived_scale_count(n: int, params: Params = DEFAULT_PARAMS) -> int:
     return max(1, int(float(params.C5) * math.log(n))) if n > 1 else 1
 
 
+def column_budget_floor(n: int, k: int) -> Fraction:
+    """ln(n) * k^2 / n (k^2 when n = 1), frozen as an exact rational."""
+    return Fraction(math.log(n) if n > 1 else 1.0) * k * k / n
+
+
 def derived_column_budget(n: int, k: int, params: Params = DEFAULT_PARAMS) -> Fraction:
     """Default W = w_multiplier * ln(n) * k^2 / n, frozen as an exact rational."""
     if params.W is not None:
         return Fraction(params.W)
-    w = params.w_multiplier * Fraction(math.log(n) if n > 1 else 1.0) * k * k / n
+    w = params.w_multiplier * column_budget_floor(n, k)
     return w if w > 0 else Fraction(1, 100)
 
 
@@ -255,19 +261,18 @@ def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) 
     fixed.update(w2)
     n1_bits: dict[int, int] = {j: 0 for j in d.N1}
     if d.K3:
-        set_cols = [j for j in (*d.N2, *d.N3) if fixed[j]]
+        n1 = set(d.N1)
+        set_cols = {j for j in (*d.N2, *d.N3) if fixed[j]}
         block, targets = [], []
         for i in d.K3:
-            row = system.rows[i]
-            coeffs = tuple(row[j] for j in d.N1)
-            # One common denominator for the row's nonzero N1 entries, its
-            # nonzero entries on the set columns, and mu_i.
-            inside = [c for c in coeffs if c]
-            outside = [c for c in (row[j] for j in set_cols) if c]
-            ints, mult = clear_denominators([*inside, *outside, system.mu[i]])
-            cut = len(inside)
-            block.append(UnitRow(coeffs=coeffs, norm_sq=Fraction(sum(b * b for b in ints[:cut]), mult * mult)))
-            targets.append(Fraction(ints[-1] - sum(ints[cut:-1]), mult))
+            # Row i and mu_i over one D: the squared norm on N1, and mu_i less
+            # the entries on the set columns.
+            support, ints, top, mult = system.cleared_rows[i]
+            norm = sum(b * b for j, b in zip(support, ints) if j in n1)
+            top -= sum(b for j, b in zip(support, ints) if j in set_cols)
+            coeffs = tuple([system.rows[i][j] for j in d.N1])
+            block.append(UnitRow(coeffs=coeffs, norm_sq=Fraction(norm, mult * mult)))
+            targets.append(Fraction(top, mult))
         precheck = check_small_norm_precondition(block)
         detail["small_norm"] = precheck.to_json_dict()
         if not precheck.ok:

@@ -41,6 +41,20 @@ def test_verify_over_cap_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
+def test_internal_error_exits_4(tmp_path, monkeypatch):
+    import cubecover.essential as essential
+
+    # A sweep that reports the covered vertex 0 as uncovered: verify's exact
+    # re-check raises, and that must not read as "not essential" (exit 1).
+    monkeypatch.setattr(essential, "_coverage_sweep", lambda system, **kw: (1, 0, [None] * system.k))
+    path = write(tmp_path, "sys.json", lr_cover(4).to_json_dict())
+    result = run_command(["verify", "--input", path, "--seed", "0"])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr.startswith("internal error\nTraceback (most recent call last):")
+    assert "RuntimeError" in result.stderr
+
+
 def test_construct_lr_rejects_odd():
     result = run_command(["construct-lr", "--n", "3", "--seed", "0"])
     assert result.exit_code == 3

@@ -16,7 +16,8 @@ from cubecover import (
     lr_cover,
     sample_uncovered,
 )
-from cubecover.cube import _coverage_sweep, _integerized
+from cubecover.core import ClearedRow, clear_denominators
+from cubecover.cube import _coverage_sweep
 
 
 def naive_uncovered(system):
@@ -168,18 +169,30 @@ def test_stop_at_witness_draws_the_same_witness():
 
 
 def test_sampled_witness_failing_exact_recheck_raises(monkeypatch):
-    import cubecover.cube as cube_mod
+    import cubecover.core as core_mod
 
     # x0 = 0 and x0 = 1 cover the cube; an integer form that reads both targets
     # as 2 makes the draw loop call every vertex uncovered.
     sys_ = CoveringSystem.from_rows([[1] + [0] * 9, [1] + [0] * 9], [0, 1])
-    monkeypatch.setattr(cube_mod, "_integerized", lambda system: ([[1] + [0] * 9] * 2, [2, 2]))
+    monkeypatch.setattr(core_mod, "clear_row", lambda row, rhs=0: ClearedRow([0], [1], 2, 1))
     with pytest.raises(RuntimeError, match="exact arithmetic"):
         sample_uncovered(sys_, trials=64, seed=0)
 
 
 # The one-vertex-per-step Gray-code sweep that the split-table engine
-# replaced, kept verbatim as an oracle for counts, witnesses and E3 codes.
+# replaced, kept verbatim as an oracle for counts, witnesses and E3 codes,
+# with the dense row-wise clear it ran on.
+def _integerized(system: CoveringSystem) -> tuple[list[list[int]], list[int]]:
+    """Clear denominators row-wise; membership-equivalent integer system."""
+    int_rows: list[list[int]] = []
+    int_mu: list[int] = []
+    for row, mu in zip(system.rows, system.mu):
+        scaled, _ = clear_denominators((*row, mu))
+        int_rows.append(scaled[:-1])
+        int_mu.append(scaled[-1])
+    return int_rows, int_mu
+
+
 def _gray(t: int) -> int:
     return t ^ (t >> 1)
 

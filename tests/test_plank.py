@@ -396,3 +396,30 @@ def test_sparse_finder_equals_dense_oracle(monkeypatch):
         assert (new_sv.signs, new_sv.flips, new_sv.objective) == (sv.signs, sv.flips, sv.objective)
         compared += 1
     assert compared >= 20
+
+
+
+def test_float_targets_on_the_unit_scale_reject_like_rational_targets():
+    # A float target is compared with <coeffs, w> / sqrt(q): the image of a
+    # rational target t is float(t) / sqrt(q), and the rounding must reject
+    # exactly the vertices that the rational target rejects.  Each row repeats
+    # one entry c (denominator 3, 5 or 7) with target c * s/2, and a norm_sq
+    # well above its squared norm keeps every y_j near 1/2: targets are hit often.
+    rng = random.Random(77)
+    params = Params(sample_cap=200)
+    rejected = 0
+    for trial in range(40):
+        ell = rng.randint(1, 3)
+        rows, exact = [], []
+        for i in range(ell):
+            c, s = rng.choice(MIXED[:3]), rng.randint(4, 8)
+            coeffs = [Fraction(0)] * (8 * ell)
+            coeffs[8 * i:8 * i + s] = [c] * s
+            rows.append(UnitRow(coeffs=tuple(coeffs), norm_sq=c * c * s * rng.randint(9, 25)))
+            exact.append(c * (s // 2))
+        floats = [float(t) / math.sqrt(float(r.norm_sq)) for t, r in zip(exact, rows)]
+        seed = rng.randrange(1 << 20)
+        expected = find_uncovered_small_norm(rows, exact, params, seed=seed)
+        assert find_uncovered_small_norm(rows, floats, params, seed=seed) == expected
+        rejected += expected[1] > 1
+    assert rejected >= 10

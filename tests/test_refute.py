@@ -288,7 +288,7 @@ _UNDER_O = r"""
 import io, json, sys
 from fractions import Fraction
 
-import cubecover.cube as cube
+import cubecover.core as core
 from cubecover import CoveringSystem, StageFailure, Vertex, evaluate_row, sample_uncovered
 from cubecover.cli import run_command
 
@@ -314,12 +314,14 @@ except ValueError:
 
 # x0 = 0 and x0 = 1 cover the cube; a wrong integer form calls every draw uncovered.
 cover = CoveringSystem.from_rows([[1] + [0] * 9, [1] + [0] * 9], [0, 1])
-cube._integerized = lambda system: ([[1] + [0] * 9] * 2, [2, 2])
+clear_row = core.clear_row
+core.clear_row = lambda row, rhs=0: core.ClearedRow([0], [1], 2, 1)
 try:
     sample_uncovered(cover, trials=8, seed=0)
     sys.exit("a covered vertex was returned as a witness")
 except RuntimeError:
     pass
+core.clear_row = clear_row
 
 # A sweep that reports the covered vertex 0 as uncovered, and as exclusive to
 # the wrong row: verify must refuse both witnesses.
