@@ -9,17 +9,22 @@ performed on squared norms with a rational C1.
 Probabilities over uniform x in {0,1}^dim are taken on the vector scaled by
 the least common denominator D of its entries and of the target: the subset
 sums (exact mode) and drawn sums (sampled mode) are then integers, and every
-window is an integer inequality on them.
+window is a union of half-open integer intervals of them, derived once (with
+integer square roots where the window is quadratic).  Exact mode meets in the
+middle (Horowitz and Sahni, 1974): it tabulates the subset sums of each half
+of the coordinates, 2^(dim/2) terms each, and counts the pairs that land in a
+window by bisection.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from typing import Callable, Sequence
+from itertools import accumulate, compress
+from typing import Sequence
 
 from .core import (
     CapExceededError,
@@ -76,34 +81,67 @@ def _integer_form(
     return scaled[: len(vec)], scaled[len(vec) :], mult
 
 
+def _ball_edges(target: int, num: int, den: int) -> tuple[int, int]:
+    """Edges of {s : (s - target)^2 * den < num} for num, den >= 1."""
+    # (s - target)^2 < num / den  <=>  (s - target)^2 <= (num - 1) // den.
+    m = math.isqrt((num - 1) // den)
+    return (target - m, target + m + 1)
+
+
+def _shell_edges(total: int, qd: int, qn4: int, p_sq: int, r_sq: int) -> tuple[int, ...]:
+    """Edges of {s : (2s - total)^2 qd p_sq >= qn4 r_sq and (2s - total)^2 qd r_sq <= qn4 p_sq}
+    for qd, qn4, p_sq, r_sq >= 1: the s with a <= |2s - total| <= b."""
+    a = math.isqrt(-(-qn4 * r_sq // (qd * p_sq)) - 1) + 1
+    b = math.isqrt(qn4 * p_sq // (qd * r_sq))
+    lo, hi = (total + a + 1) // 2, (total + b) // 2 + 1  # 2s - total in [a, b]
+    if lo >= hi:
+        return ()
+    # s -> total - s maps it onto 2s - total in [-b, -a]; the two meet when a <= 1.
+    mirror_lo, mirror_hi = total + 1 - hi, total + 1 - lo
+    return (mirror_lo, hi) if mirror_hi >= lo else (mirror_lo, mirror_hi, lo, hi)
+
+
 def _window_mass(
     ints: Sequence[int],
-    inside: Callable[[int], bool],
+    edges: tuple[int, ...],
     mode: str,
     trials: int,
     seed: int,
     params: Params,
     cap_message: str,
 ) -> Fraction:
-    """P(inside(<x, ints>)) for x uniform on {0,1}^dim.
+    """P(<x, ints> in the window) for x uniform on {0,1}^dim.
 
-    Exact mode sums the subset-sum counts inside the window (dim must be
-    within the enumeration cap); sampled mode returns the hit frequency over
-    ``trials`` draws, one ``getrandbits(1)`` per coordinate.
+    The window is the union of the disjoint half-open intervals
+    [edges[0], edges[1]), [edges[2], edges[3]), ...: s lies in it iff
+    bisect_right(edges, s) is odd.  Exact mode (dim must be
+    within the enumeration cap) meets in the middle: it takes the subset-sum
+    counts of each half of ints, sorts the larger table's sums with prefix
+    counts, and for each sum s of the smaller table adds its count times the
+    number of sums in every interval shifted by -s, two bisections each.
+    Sampled mode returns the hit frequency over ``trials`` draws, one
+    ``getrandbits(1)`` per coordinate.
     """
     dim = len(ints)
     if mode == "exact":
         if dim > params.enumeration_cap:
             raise CapExceededError(cap_message)
-        counts = subset_sum_counts(ints)
-        return Fraction(sum(compress(counts.values(), map(inside, counts))), 1 << dim)
+        small, large = sorted((subset_sum_counts(ints[: dim // 2]), subset_sum_counts(ints[dim // 2 :])), key=len)
+        keys = sorted(large)
+        pre = [0, *accumulate(map(large.__getitem__, keys))]
+        windows = tuple(zip(edges[::2], edges[1::2]))
+        hits = 0
+        for s, m in small.items():
+            for lo, hi in windows:
+                hits += m * (pre[bisect_left(keys, hi - s)] - pre[bisect_left(keys, lo - s)])
+        return Fraction(hits, 1 << dim)
     if mode != "sampled":
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     draw = random.Random(seed).getrandbits
     ones = (1,) * dim
-    hits = sum(1 for _ in range(trials) if inside(sum(compress(ints, map(draw, ones)))))
+    hits = sum(bisect_right(edges, sum(compress(ints, map(draw, ones)))) & 1 for _ in range(trials))
     return Fraction(hits, trials)
 
 
@@ -123,7 +161,7 @@ def atom_probability(
     """
     ints, (target,), _ = _integer_form(v, _coerce_vector([a])[0])
     return _window_mass(
-        ints, lambda s: s == target, mode, trials, seed, params,
+        ints, (target, target + 1), mode, trials, seed, params,
         f"dim={len(ints)} exceeds enumeration cap {params.enumeration_cap}",
     )
 
@@ -323,12 +361,8 @@ def check_anticoncentration(
     ints, (target,), mult = _integer_form(vec, _coerce_vector([a])[0])
     # (s - a)^2 < b^2 delta^2 on sums scaled by D: (S - A)^2 * den < num.
     window_sq = b_exact * b_exact * partition.smallest_scale_sq * mult * mult
-    num, den = window_sq.numerator, window_sq.denominator
-
-    def in_window(s: int) -> bool:
-        return (s - target) ** 2 * den < num
-
-    prob = _window_mass(ints, in_window, mode, trials, seed, params,
+    edges = _ball_edges(target, window_sq.numerator, window_sq.denominator)
+    prob = _window_mass(ints, edges, mode, trials, seed, params,
                         f"dim={len(vec)} exceeds enumeration cap")
     bound = many_scales_bound(partition.S, float(b_exact), float(params.C0))
     return prob, bound, float(prob) <= bound
@@ -364,15 +398,8 @@ def concentration_window_prob(
     # On sums scaled by D, 2 D z = 2S - T with T = D sum(v).  For c0 = p/r
     # and q = qn/qd, z^2 c0^2 >= q and z^2 <= c0^2 q read
     # (2S - T)^2 qd p^2 >= 4 D^2 qn r^2 and (2S - T)^2 qd r^2 <= 4 D^2 qn p^2.
-    total = sum(ints)
-    p_sq, r_sq = c0.numerator ** 2, c0.denominator ** 2
-    qd, qn4 = row.norm_sq.denominator, 4 * mult * mult * row.norm_sq.numerator
-    lo, hi = qn4 * r_sq, qn4 * p_sq
-
-    def in_window(s: int) -> bool:
-        z = (2 * s - total) ** 2 * qd
-        return z * p_sq >= lo and z * r_sq <= hi
-
-    prob = _window_mass(ints, in_window, mode, trials, seed, params,
+    edges = _shell_edges(sum(ints), row.norm_sq.denominator, 4 * mult * mult * row.norm_sq.numerator,
+                         c0.numerator ** 2, c0.denominator ** 2)
+    prob = _window_mass(ints, edges, mode, trials, seed, params,
                         f"dim={len(ints)} exceeds enumeration cap")
     return prob, prob * c0 >= 1

@@ -42,8 +42,13 @@ def _read_input(path: str | None) -> str:
         raise SystemFormatError("this command needs --input (a file path, or '-' for stdin)")
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        # A missing file, a directory, no permission: the input's fault, not a
+        # bug.  str(exc) keeps the errno and path of the message.
+        raise SystemFormatError(str(exc)) from exc
 
 
 def _emit(doc: dict, fmt: str) -> str:
@@ -317,7 +322,7 @@ def run_command(argv: list[str]) -> CommandResult:
         if args.command in seeded_commands:
             doc.setdefault("seed", seed)
         return CommandResult(code, _emit(doc, args.format), "\n".join(stderr_lines) + ("\n" if stderr_lines else ""))
-    except (SystemFormatError, json.JSONDecodeError, KeyError, FileNotFoundError) as exc:
+    except (SystemFormatError, json.JSONDecodeError, KeyError) as exc:
         stderr_lines.append(f"input error: {exc}")
         return CommandResult(3, "", "\n".join(stderr_lines) + "\n")
     except CapExceededError as exc:

@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 
@@ -21,6 +23,7 @@ from cubecover import (
     unit_row,
     validate_scales,
 )
+from cubecover.anticonc import _ball_edges, _shell_edges, _window_mass
 
 C1 = Params().C1  # 4 * 4.706^2 as an exact rational
 
@@ -396,3 +399,122 @@ def test_anticoncentration_window_matches_fraction_oracle():
             assert sampled == fraction_sampled_mass(v, inside, 200, seed)
             checked += 1
     assert checked > 100
+
+
+# The three window predicates, the exact loop and the sampling loop that the
+# integer edges and the meet-in-the-middle mass replaced, kept verbatim as
+# oracles (the predicates were closures over these arguments).
+def old_atom_predicate(target):
+    return lambda s: s == target
+
+
+def old_ball_predicate(target, num, den):
+    def in_window(s: int) -> bool:
+        return (s - target) ** 2 * den < num
+
+    return in_window
+
+
+def old_shell_predicate(total, qd, qn4, p_sq, r_sq):
+    lo, hi = qn4 * r_sq, qn4 * p_sq
+
+    def in_window(s: int) -> bool:
+        z = (2 * s - total) ** 2 * qd
+        return z * p_sq >= lo and z * r_sq <= hi
+
+    return in_window
+
+
+def old_exact_mass(ints, inside):
+    dim = len(ints)
+    counts = subset_sum_counts(ints)
+    return Fraction(sum(compress(counts.values(), map(inside, counts))), 1 << dim)
+
+
+def old_sampled_mass(ints, inside, trials, seed):
+    dim = len(ints)
+    draw = random.Random(seed).getrandbits
+    ones = (1,) * dim
+    hits = sum(1 for _ in range(trials) if inside(sum(compress(ints, map(draw, ones)))))
+    return Fraction(hits, trials)
+
+
+def _assert_edges_match(edges, inside, sums):
+    assert all(a < b for a, b in zip(edges, edges[1:])) and len(edges) % 2 == 0
+    for s in sums:
+        assert bisect_right(edges, s) & 1 == inside(s), (edges, s)
+
+
+def test_ball_edges_match_old_predicate():
+    rng = random.Random(71)
+    for _ in range(2000):
+        target, den, m = rng.randint(-40, 40), rng.randint(1, 30), rng.randint(0, 12)
+        # num = m^2 den puts target +- m exactly on the open boundary.
+        num = max(1, m * m * den + rng.choice((-1, 0, 1, rng.randint(-30, 60))))
+        _assert_edges_match(_ball_edges(target, num, den), old_ball_predicate(target, num, den),
+                            range(target - 16, target + 17))
+
+
+def test_shell_edges_match_old_predicate():
+    rng = random.Random(72)
+    inner = outer = 0
+    for _ in range(2000):
+        total, qd, p, r = rng.randint(-41, 41), rng.randint(1, 9), rng.randint(1, 8), rng.randint(1, 8)
+        j = rng.randint(1, 6)
+        # qn4 = (j p)^2 qd puts |2s - T| = j r on the inner edge, qn4 = (j r)^2 qd
+        # puts |2s - T| = j p on the outer one.
+        qn4 = rng.choice(((j * p) ** 2 * qd, (j * r) ** 2 * qd, rng.randint(1, 600)))
+        inside = old_shell_predicate(total, qd, qn4, p * p, r * r)
+        reach = int(math.sqrt(qn4 * p * p / (qd * r * r))) // 2 + 4
+        sums = range(total // 2 - reach, total // 2 + reach + 1)
+        _assert_edges_match(_shell_edges(total, qd, qn4, p * p, r * r), inside, sums)
+        inner += any((2 * s - total) ** 2 * qd * p * p == qn4 * r * r for s in sums if inside(s))
+        outer += any((2 * s - total) ** 2 * qd * r * r == qn4 * p * p for s in sums if inside(s))
+    assert inner > 200 and outer > 200
+
+
+def _mass_vectors():
+    """Integer vectors of dimension 0, 1, odd and even with zero, negative and repeated entries."""
+    rng = random.Random(74)
+    for d in (0, 1, 2, 3, 4, 7, 8, 11, 12):
+        for _ in range(12):
+            pool = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [0]
+            yield [rng.choice(pool) if rng.random() < 0.4 else rng.randint(-40, 40) for _ in range(d)]
+
+
+def test_meet_in_the_middle_mass_matches_full_enumeration():
+    rng = random.Random(75)
+    params = Params()
+    for ints in _mass_vectors():
+        total = sum(ints)
+        lo_sum, hi_sum = sum(c for c in ints if c < 0), sum(c for c in ints if c > 0)
+        target = rng.randint(lo_sum - 2, hi_sum + 2)
+        qd, p, r = rng.randint(1, 5), rng.randint(5, 9), rng.randint(1, 2)
+        windows = [
+            ((target, target + 1), old_atom_predicate(target)),
+            ((lo_sum, lo_sum + 1), old_atom_predicate(lo_sum)),
+            ((hi_sum, hi_sum + 1), old_atom_predicate(hi_sum)),
+        ]
+        num, den = rng.randint(1, 900), rng.randint(1, 7)
+        windows.append((_ball_edges(target, num, den), old_ball_predicate(target, num, den)))
+        qn4 = rng.randint(1, 4 * sum(c * c for c in ints) + 4)
+        windows.append((_shell_edges(total, qd, qn4, p * p, r * r), old_shell_predicate(total, qd, qn4, p * p, r * r)))
+        edges = tuple(sorted(rng.sample(range(lo_sum - 5, hi_sum + 6), 2 * rng.randint(1, 3))))
+        windows.append((edges, lambda s, edges=edges: bisect_right(edges, s) & 1 == 1))
+        for edges, inside in windows:
+            assert _window_mass(ints, edges, "exact", 0, 0, params, "") == old_exact_mass(ints, inside)
+
+
+def test_sampled_mass_matches_old_loop_per_seed():
+    rng = random.Random(76)
+    params = Params()
+    for ints in _mass_vectors():
+        target, seed = rng.randint(-20, 20), rng.randrange(10**6)
+        total = sum(ints)
+        for edges, inside in (
+            ((target, target + 1), old_atom_predicate(target)),
+            (_ball_edges(target, 50, 3), old_ball_predicate(target, 50, 3)),
+            (_shell_edges(total, 2, 300, 49, 4), old_shell_predicate(total, 2, 300, 49, 4)),
+        ):
+            got = _window_mass(ints, edges, "sampled", 150, seed, params, "")
+            assert got == old_sampled_mass(ints, inside, 150, seed)

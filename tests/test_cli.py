@@ -85,7 +85,13 @@ def test_non_integer_n_is_an_input_error(tmp_path, n):
 
 def test_missing_input_file():
     result = run_command(["verify", "--input", "/nonexistent/x.json", "--seed", "0"])
-    assert result.exit_code == 3
+    assert result == (3, "", "input error: [Errno 2] No such file or directory: '/nonexistent/x.json'\n")
+
+
+def test_unreadable_input_is_an_input_error(tmp_path):
+    # A directory cannot be read as a file; that is an input error, not a bug.
+    result = run_command(["verify", "--input", str(tmp_path), "--seed", "0"])
+    assert result == (3, "", f"input error: [Errno 21] Is a directory: '{tmp_path}'\n")
 
 
 def test_random_seed_is_logged():

@@ -2,7 +2,9 @@
 
 The expected outputs in data/sweep_pinned.json were recorded from the
 Gray-code coverage sweep and the Fraction-keyed subset-sum and sampling
-loops, before both became integer kernels.  Any change to the sweep or to
+loops, before both became integer kernels; the window-edge cases at the end
+were recorded from the full 2^d subset-sum table, before exact mode met in
+the middle.  Any change to the sweep or to
 the anti-concentration arithmetic that alters a single byte of output
 (exit code, stdout or stderr) fails here.
 
@@ -100,6 +102,37 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
     doc = json.dumps({"vector": ["1"] * 12, "a": "2"})
     cases.append(("atom-above-cap", ["atom-prob", "--input", "-", "--seed", "0", "--cap", "8"], doc))
     cases.append(("window-above-cap", ["window", "--input", "-", "--seed", "0", "--cap", "8"], doc))
+
+    # Edges of the exact window mass: dimension 1, zero entries, targets
+    # between, beyond and at the extremes of the subset sums, and d = 18.
+    atom = ["atom-prob", "--input", "-", "--seed", "3"]
+    signed = [Fraction(3), Fraction(-2), Fraction(0), Fraction(5), Fraction(-7), Fraction(1, 2), Fraction(-1, 3)]
+    pow2 = [Fraction(1 << i) for i in range(18)]
+    random.Random(18).shuffle(pow2)
+    for name, vec, a in (
+        ("d1-hit", [Fraction(-5, 2)], Fraction(-5, 2)),
+        ("d1-zero", [Fraction(3)], Fraction(0)),
+        ("d1-zero-entry", [Fraction(0)], Fraction(0)),
+        ("odd-zeros", [Fraction(c) for c in (0, 2, -1, 0, 3, 0, -2)], Fraction(2)),
+        ("unreachable-between", [Fraction(c) for c in (2, 4, 6, -8, 10)], Fraction(3)),
+        ("unreachable-beyond", [Fraction(c) for c in (1, 2, 4)], Fraction(8)),
+        ("min-sum", signed, sum(c for c in signed if c < 0)),
+        ("max-sum", signed, sum(c for c in signed if c > 0)),
+        ("pow2-18", pow2, Fraction(174763)),
+    ):
+        cases.append((f"atom-{name}", atom, json.dumps({"vector": [_fmt(c) for c in vec], "a": _fmt(a)})))
+    window = ["window", "--input", "-", "--seed", "4"]
+    cases.append(("window-pow2-18", window, json.dumps({"vector": [_fmt(c) for c in pow2]})))
+    # Sums on the closed edges: |z| = |v|/C0 at z = +-3/2 for the first vector
+    # (|v| = 9, C0 = 6).  |z| <= sum|v_j|/2 <= sqrt(d)|v|/2, so the outer edge
+    # |z| = C0|v| needs d >= 4 C0^2 > 88: one hundred ones with C0 = 5 put
+    # z = +-50 on it and z = +-2 on the inner edge.
+    for name, vec, extra in (
+        ("inner-edge", ["-5", "3", "2", "-3", "3", "-5"], ["--c0", "6"]),
+        ("both-edges", ["1"] * 100, ["--c0", "5", "--cap", "100"]),
+        ("both-edges-signed", ["1"] * 99 + ["-1"], ["--c0", "5", "--cap", "100"]),
+    ):
+        cases.append((f"window-{name}", [*window, *extra], json.dumps({"vector": vec})))
     return cases
 
 
@@ -132,7 +165,7 @@ def test_pins_cover_witnesses_and_verdicts():
     assert any(expected[name]["exit_code"] == 2 for name, _, _ in CASES)
     probabilities = {json.loads(expected[name]["stdout"])["probability"] for name, argv, _ in CASES
                      if argv[0] != "verify" and expected[name]["stdout"]}
-    assert len(probabilities) > 20
+    assert len(probabilities) > 20 and "0" in probabilities
 
 
 if __name__ == "__main__":
