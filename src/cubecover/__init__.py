@@ -54,11 +54,9 @@ from .plank import (
 from .decompose import (
     Decomposition1,
     Decomposition2,
-    GreedySplit,
     check_decomposition1,
     check_decomposition2,
     first_decomposition,
-    greedy_support_split,
     second_decomposition,
 )
 from .refute import (
@@ -66,7 +64,6 @@ from .refute import (
     StageFailure,
     attempt_refutation,
     choose_n3_assignment,
-    k4_row_excluded,
     sample_n2_assignment,
 )
 

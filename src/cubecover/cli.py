@@ -220,9 +220,10 @@ def _cmd_atom_prob(args, params) -> tuple[int, dict]:
     vector = [parse_rational(c) for c in doc["vector"]]
     a = parse_rational(doc["a"])
     trials = params.sample_cap if args.trials is None else args.trials
+    # Rejects the zero vector, before any probability is computed.
+    bound = anticonc.littlewood_offord_bound(vector)
     prob = anticonc.atom_probability(vector, a, mode=args.mode, trials=trials,
                                      seed=params.seed, params=params)
-    bound = anticonc.littlewood_offord_bound(vector)
     return 0, {
         "probability": format_rational(prob),
         "probability_float": float(prob),

@@ -77,19 +77,14 @@ def evaluate_row(system: CoveringSystem, i: int, x: Vertex) -> bool:
 
 def _coverage_sweep(
     system: CoveringSystem,
-    lo: int = 0,
-    hi: int | None = None,
     collect_exclusive: bool = False,
 ) -> tuple[int, int | None, list[int | None] | None]:
-    """Classify every vertex code in [lo, hi), 2^l of them per step.
+    """Classify every vertex code, 2^l of them per step.
 
     Returns (uncovered_count, min uncovered code or None, per-row minimal
-    exclusive codes when requested).  Disjoint code ranges merge by summing
-    counts and taking minima.
+    exclusive codes when requested).
     """
     n, k = system.n, system.k
-    if hi is None:
-        hi = 1 << n
     low = (n + 1) // 2
     width = 1 << low
 
@@ -120,25 +115,20 @@ def _coverage_sweep(
     excl: list[int | None] | None = [None] * k if collect_exclusive else None
     open_rows = list(range(k)) if collect_exclusive else []
     full = (1 << width) - 1
-    for y in range(lo >> low, -(-hi >> low)):
+    for y in range(1 << (n - low)):
         base = y << low
-        window = full
-        if base < lo:
-            window &= -1 << (lo - base)
-        if base + width > hi:
-            window &= (1 << (hi - base)) - 1
         ones = twos = 0
         masks = [t.get(d[y], 0) for t, d in zip(tables, needs)]
         for m in masks:
             twos |= ones & m
             ones |= m
-        free = window & ~ones
+        free = full & ~ones
         if free:
             uncovered += free.bit_count()
             if min_code is None:
                 min_code = base + (free & -free).bit_length() - 1
         if open_rows:
-            alone = window & ~twos
+            alone = full & ~twos
             for i in open_rows:
                 m = masks[i] & alone
                 if m:
@@ -150,32 +140,17 @@ def _coverage_sweep(
 def enumerate_uncovered(
     system: CoveringSystem,
     params: Params = DEFAULT_PARAMS,
-    chunks: int = 1,
 ) -> CoverageReport:
-    """Exhaustively count uncovered vertices; n must be within the enumeration cap.
-
-    ``chunks`` splits the vertex codes into contiguous sub-ranges processed
-    independently and merged deterministically (sum of counts, minimum
-    witness); the result is identical for any chunking.
-    """
+    """Exhaustively count uncovered vertices; n must be within the enumeration cap."""
     n = system.n
     if n > params.enumeration_cap:
         raise CapExceededError(
             f"n={n} exceeds enumeration cap {params.enumeration_cap}; use sample_uncovered"
         )
-    total = 1 << n
-    chunks = max(1, min(chunks, total))
-    bounds = [total * c // chunks for c in range(chunks + 1)]
-    uncovered = 0
-    min_code: int | None = None
-    for lo, hi in zip(bounds, bounds[1:]):
-        u, mc, _ = _coverage_sweep(system, lo, hi)
-        uncovered += u
-        if mc is not None and (min_code is None or mc < min_code):
-            min_code = mc
+    uncovered, min_code, _ = _coverage_sweep(system)
     witness = Vertex.from_code(min_code, n) if min_code is not None else None
     return CoverageReport(
-        total_vertices=total,
+        total_vertices=1 << n,
         uncovered_count=uncovered,
         witness=witness,
         mode="exhaustive",

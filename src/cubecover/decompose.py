@@ -1,9 +1,7 @@
 """Greedy structural decompositions of rational matrices.
 
-Three algorithms:
+Two algorithms:
 
-* greedy_support_split peels off rows whose residual support is small,
-  leaving a block in which every row has support at least ell.
 * first_decomposition repeatedly moves heavy columns out of the working
   block, renormalizing rows whose residual mass drops below tau; a row
   renormalized S times has acquired S scales and is moved aside.  Each row
@@ -41,52 +39,6 @@ Matrix = Sequence[Sequence[Fraction | int]]
 
 def _coerce_matrix(matrix: Matrix) -> list[tuple[Fraction, ...]]:
     return [tuple([c if type(c) is Fraction else Fraction(c) for c in row]) for row in matrix]
-
-
-@dataclass(frozen=True)
-class GreedySplit:
-    """Row split L1 (removal order) / L2 and column split M1 / M2 at threshold ell.
-
-    The block L1 x M1 is identically zero and every L2 row has at least ell
-    support inside M1; each L1 row, at its removal, had residual support
-    (outside the columns already moved) below ell.
-    """
-
-    L1: tuple[int, ...]
-    L2: tuple[int, ...]
-    M1: tuple[int, ...]
-    M2: tuple[int, ...]
-    ell: int
-
-
-def greedy_support_split(system: CoveringSystem, ell: int) -> GreedySplit:
-    """Peel rows with residual support < ell, absorbing their supports into M2."""
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    k = system.k
-    supports = [set(system.row_support(i)) for i in range(k)]
-    l1: list[int] = []
-    l2 = set(range(k))
-    m2: set[int] = set()
-    # Sweep ascending row indices, removing every qualifying row as it is
-    # met, until a full pass removes nothing.
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(l2):
-            if len(supports[i] - m2) < ell:
-                l1.append(i)
-                l2.remove(i)
-                m2 |= supports[i]
-                changed = True
-    m1 = sorted(set(range(system.n)) - m2)
-    return GreedySplit(
-        L1=tuple(l1),
-        L2=tuple(sorted(l2)),
-        M1=tuple(m1),
-        M2=tuple(sorted(m2)),
-        ell=ell,
-    )
 
 
 @dataclass(frozen=True)

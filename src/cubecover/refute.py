@@ -4,11 +4,14 @@ report exactly which stage failed.
 The pipeline decomposes the system, fixes the N3 coordinates from a vertex
 avoiding the K1 hyperplanes, rejection-samples the N2 coordinates until the
 K2/K4 acceptance certificate holds, and runs the small-norm finder on the
-K3 x N1 block, whose squared norms and targets are integer sums over
-``CoveringSystem.cleared_rows``.  Every certificate is a per-instance exact
-sufficient condition; the assembled vertex is additionally re-verified row
-by row, in exact arithmetic, against the original unrescaled system before
-being returned.  A returned vertex is never unverified.
+K3 x N1 block.  The K2/K4 certificate and the K3 block both run on
+``CoveringSystem.cleared_rows``: each row's integer terms, its target
+(D*mu_i less the entries on the set columns) and, for K4, its Cauchy-Schwarz
+bound are computed once, so a draw of the N2 sampler costs one integer sum
+per row.  Every certificate is a per-instance exact sufficient condition;
+the assembled vertex is additionally re-verified row by row, in exact
+arithmetic, against the original unrescaled system before being returned.
+A returned vertex is never unverified.
 
 Stage seeds are derived deterministically from params.seed (seed, seed+1,
 seed+2 for the N3 search, the N2 sampler and the rounding stage).
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .core import CoveringSystem, Params, DEFAULT_PARAMS, UnitRow, Vertex, format_rational
+from .core import ClearedRow, CoveringSystem, Params, DEFAULT_PARAMS, UnitRow, Vertex, format_rational
 from .cube import enumerate_uncovered, sample_uncovered, evaluate_row
 from .decompose import Decomposition2, second_decomposition
 from .plank import (
@@ -130,35 +133,10 @@ def choose_n3_assignment(
     return {j: bit for j, bit in zip(cols, report.witness.bits)}
 
 
-def k4_row_excluded(
-    system: CoveringSystem,
-    d: Decomposition2,
-    i: int,
-    residual_mu: Fraction,
-    w_bits: Mapping[int, int],
-) -> bool:
-    """Exact sufficient condition that no N1 completion can satisfy row i.
-
-    With B the smallest-scale columns outside N1, the inner product of any
-    0/1 vector with v restricted to N1 u B is at most sqrt(n) times that
-    block's norm (Cauchy-Schwarz), so
-    (<v|_{N2-B}, w> - mu')^2 > n * ||v|_{N1 u B}||^2 rules every completion
-    out.  The unit normalizer of the row cancels from both sides, so the test
-    runs on the original rational row.
-    """
-    part = d.scale_partitions[i]
-    row = system.rows[i]
-    n1 = set(d.N1)
-    b_cols = [j for j in part.parts[-1] if j not in n1]
-    b_set = set(b_cols)
-    lhs_inner = sum(
-        (row[j] * w_bits[j] for j in d.N2 if j not in b_set), Fraction(0)
-    ) - residual_mu
-    rhs = system.n * (
-        sum((row[j] * row[j] for j in d.N1), Fraction(0))
-        + sum((row[j] * row[j] for j in b_cols), Fraction(0))
-    )
-    return lhs_inner * lhs_inner > rhs
+def _target_less(row: ClearedRow, cols: set[int]) -> int:
+    """D * mu_i less the entries b_j of the cleared row on ``cols``: the value
+    the row's other columns must miss once the columns ``cols`` are set to 1."""
+    return row.rhs - sum(b for j, b in zip(row.support, row.ints) if j in cols)
 
 
 def sample_n2_assignment(
@@ -170,36 +148,47 @@ def sample_n2_assignment(
     """Rejection-sample w on {0,1}^N2 until the K2/K4 acceptance certificate holds.
 
     Acceptance: every K2 row (zero on N1) misses its residual target exactly,
-    and every K4 row passes the k4_row_excluded test.  Empty N2 or empty
-    K2 u K4 accepts the empty assignment vacuously.  Raises StageFailure with
-    the empirical rejection rate when the cap is exhausted.
+    and no N1 completion can satisfy any K4 row.  For the latter, with B the
+    smallest-scale columns outside N1, the inner product of any 0/1 vector
+    with v restricted to N1 u B is at most sqrt(n) times that block's norm
+    (Cauchy-Schwarz), so (<v|_{N2-B}, w> - mu')^2 > n * ||v|_{N1 u B}||^2
+    rules every completion out.
+
+    Each row is read from ``system.cleared_rows`` once, before the first
+    draw: its terms (j, b_j) on N2 (on N2 - B for a K4 row), its target D*mu_i
+    less the b_j on the set N3 columns, and for a K4 row the bound
+    n * sum b_j^2 over N1 u B.  A draw then rejects on a K2 row whose sum of
+    terms equals the target, or on a K4 row where (sum - target)^2 <= bound;
+    the D^2 cancels from both sides.  Empty N2 or empty K2 u K4 accepts the
+    empty assignment vacuously.  Raises StageFailure with the empirical
+    rejection rate when the cap is exhausted.
     """
-    relevant = list(d.K2) + list(d.K4)
-    if not d.N2 or not relevant:
+    if not d.N2 or not (d.K2 or d.K4):
         return ({j: 0 for j in d.N2}, {"attempts": 0, "vacuous": True})
-    residual = {
-        i: system.mu[i]
-        - sum((system.rows[i][j] * n3_assignment[j] for j in d.N3), Fraction(0))
-        for i in relevant
-    }
+    set_cols = {j for j in d.N3 if n3_assignment[j]}
+    n1, n2 = set(d.N1), set(d.N2)
+    k2_tests = []
+    for i in d.K2:
+        row = system.cleared_rows[i]
+        terms = [(j, b) for j, b in zip(row.support, row.ints) if j in n2]
+        k2_tests.append((terms, _target_less(row, set_cols)))
+    k4_tests = []
+    for i in d.K4:
+        row = system.cleared_rows[i]
+        # The smallest scale: B and the N1 columns it holds, none of them in N2.
+        last = set(d.scale_partitions[i].parts[-1])
+        terms = [(j, b) for j, b in zip(row.support, row.ints) if j in n2 and j not in last]
+        bound = system.n * sum(b * b for j, b in zip(row.support, row.ints) if j in n1 or j in last)
+        k4_tests.append((terms, _target_less(row, set_cols), bound))
     rng = random.Random(params.seed + 1)
     rejections = {"k2": 0, "k4": 0}
     for attempt in range(1, params.sample_cap + 1):
         w = {j: rng.getrandbits(1) for j in d.N2}
-        ok = True
-        for i in d.K2:
-            dot = sum((system.rows[i][j] * w[j] for j in d.N2), Fraction(0))
-            if dot == residual[i]:
-                ok = False
-                rejections["k2"] += 1
-                break
-        if ok:
-            for i in d.K4:
-                if not k4_row_excluded(system, d, i, residual[i], w):
-                    ok = False
-                    rejections["k4"] += 1
-                    break
-        if ok:
+        if any(sum(b for j, b in terms if w[j]) == target for terms, target in k2_tests):
+            rejections["k2"] += 1
+        elif any((sum(b for j, b in terms if w[j]) - target) ** 2 <= bound for terms, target, bound in k4_tests):
+            rejections["k4"] += 1
+        else:
             return (w, {"attempts": attempt, "vacuous": False})
     raise StageFailure(
         "n2-sampling",
@@ -267,12 +256,11 @@ def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) 
         for i in d.K3:
             # Row i and mu_i over one D: the squared norm on N1, and mu_i less
             # the entries on the set columns.
-            support, ints, top, mult = system.cleared_rows[i]
-            norm = sum(b * b for j, b in zip(support, ints) if j in n1)
-            top -= sum(b for j, b in zip(support, ints) if j in set_cols)
+            row = system.cleared_rows[i]
+            norm = sum(b * b for j, b in zip(row.support, row.ints) if j in n1)
             coeffs = tuple([system.rows[i][j] for j in d.N1])
-            block.append(UnitRow(coeffs=coeffs, norm_sq=Fraction(norm, mult * mult)))
-            targets.append(Fraction(top, mult))
+            block.append(UnitRow(coeffs=coeffs, norm_sq=Fraction(norm, row.D * row.D)))
+            targets.append(Fraction(_target_less(row, set_cols), row.D))
         precheck = check_small_norm_precondition(block)
         detail["small_norm"] = precheck.to_json_dict()
         if not precheck.ok:

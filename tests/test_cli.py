@@ -126,6 +126,16 @@ def test_atom_prob_command(tmp_path):
     assert doc["littlewood_offord_bound"] == 0.5
 
 
+def test_atom_prob_rejects_a_zero_vector_before_the_cap(tmp_path):
+    # The zero vector has no Littlewood-Offord bound: an input error (exit 3)
+    # at any dimension, never the cap's exit 2.
+    path = write(tmp_path, "v.json", {"vector": ["0"] * 12, "a": "0"})
+    for cap in ("8", "16"):
+        result = run_command(["atom-prob", "--input", path, "--seed", "0", "--cap", cap])
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr == "input error: zero vector has no Littlewood-Offord bound\n"
+
+
 def test_scales_command(tmp_path):
     path = write(tmp_path, "v.json", {"vector": ["10000", "100", "1"]})
     result = run_command(["scales", "--input", path, "--seed", "0"])

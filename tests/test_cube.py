@@ -98,15 +98,6 @@ def test_gray_engine_matches_naive_oracle():
         assert rep.witness == (min(expected) if expected else None)
 
 
-def test_chunked_merge_is_identical():
-    sys_ = lr_cover(8)
-    dropped = CoveringSystem.from_rows(sys_.rows[1:], sys_.mu[1:])
-    whole = enumerate_uncovered(dropped, chunks=1)
-    for chunks in (2, 3, 7):
-        split = enumerate_uncovered(dropped, chunks=chunks)
-        assert split == whole
-
-
 def test_sample_uncovered_finds_witness_high_dim():
     sys_ = CoveringSystem.from_rows([[1] + [0] * 39], [0])
     rep = sample_uncovered(sys_, trials=64, seed=5)
@@ -326,27 +317,6 @@ def test_split_table_sweep_matches_gray_oracle():
         expected = gray_coverage_sweep(sys_, collect_exclusive=True)
         assert _coverage_sweep(sys_, collect_exclusive=True) == expected, sys_
         assert _coverage_sweep(sys_) == (*expected[:2], None)
-
-
-def test_chunked_enumeration_matches_gray_oracle():
-    rng = random.Random(5)
-    for sys_ in _grid_systems():
-        count, min_code, _ = gray_coverage_sweep(sys_)
-        rep = enumerate_uncovered(sys_, chunks=rng.choice([1, 2, 3, 5, 64]))
-        assert rep.uncovered_count == count
-        assert rep.witness == (Vertex.from_code(min_code, sys_.n) if min_code is not None else None)
-
-
-def test_code_ranges_partition_the_sweep():
-    # Arbitrary cut points, including ones inside a 2^l block, merge to the whole.
-    rng = random.Random(9)
-    for _ in range(40):
-        sys_ = random_system(rng, rng.randint(1, 10), rng.randint(1, 4))
-        total = 1 << sys_.n
-        cuts = sorted({0, total, *(rng.randrange(total + 1) for _ in range(3))})
-        parts = [_coverage_sweep(sys_, lo, hi, collect_exclusive=True) for lo, hi in zip(cuts, cuts[1:])]
-        whole = _coverage_sweep(sys_, collect_exclusive=True)
-        assert sum(p[0] for p in parts) == whole[0]
-        assert min((p[1] for p in parts if p[1] is not None), default=None) == whole[1]
-        for i in range(sys_.k):
-            assert min((p[2][i] for p in parts if p[2][i] is not None), default=None) == whole[2][i]
+        rep = enumerate_uncovered(sys_)
+        assert rep.uncovered_count == expected[0]
+        assert rep.witness == (Vertex.from_code(expected[1], sys_.n) if expected[1] is not None else None)

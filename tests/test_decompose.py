@@ -11,7 +11,6 @@ from cubecover import (
     check_decomposition1,
     check_decomposition2,
     first_decomposition,
-    greedy_support_split,
     lr_cover,
     second_decomposition,
     validate_scales,
@@ -36,56 +35,6 @@ def random_rational_system(rng, max_k=10, max_n=40):
             rows.append(row)
     mu = [Fraction(rng.randint(-3, 3)) for _ in range(k)]
     return CoveringSystem.from_rows(rows, mu)
-
-
-# ---------------------------------------------------------------- greedy split
-
-
-def test_greedy_split_lr4_threshold3():
-    gs = greedy_support_split(lr_cover(4), 3)
-    assert gs.L1 == (1, 2, 0)  # removal order: both pair rows, then the sum row
-    assert gs.L2 == ()
-    assert gs.M1 == ()
-    assert gs.M2 == (0, 1, 2, 3)
-
-
-def test_greedy_split_lr4_threshold2():
-    gs = greedy_support_split(lr_cover(4), 2)
-    assert gs.L1 == ()
-    assert gs.L2 == (0, 1, 2)
-    assert gs.M1 == (0, 1, 2, 3)
-    assert gs.M2 == ()
-
-
-def test_greedy_split_single_wide_row():
-    sys_ = CoveringSystem.from_rows([[1, 1, 1, 1]], [0])
-    gs = greedy_support_split(sys_, 5)
-    assert gs.L1 == (0,)
-    assert gs.M2 == (0, 1, 2, 3)
-
-
-def test_greedy_split_rejects_bad_threshold():
-    with pytest.raises(ValueError):
-        greedy_support_split(lr_cover(4), 0)
-
-
-def test_greedy_split_invariants_random():
-    rng = random.Random(6)
-    for _ in range(40):
-        sys_ = random_rational_system(rng, max_k=6, max_n=16)
-        ell = rng.randint(1, 6)
-        gs = greedy_support_split(sys_, ell)
-        assert sorted(gs.L1 + gs.L2) == list(range(sys_.k))
-        assert sorted(gs.M1 + gs.M2) == list(range(sys_.n))
-        m1 = set(gs.M1)
-        for i in gs.L1:
-            assert not (set(sys_.row_support(i)) & m1)  # zero block
-        for i in gs.L2:
-            assert len(set(sys_.row_support(i)) & m1) >= ell
-        removed: set = set()
-        for i in gs.L1:
-            assert len(set(sys_.row_support(i)) - removed) < ell
-            removed |= set(sys_.row_support(i))
 
 
 # --------------------------------------------------------- first decomposition

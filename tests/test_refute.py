@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
 
@@ -15,7 +16,6 @@ from cubecover import (
     attempt_refutation,
     choose_n3_assignment,
     evaluate_row,
-    k4_row_excluded,
     lr_cover,
     sample_n2_assignment,
     sample_uncovered,
@@ -130,12 +130,173 @@ def test_sample_n2_cap_exhaustion_reports_stage():
     assert info.value.detail["attempts"] == 64
 
 
+# The N2 sampler and the K4 test as they were before they ran on the cleared
+# rows, verbatim (all Fraction arithmetic): the oracle for the sampler.
+
+
+def oracle_k4_row_excluded(
+    system: CoveringSystem,
+    d: Decomposition2,
+    i: int,
+    residual_mu: Fraction,
+    w_bits: Mapping[int, int],
+) -> bool:
+    """Exact sufficient condition that no N1 completion can satisfy row i.
+
+    With B the smallest-scale columns outside N1, the inner product of any
+    0/1 vector with v restricted to N1 u B is at most sqrt(n) times that
+    block's norm (Cauchy-Schwarz), so
+    (<v|_{N2-B}, w> - mu')^2 > n * ||v|_{N1 u B}||^2 rules every completion
+    out.  The unit normalizer of the row cancels from both sides, so the test
+    runs on the original rational row.
+    """
+    part = d.scale_partitions[i]
+    row = system.rows[i]
+    n1 = set(d.N1)
+    b_cols = [j for j in part.parts[-1] if j not in n1]
+    b_set = set(b_cols)
+    lhs_inner = sum(
+        (row[j] * w_bits[j] for j in d.N2 if j not in b_set), Fraction(0)
+    ) - residual_mu
+    rhs = system.n * (
+        sum((row[j] * row[j] for j in d.N1), Fraction(0))
+        + sum((row[j] * row[j] for j in b_cols), Fraction(0))
+    )
+    return lhs_inner * lhs_inner > rhs
+
+
+def oracle_sample_n2_assignment(
+    system: CoveringSystem,
+    d: Decomposition2,
+    n3_assignment: Mapping[int, int],
+    params: Params = Params(),
+) -> tuple[dict[int, int], dict]:
+    relevant = list(d.K2) + list(d.K4)
+    if not d.N2 or not relevant:
+        return ({j: 0 for j in d.N2}, {"attempts": 0, "vacuous": True})
+    residual = {
+        i: system.mu[i]
+        - sum((system.rows[i][j] * n3_assignment[j] for j in d.N3), Fraction(0))
+        for i in relevant
+    }
+    rng = random.Random(params.seed + 1)
+    rejections = {"k2": 0, "k4": 0}
+    for attempt in range(1, params.sample_cap + 1):
+        w = {j: rng.getrandbits(1) for j in d.N2}
+        ok = True
+        for i in d.K2:
+            dot = sum((system.rows[i][j] * w[j] for j in d.N2), Fraction(0))
+            if dot == residual[i]:
+                ok = False
+                rejections["k2"] += 1
+                break
+        if ok:
+            for i in d.K4:
+                if not oracle_k4_row_excluded(system, d, i, residual[i], w):
+                    ok = False
+                    rejections["k4"] += 1
+                    break
+        if ok:
+            return (w, {"attempts": attempt, "vacuous": False})
+    raise StageFailure(
+        "n2-sampling",
+        {
+            "attempts": params.sample_cap,
+            "rejections": rejections,
+            "rejection_rate": (rejections["k2"] + rejections["k4"]) / params.sample_cap,
+            "k2_rows": list(d.K2),
+            "k4_rows": list(d.K4),
+        },
+    )
+
+
+def _outcome(sample, system, d, n3_assignment, params):
+    try:
+        return sample(system, d, n3_assignment, params)
+    except StageFailure as failure:
+        return failure.stage, failure.detail
+
+
+def random_block(rng):
+    """A random system with its columns split into N1, N2, N3 and its rows into
+    K2 and K4 (and some rows in neither), each K4 row with a scale partition
+    whose last part holds most of its N1 columns; entries over 1, 3, 5 or 7 with zeros,
+    N2 entries scaled up so that the K4 test can pass, mu a subset sum of the
+    row, and an N3 assignment with set columns."""
+    k, n = rng.randint(1, 6), rng.randint(2, 14)
+    cols = list(range(n))
+    rng.shuffle(cols)
+    a, b = sorted(rng.sample(range(n + 1), 2))
+    n1, n2, n3 = tuple(sorted(cols[:a])), tuple(sorted(cols[a:b])), tuple(sorted(cols[b:]))
+    scale = {j: rng.choice((1, 10, 100)) for j in n2}
+    rows, mu = [], []
+    while len(rows) < k:
+        row = [Fraction(rng.randint(-3, 3) * scale.get(j, 1), rng.choice((1, 3, 5, 7))) if rng.random() < 0.7
+               else Fraction(0) for j in range(n)]
+        if any(row):
+            rows.append(row)
+            mu.append(sum(c for c in row if rng.random() < 0.5) + rng.choice((0, 0, Fraction(1, 2))))
+    system = CoveringSystem.from_rows(rows, mu)
+    blocks = [rng.choice(("K2", "K4", "K4", "other")) for _ in range(k)]
+    partitions = {}
+    for i, block in enumerate(blocks):
+        if block == "K4":
+            rest = [j for j in n2 + n3 if rng.random() < 0.7]
+            cut = rng.randint(0, len(rest))
+            # Mostly the decomposition's shape, N1 inside the last part; not always.
+            last = [j for j in n1 if rng.random() < 0.9] + rest[cut:]
+            parts = [rest[:cut], last] if cut else [last]
+            partitions[i] = ScalePartition.build(rows[i], parts, C1)
+    d = empty_decomposition(
+        system,
+        K2=tuple(i for i in range(k) if blocks[i] == "K2"),
+        K3=tuple(i for i in range(k) if blocks[i] == "other"),
+        K4=tuple(i for i in range(k) if blocks[i] == "K4"),
+        N1=n1, N2=n2, N3=n3,
+        scale_partitions=partitions,
+    )
+    n3_assignment = {j: rng.getrandbits(1) for j in n3}
+    return system, d, n3_assignment
+
+
+def test_sampler_matches_the_fraction_oracle_on_random_blocks():
+    rng = random.Random(77)
+    seen = {"accepted-after-rejections": 0, "accepted-with-k4": 0, "failed-k2-and-k4": 0, "vacuous": 0,
+            "set-n3-column": 0}
+    for _ in range(300):
+        system, d, n3_assignment = random_block(rng)
+        params = Params(sample_cap=rng.choice((1, 4, 30)), seed=rng.randrange(1000))
+        expected = _outcome(oracle_sample_n2_assignment, system, d, n3_assignment, params)
+        assert _outcome(sample_n2_assignment, system, d, n3_assignment, params) == expected
+        if expected[0] == "n2-sampling":
+            seen["failed-k2-and-k4"] += bool(expected[1]["rejections"]["k2"] and expected[1]["rejections"]["k4"])
+        elif expected[1]["vacuous"]:
+            seen["vacuous"] += 1
+        else:
+            seen["accepted-after-rejections"] += expected[1]["attempts"] > 1
+            seen["accepted-with-k4"] += bool(d.K4)
+        seen["set-n3-column"] += any(n3_assignment.values())
+    assert all(seen.values()), seen
+
+
 def test_k4_predicate_implies_no_completion():
     # Hand-built two-scale row: heavy part on N2, light part spanning N1 and
     # the tail of N2.  Whenever the acceptance predicate holds for w, brute
-    # force over all completions x in {0,1}^N1 finds none.
+    # force over all completions x in {0,1}^N1 finds none; so too for every w
+    # the sampler accepts.
     row = [Fraction(1, 4), Fraction(1, 4), Fraction(100), Fraction(100), Fraction(1, 2), Fraction(1, 2)]
     part = ScalePartition.build(row, [[2, 3], [0, 1, 4, 5]], C1)
+
+    def assert_no_completion(w, mu_val):
+        for xbits in itertools.product((0, 1), repeat=2):
+            total = (
+                sum(row[j] * w[j] for j in (2, 3, 4, 5))
+                + row[0] * xbits[0]
+                + row[1] * xbits[1]
+            )
+            assert total != mu_val
+
+    sampled = 0
     for mu_val in (Fraction(0), Fraction(1), Fraction(100), Fraction(999, 10), Fraction(201, 2)):
         sys_ = CoveringSystem.from_rows([row], [mu_val])
         d = empty_decomposition(
@@ -148,17 +309,19 @@ def test_k4_predicate_implies_no_completion():
         accepted_any = False
         for bits in itertools.product((0, 1), repeat=4):
             w = dict(zip((2, 3, 4, 5), bits))
-            if not k4_row_excluded(sys_, d, 0, mu_val, w):
+            if not oracle_k4_row_excluded(sys_, d, 0, mu_val, w):
                 continue
             accepted_any = True
-            for xbits in itertools.product((0, 1), repeat=2):
-                total = (
-                    sum(row[j] * w[j] for j in (2, 3, 4, 5))
-                    + row[0] * xbits[0]
-                    + row[1] * xbits[1]
-                )
-                assert total != mu_val
+            assert_no_completion(w, mu_val)
         assert accepted_any  # the predicate is satisfiable for these targets
+        for seed in range(8):
+            try:
+                w, _ = sample_n2_assignment(sys_, d, {}, Params(seed=seed, sample_cap=64))
+            except StageFailure:
+                continue
+            assert_no_completion(w, mu_val)
+            sampled += 1
+    assert sampled >= 20
 
 
 def test_sample_n2_accepts_k4_certificate():
@@ -169,7 +332,7 @@ def test_sample_n2_accepts_k4_certificate():
         sys_, K4=(0,), N1=(0, 1), N2=(2, 3, 4, 5), scale_partitions={0: part}
     )
     w, detail = sample_n2_assignment(sys_, d, {})
-    assert k4_row_excluded(sys_, d, 0, Fraction(7), w)
+    assert oracle_k4_row_excluded(sys_, d, 0, Fraction(7), w)
     assert detail["attempts"] >= 1
 
 

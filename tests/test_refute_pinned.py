@@ -4,7 +4,9 @@ The expected outputs in data/refute_pinned.json were recorded from the
 all-Fraction implementation, before rows were cleared to integers and the
 first decomposition was made incremental; the plank-8x48, plank-mixed-* and
 plank-dense-columns pins from the code before the precondition, the K3
-block and the Gram matrix ran on cleared, sparse rows.  Any change to the
+block and the Gram matrix ran on cleared, sparse rows; the blocks-* pins
+(non-empty K2 and K4 blocks) from the code before the N2 sampler and the K4
+test ran on cleared rows.  Any change to the
 arithmetic of the refute path that alters a single byte of output fails here.
 
     python tests/test_refute_pinned.py    # record the cases the data file lacks
@@ -83,6 +85,27 @@ def _plank_with_dense_columns(rng, k, s, dense):
     return rows, mu
 
 
+def _block_system(rng, k, n):
+    """k rows at one random density, each entry +-1..big (big in 1, 2, 3 or
+    1000, one entry in 20 scaled up 1000 more) over 1, 3, 5 or 7, mu a random
+    subset sum of the row.  Small S and W then give non-empty K2 and K4 blocks."""
+    density = rng.uniform(0.05, 0.5)
+    rows, mu = [], []
+    while len(rows) < k:
+        big = rng.choice((1, 2, 3, 1000))
+        row = [Fraction(rng.choice((-1, 1)) * rng.randint(1, big) * (1000 if rng.random() < 0.05 else 1),
+                        rng.choice((1, 1, 3, 5, 7)))
+               if rng.random() < density else Fraction(0) for _ in range(n)]
+        if any(row):
+            rows.append(row)
+            mu.append(sum(c for c in row if rng.random() < 0.5))
+    return rows, mu
+
+
+# (system seed, k, n) of the K2/K4 block systems, pinned at S = 1..3 and W = 1/10, 10.
+BLOCK_SYSTEMS = ((15, 6, 80), (46, 6, 80), (26, 6, 160))
+
+
 def pinned_cases() -> list[tuple[str, list[str], str]]:
     """(name, argv, stdin) for seeded random, plank and LR systems."""
     rng = random.Random(20220901)
@@ -108,6 +131,14 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
     rows[0][0], rows[0][1], rows[1][2], rows[1][3] = Fraction(1, 2), Fraction(3), Fraction(1), Fraction(-2, 3)
     cases.append(("dense-filter-decompose", ["decompose", "--input", "-", "--seed", "1", "--w", "1"],
                   _system_text(rows, [Fraction(1), Fraction(1)])))
+    # Each system on its own seed, so that the cases above keep their inputs.
+    for seed, k, n in BLOCK_SYSTEMS:
+        text = _system_text(*_block_system(random.Random(seed), k, n))
+        for s in (1, 2, 3):
+            for w in ("1/10", "10"):
+                cases.append((f"blocks-{seed}-{k}x{n}-s{s}-w{w.replace('/', 'over')}",
+                              ["refute", "--input", "-", "--seed", "3", "--cap", "16", "--trials", "40",
+                               "--s", str(s), "--w", w], text))
     return cases
 
 
@@ -145,6 +176,19 @@ def test_pins_cover_witnesses_and_failures():
     assert "/" in checks["plank-mixed-6x30"]["beta"]
     dense = json.loads(expected["plank-dense-columns-4x24"]["stdout"])["detail"]
     assert dense["block_sizes"]["K1"] == 1 and dense["block_sizes"]["K3"] == 4 and 1 in dense["n3_assignment"].values()
+
+
+def test_pins_cover_the_k2_and_k4_blocks():
+    expected = json.loads(DATA.read_text())
+    docs = [json.loads(expected[name]["stdout"]) for name, _, _ in CASES if name.startswith("blocks-")]
+    accepted = [doc for doc in docs if not doc["detail"].get("n2_sampling", {"vacuous": True})["vacuous"]]
+    assert accepted
+    # An accepted draw with K4 rows is one on which every K4 row was excluded;
+    # one such vertex is assembled and verified.
+    assert any(doc["detail"]["block_sizes"]["K4"] and doc["status"] == "uncovered" for doc in accepted)
+    failures = [doc["detail"]["n2-sampling"] for doc in docs if doc["stage"] == "n2-sampling"]
+    assert any(f["rejections"]["k2"] and f["rejections"]["k4"] for f in failures)
+    assert all(f["attempts"] == 40 for f in failures)
 
 
 def test_recording_adds_missing_cases_and_refuses_to_rewrite(tmp_path):
