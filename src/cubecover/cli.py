@@ -51,6 +51,27 @@ def _read_input(path: str | None) -> str:
         raise SystemFormatError(str(exc)) from exc
 
 
+def _read_document(path: str | None, **kinds: str) -> dict:
+    """Read a JSON object from ``path`` that holds every key of ``kinds``.
+
+    A key of kind "list" must hold a list, one of kind "matrix" a list of
+    lists; a "scalar" is checked where it is parsed.  A non-object document,
+    a missing key or a wrong kind is an input error.
+    """
+    doc = json.loads(_read_input(path))
+    if not isinstance(doc, dict):
+        raise SystemFormatError("top-level JSON value must be an object")
+    for key, kind in kinds.items():
+        if key not in doc:
+            raise SystemFormatError(f"missing key {key!r}")
+        value = doc[key]
+        if kind != "scalar" and not isinstance(value, list):
+            raise SystemFormatError(f"{key} must be a list, got {type(value).__name__}")
+        if kind == "matrix" and not all(isinstance(row, list) for row in value):
+            raise SystemFormatError(f"{key} must be a list of lists")
+    return doc
+
+
 def _emit(doc: dict, fmt: str) -> str:
     if fmt == "csv":
         lines = []
@@ -195,14 +216,14 @@ def _cmd_decompose(args, params) -> tuple[int, dict]:
 
 
 def _cmd_bang(args, params) -> tuple[int, dict]:
-    doc = json.loads(_read_input(args.input))
+    doc = _read_document(args.input, m="matrix", zeta="list", theta="list")
     sv = plank.bang_signs(doc["m"], doc["zeta"], doc["theta"], seed=params.seed,
                           float_tol=params.float_tol)
     return 0, {"signs": list(sv.signs), "flips": sv.flips, "objective": sv.objective}
 
 
 def _cmd_find_uncovered(args, params) -> tuple[int, dict]:
-    doc = json.loads(_read_input(args.input))
+    doc = _read_document(args.input, rows="matrix", targets="list")
     rows = [unit_row(r) for r in doc["rows"]]
     targets = [parse_rational(t) for t in doc["targets"]]
     check = plank.check_small_norm_precondition(rows)
@@ -216,7 +237,7 @@ def _cmd_find_uncovered(args, params) -> tuple[int, dict]:
 
 
 def _cmd_atom_prob(args, params) -> tuple[int, dict]:
-    doc = json.loads(_read_input(args.input))
+    doc = _read_document(args.input, vector="list", a="scalar")
     vector = [parse_rational(c) for c in doc["vector"]]
     a = parse_rational(doc["a"])
     trials = params.sample_cap if args.trials is None else args.trials
@@ -233,7 +254,7 @@ def _cmd_atom_prob(args, params) -> tuple[int, dict]:
 
 
 def _cmd_scales(args, params) -> tuple[int, dict]:
-    doc = json.loads(_read_input(args.input))
+    doc = _read_document(args.input, vector="list")
     vector = [parse_rational(c) for c in doc["vector"]]
     try:
         part = anticonc.scale_partition(vector, target_S=args.target_s, params=params)
@@ -243,7 +264,7 @@ def _cmd_scales(args, params) -> tuple[int, dict]:
 
 
 def _cmd_window(args, params) -> tuple[int, dict]:
-    doc = json.loads(_read_input(args.input))
+    doc = _read_document(args.input, vector="list")
     row = unit_row(doc["vector"])
     c0 = parse_rational(args.c0) if args.c0 is not None else None
     trials = params.sample_cap if args.trials is None else args.trials
@@ -323,7 +344,7 @@ def run_command(argv: list[str]) -> CommandResult:
         if args.command in seeded_commands:
             doc.setdefault("seed", seed)
         return CommandResult(code, _emit(doc, args.format), "\n".join(stderr_lines) + ("\n" if stderr_lines else ""))
-    except (SystemFormatError, json.JSONDecodeError, KeyError) as exc:
+    except (SystemFormatError, json.JSONDecodeError) as exc:
         stderr_lines.append(f"input error: {exc}")
         return CommandResult(3, "", "\n".join(stderr_lines) + "\n")
     except CapExceededError as exc:

@@ -11,8 +11,12 @@ them are performed on squares.
 The exact kernels elsewhere work on integers through one helper,
 ``clear_row``: a row's nonzero entries and an optional right-hand side,
 scaled by their least common denominator D.  ``CoveringSystem.cleared_rows``
-(row i with mu_i) and ``UnitRow.cleared`` hold that form, computed on first
-use.  ``parse_system`` parses each distinct entry string once.
+(row i with mu_i) holds that form, computed on first use; it is the only
+place a system's rows are cleared.  A stage that works on some rows and
+columns takes them from there with ``ClearedRow.restricted`` (renumbered,
+same D), ``CoveringSystem.restrict`` builds a subsystem that carries them,
+and ``UnitRow.with_cleared`` a unit row that does.  ``parse_system`` parses
+each distinct entry string once.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 Scalar = Fraction
 
@@ -158,6 +162,20 @@ class CoveringSystem:
         """Row i and mu_i cleared over one D_i (``clear_row``), for every row."""
         return [clear_row(row, mu) for row, mu in zip(self.rows, self.mu)]
 
+    def restrict(self, rows: Sequence[int], cols: Sequence[int]) -> "CoveringSystem":
+        """The rows ``rows`` with their mu_i, on the ascending columns ``cols``
+        (renumbered 0..len(cols)-1).  Its cleared rows are this system's,
+        restricted (``ClearedRow.restricted``), so no row is cleared again."""
+        index = {j: t for t, j in enumerate(cols)}
+        sub = CoveringSystem(
+            n=len(cols),
+            k=len(rows),
+            rows=tuple([tuple([self.rows[i][j] for j in cols]) for i in rows]),
+            mu=tuple([self.mu[i] for i in rows]),
+        )
+        sub.__dict__["cleared_rows"] = [self.cleared_rows[i].restricted(index) for i in rows]
+        return sub
+
     def supports(self) -> tuple[list[list[int]], list[int]]:
         """Every row's support (the lists of ``cleared_rows``, not copies) and
         every column's support size."""
@@ -287,6 +305,19 @@ class ClearedRow(NamedTuple):
     rhs: int
     D: int
 
+    def restricted(self, index: Mapping[int, int]) -> "ClearedRow":
+        """The entries on the columns ``index`` maps, renumbered by it, with the
+        same rhs and D.  An increasing ``index`` keeps the support ascending.
+        D stays a positive multiple of the least common denominator of the
+        entries kept, so the restricted row is still exact."""
+        support, ints = [], []
+        for j, b in zip(self.support, self.ints):
+            t = index.get(j)
+            if t is not None:
+                support.append(t)
+                ints.append(b)
+        return ClearedRow(support, ints, self.rhs, self.D)
+
 
 def clear_row(row: Sequence[Fraction | int], rhs: Fraction | int = 0) -> ClearedRow:
     """Clear a row over its nonzero entries, together with ``rhs``, by the least
@@ -318,8 +349,18 @@ class UnitRow:
 
     @cached_property
     def cleared(self) -> ClearedRow:
-        """The coefficients cleared over their nonzeros (``clear_row``, rhs 0)."""
+        """The coefficients cleared over their nonzeros (``clear_row``, rhs 0),
+        unless the row was built ``with_cleared``."""
         return clear_row(self.coeffs)
+
+    @classmethod
+    def with_cleared(cls, coeffs: tuple[Fraction, ...], norm_sq: Fraction, cleared: ClearedRow) -> "UnitRow":
+        """A unit row whose cleared form is already known: ``cleared`` holds the
+        nonzero coeffs times some positive D, with rhs 0.  The plank stage is
+        invariant under that D, so it need not be the least one."""
+        row = cls(coeffs=coeffs, norm_sq=norm_sq)
+        row.__dict__["cleared"] = cleared  # where the cached_property keeps its value
+        return row
 
 
 def unit_row(coeffs: Sequence[Fraction | int | str]) -> UnitRow:
@@ -354,16 +395,17 @@ class Params:
     float_tol: float = 1e-9
     require_hypotheses: bool = False
 
-    @property
+    # Computed on first access and kept: the instance is frozen.
+    @cached_property
     def C1(self) -> Fraction:
         return 4 * self.C0 * self.C0
 
-    @property
+    @cached_property
     def tau(self) -> Fraction:
         # (1 - tau) / tau = C1^2
-        return 1 / (1 + self.C1 * self.C1)
+        return 1 / self.C3
 
-    @property
+    @cached_property
     def C3(self) -> Fraction:
         return 1 + self.C1 * self.C1
 

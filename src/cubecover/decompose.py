@@ -5,13 +5,16 @@ Two algorithms:
 * first_decomposition repeatedly moves heavy columns out of the working
   block, renormalizing rows whose residual mass drops below tau; a row
   renormalized S times has acquired S scales and is moved aside.  Each row
-  is cleared once over its nonzero entries (``core.clear_row``), and tracked
-  as (integer row, integer squared norm q) with its residual squared norm
-  and the column masses updated incrementally as columns leave, so the
-  whole run is exact: the entries never change, only q does.
+  is tracked in cleared form (integer row, integer squared norm q) with its
+  residual squared norm and the column masses updated incrementally as
+  columns leave, so the whole run is exact: the entries never change, only
+  q does.  It takes a rational matrix, which it clears itself
+  (``core.clear_row``), or a ``ClearedBlock`` of rows cleared already.
 * second_decomposition iterates the first decomposition, absorbing
   zero-residual rows and their columns, until the leftover zero rows are few
-  and all have large support on the final moved columns.
+  and all have large support on the final moved columns.  It clears nothing:
+  each round hands the first decomposition the working rows of
+  ``CoveringSystem.cleared_rows``, restricted to the working columns.
 
 Row blocks are named L1/L2 (first stage) and K1..K4 (second stage); column
 blocks M1/M2 and N1..N3.
@@ -27,6 +30,7 @@ from typing import Mapping, Sequence
 
 from .anticonc import ScalePartition, validate_scales
 from .core import (
+    ClearedRow,
     CoveringSystem,
     Params,
     DEFAULT_PARAMS,
@@ -39,6 +43,25 @@ Matrix = Sequence[Sequence[Fraction | int]]
 
 def _coerce_matrix(matrix: Matrix) -> list[tuple[Fraction, ...]]:
     return [tuple([c if type(c) is Fraction else Fraction(c) for c in row]) for row in matrix]
+
+
+@dataclass(frozen=True)
+class ClearedBlock:
+    """An l x m matrix given by its rows in cleared form (``core.ClearedRow``,
+    columns numbered 0..m-1, rhs unused).  A row's D may be any positive
+    multiple of its entries' least common denominator: the first
+    decomposition is invariant under scaling a row."""
+
+    rows: Sequence[ClearedRow]
+    m: int
+
+
+def _rational_row(row: ClearedRow, m: int) -> list[Fraction]:
+    """The dense rational row b_j / D of a cleared row over m columns."""
+    dense = [Fraction(0)] * m
+    for j, b in zip(row.support, row.ints):
+        dense[j] = Fraction(b, row.D)
+    return dense
 
 
 @dataclass(frozen=True)
@@ -89,7 +112,7 @@ def _partition_from_snapshots(
 
 
 def first_decomposition(
-    matrix: Matrix,
+    matrix: Matrix | ClearedBlock,
     S: int,
     W: Fraction | int | float,
     params: Params = DEFAULT_PARAMS,
@@ -102,22 +125,26 @@ def first_decomposition(
     remaining support.  Terminates in at most m iterations since every
     iteration removes one column.
 
-    Each row is cleared once over its nonzero entries (``core.clear_row``),
-    b_i = D_i a_i.  Residual squared norms over M1 are kept per row and lose
-    b_ij^2 as column j leaves M1; column masses sum_i b_ij^2 / Q_i (the D_i^2
-    cancel) change only when a row is renormalized, which only makes them
-    grow, so the set of heavy columns only gains members while in M1.  The
-    move picks the smallest heavy column, as a rescan of M1 in column order
-    would.  ``row_norm_sq`` is reported in the original units, Q_i / D_i^2.
+    ``matrix`` is a rational matrix, whose rows are cleared here
+    (``core.clear_row``), or a ``ClearedBlock`` of rows cleared already:
+    b_i = D_i a_i either way, and the outputs are equal.  Residual squared
+    norms over M1 are kept per row and lose b_ij^2 as column j leaves M1;
+    column masses sum_i b_ij^2 / Q_i (the D_i^2 cancel) change only when a
+    row is renormalized, which only makes them grow, so the set of heavy
+    columns only gains members while in M1.  The move picks the smallest heavy column, as a rescan of M1 in column order
+    would.  ``row_norm_sq`` is reported in the original units, Q_i / D_i^2
+    (1 for a zero row).  Only a row that departs to L2 is turned back into
+    rationals, for its ``ScalePartition``.
     """
     if S < 1:
         raise ValueError(f"S must be >= 1, got {S}")
     w = Fraction(W)
     if w <= 0:
         raise ValueError(f"W must be positive, got {W}")
-    rows = _coerce_matrix(matrix)
-    ell = len(rows)
-    m = len(rows[0]) if rows else 0
+    if not isinstance(matrix, ClearedBlock):
+        rows = _coerce_matrix(matrix)
+        matrix = ClearedBlock([clear_row(row) for row in rows], len(rows[0]) if rows else 0)
+    ell, m = len(matrix.rows), matrix.m
     tau = params.tau
     tau_num, tau_den = tau.numerator, tau.denominator
     threshold = tau / w
@@ -126,15 +153,14 @@ def first_decomposition(
     scales: list[int] = []
     col_sq: list[list[tuple[int, int]]] = [[] for _ in range(m)]  # (row, b_ij^2), b_ij != 0
     row_sq: list[list[tuple[int, int]]] = []  # per row, (column, b_ij^2), b_ij != 0
-    for i, row in enumerate(rows):
-        cols, ints, _, mult = clear_row(row)
+    for i, (cols, ints, _, mult) in enumerate(matrix.rows):
         scales.append(mult)
         entries = [(j, b * b) for j, b in zip(cols, ints)]
         row_sq.append(entries)
         for j, sq in entries:
             col_sq[j].append((i, sq))
     resid = [sum(sq for _, sq in entries) for entries in row_sq]  # sum over M1 of b_ij^2
-    q = [r if r > 0 else 1 for r in resid]
+    q = [r if r > 0 else d * d for r, d in zip(resid, scales)]  # a zero row keeps norm 1
     # Initial column masses sum_i b_ij^2 / q_i, as integers over the common
     # L = lcm(q): column j's mass is col_num[j] / L.  It becomes a Fraction in
     # ``mass`` when a renormalization first changes it.
@@ -190,7 +216,7 @@ def first_decomposition(
         for i in departures:
             l1.remove(i)
             l2.append(i)
-            partitions[i] = _partition_from_snapshots(rows[i], snapshots[i], m, c1)
+            partitions[i] = _partition_from_snapshots(_rational_row(matrix.rows[i], m), snapshots[i], m, c1)
             moved = [j for j, _ in row_sq[i] if j in m1]
             for j in moved:
                 leave_m1(j)
@@ -365,7 +391,7 @@ def second_decomposition(
     gamma = params.gamma
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-    rows = system.rows
+    cleared = system.cleared_rows
     row_supports, column_sizes = system.supports()
     supports = [frozenset(s) for s in row_supports]
 
@@ -378,7 +404,7 @@ def second_decomposition(
     # is in the first round's working block and takes its normalizer there.
     q_final: dict[int, Fraction] = {}
     for i in k1:
-        _, ints, _, mult = system.cleared_rows[i]
+        _, ints, _, mult = cleared[i]
         q_final[i] = Fraction(sum(b * b for b in ints), mult * mult)
     trace: list[dict] = []
     if n3 or k1:
@@ -396,8 +422,11 @@ def second_decomposition(
             n1, n2 = list(work_cols), []
             partitions = {}
             break
-        sub = [[rows[i][j] for j in work_cols] for i in work_rows]
-        d1 = first_decomposition(sub, S, w, params)
+        # The working rows of the cleared system, on the working columns.  The
+        # call looks up the public name, so a wrapper bound to it sees it.
+        index = {j: t for t, j in enumerate(work_cols)}
+        block = ClearedBlock([cleared[i].restricted(index) for i in work_rows], len(work_cols))
+        d1 = first_decomposition(block, S, w, params)
         l1g = [work_rows[i] for i in d1.L1]
         l2g = [work_rows[i] for i in d1.L2]
         m1g = [work_cols[j] for j in d1.M1]

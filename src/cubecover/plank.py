@@ -7,13 +7,16 @@ is merely single-flip optimal for the quadratic objective
 inequality, so the search here is strict steepest-ascent coordinate flipping
 from a seeded random start rather than exhaustive maximization.
 
-Both stages read each row's cleared form ``UnitRow.cleared``.  The small-norm
-precondition is exact: column norms are integer sums over one common
-denominator.  The finder turns the separated point into a randomized rounding
-distribution over the cube, building the Gram matrix and the projection over
-the nonzero coefficients (zero terms cannot change a float sum, so the floats
-are those of the dense sums), and tests every candidate vertex with one
-integer subset sum per row, exactly against a rational target.
+Both stages read each row's cleared form ``UnitRow.cleared``: the refute
+pipeline hands over rows that carry it (``UnitRow.with_cleared``), other
+callers' rows clear themselves on first use.  Any positive D works, as
+both stages are invariant under it.  The small-norm precondition is exact:
+column norms are integer sums over one common denominator.  The finder
+turns the separated point into a randomized rounding distribution over the
+cube, building the Gram matrix and the projection over the nonzero
+coefficients, read as b / D (zero terms cannot change a float sum, so the
+floats are those of the dense sums), and tests every candidate vertex with
+one integer subset sum per row, exactly against a rational target.
 """
 
 from __future__ import annotations
@@ -227,7 +230,9 @@ def find_uncovered_small_norm(
     for r, t in zip(rows, targets):
         support, ints, _, mult = r.cleared
         root = math.sqrt(float(r.norm_sq))
-        vf.append([(j, float(r.coeffs[j]) / root) for j in support])
+        # b / D is the coefficient's float: int true division is correctly
+        # rounded, as float() of the Fraction is.
+        vf.append([(j, b / mult / root) for j, b in zip(support, ints)])
         mu_f.append(float(t) / root if isinstance(t, (Fraction, int)) else float(t))
         checks.append((list(zip(support, ints)), mult, root, t))
     theta = math.sqrt(2.0 * math.log(4.0 * ell))

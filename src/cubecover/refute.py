@@ -4,11 +4,15 @@ report exactly which stage failed.
 The pipeline decomposes the system, fixes the N3 coordinates from a vertex
 avoiding the K1 hyperplanes, rejection-samples the N2 coordinates until the
 K2/K4 acceptance certificate holds, and runs the small-norm finder on the
-K3 x N1 block.  The K2/K4 certificate and the K3 block both run on
-``CoveringSystem.cleared_rows``: each row's integer terms, its target
-(D*mu_i less the entries on the set columns) and, for K4, its Cauchy-Schwarz
-bound are computed once, so a draw of the N2 sampler costs one integer sum
-per row.  Every certificate is a per-instance exact sufficient condition;
+K3 x N1 block.  Every stage reads ``CoveringSystem.cleared_rows`` and
+clears no row again: the decomposition restricts them to each round's
+working block, the N3 subcube is a ``CoveringSystem.restrict`` that carries
+them (and the rational rows, for the exact re-check of a sampled witness),
+and the K3 unit rows carry them restricted to N1.  For the K2/K4
+certificate and the K3 block each row's integer terms, its target (D*mu_i
+less the entries on the set columns) and, for K4, its Cauchy-Schwarz bound
+are computed once, so a draw of the N2 sampler costs one integer sum per
+row.  Every certificate is a per-instance exact sufficient condition;
 the assembled vertex is additionally re-verified row by row, in exact
 arithmetic, against the original unrescaled system before being returned.
 A returned vertex is never unverified.
@@ -108,10 +112,7 @@ def choose_n3_assignment(
     if not d.K1:
         return {j: 0 for j in d.N3}
     cols = list(d.N3)
-    sub = CoveringSystem.from_rows(
-        [[system.rows[i][j] for j in cols] for i in d.K1],
-        [system.mu[i] for i in d.K1],
-    )
+    sub = system.restrict(d.K1, cols)
     if sub.n <= params.enumeration_cap:
         report = enumerate_uncovered(sub, params)
     else:
@@ -250,16 +251,18 @@ def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) 
     fixed.update(w2)
     n1_bits: dict[int, int] = {j: 0 for j in d.N1}
     if d.K3:
-        n1 = set(d.N1)
+        n1_index = {j: t for t, j in enumerate(d.N1)}
         set_cols = {j for j in (*d.N2, *d.N3) if fixed[j]}
         block, targets = [], []
         for i in d.K3:
-            # Row i and mu_i over one D: the squared norm on N1, and mu_i less
-            # the entries on the set columns.
+            # Row i and mu_i over one D: the row on N1 with its squared norm
+            # there, which the plank stage reads as is, and mu_i less the
+            # entries on the set columns.
             row = system.cleared_rows[i]
-            norm = sum(b * b for j, b in zip(row.support, row.ints) if j in n1)
+            local = row.restricted(n1_index)._replace(rhs=0)
+            norm = sum(b * b for b in local.ints)
             coeffs = tuple([system.rows[i][j] for j in d.N1])
-            block.append(UnitRow(coeffs=coeffs, norm_sq=Fraction(norm, row.D * row.D)))
+            block.append(UnitRow.with_cleared(coeffs, Fraction(norm, row.D * row.D), local))
             targets.append(Fraction(_target_less(row, set_cols), row.D))
         precheck = check_small_norm_precondition(block)
         detail["small_norm"] = precheck.to_json_dict()

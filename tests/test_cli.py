@@ -247,3 +247,56 @@ def test_csv_format_flattens_top_level(tmp_path):
     result = run_command(["atom-prob", "--input", path, "--seed", "0", "--format", "csv"])
     assert result.exit_code == 0
     assert any(line.startswith("probability,") for line in result.stdout.splitlines())
+
+
+# One well-formed document per command that reads a plain JSON object, and
+# the keys it needs: (command, document, list-valued keys, scalar keys).
+DOCUMENT_COMMANDS = (
+    ("atom-prob", {"vector": ["1", "2"], "a": "1"}, ("vector",), ("a",)),
+    ("window", {"vector": ["1", "2"]}, ("vector",), ()),
+    ("scales", {"vector": ["1", "2"]}, ("vector",), ()),
+    ("bang", {"m": [[1.0]], "zeta": [0.0], "theta": [1.0]}, ("m", "zeta", "theta"), ()),
+    ("find-uncovered", {"rows": [["1", "0"]], "targets": ["1/2"]}, ("rows", "targets"), ()),
+)
+
+
+def _run_document(tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return run_command([command, "--input", str(path), "--seed", "0"])
+
+
+@pytest.mark.parametrize("command, doc, lists, scalars", DOCUMENT_COMMANDS, ids=[c[0] for c in DOCUMENT_COMMANDS])
+def test_document_commands_reject_malformed_documents(tmp_path, command, doc, lists, scalars):
+    assert _run_document(tmp_path, command, doc).exit_code in (0, 1, 2)  # not 3 or 4
+    bad = [([1, 2], "top-level JSON value must be an object"), ("text", "top-level JSON value must be an object")]
+    for key in (*lists, *scalars):
+        bad.append(({k: v for k, v in doc.items() if k != key}, f"missing key {key!r}"))
+    for key in lists:
+        for value in (3, "1", {"0": "1"}, None):
+            bad.append((dict(doc, **{key: value}), f"{key} must be a list, got {type(value).__name__}"))
+    for broken, message in bad:
+        result = _run_document(tmp_path, command, broken)
+        assert (result.exit_code, result.stdout, result.stderr) == (3, "", f"input error: {message}\n"), broken
+
+
+@pytest.mark.parametrize("command, key", [("bang", "m"), ("find-uncovered", "rows")])
+def test_document_matrices_need_list_rows(tmp_path, command, key):
+    doc = dict(next(c[1] for c in DOCUMENT_COMMANDS if c[0] == command))
+    doc[key] = [doc[key][0], 7]
+    result = _run_document(tmp_path, command, doc)
+    assert (result.exit_code, result.stderr) == (3, f"input error: {key} must be a list of lists\n")
+
+
+def test_internal_key_error_exits_4(tmp_path, monkeypatch):
+    import cubecover.anticonc as anticonc
+
+    # A KeyError raised inside the library is a bug, not an input error.
+    def broken(*args, **kwargs):
+        return {}["missing"]
+
+    monkeypatch.setattr(anticonc, "scale_partition", broken)
+    result = _run_document(tmp_path, "scales", {"vector": ["1", "2"]})
+    assert result.exit_code == 4
+    assert result.stderr.startswith("internal error\nTraceback (most recent call last):")
+    assert "KeyError: 'missing'" in result.stderr

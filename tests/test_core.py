@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from cubecover import (
     CoveringSystem,
+    Params,
     RowScaling,
     SystemFormatError,
     apply_rescaling,
@@ -195,3 +197,30 @@ def test_parse_system_repeated_strings_parse_alike():
     assert system.rows == ((Fraction(-1, 2), 0, Fraction(-1, 2), Fraction(-1, 2)), (0, 3, Fraction(-1, 2), 0))
     assert system.mu == (Fraction(-1, 2), 3)
     assert all(type(c) is Fraction for row in system.rows for c in row)
+
+
+@pytest.mark.parametrize("c0", [Params().C0, Fraction(5), Fraction(47, 9)])
+def test_params_derived_constants(c0):
+    params = Params(C0=c0)
+    c1 = 4 * c0 * c0
+    assert (params.C1, params.tau, params.C3) == (c1, 1 / (1 + c1 * c1), 1 + c1 * c1)
+    # Computed once per instance: later reads return the same objects.
+    assert params.C1 is params.C1 and params.tau is params.tau and params.C3 is params.C3
+    # A replaced instance derives its own constants.
+    other = dataclasses.replace(params, C0=c0 + 1)
+    assert other.C1 == 4 * (c0 + 1) ** 2 and other.tau == 1 / (1 + other.C1**2)
+    assert Params().C0 == Fraction(4706, 1000)
+
+
+def test_restrict_carries_the_cleared_rows():
+    from cubecover.core import ClearedRow, clear_row
+
+    system = CoveringSystem.from_rows(
+        [["1/2", "0", "1/3", "0"], ["0", "2/5", "1", "3"], ["1/7", "0", "0", "1"]], ["1", "2", "0"])
+    sub = system.restrict([0, 1], [0, 2, 3])
+    fresh = CoveringSystem.from_rows([["1/2", "1/3", "0"], ["0", "1", "3"]], ["1", "2"])
+    assert sub == fresh
+    # Row 0 keeps its whole support, so its form is clear_row's; row 1 loses
+    # its 2/5 and keeps D = 5 where clear_row would take 1.
+    assert sub.cleared_rows == [clear_row(fresh.rows[0], fresh.mu[0]), ClearedRow([1, 2], [5, 15], 10, 5)]
+    assert enumerate_uncovered(sub) == enumerate_uncovered(fresh)

@@ -407,6 +407,60 @@ def test_oracle_grid_reaches_departures_and_moves():
     assert any(d.renorm_counts and 0 < max(d.renorm_counts) < d.S for d in results)
 
 
+def _dense(block):
+    """The rational matrix a ClearedBlock stands for: b_j / D on each row's support."""
+    rows = []
+    for row in block.rows:
+        dense = [Fraction(0)] * block.m
+        for j, b in zip(row.support, row.ints):
+            dense[j] = Fraction(b, row.D)
+        rows.append(dense)
+    return rows
+
+
+def _restricted_block_cases():
+    """(full rows, columns kept, S, W): rows with denominators 1-7 over n
+    columns, some decay rows, zero columns, and a kept column subset that
+    drops some rows' only large denominators, or all of a row's support."""
+    rng = random.Random(2211)
+    for _ in range(150):
+        k, n = rng.randint(1, 10), rng.randint(2, 40)
+        density = rng.uniform(0.1, 0.8)
+        zero_cols = set(rng.sample(range(n), rng.randint(0, n // 3)))
+        rows = []
+        for _ in range(k):
+            if rng.random() < 0.2:
+                rows.append(_decay_row(rng, n))
+                continue
+            rows.append([Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                         if j not in zero_cols and rng.random() < density else Fraction(0) for j in range(n)])
+        kept = sorted(rng.sample(range(n), rng.randint(1, n)))
+        s = rng.randint(1, 3)
+        w = rng.choice((Fraction(1, 10**6), Fraction(1, 10), Fraction(1), Fraction(4), derived_column_budget(n, k)))
+        yield rows, kept, s, w
+
+
+def test_cleared_block_entry_matches_dense_and_reference():
+    from cubecover.core import clear_row
+    from cubecover.decompose import ClearedBlock
+
+    seen = {"larger D": 0, "zero row": 0, "L2": 0}
+    for rows, kept, s, w in _restricted_block_cases():
+        index = {j: t for t, j in enumerate(kept)}
+        block = ClearedBlock([clear_row(row).restricted(index) for row in rows], len(kept))
+        dense = [[row[j] for j in kept] for row in rows]
+        assert _dense(block) == dense
+        ours = first_decomposition(block, s, w)
+        for other in (first_decomposition(dense, s, w), reference_first_decomposition(dense, s, w)):
+            for field in dataclasses.fields(Decomposition1):
+                assert getattr(ours, field.name) == getattr(other, field.name), field.name
+        for full, restricted in zip(block.rows, map(clear_row, dense)):
+            seen["larger D"] += full.D != restricted.D
+            seen["zero row"] += not full.support
+        seen["L2"] += bool(ours.L2)
+    assert all(count >= 5 for count in seen.values()), seen
+
+
 def test_second_decomposition_matches_reference_first_stage(monkeypatch):
     import cubecover.decompose as decompose_mod
 
@@ -415,8 +469,17 @@ def test_second_decomposition_matches_reference_first_stage(monkeypatch):
              for _ in range(12)]
     cases.append((CoveringSystem.from_rows([_decay_row(rng, 40) for _ in range(6)], [0] * 6), 2, Fraction(1)))
     ours = [second_decomposition(system, s, w) for system, s, w in cases]
-    monkeypatch.setattr(decompose_mod, "first_decomposition", reference_first_decomposition)
+    calls = []
+
+    def reference_on_dense_block(block, S, W, params=PARAMS):
+        # The second decomposition hands over each round's cleared block;
+        # the reference runs on the rational matrix it stands for.
+        calls.append(block)
+        return reference_first_decomposition(_dense(block), S, W, params)
+
+    monkeypatch.setattr(decompose_mod, "first_decomposition", reference_on_dense_block)
     assert [second_decomposition(system, s, w) for system, s, w in cases] == ours
+    assert len(calls) >= len(cases)
 
 
 def test_second_decomposition_k60_n400_under_a_second():

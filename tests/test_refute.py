@@ -447,6 +447,54 @@ def test_sampled_n3_search_returns_the_full_sample_witness():
     assert checked > 0
 
 
+def _clear_count_systems():
+    """(name, system, params) runs of attempt_refutation that reach each block:
+    two pinned K2/K4 block systems whose K3 rows reach the plank
+    precondition, one of them after a sampled N3 search; an LR cover whose N3
+    subcube is swept exhaustively; and a plank system that runs the finder."""
+    from test_refute_pinned import _block_system, _plank_system
+
+    for seed, n, s in ((46, 80, 2), (26, 160, 3)):
+        rows, mu = _block_system(random.Random(seed), 6, n)
+        params = Params(S=s, W=Fraction(1, 10), enumeration_cap=16, sample_cap=40, seed=3)
+        yield f"blocks-{seed}", CoveringSystem.from_rows(rows, mu), params
+    yield "lr-8", lr_cover(8), Params(seed=7)
+    rows, mu = _plank_system(random.Random(5), 4, 16)
+    yield "plank-4x16", CoveringSystem.from_rows(rows, mu), Params(W=Fraction(1, 10**6), seed=5)
+
+
+@pytest.mark.parametrize("name", [case[0] for case in _clear_count_systems()])
+def test_refutation_clears_each_row_once(name, monkeypatch):
+    import sys
+
+    import cubecover.core as core
+
+    name, system, params = next(case for case in _clear_count_systems() if case[0] == name)
+    original, calls = core.clear_row, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # Every module that bound the helper by name calls the counter instead.
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "cubecover" or module_name.startswith("cubecover."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    outcome = attempt_refutation(system, params)
+    assert len(calls) == system.k
+    detail = outcome.detail
+    if name.startswith("blocks-") or name.startswith("plank-"):
+        assert detail["block_sizes"]["K3"] and "small_norm" in detail
+    if name == "blocks-26":
+        assert detail["block_sizes"]["K1"] and detail["block_sizes"]["N3"] > params.enumeration_cap
+    if name == "lr-8":
+        assert detail["n3-assignment"]["search_mode"] == "exhaustive"
+    if name == "plank-4x16":
+        assert outcome.status == "uncovered" and detail["rounding"]["attempts"] >= 1
+
+
 _UNDER_O = r"""
 import io, json, sys
 from fractions import Fraction

@@ -6,8 +6,10 @@ first decomposition was made incremental; the plank-8x48, plank-mixed-* and
 plank-dense-columns pins from the code before the precondition, the K3
 block and the Gram matrix ran on cleared, sparse rows; the blocks-* pins
 (non-empty K2 and K4 blocks) from the code before the N2 sampler and the K4
-test ran on cleared rows.  Any change to the
-arithmetic of the refute path that alters a single byte of output fails here.
+test ran on cleared rows; the decompose-*-blocks-* pins from the code before
+the second decomposition handed its rounds the system's cleared rows.  Any
+change to the arithmetic of the refute path that alters a single byte of
+output fails here.
 
     python tests/test_refute_pinned.py    # record the cases the data file lacks
 
@@ -139,6 +141,14 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
                 cases.append((f"blocks-{seed}-{k}x{n}-s{s}-w{w.replace('/', 'over')}",
                               ["refute", "--input", "-", "--seed", "3", "--cap", "16", "--trials", "40",
                                "--s", str(s), "--w", w], text))
+    # Decompositions whose later rounds hand the first stage rows that are
+    # zero on the working columns (0-8x60), and whose last round gives K4
+    # rows scale partitions after two absorptions (1-6x80).
+    for seed, k, n, s, w, stage in ((0, 8, 60, 1, "1/10", "second"), (1, 6, 80, 1, "10", "second"),
+                                    (0, 6, 80, 1, "1/10", "first")):
+        text = _system_text(*_block_system(random.Random(seed), k, n))
+        cases.append((f"decompose-{stage}-blocks-{seed}-{k}x{n}-s{s}-w{w.replace('/', 'over')}",
+                      ["decompose", "--input", "-", "--seed", "3", "--stage", stage, "--s", str(s), "--w", w], text))
     return cases
 
 
