@@ -18,7 +18,7 @@ from .core import (
     row_squared_norms,
     unit_row,
 )
-from .cube import CoverageReport, enumerate_uncovered, evaluate_row, sample_uncovered
+from .cube import CoverageReport, enumerate_uncovered, evaluate_row, rows_through, sample_uncovered
 from .essential import (
     EssentialReport,
     check_cover,

@@ -72,6 +72,33 @@ def _read_document(path: str | None, **kinds: str) -> dict:
     return doc
 
 
+def _rationals(values: list, key: str) -> list[Fraction]:
+    """Each entry of ``values`` as a rational "p" or "p/q" (``parse_rational``):
+    any other entry, a JSON number among them, is an input error at ``key[j]``."""
+    try:
+        return [parse_rational(c) for c in values]
+    except SystemFormatError:
+        # Parse again, naming each entry, only once one has failed.
+        for j, c in enumerate(values):
+            parse_rational(c, where=f"{key}[{j}]")
+        raise
+
+
+def _numbers(values: list, key: str) -> list[float]:
+    """Each entry of ``values`` as a float: it must be a finite JSON number,
+    not a bool, null, string or list."""
+    out = []
+    for j, c in enumerate(values):
+        try:
+            x = float(c) if type(c) in (int, float) else math.nan
+        except OverflowError:  # an int beyond the float range
+            x = math.inf
+        if not math.isfinite(x):
+            raise SystemFormatError(f"{key}[{j}]: bad number {c!r} (expected a finite JSON number)")
+        out.append(x)
+    return out
+
+
 def _emit(doc: dict, fmt: str) -> str:
     if fmt == "csv":
         lines = []
@@ -217,15 +244,16 @@ def _cmd_decompose(args, params) -> tuple[int, dict]:
 
 def _cmd_bang(args, params) -> tuple[int, dict]:
     doc = _read_document(args.input, m="matrix", zeta="list", theta="list")
-    sv = plank.bang_signs(doc["m"], doc["zeta"], doc["theta"], seed=params.seed,
-                          float_tol=params.float_tol)
+    m = [_numbers(row, f"m[{i}]") for i, row in enumerate(doc["m"])]
+    sv = plank.bang_signs(m, _numbers(doc["zeta"], "zeta"), _numbers(doc["theta"], "theta"),
+                          seed=params.seed, float_tol=params.float_tol)
     return 0, {"signs": list(sv.signs), "flips": sv.flips, "objective": sv.objective}
 
 
 def _cmd_find_uncovered(args, params) -> tuple[int, dict]:
     doc = _read_document(args.input, rows="matrix", targets="list")
-    rows = [unit_row(r) for r in doc["rows"]]
-    targets = [parse_rational(t) for t in doc["targets"]]
+    rows = [unit_row(_rationals(r, f"rows[{i}]")) for i, r in enumerate(doc["rows"])]
+    targets = _rationals(doc["targets"], "targets")
     check = plank.check_small_norm_precondition(rows)
     try:
         vertex, attempts = plank.find_uncovered_small_norm(rows, targets, params, check=check)
@@ -238,8 +266,8 @@ def _cmd_find_uncovered(args, params) -> tuple[int, dict]:
 
 def _cmd_atom_prob(args, params) -> tuple[int, dict]:
     doc = _read_document(args.input, vector="list", a="scalar")
-    vector = [parse_rational(c) for c in doc["vector"]]
-    a = parse_rational(doc["a"])
+    vector = _rationals(doc["vector"], "vector")
+    a = parse_rational(doc["a"], where="a")
     trials = params.sample_cap if args.trials is None else args.trials
     # Rejects the zero vector, before any probability is computed.
     bound = anticonc.littlewood_offord_bound(vector)
@@ -255,7 +283,7 @@ def _cmd_atom_prob(args, params) -> tuple[int, dict]:
 
 def _cmd_scales(args, params) -> tuple[int, dict]:
     doc = _read_document(args.input, vector="list")
-    vector = [parse_rational(c) for c in doc["vector"]]
+    vector = _rationals(doc["vector"], "vector")
     try:
         part = anticonc.scale_partition(vector, target_S=args.target_s, params=params)
     except anticonc.ScalePartitionError as exc:
@@ -265,7 +293,7 @@ def _cmd_scales(args, params) -> tuple[int, dict]:
 
 def _cmd_window(args, params) -> tuple[int, dict]:
     doc = _read_document(args.input, vector="list")
-    row = unit_row(doc["vector"])
+    row = unit_row(_rationals(doc["vector"], "vector"))
     c0 = parse_rational(args.c0) if args.c0 is not None else None
     trials = params.sample_cap if args.trials is None else args.trials
     prob, ok = anticonc.concentration_window_prob(

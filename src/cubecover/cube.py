@@ -4,6 +4,13 @@ Both engines read ``CoveringSystem.cleared_rows`` (each row and its mu_i
 scaled by one positive D, so membership is unchanged) and run on plain
 Python integers from there: the whole sweep is exact.
 
+A reported vertex is checked again by ``rows_through``, independently of
+both engines: it reads the rational ``system.rows`` and ``system.mu``, never
+the cleared rows, and makes one exact pass per row over a whole batch of
+vertices (each row scaled by its own least common denominator, then one
+integer subset sum per vertex).  ``essential`` passes all of a sweep's
+witnesses in one batch; the sampler and ``refute`` pass one vertex.
+
 Coordinate j of a vertex is stored at bit (n-1-j) of its integer code, which
 makes numeric order on codes equal to lexicographic order on bit tuples; the
 reported witness is therefore the lexicographically smallest uncovered vertex.
@@ -21,9 +28,11 @@ tracking the bits hit at least twice gives the vertices on exactly one row
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .core import CapExceededError, CoveringSystem, Params, DEFAULT_PARAMS, Vertex
 
@@ -73,6 +82,36 @@ def evaluate_row(system: CoveringSystem, i: int, x: Vertex) -> bool:
     row = system.rows[i]
     total = sum((row[j] for j, b in enumerate(x.bits) if b and row[j]), Fraction(0))
     return total == system.mu[i]
+
+
+def rows_through(system: CoveringSystem, vertices: Sequence[Vertex]) -> list[list[int]]:
+    """For each vertex, the ascending rows whose hyperplane holds it, exactly.
+
+    This is the independent re-check of a reported vertex: it reads the
+    rational ``system.rows`` and ``system.mu`` only, never ``cleared_rows``.
+    Each row is taken on the columns set in at least one vertex and scaled,
+    with mu_i, by the least common denominator of its nonzero entries there
+    and mu_i; each vertex then costs one integer subset sum per row.
+    """
+    n = system.n
+    for x in vertices:
+        if len(x) != n:
+            raise ValueError(f"vertex has {len(x)} bits, expected {n}")
+    cols = [j for j in range(n) if any(x.bits[j] for x in vertices)]
+    # Each vertex's set columns, as positions in cols.
+    sets = [[t for t, j in enumerate(cols) if x.bits[j]] for x in vertices]
+    hits: list[list[int]] = [[] for _ in vertices]
+    for i, (row, mu) in enumerate(zip(system.rows, system.mu)):
+        # (numerator, denominator) in one call per entry; zeros skip the scaling.
+        pairs = [row[j].as_integer_ratio() for j in cols]
+        top, bottom = mu.as_integer_ratio()
+        d = math.lcm(bottom, *[q for p, q in pairs if p])
+        ints = [p * (d // q) if p else 0 for p, q in pairs]
+        target = top * (d // bottom)
+        for hit, on in zip(hits, sets):
+            if sum([ints[t] for t in on]) == target:
+                hit.append(i)
+    return hits
 
 
 def _coverage_sweep(
@@ -198,7 +237,7 @@ def sample_uncovered(
             uncovered += 1
             if witness is None:
                 witness = Vertex.from_code(word, n)
-                hit = [i for i in range(system.k) if evaluate_row(system, i, witness)]
+                hit = rows_through(system, [witness])[0]
                 if hit:
                     raise RuntimeError(
                         f"sampled witness {witness.bits} lies on rows {hit} in exact arithmetic"

@@ -5,17 +5,19 @@ A system is an essential cover when (E1) every vertex lies on some hyperplane,
 exclusively.  E1 and E3 are decided in a single exhaustive sweep of the cube
 (``cube._coverage_sweep``) that finds, block by block, the vertices on no row
 and the vertices on exactly one row.  Every witness it reports is checked
-again against the rational rows before it is returned.  Above the
-enumeration cap these operations refuse rather than guess: their outputs
-feed certificates.
+again against the rational rows before it is returned, all of a sweep's
+witnesses in one batch (``cube.rows_through``), so each row is read once
+for its k + 1 witnesses.  Above the enumeration cap these operations refuse
+rather than guess: their outputs feed certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import CapExceededError, CoveringSystem, Params, DEFAULT_PARAMS, Vertex
-from .cube import _coverage_sweep, evaluate_row
+from .cube import _coverage_sweep, rows_through
 
 
 @dataclass(frozen=True)
@@ -72,19 +74,21 @@ def _require_cap(system: CoveringSystem, params: Params) -> None:
         )
 
 
-def _rechecked(system: CoveringSystem, code: int, row: int | None = None) -> Vertex:
-    """The vertex of ``code``, re-verified in exact arithmetic to lie on no row
-    (``row`` None) or on ``row`` alone; raises RuntimeError otherwise."""
-    x = Vertex.from_code(code, system.n)
-    hit = [i for i in range(system.k) if evaluate_row(system, i, x)]
-    if hit != ([] if row is None else [row]):
-        wanted = "no row" if row is None else f"row {row} alone"
-        raise RuntimeError(f"sweep witness {x.bits} lies on rows {hit}, not on {wanted}")
-    return x
-
-
-def _exclusive_witnesses(system: CoveringSystem, excl: list[int | None]) -> tuple[Vertex | None, ...]:
-    return tuple(_rechecked(system, c, i) if c is not None else None for i, c in enumerate(excl))
+def _rechecked(
+    system: CoveringSystem, min_code: int | None, excl: Sequence[int | None]
+) -> tuple[Vertex | None, tuple[Vertex | None, ...]]:
+    """The sweep's witnesses, re-verified in exact arithmetic by one
+    ``rows_through`` call: the vertex of ``min_code`` must lie on no row and
+    that of ``excl[i]`` on row i alone (None: no witness).  Raises
+    RuntimeError at the first that fails."""
+    claims: dict[int | None, int] = {} if min_code is None else {None: min_code}
+    claims.update((i, c) for i, c in enumerate(excl) if c is not None)
+    vertices = {row: Vertex.from_code(code, system.n) for row, code in claims.items()}
+    for (row, x), hit in zip(vertices.items(), rows_through(system, list(vertices.values()))):
+        if hit != ([] if row is None else [row]):
+            wanted = "no row" if row is None else f"row {row} alone"
+            raise RuntimeError(f"sweep witness {x.bits} lies on rows {hit}, not on {wanted}")
+    return vertices.get(None), tuple([vertices.get(i) for i in range(len(excl))])
 
 
 def check_cover(
@@ -117,7 +121,7 @@ def check_cover(
     uncovered, min_code, _ = _coverage_sweep(system)
     if uncovered == 0:
         return True, None
-    return False, _rechecked(system, min_code)
+    return False, _rechecked(system, min_code, ())[0]
 
 
 def check_variable_usage(system: CoveringSystem) -> tuple[bool, tuple[int, ...]]:
@@ -137,7 +141,7 @@ def check_minimality(
     """
     _require_cap(system, params)
     _, _, excl = _coverage_sweep(system, collect_exclusive=True)
-    witnesses = _exclusive_witnesses(system, excl)
+    _, witnesses = _rechecked(system, None, excl)
     return all(w is not None for w in witnesses), witnesses
 
 
@@ -152,9 +156,8 @@ def verify_essential(system: CoveringSystem, params: Params = DEFAULT_PARAMS) ->
     _require_cap(system, params)
     uncovered, min_code, excl = _coverage_sweep(system, collect_exclusive=True)
     e1 = uncovered == 0
-    e1_witness = None if e1 else _rechecked(system, min_code)
+    e1_witness, e3_witnesses = _rechecked(system, min_code, excl)
     e2, unused = check_variable_usage(system)
-    e3_witnesses = _exclusive_witnesses(system, excl)
     e3 = all(w is not None for w in e3_witnesses)
     support_ok, sizes = check_support_bound(system)
     return EssentialReport(

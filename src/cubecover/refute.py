@@ -13,8 +13,9 @@ certificate and the K3 block each row's integer terms, its target (D*mu_i
 less the entries on the set columns) and, for K4, its Cauchy-Schwarz bound
 are computed once, so a draw of the N2 sampler costs one integer sum per
 row.  Every certificate is a per-instance exact sufficient condition;
-the assembled vertex is additionally re-verified row by row, in exact
-arithmetic, against the original unrescaled system before being returned.
+the assembled vertex is additionally re-verified against every row, in
+exact arithmetic (``cube.rows_through``, which reads the rational rows, not
+the cleared ones), of the original unrescaled system before being returned.
 A returned vertex is never unverified.
 
 Stage seeds are derived deterministically from params.seed (seed, seed+1,
@@ -30,7 +31,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .core import ClearedRow, CoveringSystem, Params, DEFAULT_PARAMS, UnitRow, Vertex, format_rational
-from .cube import enumerate_uncovered, sample_uncovered, evaluate_row
+from .cube import enumerate_uncovered, rows_through, sample_uncovered
 from .decompose import Decomposition2, second_decomposition
 from .plank import (
     SampleCapError,
@@ -282,7 +283,7 @@ def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) 
 
     fixed.update(n1_bits)
     u = Vertex(tuple(fixed[j] for j in range(n)))
-    violating = [i for i in range(k) if evaluate_row(system, i, u)]
+    violating = rows_through(system, [u])[0]
     if violating:
         # The per-block certificates make this unreachable; report honestly
         # rather than return an unverified vertex.

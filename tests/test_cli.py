@@ -300,3 +300,48 @@ def test_internal_key_error_exits_4(tmp_path, monkeypatch):
     assert result.exit_code == 4
     assert result.stderr.startswith("internal error\nTraceback (most recent call last):")
     assert "KeyError: 'missing'" in result.stderr
+
+
+# Bad entries of each document command, as raw JSON text: (text, message).
+# Rational entries must be strings "p" or "p/q", as for every system input;
+# bang reads finite JSON numbers and nothing else.
+_RATIONAL = "(expected 'p' or 'p/q')"
+_NUMBER = "(expected a finite JSON number)"
+BAD_ENTRIES = {
+    "bang": (
+        ('{"m": [[null]], "zeta": [0], "theta": [1]}', f"m[0][0]: bad number None {_NUMBER}"),
+        ('{"m": [[1, 0], [0, [1]]], "zeta": [0, 0], "theta": [1, 1]}', f"m[1][1]: bad number [1] {_NUMBER}"),
+        ('{"m": [[1]], "zeta": [true], "theta": [1]}', f"zeta[0]: bad number True {_NUMBER}"),
+        ('{"m": [[1]], "zeta": ["0"], "theta": [1]}', f"zeta[0]: bad number '0' {_NUMBER}"),
+        ('{"m": [[1]], "zeta": [0], "theta": [NaN]}', f"theta[0]: bad number nan {_NUMBER}"),
+        ('{"m": [[1e400]], "zeta": [0], "theta": [1]}', f"m[0][0]: bad number inf {_NUMBER}"),
+        ('{"m": [[1]], "zeta": [0], "theta": [' + "9" * 400 + "]}", f"theta[0]: bad number {'9' * 400} {_NUMBER}"),
+    ),
+    "find-uncovered": (
+        ('{"rows": [[null, "1"]], "targets": ["0"]}', f"rows[0][0]: bad rational None {_RATIONAL}"),
+        ('{"rows": [["1", "0"], [0.1, "1"]], "targets": ["0", "0"]}', f"rows[1][0]: bad rational 0.1 {_RATIONAL}"),
+        ('{"rows": [["1", ["1"]]], "targets": ["0"]}', f"rows[0][1]: bad rational ['1'] {_RATIONAL}"),
+        ('{"rows": [["1", "1"]], "targets": [0]}', f"targets[0]: bad rational 0 {_RATIONAL}"),
+    ),
+    "window": (
+        ('{"vector": [0.1, "1"]}', f"vector[0]: bad rational 0.1 {_RATIONAL}"),
+        ('{"vector": ["1", null]}', f"vector[1]: bad rational None {_RATIONAL}"),
+        ('{"vector": ["1", true]}', f"vector[1]: bad rational True {_RATIONAL}"),
+    ),
+    "atom-prob": (
+        ('{"vector": ["1", 0.1], "a": "0"}', f"vector[1]: bad rational 0.1 {_RATIONAL}"),
+        ('{"vector": ["1", "1"], "a": 1}', f"a: bad rational 1 {_RATIONAL}"),
+    ),
+    "scales": (
+        ('{"vector": ["1", 2]}', f"vector[1]: bad rational 2 {_RATIONAL}"),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BAD_ENTRIES))
+def test_document_commands_reject_bad_entries(tmp_path, command):
+    path = tmp_path / "doc.json"
+    for text, message in BAD_ENTRIES[command]:
+        path.write_text(text)
+        result = run_command([command, "--input", str(path), "--seed", "0"])
+        assert (result.exit_code, result.stdout, result.stderr) == (3, "", f"input error: {message}\n"), text

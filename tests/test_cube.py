@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,10 @@ from cubecover import (
     enumerate_uncovered,
     evaluate_row,
     lr_cover,
+    rows_through,
     sample_uncovered,
 )
+import cubecover.core as core_mod
 from cubecover.core import ClearedRow, clear_denominators
 from cubecover.cube import _coverage_sweep
 
@@ -57,6 +60,107 @@ def test_evaluate_row_errors():
         evaluate_row(sys_, 3, Vertex((0, 0, 0, 0)))
     with pytest.raises(ValueError):
         evaluate_row(sys_, 0, Vertex((0, 0)))
+
+
+def _fraction_evaluate_row(system: CoveringSystem, i: int, x: Vertex) -> bool:
+    """``evaluate_row`` as it stood when ``rows_through`` replaced its per-row
+    calls, kept verbatim as the oracle of both: one ``Fraction`` sum."""
+    if not 0 <= i < system.k:
+        raise IndexError(f"row index {i} out of range for k={system.k}")
+    if len(x) != system.n:
+        raise ValueError(f"vertex has {len(x)} bits, expected {system.n}")
+    row = system.rows[i]
+    total = sum((row[j] for j, b in enumerate(x.bits) if b and row[j]), Fraction(0))
+    return total == system.mu[i]
+
+
+def _oracle_cases():
+    """(system, vertices) pairs for the exact re-check: small and large coprime
+    denominators, zero entries and columns, all-zero and all-one vertices,
+    n = 1, and right-hand sides through some vertex, or of a denominator that
+    divides no entry's."""
+    rng = random.Random(9)
+    # 1/2 + 1/3 = 5/6: mu's denominator divides neither entry's.
+    cases = [(CoveringSystem.from_rows([[Fraction(1, 2), Fraction(1, 3)]], [Fraction(5, 6)]),
+              [Vertex(bits) for bits in itertools.product((0, 1), repeat=2)])]
+    for n, dens in ((1, range(1, 8)), (2, range(1, 8)), (5, range(1, 8)), (9, range(1, 8)),
+                    (9, (10**9 + 7, 10**9 + 9)), (12, (1, 7, 10**9 + 7, 10**9 + 9))):
+        for _ in range(6):
+            k = rng.randint(1, 7)
+            zero_col = rng.randrange(n) if n > 1 else None
+            rows = []
+            for _ in range(k):
+                row = [Fraction(rng.randint(-9, 9), rng.choice(dens)) if rng.random() < 0.7 else Fraction(0)
+                       for _ in range(n)]
+                if zero_col is not None:
+                    row[zero_col] = Fraction(0)
+                if not any(row):
+                    row[(zero_col or 0) - 1] = Fraction(1, rng.choice(dens))
+                rows.append(row)
+            vertices = [Vertex((0,) * n), Vertex((1,) * n)]
+            vertices += [Vertex(tuple(rng.getrandbits(1) for _ in range(n))) for _ in range(rng.randint(0, 5))]
+            mu = []
+            for row in rows:
+                pick = rng.random()
+                if pick < 0.6:
+                    x = rng.choice(vertices)
+                    mu.append(sum((c for c, b in zip(row, x.bits) if b), Fraction(0)))
+                elif pick < 0.8:
+                    mu.append(Fraction(rng.randint(-9, 9), 11 * 13))
+                else:
+                    mu.append(Fraction(rng.randint(-9, 9), rng.choice(dens)))
+            rng.shuffle(vertices)
+            cases.append((CoveringSystem.from_rows(rows, mu), vertices))
+    return cases
+
+
+def _check_against_oracle(cases) -> int:
+    """rows_through on batches of 0, 1 and all vertices, and evaluate_row on
+    every (vertex, row), against the oracle; returns the number of hits."""
+    hits = 0
+    for system, vertices in cases:
+        expected = [[i for i in range(system.k) if _fraction_evaluate_row(system, i, x)] for x in vertices]
+        assert rows_through(system, vertices) == expected
+        assert rows_through(system, []) == []
+        for x, want in zip(vertices, expected):
+            assert rows_through(system, [x]) == [want]
+            assert [i for i in range(system.k) if evaluate_row(system, i, x)] == want
+        hits += sum(map(len, expected))
+    return hits
+
+
+def test_rows_through_matches_fraction_oracle():
+    assert _check_against_oracle(_oracle_cases()) > 50
+
+
+def test_rows_through_rejects_wrong_length():
+    sys_ = lr_cover(4)
+    assert rows_through(sys_, [Vertex((1, 0, 1, 0))]) == [[0]]
+    for batch in ([Vertex((0, 0))], [Vertex((0, 0, 0, 0)), Vertex((1,) * 5)]):
+        with pytest.raises(ValueError, match="vertex has [25] bits, expected 4"):
+            rows_through(sys_, batch)
+
+
+class _ClearedFormRead(Exception):
+    pass
+
+
+def test_exact_recheck_reads_only_the_rational_rows(monkeypatch):
+    cases = _oracle_cases()
+
+    def forbidden(*args, **kwargs):
+        raise _ClearedFormRead
+
+    monkeypatch.setattr(CoveringSystem, "cleared_rows", property(forbidden))
+    monkeypatch.setattr(CoveringSystem, "supports", forbidden)
+    for attr in ("clear_row", "clear_denominators"):
+        original = getattr(core_mod, attr)
+        for name, module in list(sys.modules.items()):
+            if (name == "cubecover" or name.startswith("cubecover.")) and vars(module).get(attr) is original:
+                monkeypatch.setattr(module, attr, forbidden)
+    with pytest.raises(_ClearedFormRead):
+        lr_cover(4).cleared_rows
+    assert _check_against_oracle(cases) > 50
 
 
 def test_enumerate_lr4_is_cover():
