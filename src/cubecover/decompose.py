@@ -8,8 +8,11 @@ Two algorithms:
   is tracked in cleared form (integer row, integer squared norm q) with its
   residual squared norm and the column masses updated incrementally as
   columns leave, so the whole run is exact: the entries never change, only
-  q does.  It takes a rational matrix, which it clears itself
-  (``core.clear_row``), or a ``ClearedBlock`` of rows cleared already.
+  q does.  A renormalization records only the length of M2 at that moment;
+  a departed row's scale parts are the slices of M2 between those cut
+  points, and their squared norms are read off its cleared row.  It takes a
+  rational matrix, which it clears itself (``core.clear_row``), or a
+  ``ClearedBlock`` of rows cleared already.
 * second_decomposition iterates the first decomposition, absorbing
   zero-residual rows and their columns, until the leftover zero rows are few
   and all have large support on the final moved columns.  It clears nothing:
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -56,14 +59,6 @@ class ClearedBlock:
     m: int
 
 
-def _rational_row(row: ClearedRow, m: int) -> list[Fraction]:
-    """The dense rational row b_j / D of a cleared row over m columns."""
-    dense = [Fraction(0)] * m
-    for j, b in zip(row.support, row.ints):
-        dense[j] = Fraction(b, row.D)
-    return dense
-
-
 @dataclass(frozen=True)
 class Decomposition1:
     """Output of first_decomposition on an l x m matrix.
@@ -82,33 +77,6 @@ class Decomposition1:
     renorm_counts: tuple[int, ...]
     S: int
     W: Fraction
-
-
-def _partition_from_snapshots(
-    row: Sequence[Fraction],
-    snapshots: Sequence[frozenset[int]],
-    m: int,
-    C1: Fraction,
-) -> ScalePartition:
-    """Scale parts from the M1 snapshots taken at each renormalization.
-
-    With snapshots A_1 .. A_S (M1 at the moment of each renormalization),
-    the parts are P_1 = [m] - A_2, P_s = A_s - A_{s+1}, P_S = A_S: between
-    consecutive renormalizations the mass outside the next snapshot is at
-    least (1 - tau) while the mass inside is at most tau, which is exactly
-    the C1^2 squared-norm decay.
-    """
-    S = len(snapshots)
-    everything = frozenset(range(m))
-    if S == 1:
-        parts: list[list[int]] = [sorted(everything)]
-    else:
-        parts = [sorted(everything - snapshots[1])]
-        parts.extend(
-            sorted(snapshots[s] - snapshots[s + 1]) for s in range(1, S - 1)
-        )
-        parts.append(sorted(snapshots[S - 1]))
-    return ScalePartition.build(row, parts, C1)
 
 
 def first_decomposition(
@@ -131,10 +99,17 @@ def first_decomposition(
     norms over M1 are kept per row and lose b_ij^2 as column j leaves M1;
     column masses sum_i b_ij^2 / Q_i (the D_i^2 cancel) change only when a
     row is renormalized, which only makes them grow, so the set of heavy
-    columns only gains members while in M1.  The move picks the smallest heavy column, as a rescan of M1 in column order
-    would.  ``row_norm_sq`` is reported in the original units, Q_i / D_i^2
-    (1 for a zero row).  Only a row that departs to L2 is turned back into
-    rationals, for its ``ScalePartition``.
+    columns only gains members while in M1.  The move picks the smallest
+    heavy column, as a rescan of M1 in column order would.  ``row_norm_sq``
+    is reported in the original units, Q_i / D_i^2 (1 for a zero row).
+
+    M1 is always the complement of M2, so a renormalization records only
+    t_s = |M2| at that moment: M1 was then [m] - M2[:t_s].  A row in L2 has
+    the parts M2[:t_2], M2[t_2:t_3], ..., M2[t_{S-1}:t_S] and the complement
+    of M2[:t_S] (one part of all m columns when S = 1): between consecutive
+    renormalizations the mass outside the later M1 is at least 1 - tau and
+    the mass inside at most tau, which is the C1^2 squared-norm decay.  Each
+    part's squared norm is sum b_ij^2 over it, divided by D_i^2.
     """
     if S < 1:
         raise ValueError(f"S must be >= 1, got {S}")
@@ -180,22 +155,19 @@ def first_decomposition(
     m1 = set(range(m))
     m2: list[int] = []
     renorms = [0] * ell
-    snapshots: list[list[frozenset[int]]] = [[] for _ in range(ell)]
-    partitions: dict[int, ScalePartition] = {}
+    cuts: list[list[int]] = [[] for _ in range(ell)]  # len(M2) at each renormalization
 
     def leave_m1(j: int) -> None:
         m1.remove(j)
+        m2.append(j)
         for i, sq in col_sq[j]:
             resid[i] -= sq
 
-    while True:
-        while heavy and heavy[0] not in m1:
-            heapq.heappop(heavy)
-        if not heavy:
-            break
+    while heavy:
         pick = heapq.heappop(heavy)
+        if pick not in m1:
+            continue
         leave_m1(pick)
-        m2.append(pick)
         departures: list[int] = []
         for i in l1:
             r = resid[i]
@@ -203,7 +175,7 @@ def first_decomposition(
                 old = q[i]
                 q[i] = r
                 renorms[i] += 1
-                snapshots[i].append(frozenset(m1))
+                cuts[i].append(len(m2))
                 if renorms[i] == S:
                     departures.append(i)
                     continue  # its whole support leaves M1 below
@@ -216,11 +188,22 @@ def first_decomposition(
         for i in departures:
             l1.remove(i)
             l2.append(i)
-            partitions[i] = _partition_from_snapshots(_rational_row(matrix.rows[i], m), snapshots[i], m, c1)
-            moved = [j for j, _ in row_sq[i] if j in m1]
-            for j in moved:
-                leave_m1(j)
-            m2.extend(moved)
+            for j, _ in row_sq[i]:
+                if j in m1:
+                    leave_m1(j)
+
+    # Parts between the cut points t_2..t_S, in departure order, which the
+    # output lists them in.
+    partitions: dict[int, ScalePartition] = {}
+    for i in l2:
+        bounds = [0, *cuts[i][1:]]
+        parts = [m2[a:b] for a, b in zip(bounds, bounds[1:])]
+        parts.append(m1.union(m2[bounds[-1]:]))
+        sq = dict(row_sq[i])
+        norms = tuple(Fraction(sum(sq.get(j, 0) for j in p), scales[i] ** 2) for p in parts)
+        partitions[i] = ScalePartition(
+            parts=tuple(tuple(sorted(p)) for p in parts), C1=c1, squared_norms=norms, smallest_scale_sq=norms[-1]
+        )
 
     # Final renormalization to unit residual norm; not a scale boundary.
     for i in l1:
@@ -450,8 +433,8 @@ def second_decomposition(
             trace.append(record)
             k1.update(z)
             n3.update(m2g)
-            work_rows = [i for i in work_rows if i not in set(z)]
-            work_cols = [j for j in work_cols if j not in set(m2g)]
+            work_rows = [i for i in work_rows if i not in k1]
+            work_cols = [j for j in work_cols if j not in n3]
             continue
         m2g_set = set(m2g)
         star = None
@@ -461,15 +444,15 @@ def second_decomposition(
                 star = i
                 break
         if star is not None:
-            absorbed_cols = sorted(supports[star] & set(work_cols))
+            absorbed_cols = sorted(supports[star] - n3)
             record["action"] = "absorb-sparse-row"
             record["row"] = star
             record["absorbed_cols"] = absorbed_cols
             trace.append(record)
             k1.add(star)
             n3.update(absorbed_cols)
-            work_rows = [i for i in work_rows if i != star]
-            work_cols = [j for j in work_cols if j not in set(absorbed_cols)]
+            work_rows = [i for i in work_rows if i not in k1]
+            work_cols = [j for j in work_cols if j not in n3]
             continue
         record["action"] = "stop"
         trace.append(record)
@@ -478,16 +461,11 @@ def second_decomposition(
         k4 = sorted(l2g)
         n1 = sorted(m1g)
         n2 = sorted(m2g)
-        partitions: dict[int, ScalePartition] = {}
-        for local, part in d1.scale_partitions.items():
-            gi = work_rows[local]
-            global_parts = [tuple(work_cols[j] for j in p) for p in part.parts]
-            partitions[gi] = ScalePartition(
-                parts=tuple(tuple(sorted(p)) for p in global_parts),
-                C1=part.C1,
-                squared_norms=part.squared_norms,
-                smallest_scale_sq=part.smallest_scale_sq,
-            )
+        # work_cols is ascending, so each renumbered part stays sorted.
+        partitions = {
+            work_rows[local]: replace(part, parts=tuple(tuple(work_cols[j] for j in p) for p in part.parts))
+            for local, part in d1.scale_partitions.items()
+        }
         break
 
     (h1_lhs, h1_rhs), (h2_lhs, h2_rhs) = hypothesis_sides(n, k, S, w, params)

@@ -212,6 +212,8 @@ def find_uncovered_small_norm(
     ell = len(rows)
     if ell == 0:
         raise ValueError("need at least one row")
+    if len(targets) != ell:
+        raise ValueError(f"expected {ell} targets, got {len(targets)}")
     m = len(rows[0])
     if check is None:
         check = check_small_norm_precondition(rows)
@@ -219,8 +221,6 @@ def find_uncovered_small_norm(
         raise PlankPreconditionError(
             f"precondition 2*alpha*beta*log(4*ell) = {check.lhs:.6f} > 1", check
         )
-    if len(targets) != ell:
-        raise ValueError(f"expected {ell} targets, got {len(targets)}")
 
     # Each row as its nonzero (column, coefficient / sqrt(q)) pairs in column
     # order.  A zero term leaves a float sum unchanged, so every sum below

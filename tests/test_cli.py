@@ -322,6 +322,10 @@ BAD_ENTRIES = {
         ('{"rows": [["1", "0"], [0.1, "1"]], "targets": ["0", "0"]}', f"rows[1][0]: bad rational 0.1 {_RATIONAL}"),
         ('{"rows": [["1", ["1"]]], "targets": ["0"]}', f"rows[0][1]: bad rational ['1'] {_RATIONAL}"),
         ('{"rows": [["1", "1"]], "targets": [0]}', f"targets[0]: bad rational 0 {_RATIONAL}"),
+        # Too many targets, whether the small-norm precondition fails (first)
+        # or holds (second): the count is checked before the precondition.
+        ('{"rows": [["1", "1"]], "targets": ["0", "0"]}', "expected 1 targets, got 2"),
+        ('{"rows": [["1", "1", "1"]], "targets": ["0", "0"]}', "expected 1 targets, got 2"),
     ),
     "window": (
         ('{"vector": [0.1, "1"]}', f"vector[0]: bad rational 0.1 {_RATIONAL}"),

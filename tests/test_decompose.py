@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
@@ -8,6 +9,7 @@ from cubecover import (
     CoveringSystem,
     Decomposition1,
     Params,
+    ScalePartition,
     check_decomposition1,
     check_decomposition2,
     first_decomposition,
@@ -15,7 +17,6 @@ from cubecover import (
     second_decomposition,
     validate_scales,
 )
-from cubecover.decompose import _partition_from_snapshots
 from cubecover.refute import derived_column_budget, derived_scale_count
 
 PARAMS = Params()
@@ -255,6 +256,33 @@ def test_scale_registration_in_second_decomposition():
 # ------------------------------------- oracle for the incremental first stage
 
 
+def _partition_from_snapshots(
+    row: Sequence[Fraction],
+    snapshots: Sequence[frozenset[int]],
+    m: int,
+    C1: Fraction,
+) -> ScalePartition:
+    """Scale parts from the M1 snapshots taken at each renormalization.
+
+    With snapshots A_1 .. A_S (M1 at the moment of each renormalization),
+    the parts are P_1 = [m] - A_2, P_s = A_s - A_{s+1}, P_S = A_S: between
+    consecutive renormalizations the mass outside the next snapshot is at
+    least (1 - tau) while the mass inside is at most tau, which is exactly
+    the C1^2 squared-norm decay.
+    """
+    S = len(snapshots)
+    everything = frozenset(range(m))
+    if S == 1:
+        parts: list[list[int]] = [sorted(everything)]
+    else:
+        parts = [sorted(everything - snapshots[1])]
+        parts.extend(
+            sorted(snapshots[s] - snapshots[s + 1]) for s in range(1, S - 1)
+        )
+        parts.append(sorted(snapshots[S - 1]))
+    return ScalePartition.build(row, parts, C1)
+
+
 def reference_first_decomposition(matrix, S, W, params=PARAMS):
     """The exact-Fraction first decomposition kept as the oracle.
 
@@ -388,6 +416,20 @@ def _oracle_grid():
                 [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.5 else Fraction(0)
                  for _ in range(n)] for _ in range(k)]
         yield f"mass-from-two-renorms-{seed}", rows, rng.choice((2, 3, 4)), Fraction(1, 10000)
+    # Two rows of S + 1 entries falling by at least 1000/3 each, on disjoint
+    # columns, and a flat row: each move of a decay row's largest entry
+    # renormalizes it, so it departs with S parts, S - 2 of them in the middle.
+    rng = random.Random(2212)
+    for s, w_name, w in ((3, "1", Fraction(1)), (4, "1over10", Fraction(1, 10)), (5, "1over1000", Fraction(1, 1000))):
+        n = 2 * (s + 1) + 6
+        cols = rng.sample(range(n), n)
+        rows = [[Fraction(0)] * n for _ in range(3)]
+        for i in range(2):
+            for t, j in enumerate(cols[i * (s + 1):(i + 1) * (s + 1)]):
+                rows[i][j] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), 1000**t)
+        for j in cols[2 * (s + 1):]:
+            rows[2][j] = Fraction(rng.randint(1, 3), rng.randint(1, 4))
+        yield f"decay-rows-n{n}-S{s}-W{w_name}", rows, s, w
 
 
 ORACLE_GRID = list(_oracle_grid())
@@ -405,6 +447,7 @@ def test_oracle_grid_reaches_departures_and_moves():
     assert any(d.M2 and d.M1 for d in results)
     assert any(not d.M2 for d in results)
     assert any(d.renorm_counts and 0 < max(d.renorm_counts) < d.S for d in results)
+    assert any(part.S >= 3 for d in results for part in d.scale_partitions.values())
 
 
 def _dense(block):

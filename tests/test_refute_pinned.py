@@ -7,7 +7,11 @@ plank-dense-columns pins from the code before the precondition, the K3
 block and the Gram matrix ran on cleared, sparse rows; the blocks-* pins
 (non-empty K2 and K4 blocks) from the code before the N2 sampler and the K4
 test ran on cleared rows; the decompose-*-blocks-* pins from the code before
-the second decomposition handed its rounds the system's cleared rows.  Any
+the second decomposition handed its rounds the system's cleared rows; the
+decompose-*-decay-* pins (multi-part scale partitions) from the code that
+still built each partition from a copy of M1 taken at every renormalization
+and a dense rational copy of the row, before it read the parts off M2 at the
+renormalizations' cut points and the norms off the cleared row.  Any
 change to the arithmetic of the refute path that alters a single byte of
 output fails here.
 
@@ -149,6 +153,19 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
         text = _system_text(*_block_system(random.Random(seed), k, n))
         cases.append((f"decompose-{stage}-blocks-{seed}-{k}x{n}-s{s}-w{w.replace('/', 'over')}",
                       ["decompose", "--input", "-", "--seed", "3", "--stage", stage, "--s", str(s), "--w", w], text))
+    # Rows that renormalize at every move: at S = 3 each departs with three
+    # scale parts, the middle one a single column (first stage: row 0, parts
+    # [0, 1], [2], [3, 4, 5]; second stage: the K4 row, whose last part also
+    # holds N1).  No other pinned partition has more than one part.
+    decay = [Fraction(1), Fraction(1, 10**3), Fraction(1, 10**6), Fraction(1, 10**9), Fraction(0), Fraction(0)]
+    first_text = _system_text([decay, [Fraction(0)] * 4 + [Fraction(1)] * 2], [Fraction(0), Fraction(1)])
+    steep = [Fraction(10) ** e for e in (12, 10, 8, 6, 4, 2)] + [Fraction(0)] * 10
+    second_text = _system_text([steep, [Fraction(0)] * 6 + [Fraction(1)] * 10], [Fraction(0), Fraction(5)])
+    for stage, w, text in (("first", "1", first_text), ("second", "1/1000", second_text)):
+        for s in (2, 3):
+            cases.append((f"decompose-{stage}-decay-s{s}-w{w.replace('/', 'over')}",
+                          ["decompose", "--input", "-", "--seed", "3", "--stage", stage, "--s", str(s), "--w", w],
+                          text))
     return cases
 
 
