@@ -6,8 +6,6 @@ from .core import (
     CoveringSystem,
     Params,
     DEFAULT_PARAMS,
-    RowScaling,
-    Scalar,
     SystemFormatError,
     UnitRow,
     Vertex,
@@ -15,14 +13,11 @@ from .core import (
     format_rational,
     parse_rational,
     parse_system,
-    row_squared_norms,
     unit_row,
 )
 from .cube import CoverageReport, enumerate_uncovered, evaluate_row, rows_through, sample_uncovered
 from .essential import (
     EssentialReport,
-    check_cover,
-    check_minimality,
     check_support_bound,
     check_variable_usage,
     verify_essential,

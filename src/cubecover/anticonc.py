@@ -31,19 +31,15 @@ from .core import (
     Params,
     DEFAULT_PARAMS,
     UnitRow,
+    as_fractions,
     clear_denominators,
     format_rational,
-    parse_rational,
     unit_row,
 )
 
 
 class ScalePartitionError(ValueError):
     """The greedy partitioner could not reach the requested number of scales."""
-
-
-def _coerce_vector(v: Sequence[Fraction | int | str]) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(c) if isinstance(c, str) else Fraction(c) for c in v)
 
 
 def subset_sum_counts(v: Sequence[Fraction | int]) -> dict[Fraction | int, int]:
@@ -55,7 +51,7 @@ def subset_sum_counts(v: Sequence[Fraction | int]) -> dict[Fraction | int, int]:
     if all(isinstance(c, int) for c in v):
         vec, zero = v, 0
     else:
-        vec, zero = _coerce_vector(v), Fraction(0)
+        vec, zero = as_fractions(v), Fraction(0)
     counts = {zero: 1}
     for c in vec:
         if c == 0:
@@ -76,7 +72,7 @@ def _integer_form(
 
     Scaling by D > 0 is a bijection on subset sums that keeps their order.
     """
-    vec = _coerce_vector(v)
+    vec = as_fractions(v)
     scaled, mult = clear_denominators((*vec, *extra))
     return scaled[: len(vec)], scaled[len(vec) :], mult
 
@@ -159,7 +155,7 @@ def atom_probability(
     cap) and returns a reduced rational; sampled mode returns the empirical
     frequency over ``trials`` draws.
     """
-    ints, (target,), _ = _integer_form(v, _coerce_vector([a])[0])
+    ints, (target,), _ = _integer_form(v, as_fractions([a])[0])
     return _window_mass(
         ints, (target, target + 1), mode, trials, seed, params,
         f"dim={len(ints)} exceeds enumeration cap {params.enumeration_cap}",
@@ -180,7 +176,7 @@ def max_atom_probability(
 
 def littlewood_offord_bound(v: Sequence[Fraction | int]) -> float:
     """The atom-probability bound 1/sqrt(|supp(v)|)."""
-    vec = _coerce_vector(v)
+    vec = as_fractions(v)
     supp = sum(1 for c in vec if c != 0)
     if supp == 0:
         raise ValueError("zero vector has no Littlewood-Offord bound")
@@ -211,7 +207,7 @@ class ScalePartition:
         parts: Sequence[Sequence[int]],
         C1: Fraction | int | float,
     ) -> "ScalePartition":
-        vec = _coerce_vector(v)
+        vec = as_fractions(v)
         c1 = Fraction(C1)
         tup_parts = tuple(tuple(sorted(p)) for p in parts)
         norms = tuple(
@@ -249,7 +245,7 @@ def scale_partition(
     (still valid, since parts were closed against whole suffixes); if fewer
     scales are found, ScalePartitionError is raised.
     """
-    vec = _coerce_vector(v)
+    vec = as_fractions(v)
     if all(c == 0 for c in vec):
         raise ValueError("zero vector has no scale partition")
     c1 = Fraction(C1) if C1 is not None else params.C1
@@ -297,7 +293,7 @@ def validate_scales(
     False.  ``coords`` restricts the coordinate set the parts must cover
     (defaults to all of v's coordinates).
     """
-    vec = _coerce_vector(v)
+    vec = as_fractions(v)
     universe = set(range(len(vec))) if coords is None else set(coords)
     if not partition.parts:
         raise ValueError("partition has no parts")
@@ -350,7 +346,7 @@ def check_anticoncentration(
     bound, probability <= bound); a False verdict means the bound is not
     informative at this scale, not that the inputs are wrong.
     """
-    vec = _coerce_vector(v)
+    vec = as_fractions(v)
     if not validate_scales(vec, partition):
         raise ValueError("partition does not satisfy the scale-decay invariants")
     if partition.smallest_scale_sq <= 0:
@@ -358,7 +354,7 @@ def check_anticoncentration(
     b_exact = Fraction(b)
     if b_exact < 2:
         raise ValueError(f"b must be >= 2, got {b}")
-    ints, (target,), mult = _integer_form(vec, _coerce_vector([a])[0])
+    ints, (target,), mult = _integer_form(vec, as_fractions([a])[0])
     # (s - a)^2 < b^2 delta^2 on sums scaled by D: (S - A)^2 * den < num.
     window_sq = b_exact * b_exact * partition.smallest_scale_sq * mult * mult
     edges = _ball_edges(target, window_sq.numerator, window_sq.denominator)

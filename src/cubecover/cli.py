@@ -3,9 +3,11 @@
 Exit codes: 0 success / property holds, 1 property fails (not essential,
 refutation failed soundly, no separated vertex), 2 precondition or hypothesis
 failure, 3 input error, 4 internal error (an unexpected exception; the
-traceback goes to stderr).  Every command is deterministic given --seed; when
---seed is omitted a random seed is drawn and logged to stderr so the run can
-be replayed.
+traceback goes to stderr).  Every command is deterministic given --seed.  Only
+the commands that draw random numbers (``SEEDED_COMMANDS``) read the seed;
+when one of them runs without --seed, a random seed is drawn and logged to
+stderr so the run can be replayed, and the output records it.  The others
+ignore --seed and log nothing.
 """
 
 from __future__ import annotations
@@ -24,12 +26,17 @@ from .core import (
     CapExceededError,
     Params,
     SystemFormatError,
+    _parse_entries,
     format_rational,
     parse_rational,
     parse_system,
     unit_row,
 )
 from .essential import verify_essential
+
+# The commands that draw random numbers: only these read --seed.
+SEEDED_COMMANDS = frozenset({"bang", "find-uncovered", "refute", "atom-prob", "window"})
+
 
 class CommandResult(NamedTuple):
     exit_code: int
@@ -70,18 +77,6 @@ def _read_document(path: str | None, **kinds: str) -> dict:
         if kind == "matrix" and not all(isinstance(row, list) for row in value):
             raise SystemFormatError(f"{key} must be a list of lists")
     return doc
-
-
-def _rationals(values: list, key: str) -> list[Fraction]:
-    """Each entry of ``values`` as a rational "p" or "p/q" (``parse_rational``):
-    any other entry, a JSON number among them, is an input error at ``key[j]``."""
-    try:
-        return [parse_rational(c) for c in values]
-    except SystemFormatError:
-        # Parse again, naming each entry, only once one has failed.
-        for j, c in enumerate(values):
-            parse_rational(c, where=f"{key}[{j}]")
-        raise
 
 
 def _numbers(values: list, key: str) -> list[float]:
@@ -182,8 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params_from(args: argparse.Namespace, seed: int) -> Params:
-    kwargs: dict = {"seed": seed}
+def _params_from(args: argparse.Namespace, seed: int | None) -> Params:
+    kwargs: dict = {} if seed is None else {"seed": seed}
     if getattr(args, "cap", None) is not None:
         kwargs["enumeration_cap"] = args.cap
     if getattr(args, "trials", None) is not None:
@@ -252,8 +247,8 @@ def _cmd_bang(args, params) -> tuple[int, dict]:
 
 def _cmd_find_uncovered(args, params) -> tuple[int, dict]:
     doc = _read_document(args.input, rows="matrix", targets="list")
-    rows = [unit_row(_rationals(r, f"rows[{i}]")) for i, r in enumerate(doc["rows"])]
-    targets = _rationals(doc["targets"], "targets")
+    rows = [unit_row(_parse_entries(r, lambda j: f"rows[{i}][{j}]", {})) for i, r in enumerate(doc["rows"])]
+    targets = _parse_entries(doc["targets"], lambda j: f"targets[{j}]", {})
     check = plank.check_small_norm_precondition(rows)
     try:
         vertex, attempts = plank.find_uncovered_small_norm(rows, targets, params, check=check)
@@ -266,7 +261,7 @@ def _cmd_find_uncovered(args, params) -> tuple[int, dict]:
 
 def _cmd_atom_prob(args, params) -> tuple[int, dict]:
     doc = _read_document(args.input, vector="list", a="scalar")
-    vector = _rationals(doc["vector"], "vector")
+    vector = _parse_entries(doc["vector"], lambda j: f"vector[{j}]", {})
     a = parse_rational(doc["a"], where="a")
     trials = params.sample_cap if args.trials is None else args.trials
     # Rejects the zero vector, before any probability is computed.
@@ -283,7 +278,7 @@ def _cmd_atom_prob(args, params) -> tuple[int, dict]:
 
 def _cmd_scales(args, params) -> tuple[int, dict]:
     doc = _read_document(args.input, vector="list")
-    vector = _rationals(doc["vector"], "vector")
+    vector = _parse_entries(doc["vector"], lambda j: f"vector[{j}]", {})
     try:
         part = anticonc.scale_partition(vector, target_S=args.target_s, params=params)
     except anticonc.ScalePartitionError as exc:
@@ -293,7 +288,7 @@ def _cmd_scales(args, params) -> tuple[int, dict]:
 
 def _cmd_window(args, params) -> tuple[int, dict]:
     doc = _read_document(args.input, vector="list")
-    row = unit_row(_rationals(doc["vector"], "vector"))
+    row = unit_row(_parse_entries(doc["vector"], lambda j: f"vector[{j}]", {}))
     c0 = parse_rational(args.c0) if args.c0 is not None else None
     trials = params.sample_cap if args.trials is None else args.trials
     prob, ok = anticonc.concentration_window_prob(
@@ -361,15 +356,15 @@ def run_command(argv: list[str]) -> CommandResult:
     if args.command is None or args.command not in _DISPATCH:
         return CommandResult(3, "", parser.format_usage())
     stderr_lines: list[str] = []
+    seeded = args.command in SEEDED_COMMANDS
     seed = args.seed
-    if seed is None:
+    if seeded and seed is None:
         seed = random.SystemRandom().getrandbits(63)
         stderr_lines.append(f"seed: {seed} (random; pass --seed {seed} to replay)")
-    seeded_commands = {"bang", "find-uncovered", "refute", "atom-prob", "window"}
     try:
         params = _params_from(args, seed)
         code, doc = _DISPATCH[args.command](args, params)
-        if args.command in seeded_commands:
+        if seeded:
             doc.setdefault("seed", seed)
         return CommandResult(code, _emit(doc, args.format), "\n".join(stderr_lines) + ("\n" if stderr_lines else ""))
     except (SystemFormatError, json.JSONDecodeError) as exc:

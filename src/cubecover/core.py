@@ -28,9 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from typing import Iterator, Mapping, NamedTuple, Sequence
-
-Scalar = Fraction
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -62,6 +60,15 @@ def parse_rational(text: str, where: str = "") -> Fraction:
     raise SystemFormatError(f"{where}: {problem}" if where else problem)
 
 
+def as_fractions(values: Iterable[Fraction | int | str]) -> tuple[Fraction, ...]:
+    """Each value as a Fraction: a Fraction as it is, a string through
+    ``parse_rational``, anything else through ``Fraction()``."""
+    return tuple([
+        x if type(x) is Fraction else parse_rational(x) if isinstance(x, str) else Fraction(x)
+        for x in values
+    ])
+
+
 def format_rational(x: Fraction) -> str:
     """Canonical reduced string form, "p" or "p/q"."""
     x = Fraction(x)
@@ -88,17 +95,6 @@ class Vertex:
 
     def __getitem__(self, j: int) -> int:
         return self.bits[j]
-
-    @property
-    def code(self) -> int:
-        """Integer whose binary digits (MSB = coordinate 0) are the bits.
-
-        Numeric order on codes equals lexicographic order on bit tuples.
-        """
-        c = 0
-        for b in self.bits:
-            c = (c << 1) | b
-        return c
 
     @classmethod
     def from_code(cls, code: int, n: int) -> "Vertex":
@@ -141,13 +137,8 @@ class CoveringSystem:
         rows: Sequence[Sequence[Fraction | int | str]],
         mu: Sequence[Fraction | int | str],
     ) -> "CoveringSystem":
-        def coerce(x: Fraction | int | str) -> Fraction:
-            if type(x) is Fraction:
-                return x
-            return parse_rational(x) if isinstance(x, str) else Fraction(x)
-
-        tup_rows = tuple(tuple([coerce(c) for c in row]) for row in rows)
-        tup_mu = tuple(coerce(m) for m in mu)
+        tup_rows = tuple(as_fractions(row) for row in rows)
+        tup_mu = as_fractions(mu)
         n = len(tup_rows[0]) if tup_rows else 0
         return cls(n=n, k=len(tup_rows), rows=tup_rows, mu=tup_mu)
 
@@ -254,31 +245,19 @@ def parse_system(text: str) -> CoveringSystem:
     return CoveringSystem(n=n, k=len(rows), rows=tuple(rows), mu=mu)
 
 
-@dataclass(frozen=True)
-class RowScaling:
-    """Positive per-row factors phi_i; hyperplane solution sets are invariant."""
+def apply_rescaling(system: CoveringSystem, factors: Sequence[Fraction | int]) -> CoveringSystem:
+    """Return the system with row i replaced by phi_i * v_i and mu_i by phi_i * mu_i.
 
-    factors: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if any(f <= 0 for f in self.factors):
-            raise ValueError("rescaling factors must be positive")
-
-    @classmethod
-    def identity(cls, k: int) -> "RowScaling":
-        return cls(factors=(Fraction(1),) * k)
-
-
-def apply_rescaling(system: CoveringSystem, scaling: RowScaling | Sequence[Fraction | int]) -> CoveringSystem:
-    """Return the system with row i replaced by phi_i * v_i and mu_i by phi_i * mu_i."""
-    if not isinstance(scaling, RowScaling):
-        scaling = RowScaling(factors=tuple(Fraction(f) for f in scaling))
-    if len(scaling.factors) != system.k:
-        raise ValueError(f"expected {system.k} factors, got {len(scaling.factors)}")
-    rows = tuple(
-        tuple(f * c for c in row) for f, row in zip(scaling.factors, system.rows)
-    )
-    mu = tuple(f * m for f, m in zip(scaling.factors, system.mu))
+    The factors phi_i must be positive: hyperplane solution sets are then
+    invariant.
+    """
+    factors = as_fractions(factors)
+    if any(f <= 0 for f in factors):
+        raise ValueError("rescaling factors must be positive")
+    if len(factors) != system.k:
+        raise ValueError(f"expected {system.k} factors, got {len(factors)}")
+    rows = tuple(tuple(f * c for c in row) for f, row in zip(factors, system.rows))
+    mu = tuple(f * m for f, m in zip(factors, system.mu))
     return CoveringSystem(n=system.n, k=system.k, rows=rows, mu=mu)
 
 
@@ -289,9 +268,9 @@ def clear_denominators(values: Sequence[Fraction | int]) -> tuple[list[int], int
     same hyperplane; squared norms scale by D^2.
     """
     # The lcm's argument tuple comes from a list, not a generator, as do the
-    # row tuples of from_rows and decompose._coerce_matrix: a tuple grown from
-    # a generator is resized, and resized short tuples pile up on CPython's
-    # tuple free lists (2-3 MB of peak RSS over the refute benchmark).
+    # tuples of as_fractions: a tuple grown from a generator is resized, and
+    # resized short tuples pile up on CPython's tuple free lists (2-3 MB of
+    # peak RSS over the refute benchmark).
     mult = math.lcm(*[c.denominator for c in values])
     return [c.numerator * (mult // c.denominator) for c in values], mult
 
@@ -328,11 +307,6 @@ def clear_row(row: Sequence[Fraction | int], rhs: Fraction | int = 0) -> Cleared
     return ClearedRow(support, ints, top, mult)
 
 
-def row_squared_norms(system: CoveringSystem) -> tuple[Fraction, ...]:
-    """Exact q_i = sum_j v_ij^2 per row."""
-    return tuple(sum((c * c for c in row), Fraction(0)) for row in system.rows)
-
-
 @dataclass(frozen=True)
 class UnitRow:
     """A unit-normalized row stored exactly: the vector is coeffs / sqrt(norm_sq)."""
@@ -365,7 +339,7 @@ class UnitRow:
 
 def unit_row(coeffs: Sequence[Fraction | int | str]) -> UnitRow:
     """Wrap a rational vector as a unit row with q = its full squared norm."""
-    vec = tuple(parse_rational(c) if isinstance(c, str) else Fraction(c) for c in coeffs)
+    vec = as_fractions(coeffs)
     q = sum((c * c for c in vec), Fraction(0))
     if q == 0:
         raise ValueError("cannot unit-normalize a zero row")

@@ -52,26 +52,6 @@ class CoverageReport:
     mode: str  # "exhaustive" | "sampled"
     samples: int | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "total_vertices": self.total_vertices,
-            "uncovered_count": self.uncovered_count,
-            "witness": self.witness.to_json() if self.witness is not None else None,
-            "mode": self.mode,
-            "samples": self.samples,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "CoverageReport":
-        witness = doc.get("witness")
-        return cls(
-            total_vertices=doc["total_vertices"],
-            uncovered_count=doc["uncovered_count"],
-            witness=Vertex(tuple(witness)) if witness is not None else None,
-            mode=doc["mode"],
-            samples=doc.get("samples"),
-        )
-
 
 def evaluate_row(system: CoveringSystem, i: int, x: Vertex) -> bool:
     """Exact test of sum_{j: x_j = 1} v_ij == mu_i."""

@@ -37,15 +37,12 @@ from .core import (
     CoveringSystem,
     Params,
     DEFAULT_PARAMS,
+    as_fractions,
     clear_row,
     format_rational,
 )
 
 Matrix = Sequence[Sequence[Fraction | int]]
-
-
-def _coerce_matrix(matrix: Matrix) -> list[tuple[Fraction, ...]]:
-    return [tuple([c if type(c) is Fraction else Fraction(c) for c in row]) for row in matrix]
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ def first_decomposition(
     if w <= 0:
         raise ValueError(f"W must be positive, got {W}")
     if not isinstance(matrix, ClearedBlock):
-        rows = _coerce_matrix(matrix)
+        rows = [as_fractions(row) for row in matrix]
         matrix = ClearedBlock([clear_row(row) for row in rows], len(rows[0]) if rows else 0)
     ell, m = len(matrix.rows), matrix.m
     tau = params.tau
@@ -232,7 +229,7 @@ def check_decomposition1(
 
     Shape mismatches raise; invariant failures return False.
     """
-    rows = _coerce_matrix(matrix)
+    rows = [as_fractions(row) for row in matrix]
     ell = len(rows)
     m = len(rows[0]) if rows else 0
     if len(d.row_norm_sq) != ell or len(d.renorm_counts) != ell:

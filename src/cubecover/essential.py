@@ -2,13 +2,14 @@
 
 A system is an essential cover when (E1) every vertex lies on some hyperplane,
 (E2) every variable appears in some row, and (E3) every row owns a vertex
-exclusively.  E1 and E3 are decided in a single exhaustive sweep of the cube
-(``cube._coverage_sweep``) that finds, block by block, the vertices on no row
-and the vertices on exactly one row.  Every witness it reports is checked
-again against the rational rows before it is returned, all of a sweep's
-witnesses in one batch (``cube.rows_through``), so each row is read once
-for its k + 1 witnesses.  Above the enumeration cap these operations refuse
-rather than guess: their outputs feed certificates.
+exclusively.  ``verify_essential`` is the one entry point for E1 and E3: it
+decides both in a single exhaustive sweep of the cube (``cube._coverage_sweep``)
+that finds, block by block, the vertices on no row and the vertices on exactly
+one row.  Every witness it reports is checked again against the rational rows
+before it is returned, all of a sweep's witnesses in one batch
+(``cube.rows_through``), so each row is read once for its k + 1 witnesses.
+Above the enumeration cap it refuses rather than guess: its output feeds
+certificates.
 """
 
 from __future__ import annotations
@@ -52,27 +53,6 @@ class EssentialReport:
             "is_essential": self.is_essential,
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "EssentialReport":
-        return cls(
-            e1=doc["e1"],
-            e1_witness=Vertex(tuple(doc["e1_witness"])) if doc["e1_witness"] else None,
-            e2=doc["e2"],
-            unused_columns=tuple(doc["unused_columns"]),
-            e3=doc["e3"],
-            e3_witnesses=tuple(Vertex(tuple(w)) if w else None for w in doc["e3_witnesses"]),
-            support_bound_ok=doc["support_bound_ok"],
-            support_sizes=tuple(doc["support_sizes"]),
-            is_essential=doc["is_essential"],
-        )
-
-
-def _require_cap(system: CoveringSystem, params: Params) -> None:
-    if system.n > params.enumeration_cap:
-        raise CapExceededError(
-            f"n={system.n} exceeds enumeration cap {params.enumeration_cap}"
-        )
-
 
 def _rechecked(
     system: CoveringSystem, min_code: int | None, excl: Sequence[int | None]
@@ -91,58 +71,10 @@ def _rechecked(
     return vertices.get(None), tuple([vertices.get(i) for i in range(len(excl))])
 
 
-def check_cover(
-    system: CoveringSystem,
-    params: Params = DEFAULT_PARAMS,
-    sample_fallback: bool = False,
-) -> tuple[bool, Vertex | None]:
-    """(E1): True iff every vertex satisfies some row; else an uncovered witness.
-
-    Above the enumeration cap this refuses unless ``sample_fallback`` is set,
-    in which case a sampled counterexample still yields a definitive
-    (False, witness); if sampling finds nothing the cap error is raised
-    anyway, since a certified True needs the exhaustive sweep.
-    """
-    if system.n > params.enumeration_cap:
-        if sample_fallback:
-            from .cube import sample_uncovered
-
-            report = sample_uncovered(
-                system, trials=params.sample_cap, seed=params.seed, stop_at_witness=True
-            )
-            if report.witness is not None:
-                return False, report.witness
-            raise CapExceededError(
-                f"no uncovered vertex among {params.sample_cap} samples and "
-                f"n={system.n} exceeds enumeration cap {params.enumeration_cap}; "
-                "a cover verdict needs the exhaustive sweep"
-            )
-        _require_cap(system, params)
-    uncovered, min_code, _ = _coverage_sweep(system)
-    if uncovered == 0:
-        return True, None
-    return False, _rechecked(system, min_code, ())[0]
-
-
 def check_variable_usage(system: CoveringSystem) -> tuple[bool, tuple[int, ...]]:
     """(E2): True iff every column has a nonzero entry; lists unused columns (0-indexed)."""
     unused = tuple(j for j, size in enumerate(system.supports()[1]) if size == 0)
     return (len(unused) == 0, unused)
-
-
-def check_minimality(
-    system: CoveringSystem, params: Params = DEFAULT_PARAMS
-) -> tuple[bool, tuple[Vertex | None, ...]]:
-    """(E3): per row, a vertex on that hyperplane and off all others, or None.
-
-    One sweep harvests exclusive witnesses for all rows simultaneously; each
-    reported witness is the lexicographically smallest for its row and is
-    re-verified exactly.
-    """
-    _require_cap(system, params)
-    _, _, excl = _coverage_sweep(system, collect_exclusive=True)
-    _, witnesses = _rechecked(system, None, excl)
-    return all(w is not None for w in witnesses), witnesses
 
 
 def check_support_bound(system: CoveringSystem) -> tuple[bool, tuple[int, ...]]:
@@ -153,7 +85,10 @@ def check_support_bound(system: CoveringSystem) -> tuple[bool, tuple[int, ...]]:
 
 def verify_essential(system: CoveringSystem, params: Params = DEFAULT_PARAMS) -> EssentialReport:
     """Full (E1)-(E3) report; E1 and E3 come from a single exhaustive sweep."""
-    _require_cap(system, params)
+    if system.n > params.enumeration_cap:
+        raise CapExceededError(
+            f"n={system.n} exceeds enumeration cap {params.enumeration_cap}"
+        )
     uncovered, min_code, excl = _coverage_sweep(system, collect_exclusive=True)
     e1 = uncovered == 0
     e1_witness, e3_witnesses = _rechecked(system, min_code, excl)

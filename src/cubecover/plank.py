@@ -193,7 +193,7 @@ def hoeffding_bound(t: float, range_widths: Sequence[float]) -> float:
 
 def find_uncovered_small_norm(
     rows: Sequence[UnitRow],
-    targets: Sequence[Fraction | int | float],
+    targets: Sequence[Fraction | int],
     params: Params = DEFAULT_PARAMS,
     seed: int | None = None,
     check: SmallNormCheck | None = None,
@@ -205,15 +205,18 @@ def find_uncovered_small_norm(
     zeta = 2*mu - V*1, eps from the sign search on V V^T, y' = theta V^T eps
     (guaranteed ||y'||_inf <= 1), y = (y'+1)/2, then per-coordinate rounding
     P(w_j = 1) = y_j until all separations hold.  A candidate's inner product
-    with row i is the subset sum s of the cleared row over D_i: a rational
-    target t is hit iff s * den(t) == num(t) * D_i, exactly; a float target
-    iff s / D_i / sqrt(q_i) is within float_tol of it.
+    with row i is the subset sum s of the cleared row over D_i: a target t,
+    which must be rational (a Fraction or an int, on the scale of coeffs), is
+    hit iff s * den(t) == num(t) * D_i, exactly.
     """
     ell = len(rows)
     if ell == 0:
         raise ValueError("need at least one row")
     if len(targets) != ell:
         raise ValueError(f"expected {ell} targets, got {len(targets)}")
+    for i, t in enumerate(targets):
+        if not isinstance(t, (Fraction, int)):
+            raise ValueError(f"targets[{i}] = {t!r} is not rational (a Fraction or an int)")
     m = len(rows[0])
     if check is None:
         check = check_small_norm_precondition(rows)
@@ -225,7 +228,7 @@ def find_uncovered_small_norm(
     # Each row as its nonzero (column, coefficient / sqrt(q)) pairs in column
     # order.  A zero term leaves a float sum unchanged, so every sum below
     # equals its dense form bit for bit.  ``checks`` holds, per row, what the
-    # rounding tests: the cleared (column, b_j) pairs, D, sqrt(q), the target.
+    # rounding tests: the cleared (column, b_j) pairs, D and the target.
     vf, mu_f, checks = [], [], []
     for r, t in zip(rows, targets):
         support, ints, _, mult = r.cleared
@@ -233,8 +236,8 @@ def find_uncovered_small_norm(
         # b / D is the coefficient's float: int true division is correctly
         # rounded, as float() of the Fraction is.
         vf.append([(j, b / mult / root) for j, b in zip(support, ints)])
-        mu_f.append(float(t) / root if isinstance(t, (Fraction, int)) else float(t))
-        checks.append((list(zip(support, ints)), mult, root, t))
+        mu_f.append(float(t) / root)
+        checks.append((list(zip(support, ints)), mult, t))
     theta = math.sqrt(2.0 * math.log(4.0 * ell))
     zeta = [2.0 * mu_f[i] - sum(v for _, v in vf[i]) for i in range(ell)]
     lookup = [dict(entries) for entries in vf]
@@ -260,12 +263,8 @@ def find_uncovered_small_norm(
 
     for attempt in range(1, params.sample_cap + 1):
         w = [1 if rng.random() < y_j else 0 for y_j in y]
-        for terms, mult, root, t in checks:
-            s = sum(b for j, b in terms if w[j])
-            if isinstance(t, (Fraction, int)):
-                if s * t.denominator == t.numerator * mult:
-                    break
-            elif abs(s / mult / root - float(t)) <= params.float_tol:
+        for terms, mult, t in checks:
+            if sum(b for j, b in terms if w[j]) * t.denominator == t.numerator * mult:
                 break
         else:
             return Vertex(tuple(w)), attempt

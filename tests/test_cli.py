@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -94,10 +95,22 @@ def test_unreadable_input_is_an_input_error(tmp_path):
     assert result == (3, "", f"input error: [Errno 21] Is a directory: '{tmp_path}'\n")
 
 
-def test_random_seed_is_logged():
-    result = run_command(["construct-lr", "--n", "4"])
-    assert result.exit_code == 0
-    assert "seed:" in result.stderr
+def test_random_seed_is_logged(tmp_path):
+    path = write(tmp_path, "sys.json", lr_cover(4).to_json_dict())
+    result = run_command(["refute", "--input", path])
+    assert result.exit_code == 1  # an LR cover has no uncovered vertex
+    match = re.fullmatch(r"seed: (\d+) \(random; pass --seed \1 to replay\)\n", result.stderr)
+    assert match, result.stderr
+    assert json.loads(result.stdout)["seed"] == int(match.group(1))
+
+
+def test_deterministic_commands_log_no_seed(tmp_path):
+    path = write(tmp_path, "sys.json", lr_cover(4).to_json_dict())
+    for argv in (["construct-lr", "--n", "4"], ["verify", "--input", path],
+                 ["bounds", "--n", "100", "--k", "3", "--s", "2", "--w", "1"]):
+        result = run_command(argv)
+        assert (result.exit_code, result.stderr) == (0, ""), argv
+        assert "seed" not in json.loads(result.stdout), argv
 
 
 def test_bounds_reports_inequalities():

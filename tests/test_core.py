@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from cubecover import (
     CoveringSystem,
     Params,
-    RowScaling,
     SystemFormatError,
     apply_rescaling,
     enumerate_uncovered,
@@ -16,7 +15,7 @@ from cubecover import (
     lr_cover,
     parse_rational,
     parse_system,
-    row_squared_norms,
+    unit_row,
 )
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
@@ -80,7 +79,7 @@ def test_parse_system_errors(doc, msg):
 
 def test_apply_rescaling_identity():
     sys_ = lr_cover(4)
-    assert apply_rescaling(sys_, RowScaling.identity(3)) == sys_
+    assert apply_rescaling(sys_, [1, 1, 1]) == sys_
 
 
 def test_apply_rescaling_scales_row_and_mu():
@@ -112,10 +111,9 @@ def test_rescaling_preserves_cover_verdict_exhaustively():
 
 
 def test_row_squared_norms_examples():
-    assert row_squared_norms(CoveringSystem.from_rows([[1, 1, 1, 1]], [0])) == (Fraction(4),)
-    half = Fraction(1, 2)
-    assert row_squared_norms(CoveringSystem.from_rows([[half] * 4], [0])) == (Fraction(1),)
-    assert row_squared_norms(lr_cover(4)) == (Fraction(4), Fraction(2), Fraction(2))
+    assert unit_row([1, 1, 1, 1]).norm_sq == 4
+    assert unit_row([Fraction(1, 2)] * 4).norm_sq == 1
+    assert [unit_row(row).norm_sq for row in lr_cover(4).rows] == [4, 2, 2]
 
 
 @given(st.lists(rationals, min_size=1, max_size=6), rationals.filter(lambda f: f > 0))
@@ -124,7 +122,7 @@ def test_row_norms_compose_with_rescaling(row, phi):
         row[0] = Fraction(1)
     sys_ = CoveringSystem.from_rows([row], [0])
     scaled = apply_rescaling(sys_, [phi])
-    assert row_squared_norms(scaled)[0] == phi * phi * row_squared_norms(sys_)[0]
+    assert unit_row(scaled.rows[0]).norm_sq == phi * phi * unit_row(sys_.rows[0]).norm_sq
 
 
 @given(rationals, rationals.filter(lambda f: f != 0))

@@ -7,7 +7,6 @@ import pytest
 
 from cubecover import (
     CapExceededError,
-    CoverageReport,
     CoveringSystem,
     Params,
     Vertex,
@@ -238,14 +237,6 @@ def test_sampled_witnesses_reverify():
         rep = sample_uncovered(sys_, trials=50, seed=rng.randint(0, 10**6))
         if rep.witness is not None:
             assert not any(evaluate_row(sys_, i, rep.witness) for i in range(sys_.k))
-
-
-def test_coverage_report_json_round_trip():
-    rep = enumerate_uncovered(CoveringSystem.from_rows([[1, 0]], [0]))
-    doc = rep.to_json_dict()
-    assert CoverageReport.from_json_dict(doc) == rep
-    sampled = sample_uncovered(lr_cover(4), trials=10, seed=0)
-    assert CoverageReport.from_json_dict(sampled.to_json_dict()) == sampled
 
 
 def test_stop_at_witness_draws_the_same_witness():

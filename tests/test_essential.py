@@ -6,12 +6,9 @@ import pytest
 from cubecover import (
     CapExceededError,
     CoveringSystem,
-    EssentialReport,
     Params,
     Vertex,
     apply_rescaling,
-    check_cover,
-    check_minimality,
     check_support_bound,
     check_variable_usage,
     evaluate_row,
@@ -20,15 +17,16 @@ from cubecover import (
 )
 
 
+# E1 is decided by verify_essential, the one entry point for E1 and E3.
 def test_check_cover_lr6():
-    ok, witness = check_cover(lr_cover(6))
-    assert ok and witness is None
+    report = verify_essential(lr_cover(6))
+    assert report.e1 and report.e1_witness is None
 
 
 def test_check_cover_single_hyperplane():
-    ok, witness = check_cover(CoveringSystem.from_rows([[1, 0, 0]], [0]))
-    assert not ok
-    assert witness == Vertex((1, 0, 0))
+    report = verify_essential(CoveringSystem.from_rows([[1, 0, 0]], [0]))
+    assert not report.e1
+    assert report.e1_witness == Vertex((1, 0, 0))
 
 
 def test_check_cover_lr4_missing_pair_row():
@@ -36,16 +34,17 @@ def test_check_cover_lr4_missing_pair_row():
     sys_ = CoveringSystem.from_rows(
         (base.rows[0], base.rows[2]), (base.mu[0], base.mu[2])
     )
-    ok, witness = check_cover(sys_)
-    assert not ok
+    report = verify_essential(sys_)
+    assert not report.e1
+    witness = report.e1_witness
     # Off the sum hyperplane and with x3 != x4.
     assert sum(witness.bits) != 2
     assert witness.bits[2] != witness.bits[3]
 
 
 def test_check_cover_refuses_above_cap():
-    with pytest.raises(CapExceededError):
-        check_cover(lr_cover(10), Params(enumeration_cap=8))
+    with pytest.raises(CapExceededError, match="n=10 exceeds enumeration cap 8"):
+        verify_essential(lr_cover(10), Params(enumeration_cap=8))
 
 
 def test_variable_usage():
@@ -56,10 +55,10 @@ def test_variable_usage():
 
 
 def test_minimality_lr4():
-    ok, witnesses = check_minimality(lr_cover(4))
-    assert ok
+    report = verify_essential(lr_cover(4))
+    assert report.e3
     sys_ = lr_cover(4)
-    for i, w in enumerate(witnesses):
+    for i, w in enumerate(report.e3_witnesses):
         assert evaluate_row(sys_, i, w)
         assert not any(evaluate_row(sys_, j, w) for j in range(sys_.k) if j != i)
 
@@ -67,16 +66,17 @@ def test_minimality_lr4():
 def test_minimality_duplicated_row():
     base = lr_cover(4)
     sys_ = CoveringSystem.from_rows(base.rows + (base.rows[1],), base.mu + (base.mu[1],))
-    ok, witnesses = check_minimality(sys_)
-    assert not ok
+    report = verify_essential(sys_)
+    witnesses = report.e3_witnesses
+    assert not report.e3
     assert witnesses[1] is None and witnesses[3] is None  # the duplicated pair
     assert witnesses[0] is not None and witnesses[2] is not None
 
 
 def test_minimality_trivial_single_row():
-    ok, witnesses = check_minimality(CoveringSystem.from_rows([[1]], [0]))
-    assert ok
-    assert witnesses == (Vertex((0,)),)
+    report = verify_essential(CoveringSystem.from_rows([[1]], [0]))
+    assert report.e3
+    assert report.e3_witnesses == (Vertex((0,)),)
 
 
 def test_support_bound_examples():
@@ -150,34 +150,18 @@ def test_essential_implies_support_bound():
         assert report.support_bound_ok
 
 
-def test_report_json_round_trip():
-    report = verify_essential(lr_cover(4))
-    assert EssentialReport.from_json_dict(report.to_json_dict()) == report
-
-
-def test_check_cover_sampling_fallback():
-    # Above the cap: a sampled counterexample is still a definitive False.
-    sys_ = CoveringSystem.from_rows([[1] + [0] * 29], [0])
-    small = Params(enumeration_cap=10, sample_cap=64, seed=1)
-    with pytest.raises(CapExceededError):
-        check_cover(sys_, small)
-    ok, witness = check_cover(sys_, small, sample_fallback=True)
-    assert not ok
-    assert not any(evaluate_row(sys_, i, witness) for i in range(sys_.k))
-    # A true cover above the cap cannot be certified by sampling.
-    with pytest.raises(CapExceededError):
-        check_cover(lr_cover(12), Params(enumeration_cap=10, sample_cap=50), sample_fallback=True)
-
-
 def test_sweep_witnesses_are_rechecked(monkeypatch):
     import cubecover.essential as essential_mod
 
     # x0 = 0 and x0 = 1: the zero vertex lies on row 0 alone, (1, 0) on row 1 alone.
     sys_ = CoveringSystem.from_rows([[1, 0], [1, 0]], [0, 1])
-    monkeypatch.setattr(essential_mod, "_coverage_sweep", lambda system, **kw: (1, 0, [0, 2]))
+    monkeypatch.setattr(essential_mod, "_coverage_sweep", lambda system, **kw: (1, 0, [None, None]))
     with pytest.raises(RuntimeError, match="not on no row"):
-        check_cover(sys_)
-    assert check_minimality(sys_) == (True, (Vertex((0, 0)), Vertex((1, 0))))
+        verify_essential(sys_)
+    monkeypatch.setattr(essential_mod, "_coverage_sweep", lambda system, **kw: (0, None, [0, 2]))
+    report = verify_essential(sys_)
+    assert (report.e1, report.e3) == (True, True)
+    assert report.e3_witnesses == (Vertex((0, 0)), Vertex((1, 0)))
     monkeypatch.setattr(essential_mod, "_coverage_sweep", lambda system, **kw: (0, None, [2, 2]))
     with pytest.raises(RuntimeError, match="not on row 0 alone"):
         verify_essential(sys_)

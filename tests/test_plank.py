@@ -268,10 +268,7 @@ def _dense_find_uncovered(rows, targets, params, seed):
     for r in rows:
         root = math.sqrt(float(r.norm_sq))
         vf.append([float(c) / root if c else 0.0 for c in r.coeffs])
-    mu_f = [
-        float(t) / math.sqrt(float(r.norm_sq)) if isinstance(t, (Fraction, int)) else float(t)
-        for t, r in zip(targets, rows)
-    ]
+    mu_f = [float(t) / math.sqrt(float(r.norm_sq)) for t, r in zip(targets, rows)]
     theta = math.sqrt(2.0 * math.log(4.0 * ell))
     zeta = [2.0 * mu_f[i] - sum(vf[i]) for i in range(ell)]
     gram = [
@@ -289,11 +286,7 @@ def _dense_find_uncovered(rows, targets, params, seed):
         ok = True
         for i in range(ell):
             dot = sum((rows[i].coeffs[j] for j in range(m) if w[j]), Fraction(0))
-            if isinstance(targets[i], (Fraction, int)):
-                if dot == targets[i]:
-                    ok = False
-                    break
-            elif abs(float(dot) / math.sqrt(float(rows[i].norm_sq)) - float(targets[i])) <= params.float_tol:
+            if dot == targets[i]:
                 ok = False
                 break
         if ok:
@@ -380,7 +373,7 @@ def test_sparse_finder_equals_dense_oracle(monkeypatch):
         targets = []
         for r in rows:
             half = sum(r.coeffs, Fraction(0)) / 2
-            targets.append(rng.choice((half, Fraction(rng.randint(-2, 2)), float(half), 1)))
+            targets.append(rng.choice((half, Fraction(rng.randint(-2, 2)), half + Fraction(1, 3), 1)))
         seed = rng.randrange(1 << 20)
         try:
             expected, (gram, zeta), sv = _dense_find_uncovered(rows, targets, params, seed)
@@ -398,28 +391,11 @@ def test_sparse_finder_equals_dense_oracle(monkeypatch):
     assert compared >= 20
 
 
-
-def test_float_targets_on_the_unit_scale_reject_like_rational_targets():
-    # A float target is compared with <coeffs, w> / sqrt(q): the image of a
-    # rational target t is float(t) / sqrt(q), and the rounding must reject
-    # exactly the vertices that the rational target rejects.  Each row repeats
-    # one entry c (denominator 3, 5 or 7) with target c * s/2, and a norm_sq
-    # well above its squared norm keeps every y_j near 1/2: targets are hit often.
-    rng = random.Random(77)
-    params = Params(sample_cap=200)
-    rejected = 0
-    for trial in range(40):
-        ell = rng.randint(1, 3)
-        rows, exact = [], []
-        for i in range(ell):
-            c, s = rng.choice(MIXED[:3]), rng.randint(4, 8)
-            coeffs = [Fraction(0)] * (8 * ell)
-            coeffs[8 * i:8 * i + s] = [c] * s
-            rows.append(UnitRow(coeffs=tuple(coeffs), norm_sq=c * c * s * rng.randint(9, 25)))
-            exact.append(c * (s // 2))
-        floats = [float(t) / math.sqrt(float(r.norm_sq)) for t, r in zip(exact, rows)]
-        seed = rng.randrange(1 << 20)
-        expected = find_uncovered_small_norm(rows, exact, params, seed=seed)
-        assert find_uncovered_small_norm(rows, floats, params, seed=seed) == expected
-        rejected += expected[1] > 1
-    assert rejected >= 10
+def test_float_targets_are_rejected():
+    # A target is exact and on the scale of the coefficients: a float is
+    # refused, even one whose binary value is exact.
+    rows = [unit_row([1, 0]), unit_row([0, 1])]
+    with pytest.raises(ValueError, match=r"^targets\[1\] = 0\.5 is not rational"):
+        find_uncovered_small_norm(rows, [Fraction(1, 2), 0.5])
+    with pytest.raises(ValueError, match=r"^targets\[0\] = 0\.0 is not rational"):
+        find_uncovered_small_norm(rows, [0.0, 1])
