@@ -27,10 +27,8 @@ from .anticonc import (
     ScalePartition,
     ScalePartitionError,
     atom_probability,
-    check_anticoncentration,
     concentration_window_prob,
     littlewood_offord_bound,
-    many_scales_bound,
     max_atom_probability,
     scale_partition,
     subset_sum_counts,
@@ -44,7 +42,6 @@ from .plank import (
     bang_signs,
     check_small_norm_precondition,
     find_uncovered_small_norm,
-    hoeffding_bound,
 )
 from .decompose import (
     Decomposition1,

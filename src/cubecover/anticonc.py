@@ -77,13 +77,6 @@ def _integer_form(
     return scaled[: len(vec)], scaled[len(vec) :], mult
 
 
-def _ball_edges(target: int, num: int, den: int) -> tuple[int, int]:
-    """Edges of {s : (s - target)^2 * den < num} for num, den >= 1."""
-    # (s - target)^2 < num / den  <=>  (s - target)^2 <= (num - 1) // den.
-    m = math.isqrt((num - 1) // den)
-    return (target - m, target + m + 1)
-
-
 def _shell_edges(total: int, qd: int, qn4: int, p_sq: int, r_sq: int) -> tuple[int, ...]:
     """Edges of {s : (2s - total)^2 qd p_sq >= qn4 r_sq and (2s - total)^2 qd r_sq <= qn4 p_sq}
     for qd, qn4, p_sq, r_sq >= 1: the s with a <= |2s - total| <= b."""
@@ -316,52 +309,6 @@ def validate_scales(
         raise ValueError("stored squared norms disagree with the vector")
     c1_sq = partition.C1 * partition.C1
     return all(norms[s] >= c1_sq * norms[s + 1] for s in range(len(norms) - 1))
-
-
-def many_scales_bound(S: int, b: float | Fraction, C0: float | Fraction = 4.706) -> float:
-    """Anti-concentration bound exp(-S/(8 C0)) + 3b * exp(-S/(2 C0)) for b >= 2."""
-    if S < 1:
-        raise ValueError(f"S must be >= 1, got {S}")
-    b = float(b)
-    if b < 2:
-        raise ValueError(f"b must be >= 2, got {b}")
-    c0 = float(C0)
-    return math.exp(-S / (8 * c0)) + 3 * b * math.exp(-S / (2 * c0))
-
-
-def check_anticoncentration(
-    v: Sequence[Fraction | int],
-    partition: ScalePartition,
-    a: Fraction | int | str,
-    b: float | Fraction,
-    mode: str = "exact",
-    trials: int = 10000,
-    seed: int = 0,
-    params: Params = DEFAULT_PARAMS,
-) -> tuple[Fraction, float, bool]:
-    """P(|<x,v> - a| < b * delta) against the many-scales bound.
-
-    The window test is exact: with delta^2 rational and b coerced to an exact
-    rational, the event is (s - a)^2 < b^2 * delta^2.  Returns (probability,
-    bound, probability <= bound); a False verdict means the bound is not
-    informative at this scale, not that the inputs are wrong.
-    """
-    vec = as_fractions(v)
-    if not validate_scales(vec, partition):
-        raise ValueError("partition does not satisfy the scale-decay invariants")
-    if partition.smallest_scale_sq <= 0:
-        raise ValueError("smallest scale must be nonzero")
-    b_exact = Fraction(b)
-    if b_exact < 2:
-        raise ValueError(f"b must be >= 2, got {b}")
-    ints, (target,), mult = _integer_form(vec, as_fractions([a])[0])
-    # (s - a)^2 < b^2 delta^2 on sums scaled by D: (S - A)^2 * den < num.
-    window_sq = b_exact * b_exact * partition.smallest_scale_sq * mult * mult
-    edges = _ball_edges(target, window_sq.numerator, window_sq.denominator)
-    prob = _window_mass(ints, edges, mode, trials, seed, params,
-                        f"dim={len(vec)} exceeds enumeration cap")
-    bound = many_scales_bound(partition.S, float(b_exact), float(params.C0))
-    return prob, bound, float(prob) <= bound
 
 
 def concentration_window_prob(

@@ -26,6 +26,7 @@ from .core import (
     CapExceededError,
     Params,
     SystemFormatError,
+    UnitRow,
     _parse_entries,
     format_rational,
     parse_rational,
@@ -94,6 +95,15 @@ def _numbers(values: list, key: str) -> list[float]:
     return out
 
 
+def _unit_row(values: list, where: str) -> UnitRow:
+    """The unit row of the rationals ``values``; a zero row is an input error
+    that names its place ``where``."""
+    coeffs = _parse_entries(values, lambda j: f"{where}[{j}]", {})
+    if not any(coeffs):
+        raise SystemFormatError(f"{where}: cannot unit-normalize a zero row")
+    return unit_row(coeffs)
+
+
 def _emit(doc: dict, fmt: str) -> str:
     if fmt == "csv":
         lines = []
@@ -118,48 +128,55 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input", help="input JSON file, or '-' for stdin")
+    reads = {
+        "--input": {"help": "input JSON file, or '-' for stdin"},
+        "--cap": {"type": int, "default": None, "help": "enumeration cap override"},
+        "--trials": {"type": int, "default": None, "help": "sampling budget override"},
+    }
+
+    def common(p: argparse.ArgumentParser, *flags: str) -> None:
+        """--seed and --format on every command; each of ``flags`` (--input,
+        --cap, --trials) only on the commands that read it."""
         p.add_argument("--seed", type=int, default=None, help="RNG seed (random and logged if omitted)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
-        p.add_argument("--trials", type=int, default=None, help="sampling budget override")
+        for flag in flags:
+            p.add_argument(flag, **reads[flag])
 
     p = sub.add_parser("verify", help="decide the essential-cover axioms")
-    common(p)
+    common(p, "--input", "--cap")
 
     p = sub.add_parser("construct-lr", help="emit the n/2+1 reference cover")
     common(p)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("decompose", help="run the first or second decomposition")
-    common(p)
+    common(p, "--input")
     p.add_argument("--s", type=int, default=None, help="scale count S")
     p.add_argument("--w", type=str, default=None, help="column budget W (rational)")
     p.add_argument("--gamma", type=str, default=None, help="absorption exponent (rational in (0,1])")
     p.add_argument("--stage", choices=("first", "second"), default="second")
 
     p = sub.add_parser("bang", help="sign vector separated from prescribed targets")
-    common(p)
+    common(p, "--input")
 
     p = sub.add_parser("find-uncovered", help="uncovered vertex for a small-column-norm system")
-    common(p)
+    common(p, "--input", "--trials")
 
     p = sub.add_parser("atom-prob", help="P(<x,v> = a) for uniform x")
-    common(p)
+    common(p, "--input", "--cap", "--trials")
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
 
     p = sub.add_parser("scales", help="greedy scale partition of a vector")
-    common(p)
+    common(p, "--input")
     p.add_argument("--target-s", type=int, default=None)
 
     p = sub.add_parser("window", help="concentration-window probability of a unit row")
-    common(p)
+    common(p, "--input", "--cap", "--trials")
     p.add_argument("--c0", type=str, default=None, help="window constant (>= 4.706)")
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
 
     p = sub.add_parser("refute", help="assemble an uncovered vertex or report the failed stage")
-    common(p)
+    common(p, "--input", "--cap", "--trials")
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--w", type=str, default=None)
     p.add_argument("--c5", type=str, default=None)
@@ -211,8 +228,8 @@ def _cmd_construct_lr(args, params) -> tuple[int, dict]:
 
 def _cmd_decompose(args, params) -> tuple[int, dict]:
     system = parse_system(_read_input(args.input))
-    s = args.s if args.s is not None else refute.derived_scale_count(system.n, params)
-    w = params.W if params.W is not None else refute.derived_column_budget(system.n, system.k, params)
+    s = refute.derived_scale_count(system.n, params)
+    w = refute.derived_column_budget(system.n, system.k, params)
     if args.stage == "first":
         d1 = decompose.first_decomposition(system.rows, s, w, params)
         ok = decompose.check_decomposition1(system.rows, d1, params)
@@ -240,14 +257,13 @@ def _cmd_decompose(args, params) -> tuple[int, dict]:
 def _cmd_bang(args, params) -> tuple[int, dict]:
     doc = _read_document(args.input, m="matrix", zeta="list", theta="list")
     m = [_numbers(row, f"m[{i}]") for i, row in enumerate(doc["m"])]
-    sv = plank.bang_signs(m, _numbers(doc["zeta"], "zeta"), _numbers(doc["theta"], "theta"),
-                          seed=params.seed, float_tol=params.float_tol)
+    sv = plank.bang_signs(m, _numbers(doc["zeta"], "zeta"), _numbers(doc["theta"], "theta"), seed=params.seed)
     return 0, {"signs": list(sv.signs), "flips": sv.flips, "objective": sv.objective}
 
 
 def _cmd_find_uncovered(args, params) -> tuple[int, dict]:
     doc = _read_document(args.input, rows="matrix", targets="list")
-    rows = [unit_row(_parse_entries(r, lambda j: f"rows[{i}][{j}]", {})) for i, r in enumerate(doc["rows"])]
+    rows = [_unit_row(r, f"rows[{i}]") for i, r in enumerate(doc["rows"])]
     targets = _parse_entries(doc["targets"], lambda j: f"targets[{j}]", {})
     check = plank.check_small_norm_precondition(rows)
     try:
@@ -263,10 +279,9 @@ def _cmd_atom_prob(args, params) -> tuple[int, dict]:
     doc = _read_document(args.input, vector="list", a="scalar")
     vector = _parse_entries(doc["vector"], lambda j: f"vector[{j}]", {})
     a = parse_rational(doc["a"], where="a")
-    trials = params.sample_cap if args.trials is None else args.trials
     # Rejects the zero vector, before any probability is computed.
     bound = anticonc.littlewood_offord_bound(vector)
-    prob = anticonc.atom_probability(vector, a, mode=args.mode, trials=trials,
+    prob = anticonc.atom_probability(vector, a, mode=args.mode, trials=params.sample_cap,
                                      seed=params.seed, params=params)
     return 0, {
         "probability": format_rational(prob),
@@ -288,11 +303,10 @@ def _cmd_scales(args, params) -> tuple[int, dict]:
 
 def _cmd_window(args, params) -> tuple[int, dict]:
     doc = _read_document(args.input, vector="list")
-    row = unit_row(_parse_entries(doc["vector"], lambda j: f"vector[{j}]", {}))
+    row = _unit_row(doc["vector"], "vector")
     c0 = parse_rational(args.c0) if args.c0 is not None else None
-    trials = params.sample_cap if args.trials is None else args.trials
     prob, ok = anticonc.concentration_window_prob(
-        row, C0=c0, mode=args.mode, trials=trials, seed=params.seed, params=params
+        row, C0=c0, mode=args.mode, trials=params.sample_cap, seed=params.seed, params=params
     )
     return (0 if ok else 1), {
         "probability": format_rational(prob),
@@ -310,6 +324,11 @@ def _cmd_refute(args, params) -> tuple[int, dict]:
 def _cmd_bounds(args, params) -> tuple[int, dict]:
     n, k, s = args.n, args.k, args.s
     w = parse_rational(args.w)
+    for flag, value in (("--n", n), ("--k", k), ("--s", s)):
+        if value < 1:
+            raise SystemFormatError(f"{flag} must be >= 1, got {value}")
+    if w <= 0:
+        raise SystemFormatError(f"--w must be positive, got {args.w}")
     (h1_lhs, h1_rhs), (h2_lhs, h2_rhs) = decompose.hypothesis_sides(n, k, s, w, params)
     # Pipeline-shaped small-norm product with alpha ~ 16k^2/n, beta ~ 1/W, ell ~ k.
     small_norm_lhs = 2.0 * (16.0 * k * k / n) * (1.0 / float(w)) * math.log(4.0 * k)

@@ -352,21 +352,18 @@ class Params:
 
     S and W default to None, meaning "derive from the instance" (the
     refutation pipeline uses S = floor(C5 * ln n) and
-    W = w_multiplier * ln(n) * k^2 / n).  C4 scales the row-count hypothesis
-    of the second decomposition; its value is a free knob, not a claim.
+    W = w_multiplier * ln(n) * k^2 / n).
     """
 
     C0: Fraction = Fraction(4706, 1000)
     gamma: Fraction = Fraction(1, 3)
     S: int | None = None
     W: Fraction | None = None
-    C4: Fraction = Fraction(1)
     C5: Fraction = Fraction(32)
     w_multiplier: Fraction = Fraction(1)
     enumeration_cap: int = 24
     sample_cap: int = 1000
     seed: int = 0
-    float_tol: float = 1e-9
     require_hypotheses: bool = False
 
     # Computed on first access and kept: the instance is frozen.

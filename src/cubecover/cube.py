@@ -43,7 +43,8 @@ class CoverageReport:
 
     In exhaustive mode ``uncovered_count`` is exact and ``witness`` (when
     present) is the lexicographically smallest uncovered vertex.  In sampled
-    mode the count refers to the drawn sample only.
+    mode the draws stop at the witness, so the count is 1 with a witness and
+    0 without.
     """
 
     total_vertices: int
@@ -176,21 +177,12 @@ def enumerate_uncovered(
     )
 
 
-def sample_uncovered(
-    system: CoveringSystem,
-    trials: int,
-    seed: int,
-    *,
-    stop_at_witness: bool = False,
-) -> CoverageReport:
-    """Draw ``trials`` uniform vertices; report the first uncovered one found.
+def sample_uncovered(system: CoveringSystem, trials: int, seed: int) -> CoverageReport:
+    """Draw uniform vertices until the first uncovered one, at most ``trials``.
 
-    With ``stop_at_witness`` the draws stop at the first uncovered vertex:
-    the RNG sequence and hence the witness are the same, and ``samples`` and
-    ``uncovered_count`` count only the draws made (all ``trials`` when no
-    vertex is uncovered).  The witness is re-verified exactly against the
-    rational rows.  Identical (system, trials, seed, stop_at_witness) yields
-    identical reports.
+    ``samples`` counts the draws made: all ``trials`` when none is
+    uncovered.  The witness is re-verified exactly against the rational
+    rows.  Identical (system, trials, seed) yields identical reports.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -202,7 +194,6 @@ def sample_uncovered(
         for support, ints, mu, _ in system.cleared_rows
     ]
     rng = random.Random(seed)
-    uncovered = 0
     witness: Vertex | None = None
     for drawn in range(1, trials + 1):
         word = rng.getrandbits(n)
@@ -214,19 +205,16 @@ def sample_uncovered(
             if total == mu:
                 break
         else:
-            uncovered += 1
-            if witness is None:
-                witness = Vertex.from_code(word, n)
-                hit = rows_through(system, [witness])[0]
-                if hit:
-                    raise RuntimeError(
-                        f"sampled witness {witness.bits} lies on rows {hit} in exact arithmetic"
-                    )
-                if stop_at_witness:
-                    break
+            witness = Vertex.from_code(word, n)
+            hit = rows_through(system, [witness])[0]
+            if hit:
+                raise RuntimeError(
+                    f"sampled witness {witness.bits} lies on rows {hit} in exact arithmetic"
+                )
+            break
     return CoverageReport(
         total_vertices=1 << n,
-        uncovered_count=uncovered,
+        uncovered_count=int(witness is not None),
         witness=witness,
         mode="sampled",
         samples=drawn,

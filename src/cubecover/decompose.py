@@ -44,6 +44,10 @@ from .core import (
 
 Matrix = Sequence[Sequence[Fraction | int]]
 
+# Scale of the row-count hypothesis k^5 (S*W)^2 <= C4^5 n^3: a documented
+# choice, not a claim.
+C4 = Fraction(1)
+
 
 @dataclass(frozen=True)
 class ClearedBlock:
@@ -340,7 +344,7 @@ def _gamma_exceeds(count: int, base: int, gamma: Fraction) -> bool:
 def hypothesis_sides(n: int, k: int, S: int, W: Fraction, params: Params) -> tuple[tuple[Fraction, Fraction], ...]:
     """(lhs, rhs) of the two hypotheses of the second decomposition:
     C3*k*S*W <= n/8 and k^5 (S*W)^2 <= C4^5 n^3."""
-    return (params.C3 * k * S * W, Fraction(n, 8)), (k**5 * (S * W) ** 2, params.C4**5 * n**3)
+    return (params.C3 * k * S * W, Fraction(n, 8)), (k**5 * (S * W) ** 2, C4**5 * n**3)
 
 
 def second_decomposition(

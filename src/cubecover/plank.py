@@ -29,6 +29,10 @@ from typing import Sequence
 
 from .core import Params, DEFAULT_PARAMS, UnitRow, Vertex, format_rational
 
+# Slack of the float checks: M's symmetry and diagonal in bang_signs, and
+# ||y'||_inf <= 1 in the finder.
+FLOAT_TOL = 1e-9
+
 
 class PlankPreconditionError(ValueError):
     """The small-column-norm precondition 2*alpha*beta*log(4l) <= 1 fails."""
@@ -85,7 +89,6 @@ def bang_signs(
     zeta: Sequence[float],
     theta: Sequence[float],
     seed: int = 0,
-    float_tol: float = 1e-9,
 ) -> SignVector:
     """Find eps with |(M(theta*eps))_t - zeta_t| >= M_tt*theta_t for all t.
 
@@ -103,9 +106,9 @@ def bang_signs(
     scale = 1.0 + max(abs(c) for r in rows for c in r)
     for s in range(k):
         for t in range(s + 1, k):
-            if abs(rows[s][t] - rows[t][s]) > float_tol * scale:
+            if abs(rows[s][t] - rows[t][s]) > FLOAT_TOL * scale:
                 raise ValueError(f"M is asymmetric at ({s},{t}) beyond tolerance")
-        if rows[s][s] < -float_tol * scale:
+        if rows[s][s] < -FLOAT_TOL * scale:
             raise ValueError(f"negative diagonal entry M[{s}][{s}] = {rows[s][s]}")
     zeta = [float(z) for z in zeta]
     theta = [float(t) for t in theta]
@@ -178,19 +181,6 @@ def check_small_norm_precondition(rows: Sequence[UnitRow]) -> SmallNormCheck:
     return SmallNormCheck(alpha=alpha, beta=beta, ell=ell, lhs=lhs, ok=lhs <= 1.0)
 
 
-def hoeffding_bound(t: float, range_widths: Sequence[float]) -> float:
-    """Tail bound exp(-2 t^2 / sum_j w_j^2) for widths w_j = b_j - a_j."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    widths = [float(w) for w in range_widths]
-    if any(w < 0 for w in widths):
-        raise ValueError("range widths must be nonnegative")
-    denom = sum(w * w for w in widths)
-    if denom == 0:
-        raise ValueError("all-zero range widths")
-    return math.exp(-2.0 * t * t / denom)
-
-
 def find_uncovered_small_norm(
     rows: Sequence[UnitRow],
     targets: Sequence[Fraction | int],
@@ -248,14 +238,14 @@ def find_uncovered_small_norm(
             gram[i][i2] = gram[i2][i] = sum(v * other[j] for j, v in vf[i] if j in other)
     seed = params.seed if seed is None else seed
     rng = random.Random(seed)
-    sv = bang_signs(gram, zeta, [theta] * ell, seed=rng.getrandbits(63), float_tol=params.float_tol)
+    sv = bang_signs(gram, zeta, [theta] * ell, seed=rng.getrandbits(63))
     column_sums = [0.0] * m
     for entries, sign in zip(vf, sv.signs):
         for j, v in entries:
             column_sums[j] += v * sign
     y_prime = [theta * c for c in column_sums]
     overflow = max(abs(c) for c in y_prime)
-    if overflow > 1.0 + params.float_tol:
+    if overflow > 1.0 + FLOAT_TOL:
         raise RuntimeError(
             f"||y'||_inf = {overflow} exceeds 1; the precondition should forbid this"
         )

@@ -117,10 +117,7 @@ def choose_n3_assignment(
     if sub.n <= params.enumeration_cap:
         report = enumerate_uncovered(sub, params)
     else:
-        # Only the witness is used, so the draws stop at the first one.
-        report = sample_uncovered(
-            sub, trials=params.sample_cap, seed=params.seed, stop_at_witness=True
-        )
+        report = sample_uncovered(sub, trials=params.sample_cap, seed=params.seed)
     if report.witness is None:
         raise StageFailure(
             "n3-assignment",

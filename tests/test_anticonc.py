@@ -13,17 +13,15 @@ from cubecover import (
     ScalePartitionError,
     UnitRow,
     atom_probability,
-    check_anticoncentration,
     concentration_window_prob,
     littlewood_offord_bound,
-    many_scales_bound,
     max_atom_probability,
     scale_partition,
     subset_sum_counts,
     unit_row,
     validate_scales,
 )
-from cubecover.anticonc import _ball_edges, _shell_edges, _window_mass
+from cubecover.anticonc import _integer_form, _shell_edges, _window_mass
 
 C1 = Params().C1  # 4 * 4.706^2 as an exact rational
 
@@ -166,41 +164,11 @@ def test_validate_scales_structural_errors():
         validate_scales([1, 2], overlap)
 
 
-def test_many_scales_bound_value():
-    # exp(-100/(8*4.706)) + 6*exp(-100/(2*4.706)), evaluated independently.
-    expected = math.exp(-100 / 37.648) + 6 * math.exp(-100 / 9.412)
-    got = many_scales_bound(100, 2)
-    assert got == pytest.approx(expected, rel=1e-12)
-    assert got == pytest.approx(0.07036152622496274, rel=1e-9)
-
-
-def test_many_scales_bound_monotone_in_S():
-    values = [many_scales_bound(s, 2) for s in range(1, 400, 25)]
-    assert all(a > b for a, b in zip(values, values[1:]))
-    assert values[-1] < 1e-4
-
-
-def test_many_scales_bound_preconditions():
-    with pytest.raises(ValueError):
-        many_scales_bound(0, 2)
-    with pytest.raises(ValueError):
-        many_scales_bound(10, 1.5)
-
-
-def test_check_anticoncentration_small_instance():
-    v = [100, 1]
-    part = scale_partition(v)
-    prob, bound, ok = check_anticoncentration(v, part, a=0, b=2)
-    # delta^2 = 1; sums 0, 1, 100, 101; |s| < 2 holds for 0 and 1.
-    assert prob == Fraction(1, 2)
-    assert ok == (float(prob) <= bound)
-
-
 def test_window_boundaries_are_exact():
     # [100, 1] with delta^2 = 1, b = 2, a = 2: the sum 0 sits on |s - a| = b * delta,
-    # which the strict window excludes; only the sum 1 is inside.
-    part = scale_partition([100, 1])
-    assert check_anticoncentration([100, 1], part, a=2, b=2)[0] == Fraction(1, 4)
+    # which the strict ball window (s - a)^2 < b^2 delta^2 excludes; only the sum 1 is inside.
+    assert scale_partition([100, 1]).smallest_scale_sq == 1
+    assert _window_mass([100, 1], ball_edges(2, 4, 1), "exact", 0, 0, Params(), "") == Fraction(1, 4)
     # [3, 4] with C0 = 10: the sums 3 and 4 sit on z^2 C0^2 = q (z = -1/2, 1/2, q = 25),
     # which the closed window includes.
     assert concentration_window_prob([3, 4], C0=10)[0] == 1
@@ -208,27 +176,19 @@ def test_window_boundaries_are_exact():
     assert concentration_window_prob(UnitRow((Fraction(1), Fraction(1)), Fraction(1, 100)), C0=10)[0] == Fraction(1, 2)
 
 
-def test_check_anticoncentration_geometric_blocks():
+def test_geometric_blocks_window_mass():
     v = [2**i for i in range(16)]
     parts = [list(range(7, 16)), list(range(7))]
     part = ScalePartition.build(v, parts, C1)
     assert validate_scales(v, part)
-    prob, bound, ok = check_anticoncentration(v, part, a=5, b=2)
-    # All 2^16 subset sums are distinct integers; the window has width
-    # 2*b*delta, so the hit count is at most that many integers.
+    # The ball |s - 5| < b * delta at b = 2: all 2^16 subset sums are distinct
+    # integers and the window has width 2*b*delta, so the hit count is at most
+    # that many integers.
+    window_sq = 4 * part.smallest_scale_sq
+    prob = _window_mass(v, ball_edges(5, window_sq.numerator, window_sq.denominator), "exact", 0, 0, Params(), "")
     delta = math.sqrt(float(part.smallest_scale_sq))
-    assert float(prob) <= (4 * delta + 1) / 2**16
+    assert 0 < prob <= (4 * delta + 1) / 2**16
     assert atom_probability(v, 5) == Fraction(1, 2**16)
-
-
-def test_check_anticoncentration_preconditions():
-    v = [100, 1]
-    part = scale_partition(v)
-    with pytest.raises(ValueError):
-        check_anticoncentration(v, part, a=0, b=1.5)
-    bad = ScalePartition.build([1, 1], [[0], [1]], C1)
-    with pytest.raises(ValueError):
-        check_anticoncentration([1, 1], bad, a=0, b=2)
 
 
 def test_window_unit_basis_vector():
@@ -276,9 +236,6 @@ def test_window_accepts_float_boundary_c0():
 def test_sampled_modes_require_positive_trials():
     with pytest.raises(ValueError):
         atom_probability([1, 1], 1, mode="sampled", trials=0)
-    part = scale_partition([100, 1])
-    with pytest.raises(ValueError):
-        check_anticoncentration([100, 1], part, a=0, b=2, mode="sampled", trials=0)
     with pytest.raises(ValueError):
         concentration_window_prob([1, 1], mode="sampled", trials=0)
 
@@ -381,21 +338,25 @@ def test_window_probability_matches_fraction_oracle():
 
 
 def test_anticoncentration_window_matches_fraction_oracle():
+    # The ball |<x,v> - a| < b * delta of the many-scales statement, with v
+    # and a scaled to integers by _integer_form and the edges written out.
     checked = 0
     for v, a, seed in _oracle_vectors():
         try:
             part = scale_partition(v)
         except ValueError:
             continue
+        ints, (target,), mult = _integer_form(v, a)
         for b in (2, Fraction(7, 3)):
             window_sq = Fraction(b) ** 2 * part.smallest_scale_sq
 
             def inside(s):
                 return (s - a) ** 2 < window_sq
 
-            prob, _, _ = check_anticoncentration(v, part, a=a, b=b)
-            assert prob == fraction_exact_mass(v, inside)
-            sampled, _, _ = check_anticoncentration(v, part, a=a, b=b, mode="sampled", trials=200, seed=seed)
+            scaled = window_sq * mult * mult
+            edges = ball_edges(target, scaled.numerator, scaled.denominator)
+            assert _window_mass(ints, edges, "exact", 0, 0, Params(), "") == fraction_exact_mass(v, inside)
+            sampled = _window_mass(ints, edges, "sampled", 200, seed, Params(), "")
             assert sampled == fraction_sampled_mass(v, inside, 200, seed)
             checked += 1
     assert checked > 100
@@ -413,6 +374,13 @@ def old_ball_predicate(target, num, den):
         return (s - target) ** 2 * den < num
 
     return in_window
+
+
+def ball_edges(target, num, den):
+    """Edges of the window old_ball_predicate decides, for num, den >= 1."""
+    # (s - target)^2 < num / den  <=>  (s - target)^2 <= (num - 1) // den.
+    m = math.isqrt((num - 1) // den)
+    return (target - m, target + m + 1)
 
 
 def old_shell_predicate(total, qd, qn4, p_sq, r_sq):
@@ -451,7 +419,7 @@ def test_ball_edges_match_old_predicate():
         target, den, m = rng.randint(-40, 40), rng.randint(1, 30), rng.randint(0, 12)
         # num = m^2 den puts target +- m exactly on the open boundary.
         num = max(1, m * m * den + rng.choice((-1, 0, 1, rng.randint(-30, 60))))
-        _assert_edges_match(_ball_edges(target, num, den), old_ball_predicate(target, num, den),
+        _assert_edges_match(ball_edges(target, num, den), old_ball_predicate(target, num, den),
                             range(target - 16, target + 17))
 
 
@@ -496,7 +464,7 @@ def test_meet_in_the_middle_mass_matches_full_enumeration():
             ((hi_sum, hi_sum + 1), old_atom_predicate(hi_sum)),
         ]
         num, den = rng.randint(1, 900), rng.randint(1, 7)
-        windows.append((_ball_edges(target, num, den), old_ball_predicate(target, num, den)))
+        windows.append((ball_edges(target, num, den), old_ball_predicate(target, num, den)))
         qn4 = rng.randint(1, 4 * sum(c * c for c in ints) + 4)
         windows.append((_shell_edges(total, qd, qn4, p * p, r * r), old_shell_predicate(total, qd, qn4, p * p, r * r)))
         edges = tuple(sorted(rng.sample(range(lo_sum - 5, hi_sum + 6), 2 * rng.randint(1, 3))))
@@ -513,7 +481,7 @@ def test_sampled_mass_matches_old_loop_per_seed():
         total = sum(ints)
         for edges, inside in (
             ((target, target + 1), old_atom_predicate(target)),
-            (_ball_edges(target, 50, 3), old_ball_predicate(target, 50, 3)),
+            (ball_edges(target, 50, 3), old_ball_predicate(target, 50, 3)),
             (_shell_edges(total, 2, 300, 49, 4), old_shell_predicate(total, 2, 300, 49, 4)),
         ):
             got = _window_mass(ints, edges, "sampled", 150, seed, params, "")

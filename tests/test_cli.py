@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cubecover import lr_cover, parse_system
-from cubecover.cli import run_command
+from cubecover.cli import _DISPATCH, run_command
 
 
 def write(tmp_path, name, doc):
@@ -248,11 +248,59 @@ def test_system_json_round_trips_through_cli(tmp_path):
     assert system.to_json_dict() == json.loads(built.stdout)
 
 
-def test_threads_flag_rejected(tmp_path):
-    # Evaluation is single-threaded; a flag that did nothing is not accepted.
-    path = write(tmp_path, "sys.json", lr_cover(4).to_json_dict())
-    result = run_command(["verify", "--input", path, "--seed", "0", "--threads", "4"])
-    assert result.exit_code == 3
+def valid_argv(tmp_path, command):
+    """A run of ``command`` that parses and reads valid input."""
+    system = write(tmp_path, "sys.json", lr_cover(4).to_json_dict())
+    vector = write(tmp_path, "v.json", {"vector": ["100", "1"], "a": "1"})
+    return {
+        "verify": ["verify", "--input", system],
+        "construct-lr": ["construct-lr", "--n", "4"],
+        "decompose": ["decompose", "--input", system],
+        "bang": ["bang", "--input", write(tmp_path, "bang.json", {"m": [[1]], "zeta": [0], "theta": [1]})],
+        "find-uncovered": ["find-uncovered", "--input",
+                           write(tmp_path, "fu.json", {"rows": [["1/4"] * 16], "targets": ["2"]})],
+        "atom-prob": ["atom-prob", "--input", vector],
+        "scales": ["scales", "--input", vector],
+        "window": ["window", "--input", vector],
+        "refute": ["refute", "--input", system],
+        "bounds": ["bounds", "--n", "100", "--k", "3", "--s", "2", "--w", "1"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", sorted(_DISPATCH))
+def test_every_command_accepts_seed_and_format(tmp_path, command):
+    result = run_command([*valid_argv(tmp_path, command), "--seed", "0", "--format", "csv"])
+    assert result.exit_code in (0, 1, 2) and result.stderr == "", result
+
+
+# Options a command would not read, so its parser refuses them: --threads
+# (evaluation is single-threaded), --input where no document is read, --cap
+# where nothing is enumerated and --trials where nothing is sampled.
+REMOVED_OPTIONS = (
+    ("verify", "--threads"),
+    ("construct-lr", "--input"), ("bounds", "--input"),
+    *((command, "--cap") for command in ("construct-lr", "decompose", "bang", "find-uncovered", "scales", "bounds")),
+    *((command, "--trials") for command in ("verify", "construct-lr", "decompose", "bang", "scales", "bounds")),
+)
+
+
+@pytest.mark.parametrize("command, option", REMOVED_OPTIONS, ids=[c + o for c, o in REMOVED_OPTIONS])
+def test_removed_options_are_rejected(tmp_path, command, option):
+    result = run_command([*valid_argv(tmp_path, command), "--seed", "0", option, "4"])
+    assert result == (3, "", "argument parsing failed\n")
+
+
+@pytest.mark.parametrize("flag, value, message", (
+    ("--n", "0", "--n must be >= 1, got 0"),
+    ("--k", "0", "--k must be >= 1, got 0"),
+    ("--s", "0", "--s must be >= 1, got 0"),
+    ("--w", "0", "--w must be positive, got 0"),
+    ("--w", "-1", "--w must be positive, got -1"),
+))
+def test_bounds_rejects_bad_arguments(flag, value, message):
+    args = {"--n": "100", "--k": "3", "--s": "2", "--w": "1", flag: value}
+    result = run_command(["bounds", *(token for pair in args.items() for token in pair)])
+    assert result == (3, "", f"input error: {message}\n")
 
 
 def test_csv_format_flattens_top_level(tmp_path):
@@ -339,11 +387,13 @@ BAD_ENTRIES = {
         # or holds (second): the count is checked before the precondition.
         ('{"rows": [["1", "1"]], "targets": ["0", "0"]}', "expected 1 targets, got 2"),
         ('{"rows": [["1", "1", "1"]], "targets": ["0", "0"]}', "expected 1 targets, got 2"),
+        ('{"rows": [["1", "1"], ["0", "0"]], "targets": ["0", "0"]}', "rows[1]: cannot unit-normalize a zero row"),
     ),
     "window": (
         ('{"vector": [0.1, "1"]}', f"vector[0]: bad rational 0.1 {_RATIONAL}"),
         ('{"vector": ["1", null]}', f"vector[1]: bad rational None {_RATIONAL}"),
         ('{"vector": ["1", true]}', f"vector[1]: bad rational True {_RATIONAL}"),
+        ('{"vector": ["0", "0"]}', "vector: cannot unit-normalize a zero row"),
     ),
     "atom-prob": (
         ('{"vector": ["1", 0.1], "a": "0"}', f"vector[1]: bad rational 0.1 {_RATIONAL}"),

@@ -205,8 +205,8 @@ def test_sample_uncovered_finds_witness_high_dim():
     sys_ = CoveringSystem.from_rows([[1] + [0] * 39], [0])
     rep = sample_uncovered(sys_, trials=64, seed=5)
     assert rep.mode == "sampled"
-    assert rep.samples == 64
     assert rep.witness is not None
+    assert rep.uncovered_count == 1 and 1 <= rep.samples <= 64
     assert not any(evaluate_row(sys_, i, rep.witness) for i in range(sys_.k))
 
 
@@ -239,19 +239,36 @@ def test_sampled_witnesses_reverify():
             assert not any(evaluate_row(sys_, i, rep.witness) for i in range(sys_.k))
 
 
+def full_sample(system, trials, seed):
+    """(first uncovered draw or None, its 1-based index or None, uncovered
+    draws) over all ``trials`` draws: the loop that kept drawing after the
+    witness, on the rational rows."""
+    rng = random.Random(seed)
+    first, index, uncovered = None, None, 0
+    for drawn in range(1, trials + 1):
+        x = Vertex.from_code(rng.getrandbits(system.n), system.n)
+        if not any(evaluate_row(system, i, x) for i in range(system.k)):
+            uncovered += 1
+            if first is None:
+                first, index = x, drawn
+    return first, index, uncovered
+
+
 def test_stop_at_witness_draws_the_same_witness():
     rng = random.Random(31)
+    stopped_early = 0
     for _ in range(40):
         sys_ = random_system(rng, rng.randint(3, 30), rng.randint(1, 6))
         seed = rng.randrange(10**6)
-        full = sample_uncovered(sys_, trials=200, seed=seed)
-        first = sample_uncovered(sys_, trials=200, seed=seed, stop_at_witness=True)
-        assert first.witness == full.witness
-        if full.witness is None:
-            assert first.samples == 200 and first.uncovered_count == 0
+        witness, index, uncovered = full_sample(sys_, 200, seed)
+        rep = sample_uncovered(sys_, trials=200, seed=seed)
+        assert rep.witness == witness
+        if witness is None:
+            assert rep.samples == 200 and rep.uncovered_count == 0
         else:
-            assert first.uncovered_count == 1 and 1 <= first.samples <= 200
-    assert full.samples == 200  # the default still draws and counts every trial
+            assert rep.samples == index and rep.uncovered_count == 1
+            stopped_early += uncovered > 1
+    assert stopped_early > 10  # draws after the witness would have found more
 
 
 def test_sampled_witness_failing_exact_recheck_raises(monkeypatch):

@@ -13,7 +13,6 @@ from cubecover import (
     bang_signs,
     check_small_norm_precondition,
     find_uncovered_small_norm,
-    hoeffding_bound,
     unit_row,
 )
 from cubecover.core import UnitRow, Vertex
@@ -138,25 +137,6 @@ def test_small_norm_check_zero_row():
         check_small_norm_precondition([unit_row([0, 0])])
 
 
-def test_hoeffding_values():
-    assert hoeffding_bound(1, [1, 1, 1, 1]) == pytest.approx(math.exp(-0.5))
-    # t -> 0+ tends to 1.
-    assert hoeffding_bound(1e-9, [1]) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        hoeffding_bound(0, [1])
-    with pytest.raises(ValueError):
-        hoeffding_bound(1, [0, 0])
-
-
-def test_hoeffding_matches_rounding_noise_shape():
-    # Rounding noise on a unit row: each coordinate ranges over an interval
-    # of length |v_j|, so the tail at t = theta/2 is exp(-theta^2/2).
-    coeffs = [Fraction(1, 2)] * 4
-    theta = 1.7
-    widths = [abs(float(c)) for c in coeffs]  # unit row: sum of squares is 1
-    assert hoeffding_bound(theta / 2, widths) == pytest.approx(math.exp(-(theta**2) / 2))
-
-
 def test_find_uncovered_unreachable_target():
     row = unit_row([Fraction(1, 2)] * 4)
     vertex, attempts = find_uncovered_small_norm([row], [Fraction(10)], seed=0)
@@ -276,7 +256,7 @@ def _dense_find_uncovered(rows, targets, params, seed):
         for i in range(ell)
     ]
     rng = random.Random(seed)
-    sv = bang_signs(gram, zeta, [theta] * ell, seed=rng.getrandbits(63), float_tol=params.float_tol)
+    sv = bang_signs(gram, zeta, [theta] * ell, seed=rng.getrandbits(63))
     y_prime = [
         theta * sum(vf[i][j] * sv.signs[i] for i in range(ell)) for j in range(m)
     ]

@@ -420,8 +420,8 @@ def test_stage_failure_rejects_unknown_stage():
 
 
 def test_sampled_n3_search_returns_the_full_sample_witness():
-    # |N3| above the enumeration cap: the search stops at its first uncovered
-    # draw, which is the witness a full sample_uncovered run reports.
+    # |N3| above the enumeration cap: the search reports the first uncovered
+    # draw of sample_uncovered on the K1 rows, with the same seed and budget.
     rng = random.Random(85)
     checked = 0
     for _ in range(30):

@@ -11,7 +11,9 @@ the second decomposition handed its rounds the system's cleared rows; the
 decompose-*-decay-* pins (multi-part scale partitions) from the code that
 still built each partition from a copy of M1 taken at every renormalization
 and a dense rational copy of the row, before it read the parts off M2 at the
-renormalizations' cut points and the norms off the cleared row.  Any
+renormalizations' cut points and the norms off the cleared row; the
+lr-14-minus-pair-sampled pin (a sampled N3 witness on draw 178) from the
+code whose sampler could still keep drawing after the witness.  Any
 change to the arithmetic of the refute path that alters a single byte of
 output fails here.
 
@@ -132,6 +134,12 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
         lr = lr_cover(n)
         text = _system_text(lr.rows, lr.mu)
         cases.append((f"lr-{n}", ["refute", "--input", "-", "--seed", "7", *extra], text))
+    # LR(14) without its first pair row: 2^7 of the 2^14 vertices are
+    # uncovered, so the sampled N3 search (14 columns, cap 4) finds its
+    # witness on draw 178 of 1000.
+    lr = lr_cover(14)
+    cases.append(("lr-14-minus-pair-sampled", ["refute", "--input", "-", "--seed", "7", "--cap", "4"],
+                  _system_text(lr.rows[:1] + lr.rows[2:], lr.mu[:1] + lr.mu[2:])))
     # The dense-column filter absorbs every row: the full squared norms are reported.
     rows = [[Fraction(0)] * 64 for _ in range(2)]
     rows[0][0], rows[0][1], rows[1][2], rows[1][3] = Fraction(1, 2), Fraction(3), Fraction(1), Fraction(-2, 3)
@@ -196,6 +204,8 @@ def test_pins_cover_witnesses_and_failures():
     sampled_failures = [doc for doc in refutes if doc.get("stage") == "n3-assignment"
                         and doc["detail"]["n3-assignment"]["search_mode"] == "sampled"]
     assert sampled_failures and all(doc["detail"]["n3-assignment"]["searched"] == 50 for doc in sampled_failures)
+    sampled_witness = json.loads(expected["lr-14-minus-pair-sampled"]["stdout"])
+    assert sampled_witness["status"] == "uncovered" and sampled_witness["detail"]["block_sizes"]["N3"] == 14
     checks = {name: json.loads(expected[name]["stdout"])["detail"]["small_norm"]
               for name in ("plank-8x48", "plank-mixed-6x30", "plank-mixed-shared-4x32")}
     assert all(check["ok"] for check in checks.values())
