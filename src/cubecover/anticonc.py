@@ -33,7 +33,6 @@ from .core import (
     UnitRow,
     as_fractions,
     clear_denominators,
-    format_rational,
     unit_row,
 )
 
@@ -212,14 +211,6 @@ class ScalePartition:
             squared_norms=norms,
             smallest_scale_sq=norms[-1] if norms else Fraction(0),
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "parts": [list(p) for p in self.parts],
-            "C1": format_rational(self.C1),
-            "squared_norms": [format_rational(q) for q in self.squared_norms],
-            "smallest_scale_sq": format_rational(self.smallest_scale_sq),
-        }
 
 
 def scale_partition(

@@ -28,10 +28,10 @@ from .core import (
     SystemFormatError,
     UnitRow,
     _parse_entries,
-    format_rational,
     parse_rational,
     parse_system,
     unit_row,
+    wire,
 )
 from .essential import verify_essential
 
@@ -105,14 +105,16 @@ def _unit_row(values: list, where: str) -> UnitRow:
 
 
 def _emit(doc: dict, fmt: str) -> str:
+    """The document as indented JSON, or as CSV: one key,value line per key,
+    a scalar or a rational as its text and any other value as compact JSON."""
     if fmt == "csv":
         lines = []
         for key, value in doc.items():
-            if isinstance(value, (dict, list)):
-                value = json.dumps(value)
+            if not (value is None or isinstance(value, (str, int, float, Fraction))):
+                value = json.dumps(value, default=wire)
             lines.append(f"{key},{value}")
         return "\n".join(lines) + "\n"
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, default=wire) + "\n"
 
 
 @functools.cache
@@ -197,8 +199,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _params_from(args: argparse.Namespace, seed: int | None) -> Params:
     kwargs: dict = {} if seed is None else {"seed": seed}
     if getattr(args, "cap", None) is not None:
+        if args.cap < 0:
+            raise SystemFormatError(f"--cap must be >= 0, got {args.cap}")
         kwargs["enumeration_cap"] = args.cap
     if getattr(args, "trials", None) is not None:
+        if args.trials < 1:
+            raise SystemFormatError(f"--trials must be >= 1, got {args.trials}")
         kwargs["sample_cap"] = args.trials
     if getattr(args, "s", None) is not None:
         kwargs["S"] = args.s
@@ -218,7 +224,7 @@ def _params_from(args: argparse.Namespace, seed: int | None) -> Params:
 def _cmd_verify(args, params) -> tuple[int, dict]:
     system = parse_system(_read_input(args.input))
     report = verify_essential(system, params)
-    return (0 if report.is_essential else 1), report.to_json_dict()
+    return (0 if report.is_essential else 1), wire(report)
 
 
 def _cmd_construct_lr(args, params) -> tuple[int, dict]:
@@ -233,22 +239,9 @@ def _cmd_decompose(args, params) -> tuple[int, dict]:
     if args.stage == "first":
         d1 = decompose.first_decomposition(system.rows, s, w, params)
         ok = decompose.check_decomposition1(system.rows, d1, params)
-        doc = {
-            "stage": "first",
-            "S": s,
-            "W": format_rational(Fraction(w)),
-            "L1": list(d1.L1),
-            "L2": list(d1.L2),
-            "M1": list(d1.M1),
-            "M2": list(d1.M2),
-            "row_norm_sq": [format_rational(q) for q in d1.row_norm_sq],
-            "renorm_counts": list(d1.renorm_counts),
-            "scale_partitions": {str(i): p.to_json_dict() for i, p in d1.scale_partitions.items()},
-            "invariants_ok": ok,
-        }
-        return 0, doc
+        return 0, {"stage": "first", **wire(d1), "invariants_ok": ok}
     d2 = decompose.second_decomposition(system, s, w, params)
-    doc = d2.to_json_dict()
+    doc = wire(d2)
     doc["stage"] = "second"
     doc["invariants_ok"] = decompose.check_decomposition2(system, d2, params)
     return (0 if d2.hypotheses_ok else 2), doc
@@ -258,7 +251,7 @@ def _cmd_bang(args, params) -> tuple[int, dict]:
     doc = _read_document(args.input, m="matrix", zeta="list", theta="list")
     m = [_numbers(row, f"m[{i}]") for i, row in enumerate(doc["m"])]
     sv = plank.bang_signs(m, _numbers(doc["zeta"], "zeta"), _numbers(doc["theta"], "theta"), seed=params.seed)
-    return 0, {"signs": list(sv.signs), "flips": sv.flips, "objective": sv.objective}
+    return 0, wire(sv)
 
 
 def _cmd_find_uncovered(args, params) -> tuple[int, dict]:
@@ -269,10 +262,10 @@ def _cmd_find_uncovered(args, params) -> tuple[int, dict]:
     try:
         vertex, attempts = plank.find_uncovered_small_norm(rows, targets, params, check=check)
     except plank.PlankPreconditionError as exc:
-        return 2, {"error": str(exc), "check": exc.check.to_json_dict()}
+        return 2, {"error": str(exc), "check": exc.check}
     except plank.SampleCapError as exc:
         return 1, {"error": str(exc), "attempts": exc.attempts}
-    return 0, {"vertex": vertex.to_json(), "attempts": attempts, "check": check.to_json_dict()}
+    return 0, {"vertex": vertex, "attempts": attempts, "check": check}
 
 
 def _cmd_atom_prob(args, params) -> tuple[int, dict]:
@@ -283,12 +276,8 @@ def _cmd_atom_prob(args, params) -> tuple[int, dict]:
     bound = anticonc.littlewood_offord_bound(vector)
     prob = anticonc.atom_probability(vector, a, mode=args.mode, trials=params.sample_cap,
                                      seed=params.seed, params=params)
-    return 0, {
-        "probability": format_rational(prob),
-        "probability_float": float(prob),
-        "littlewood_offord_bound": bound,
-        "mode": args.mode,
-    }
+    return 0, {"probability": prob, "probability_float": float(prob),
+               "littlewood_offord_bound": bound, "mode": args.mode}
 
 
 def _cmd_scales(args, params) -> tuple[int, dict]:
@@ -298,7 +287,7 @@ def _cmd_scales(args, params) -> tuple[int, dict]:
         part = anticonc.scale_partition(vector, target_S=args.target_s, params=params)
     except anticonc.ScalePartitionError as exc:
         return 1, {"error": str(exc)}
-    return 0, part.to_json_dict()
+    return 0, wire(part)
 
 
 def _cmd_window(args, params) -> tuple[int, dict]:
@@ -308,17 +297,13 @@ def _cmd_window(args, params) -> tuple[int, dict]:
     prob, ok = anticonc.concentration_window_prob(
         row, C0=c0, mode=args.mode, trials=params.sample_cap, seed=params.seed, params=params
     )
-    return (0 if ok else 1), {
-        "probability": format_rational(prob),
-        "probability_float": float(prob),
-        "ok": ok,
-    }
+    return (0 if ok else 1), {"probability": prob, "probability_float": float(prob), "ok": ok}
 
 
 def _cmd_refute(args, params) -> tuple[int, dict]:
     system = parse_system(_read_input(args.input))
     outcome = refute.attempt_refutation(system, params)
-    return (0 if outcome.status == "uncovered" else 1), outcome.to_json_dict()
+    return (0 if outcome.status == "uncovered" else 1), wire(outcome)
 
 
 def _cmd_bounds(args, params) -> tuple[int, dict]:
@@ -343,7 +328,7 @@ def _cmd_bounds(args, params) -> tuple[int, dict]:
         "n": n,
         "k": k,
         "S": s,
-        "W": format_rational(w),
+        "W": w,
         "inequalities": [
             {"name": name, "lhs": float(lhs), "rhs": float(rhs), "ok": ok} for name, lhs, rhs, ok in inequalities
         ],

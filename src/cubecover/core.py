@@ -17,6 +17,11 @@ columns takes them from there with ``ClearedRow.restricted`` (renumbered,
 same D), ``CoveringSystem.restrict`` builds a subsystem that carries them,
 and ``UnitRow.with_cleared`` a unit row that does.  ``parse_system`` parses
 each distinct entry string once.
+
+Results are written by one rule, ``wire``, the ``default=`` hook of every
+``json.dumps`` that writes one: a rational is its ratstr "p" or "p/q", a
+vertex its 0/1 bits, and a record (a dataclass) an object of its fields in
+declaration order.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
@@ -70,11 +75,8 @@ def as_fractions(values: Iterable[Fraction | int | str]) -> tuple[Fraction, ...]
 
 
 def format_rational(x: Fraction) -> str:
-    """Canonical reduced string form, "p" or "p/q"."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """Canonical reduced string form, "p" or "p/q" (the ``str`` of a Fraction)."""
+    return str(Fraction(x))
 
 
 @dataclass(frozen=True, order=True)
@@ -100,8 +102,21 @@ class Vertex:
     def from_code(cls, code: int, n: int) -> "Vertex":
         return cls(tuple((code >> (n - 1 - j)) & 1 for j in range(n)))
 
-    def to_json(self) -> list[int]:
-        return list(self.bits)
+
+def wire(obj: object) -> object:
+    """The JSON value of a result that ``json`` cannot write by itself, for
+    ``json.dumps(..., default=wire)``: a Fraction is its ratstr, a Vertex its
+    list of bits, and a dataclass a dict of its fields in declaration order,
+    whose values ``json`` writes in turn (tuples as lists, int mapping keys
+    as strings).  Called on a record, it gives a command's output document."""
+    kind = type(obj)
+    if kind is Fraction:
+        return format_rational(obj)
+    if kind is Vertex:
+        return list(obj.bits)
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True)
@@ -178,14 +193,12 @@ class CoveringSystem:
         return rows, sizes
 
     def to_json_dict(self) -> dict:
+        """The input format that ``parse_system`` reads: n, rows and mu, not k."""
         return {
             "n": self.n,
             "rows": [[format_rational(c) for c in row] for row in self.rows],
             "mu": [format_rational(m) for m in self.mu],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def _parse_entries(raw: list, where, parsed: dict[str, Fraction]) -> tuple[Fraction, ...]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -39,7 +39,6 @@ from .core import (
     DEFAULT_PARAMS,
     as_fractions,
     clear_row,
-    format_rational,
 )
 
 Matrix = Sequence[Sequence[Fraction | int]]
@@ -69,15 +68,15 @@ class Decomposition1:
     partition with S parts whose last part contains the final M1 columns.
     """
 
+    S: int
+    W: Fraction
     L1: tuple[int, ...]
     L2: tuple[int, ...]
     M1: tuple[int, ...]
     M2: tuple[int, ...]
     row_norm_sq: tuple[Fraction, ...]
-    scale_partitions: Mapping[int, ScalePartition]
     renorm_counts: tuple[int, ...]
-    S: int
-    W: Fraction
+    scale_partitions: Mapping[int, ScalePartition]
 
 
 def first_decomposition(
@@ -212,15 +211,15 @@ def first_decomposition(
             q[i] = resid[i]
 
     return Decomposition1(
+        S=S,
+        W=w,
         L1=tuple(l1),
         L2=tuple(sorted(l2)),
         M1=tuple(sorted(m1)),
         M2=tuple(m2),
         row_norm_sq=tuple(Fraction(qi, d * d) for qi, d in zip(q, scales)),
-        scale_partitions=partitions,
         renorm_counts=tuple(renorms),
-        S=S,
-        W=w,
+        scale_partitions=partitions,
     )
 
 
@@ -300,39 +299,15 @@ class Decomposition2:
     hyp_product_rhs: Fraction
     hyp_rowcount_ok: bool
     hyp_support_ok: bool
+    # All guarantees require an essential-shaped input: the per-row support
+    # bound 2k caps the dense-column absorption at n/8, which the two numeric
+    # hypotheses alone do not.  Derived from the three flags, never passed.
+    hypotheses_ok: bool = field(init=False)
     trace: tuple[dict, ...]
 
-    @property
-    def hypotheses_ok(self) -> bool:
-        """All guarantees require an essential-shaped input: the per-row
-        support bound 2k caps the dense-column absorption at n/8, which the
-        two numeric hypotheses alone do not."""
-        return self.hyp_product_ok and self.hyp_rowcount_ok and self.hyp_support_ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "K1": list(self.K1),
-            "K2": list(self.K2),
-            "K3": list(self.K3),
-            "K4": list(self.K4),
-            "N1": list(self.N1),
-            "N2": list(self.N2),
-            "N3": list(self.N3),
-            "row_norm_sq": [format_rational(q) for q in self.row_norm_sq],
-            "scale_partitions": {
-                str(i): p.to_json_dict() for i, p in self.scale_partitions.items()
-            },
-            "S": self.S,
-            "W": format_rational(self.W),
-            "gamma": format_rational(self.gamma),
-            "hyp_product_ok": self.hyp_product_ok,
-            "hyp_product_lhs": format_rational(self.hyp_product_lhs),
-            "hyp_product_rhs": format_rational(self.hyp_product_rhs),
-            "hyp_rowcount_ok": self.hyp_rowcount_ok,
-            "hyp_support_ok": self.hyp_support_ok,
-            "hypotheses_ok": self.hypotheses_ok,
-            "trace": list(self.trace),
-        }
+    def __post_init__(self) -> None:
+        hypotheses_ok = self.hyp_product_ok and self.hyp_rowcount_ok and self.hyp_support_ok
+        object.__setattr__(self, "hypotheses_ok", hypotheses_ok)
 
 
 def _gamma_exceeds(count: int, base: int, gamma: Fraction) -> bool:

@@ -40,19 +40,6 @@ class EssentialReport:
     support_sizes: tuple[int, ...]
     is_essential: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "e1": self.e1,
-            "e1_witness": self.e1_witness.to_json() if self.e1_witness else None,
-            "e2": self.e2,
-            "unused_columns": list(self.unused_columns),
-            "e3": self.e3,
-            "e3_witnesses": [w.to_json() if w else None for w in self.e3_witnesses],
-            "support_bound_ok": self.support_bound_ok,
-            "support_sizes": list(self.support_sizes),
-            "is_essential": self.is_essential,
-        }
-
 
 def _rechecked(
     system: CoveringSystem, min_code: int | None, excl: Sequence[int | None]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Params, DEFAULT_PARAMS, UnitRow, Vertex, format_rational
+from .core import Params, DEFAULT_PARAMS, UnitRow, Vertex
 
 # Slack of the float checks: M's symmetry and diagonal in bang_signs, and
 # ||y'||_inf <= 1 in the finder.
@@ -73,15 +73,6 @@ class SmallNormCheck:
     ell: int
     lhs: float
     ok: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": format_rational(self.beta),
-            "ell": self.ell,
-            "lhs": self.lhs,
-            "ok": self.ok,
-        }
 
 
 def bang_signs(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .core import ClearedRow, CoveringSystem, Params, DEFAULT_PARAMS, UnitRow, Vertex, format_rational
+from .core import ClearedRow, CoveringSystem, Params, DEFAULT_PARAMS, UnitRow, Vertex
 from .cube import enumerate_uncovered, rows_through, sample_uncovered
 from .decompose import Decomposition2, second_decomposition
 from .plank import (
@@ -67,14 +67,6 @@ class RefutationOutcome:
     vertex: Vertex | None
     stage: str | None
     detail: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "vertex": self.vertex.to_json() if self.vertex is not None else None,
-            "stage": self.stage,
-            "detail": self.detail,
-        }
 
 
 def derived_scale_count(n: int, params: Params = DEFAULT_PARAMS) -> int:
@@ -213,7 +205,7 @@ def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) 
     d = second_decomposition(system, S, W, params)
     detail: dict = {
         "S": S,
-        "W": format_rational(W),
+        "W": W,
         "W_float": float(W),
         "hypotheses": {
             "product_ok": d.hyp_product_ok,
@@ -263,7 +255,7 @@ def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) 
             block.append(UnitRow.with_cleared(coeffs, Fraction(norm, row.D * row.D), local))
             targets.append(Fraction(_target_less(row, set_cols), row.D))
         precheck = check_small_norm_precondition(block)
-        detail["small_norm"] = precheck.to_json_dict()
+        detail["small_norm"] = precheck
         if not precheck.ok:
             return RefutationOutcome(
                 status="failed", vertex=None, stage="small-norm-precondition", detail=detail

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from cubecover import lr_cover, parse_system
 from cubecover.cli import _DISPATCH, run_command
+from test_refute_pinned import _block_system, _system_text
 
 
 def write(tmp_path, name, doc):
@@ -271,6 +273,15 @@ def valid_argv(tmp_path, command):
 def test_every_command_accepts_seed_and_format(tmp_path, command):
     result = run_command([*valid_argv(tmp_path, command), "--seed", "0", "--format", "csv"])
     assert result.exit_code in (0, 1, 2) and result.stderr == "", result
+    # One key,value line per key of the JSON document: a JSON string, number,
+    # bool or null as its Python text, a list or an object as compact JSON.
+    # A tuple or a record written as its repr differs from both.
+    doc = json.loads(run_command([*valid_argv(tmp_path, command), "--seed", "0"]).stdout)
+    lines = result.stdout.splitlines()
+    assert [line.partition(",")[0] for line in lines] == list(doc)
+    for line, value in zip(lines, doc.values()):
+        text = line.partition(",")[2]
+        assert text == (json.dumps(value) if isinstance(value, (dict, list)) else str(value)), line
 
 
 # Options a command would not read, so its parser refuses them: --threads
@@ -301,6 +312,28 @@ def test_bounds_rejects_bad_arguments(flag, value, message):
     args = {"--n": "100", "--k": "3", "--s": "2", "--w": "1", flag: value}
     result = run_command(["bounds", *(token for pair in args.items() for token in pair)])
     assert result == (3, "", f"input error: {message}\n")
+
+
+# --trials 0 used to divide by zero in refute's N2 stage (this system, S = 1,
+# W = 1/10, exit 4) and to search no sample in find-uncovered (exit 1); a
+# negative --cap read as a precondition failure (exit 2).  --cap 0 is valid.
+@pytest.mark.parametrize("command, flag, value, message", (
+    ("refute", "--trials", "0", "--trials must be >= 1, got 0"),
+    ("find-uncovered", "--trials", "0", "--trials must be >= 1, got 0"),
+    ("verify", "--cap", "-1", "--cap must be >= 0, got -1"),
+    ("verify", "--cap", "0", None),
+))
+def test_sampling_budget_and_cap_are_range_checked(tmp_path, command, flag, value, message):
+    argv = valid_argv(tmp_path, command)
+    if command == "refute":
+        system = tmp_path / "blocks.json"
+        system.write_text(_system_text(*_block_system(random.Random(15), 6, 80)))
+        argv = ["refute", "--input", str(system), "--cap", "16", "--s", "1", "--w", "1/10"]
+    result = run_command([*argv, "--seed", "3", flag, value])
+    if message is None:
+        assert result == (2, "", "precondition failure: n=4 exceeds enumeration cap 0\n")
+    else:
+        assert result == (3, "", f"input error: {message}\n")
 
 
 def test_csv_format_flattens_top_level(tmp_path):

@@ -1,8 +1,10 @@
-"""Byte-for-byte pins of `cubecover find-uncovered` and `cubecover bounds` output.
+"""Byte-for-byte pins of `cubecover find-uncovered`, `bounds` and `bang` output.
 
 The expected outputs in data/plank_pinned.json were recorded from the code in
 which the plank precondition and the finder each cleared their rows on their
-own, and in which `bounds` computed its hypothesis formulas itself.  Any
+own, and in which `bounds` computed its hypothesis formulas itself; the
+`bang` and the later CSV cases from the code in which each report class wrote
+its own JSON dict.  Any
 change that alters a single byte of output (exit code, stdout or stderr)
 fails here.
 
@@ -57,7 +59,8 @@ def _doc(rows, targets) -> str:
 
 
 def pinned_cases() -> list[tuple[str, list[str], str]]:
-    """(name, argv, stdin) for find-uncovered blocks and bounds inequalities."""
+    """(name, argv, stdin) for find-uncovered blocks, bounds inequalities and
+    bang sign vectors."""
     rng = random.Random(20261019)
     cases = []
     blocks = {
@@ -94,6 +97,14 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
         cases.append((f"bounds-{n}-{k}-{s}-{w}", argv, ""))
     cases.append(("bounds-1000-10-5-2-csv", ["bounds", "--n", "1000", "--k", "10", "--s", "5", "--w", "2",
                                               "--seed", "0", "--format", "csv"], ""))
+    # The error and the failed check of a precondition failure, in CSV.
+    cases.append(("find-precondition-fails-csv", ["find-uncovered", "--input", "-", "--seed", "0", "--format", "csv"],
+                  _doc(rows, [Fraction(1, 2)] * 3)))
+    bang = json.dumps({"m": [[2, 0.5, -0.25], [0.5, 1, 0.75], [-0.25, 0.75, 3]], "zeta": [0.5, -1, 0.25],
+                       "theta": [1, 0.5, 0.125]})
+    for seed in ("0", "3"):
+        cases.append((f"bang-3x3-seed{seed}", ["bang", "--input", "-", "--seed", seed], bang))
+    cases.append(("bang-3x3-csv", ["bang", "--input", "-", "--seed", "3", "--format", "csv"], bang))
     return cases
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction
 from typing import Mapping
@@ -16,11 +17,13 @@ from cubecover import (
     attempt_refutation,
     choose_n3_assignment,
     evaluate_row,
+    format_rational,
     lr_cover,
     sample_n2_assignment,
     sample_uncovered,
     second_decomposition,
 )
+from cubecover.core import wire
 
 C1 = Params().C1
 
@@ -60,6 +63,15 @@ def disjoint_rows_system(n_rows=4, supp=16):
         rows.append(row)
         mu.append(Fraction(2))
     return CoveringSystem.from_rows(rows, mu)
+
+
+@pytest.mark.parametrize("flag", ("hyp_product_ok", "hyp_rowcount_ok", "hyp_support_ok"))
+def test_hypotheses_ok_follows_the_three_flags(flag):
+    held = dict(hyp_product_ok=True, hyp_rowcount_ok=True, hyp_support_ok=True)
+    assert empty_decomposition(lr_cover(4), **held).hypotheses_ok is True
+    d = empty_decomposition(lr_cover(4), **dict(held, **{flag: False}))
+    assert d.hypotheses_ok is False and dataclasses.replace(d, **{flag: True}).hypotheses_ok is True
+    assert list(wire(d))[-2:] == ["hypotheses_ok", "trace"]  # a field, written just before the trace
 
 
 # ------------------------------------------------------------------ choose_n3
@@ -406,9 +418,10 @@ def test_refute_reports_diagnostics():
     assert "hypotheses" in out.detail
     assert "block_sizes" in out.detail
     assert out.detail["S"] >= 1
-    doc = out.to_json_dict()
+    doc = json.loads(json.dumps(out, default=wire))
     assert doc["status"] == "failed"
     assert doc["stage"] == out.stage
+    assert doc["vertex"] is None and doc["detail"]["W"] == format_rational(out.detail["W"])
 
 
 # ------------------------------------------------ soundness checks under -O
@@ -509,7 +522,7 @@ if __debug__:
 # Four disjoint plank rows: refute assembles and re-verifies a vertex.
 rows = [[Fraction(1, 4) if 16 * i <= j < 16 * i + 16 else Fraction(0) for j in range(64)] for i in range(4)]
 system = CoveringSystem.from_rows(rows, [2] * 4)
-sys.stdin = io.StringIO(system.to_json())
+sys.stdin = io.StringIO(json.dumps(system.to_json_dict()))
 result = run_command(["refute", "--input", "-", "--seed", "3", "--w", "1/1000000"])
 doc = json.loads(result.stdout)
 if result.exit_code != 0 or doc["status"] != "uncovered":

@@ -13,7 +13,8 @@ still built each partition from a copy of M1 taken at every renormalization
 and a dense rational copy of the row, before it read the parts off M2 at the
 renormalizations' cut points and the norms off the cleared row; the
 lr-14-minus-pair-sampled pin (a sampled N3 witness on draw 178) from the
-code whose sampler could still keep drawing after the witness.  Any
+code whose sampler could still keep drawing after the witness; the *-csv
+pins from the code in which each report class wrote its own JSON dict.  Any
 change to the arithmetic of the refute path that alters a single byte of
 output fails here.
 
@@ -174,6 +175,13 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
             cases.append((f"decompose-{stage}-decay-s{s}-w{w.replace('/', 'over')}",
                           ["decompose", "--input", "-", "--seed", "3", "--stage", stage, "--s", str(s), "--w", w],
                           text))
+    # CSV: a vertex with its small-norm check, a failed N2 stage, and both
+    # decompositions with a three-part scale partition.
+    runs = {name: (argv, text) for name, argv, text in cases}
+    for name in ("plank-4x16", "blocks-15-6x80-s1-w1over10", "decompose-first-decay-s3-w1",
+                 "decompose-second-decay-s3-w1over1000"):
+        argv, text = runs[name]
+        cases.append((f"{name}-csv", [*argv, "--format", "csv"], text))
     return cases
 
 
@@ -198,7 +206,8 @@ def test_output_is_byte_identical_to_pinned(name, argv, text):
 
 def test_pins_cover_witnesses_and_failures():
     expected = json.loads(DATA.read_text())
-    refutes = [json.loads(expected[name]["stdout"]) for name, argv, _ in CASES if argv[0] == "refute"]
+    refutes = [json.loads(expected[name]["stdout"]) for name, argv, _ in CASES
+               if argv[0] == "refute" and "csv" not in argv]
     assert any(doc["status"] == "uncovered" and doc["detail"].get("small_norm") for doc in refutes)
     assert any(doc["status"] == "uncovered" and not doc["detail"].get("small_norm") for doc in refutes)
     sampled_failures = [doc for doc in refutes if doc.get("stage") == "n3-assignment"
@@ -217,7 +226,8 @@ def test_pins_cover_witnesses_and_failures():
 
 def test_pins_cover_the_k2_and_k4_blocks():
     expected = json.loads(DATA.read_text())
-    docs = [json.loads(expected[name]["stdout"]) for name, _, _ in CASES if name.startswith("blocks-")]
+    docs = [json.loads(expected[name]["stdout"]) for name, argv, _ in CASES
+            if name.startswith("blocks-") and "csv" not in argv]
     accepted = [doc for doc in docs if not doc["detail"].get("n2_sampling", {"vacuous": True})["vacuous"]]
     assert accepted
     # An accepted draw with K4 rows is one on which every K4 row was excluded;

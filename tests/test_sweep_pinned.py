@@ -1,10 +1,12 @@
-"""Byte-for-byte pins of `cubecover verify`, `atom-prob` and `window` output.
+"""Byte-for-byte pins of `cubecover verify`, `atom-prob`, `window`, `scales`
+and `construct-lr` output, in JSON and in CSV.
 
 The expected outputs in data/sweep_pinned.json were recorded from the
 Gray-code coverage sweep and the Fraction-keyed subset-sum and sampling
-loops, before both became integer kernels; the window-edge cases at the end
+loops, before both became integer kernels; the window-edge cases
 were recorded from the full 2^d subset-sum table, before exact mode met in
-the middle.  Any change to the sweep or to
+the middle; the CSV and `scales` cases at the end from the code in which
+each report class wrote its own JSON dict.  Any change to the sweep or to
 the anti-concentration arithmetic that alters a single byte of output
 (exit code, stdout or stderr) fails here.
 
@@ -64,7 +66,8 @@ def _lr_variant(rng, n):
 
 
 def pinned_cases() -> list[tuple[str, list[str], str]]:
-    """(name, argv, stdin) for verify, atom-prob and window, exact and sampled."""
+    """(name, argv, stdin) for verify, atom-prob and window, exact and sampled,
+    and for scales and construct-lr."""
     rng = random.Random(20261018)
     verify = ["verify", "--input", "-", "--seed", "0"]
     cases = []
@@ -133,6 +136,24 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
         ("both-edges-signed", ["1"] * 99 + ["-1"], ["--c0", "5", "--cap", "100"]),
     ):
         cases.append((f"window-{name}", [*window, *extra], json.dumps({"vector": vec})))
+    # CSV: one key,value line per top-level key, each value a scalar as it
+    # is, a rational as p/q, or compact JSON (lists, vertices, records).
+    lr = lr_cover(6)
+    cases.append(("construct-lr-6-csv", ["construct-lr", "--n", "6", "--format", "csv"], ""))
+    cases.append(("verify-lr-6-csv", [*verify, "--format", "csv"], _system_text(lr.rows, lr.mu)))
+    # E1, E2 and E3 all fail: an uncovered vertex, an unused column, rows with no exclusive vertex.
+    one, zero = Fraction(1), Fraction(0)
+    rows = [[one, zero, zero], [one, zero, zero], [one, one, zero]]
+    cases.append(("verify-non-essential-csv", [*verify, "--format", "csv"], _system_text(rows, [zero, zero, one])))
+    cases.append(("atom-signed-1/2-csv", ["atom-prob", "--input", "-", "--seed", "2", "--format", "csv"],
+                  json.dumps({"vector": vectors["signed"], "a": "1/2"})))
+    cases.append(("window-rational-None-csv", ["window", "--input", "-", "--seed", "1", "--format", "csv"],
+                  json.dumps({"vector": vectors["rational"]})))
+    for name, vec, extra in (("3-4", ["3", "4"], []), ("decay", ["10000", "100", "1"], []),
+                             ("decay-unreachable", ["10000", "100", "1"], ["--target-s", "5"])):
+        scales = ["scales", "--input", "-", "--seed", "0", *extra]
+        cases.append((f"scales-{name}", scales, json.dumps({"vector": vec})))
+        cases.append((f"scales-{name}-csv", [*scales, "--format", "csv"], json.dumps({"vector": vec})))
     return cases
 
 
@@ -157,14 +178,14 @@ def test_output_is_byte_identical_to_pinned(name, argv, text):
 
 def test_pins_cover_witnesses_and_verdicts():
     expected = json.loads(DATA.read_text())
-    reports = [json.loads(expected[name]["stdout"]) for name, argv, _ in CASES
-               if argv[0] == "verify" and expected[name]["stdout"]]
+    json_cases = [(name, argv) for name, argv, _ in CASES if "csv" not in argv and expected[name]["stdout"]]
+    reports = [json.loads(expected[name]["stdout"]) for name, argv in json_cases if argv[0] == "verify"]
     assert any(r["is_essential"] for r in reports)
     assert any(r["e1_witness"] for r in reports)
     assert any(not r["e3"] and any(r["e3_witnesses"]) for r in reports)
     assert any(expected[name]["exit_code"] == 2 for name, _, _ in CASES)
-    probabilities = {json.loads(expected[name]["stdout"])["probability"] for name, argv, _ in CASES
-                     if argv[0] != "verify" and expected[name]["stdout"]}
+    probabilities = {json.loads(expected[name]["stdout"])["probability"] for name, argv in json_cases
+                     if argv[0] in ("atom-prob", "window")}
     assert len(probabilities) > 20 and "0" in probabilities
 
 
