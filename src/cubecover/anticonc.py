@@ -23,7 +23,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from typing import Sequence
 
 from .core import (
@@ -35,6 +35,11 @@ from .core import (
     clear_denominators,
     unit_row,
 )
+
+
+# Sampled trials drawn per getrandbits call, and the map from a byte to its top bit.
+_SAMPLE_CHUNK = 256
+_TOP_BIT = bytes(b >> 7 for b in range(256))
 
 
 class ScalePartitionError(ValueError):
@@ -107,8 +112,9 @@ def _window_mass(
     counts of each half of ints, sorts the larger table's sums with prefix
     counts, and for each sum s of the smaller table adds its count times the
     number of sums in every interval shifted by -s, two bisections each.
-    Sampled mode returns the hit frequency over ``trials`` draws, one
-    ``getrandbits(1)`` per coordinate.
+    Sampled mode returns the hit frequency over ``trials`` draws: the same
+    coordinate draws as one ``getrandbits(1)`` each, taken from one
+    ``getrandbits`` call per chunk of ``_SAMPLE_CHUNK`` trials.
     """
     dim = len(ints)
     if mode == "exact":
@@ -128,8 +134,18 @@ def _window_mass(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     draw = random.Random(seed).getrandbits
-    ones = (1,) * dim
-    hits = sum(bisect_right(edges, sum(compress(ints, map(draw, ones)))) & 1 for _ in range(trials))
+    hits = 0
+    for done in range(0, trials, _SAMPLE_CHUNK):
+        chunk = min(_SAMPLE_CHUNK, trials - done)
+        # getrandbits(1) is the top bit of one 32-bit output, and
+        # getrandbits(32 m) packs m outputs least significant first: byte 3
+        # of each 4-byte word, translated to its top bit, is the same draw.
+        words = 4 * chunk * dim
+        bits = iter(draw(8 * words).to_bytes(words, "little")[3::4].translate(_TOP_BIT))
+        # compress reads one selector per entry of ints, so each trial takes
+        # the next dim bits from the shared iterator.
+        sums = map(sum, map(compress, repeat(ints, chunk), repeat(bits)))
+        hits += sum(map((1).__and__, map(bisect_right, repeat(edges), sums)))
     return Fraction(hits, trials)
 
 

@@ -15,15 +15,24 @@ Coordinate j of a vertex is stored at bit (n-1-j) of its integer code, which
 makes numeric order on codes equal to lexicographic order on bit tuples; the
 reported witness is therefore the lexicographically smallest uncovered vertex.
 
-The exhaustive engine splits a code into a high part y (the first h = n//2
-coordinates) and a low part x (the last l = n - h), code = (y << l) | x.  For
-each row it tabulates, per low partial sum s, the 2^l-bit mask of low codes
-whose sum is s; at most 2^l keys of 2^l bits each per row.  A high code y then
-puts the row's vertices of block y in the mask stored under mu - (high
-partial sum of y), so one dict lookup per row decides a block of 2^l
-vertices.  OR-ing the masks of a block gives its covered vertices, and
-tracking the bits hit at least twice gives the vertices on exactly one row
-(the exclusive witnesses of the essential-cover axiom E3).
+The exhaustive engine splits a code into a high part y (the first n - l
+coordinates) and a low part x (the last l), code = (y << l) | x.  For each
+row it tabulates, per low partial sum s, the 2^l-bit mask of low codes whose
+sum is s.  A high code y then puts the row's vertices of block y in the mask
+stored under mu - (high partial sum of y), so one dict lookup per row decides
+a block of 2^l vertices.  OR-ing the masks of a block gives its covered
+vertices, and tracking the bits hit at least twice gives the vertices on
+exactly one row (the exclusive witnesses of the essential-cover axiom E3);
+both run in C builtins (``accumulate``, ``reduce``) over the block's masks.
+
+The split l is chosen per system (``_split_further``): the tables grow one
+low coordinate at a time, all rows together, for as long as the entries one
+more coordinate would double, weighted by mask width past 2^10 bits, cost no
+more than the k * 2^(n-l-1) block lookups it saves.  Rows with few distinct
+low sums take l far past n/2 (l = 12, 14, 16 on the LR covers with n = 16,
+20, 24); rows whose subset sums are all distinct stay near it (l = 6 to 9
+on dense systems with n = 12 to 16).  Codes keep the order above at every l,
+so the smallest-code witnesses do not depend on it.
 """
 
 from __future__ import annotations
@@ -32,6 +41,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate, islice, repeat
+from operator import and_, or_
 from typing import Sequence
 
 from .core import CapExceededError, CoveringSystem, Params, DEFAULT_PARAMS, Vertex
@@ -95,6 +107,17 @@ def rows_through(system: CoveringSystem, vertices: Sequence[Vertex]) -> list[lis
     return hits
 
 
+def _split_further(entries: int, low: int, n: int, k: int) -> bool:
+    """Whether the sweep should tabulate one more low coordinate.
+
+    One more coordinate at most doubles the ``entries`` that all row tables
+    hold at ``low`` coordinates, and halves the 2^(n-low) blocks, which saves
+    k * 2^(n-low-1) lookups.  It is taken while the entries, weighted by the
+    width of their masks past 2^10 bits, cost no more than those lookups.
+    """
+    return entries << max(0, low - 10) <= k << (n - low - 1)
+
+
 def _coverage_sweep(
     system: CoveringSystem,
     collect_exclusive: bool = False,
@@ -105,55 +128,55 @@ def _coverage_sweep(
     exclusive codes when requested).
     """
     n, k = system.n, system.k
-    low = (n + 1) // 2
-    width = 1 << low
-
-    tables: list[dict[int, int]] = []
-    needs: list[list[int]] = []
-    for support, ints, mu, _ in system.cleared_rows:
-        row = dict(zip(support, ints))
-        # table[s]: the low codes x (as bits of a 2^l-bit mask) whose low
-        # coordinates sum to s; bit b of x is coordinate n-1-b.
-        table = {0: 1}
-        for b in range(low):
-            c, shift = row.get(n - 1 - b, 0), 1 << b
+    rows = [dict(zip(support, ints)) for support, ints, _, _ in system.cleared_rows]
+    # tables[i][s]: the low codes x (as bits of a 2^low-bit mask) whose low
+    # coordinates sum to s in row i; bit b of x is coordinate n-1-b.
+    tables: list[dict[int, int]] = [{0: 1} for _ in rows]
+    low = 0
+    while low < n and _split_further(sum(map(len, tables)), low, n, k):
+        shift = 1 << low
+        for i, row in enumerate(rows):
+            table, c = tables[i], row.get(n - 1 - low, 0)
             nxt = dict(table)
             for s, m in table.items():
                 nxt[s + c] = nxt.get(s + c, 0) | (m << shift)
-            table = nxt
-        # need[y]: the low sum that puts high code y on the hyperplane; bit
-        # b of y is coordinate n-1-low-b.
+            tables[i] = nxt
+        low += 1
+
+    # cols[i][y]: row i's mask for block y, the one stored under the low sum
+    # that puts high code y on the hyperplane; bit b of y is coordinate
+    # n-1-low-b.
+    cols: list[list[int]] = []
+    for row, table, (_, _, mu, _) in zip(rows, tables, system.cleared_rows):
         need = [mu]
         for b in range(n - low):
-            c = row.get(n - 1 - low - b, 0)
-            need += [t - c for t in need]
-        tables.append(table)
-        needs.append(need)
+            need += list(map(row.get(n - 1 - low - b, 0).__rsub__, need))
+        cols.append(list(map(table.get, need, repeat(0))))
 
     uncovered = 0
     min_code: int | None = None
     excl: list[int | None] | None = [None] * k if collect_exclusive else None
     open_rows = list(range(k)) if collect_exclusive else []
-    full = (1 << width) - 1
-    for y in range(1 << (n - low)):
+    full = (1 << (1 << low)) - 1
+    for y, masks in enumerate(zip(*cols)):
         base = y << low
-        ones = twos = 0
-        masks = [t.get(d[y], 0) for t, d in zip(tables, needs)]
-        for m in masks:
-            twos |= ones & m
-            ones |= m
-        free = full & ~ones
-        if free:
-            uncovered += free.bit_count()
-            if min_code is None:
-                min_code = base + (free & -free).bit_length() - 1
         if open_rows:
-            alone = full & ~twos
+            prefix = list(accumulate(masks, or_))
+            ones = prefix[-1]
+            # Bits set in some mask and in an earlier one: on two rows or more.
+            alone = full ^ reduce(or_, map(and_, islice(masks, 1, None), prefix), 0)
             for i in open_rows:
                 m = masks[i] & alone
                 if m:
                     excl[i] = base + (m & -m).bit_length() - 1
             open_rows = [i for i in open_rows if excl[i] is None]
+        else:
+            ones = reduce(or_, masks)
+        free = full ^ ones
+        if free:
+            uncovered += free.bit_count()
+            if min_code is None:
+                min_code = base + (free & -free).bit_length() - 1
     return uncovered, min_code, excl
 
 

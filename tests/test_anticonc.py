@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import compress
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubecover import (
     Params,
@@ -21,7 +22,7 @@ from cubecover import (
     unit_row,
     validate_scales,
 )
-from cubecover.anticonc import _integer_form, _shell_edges, _window_mass
+from cubecover.anticonc import _SAMPLE_CHUNK, _integer_form, _shell_edges, _window_mass
 
 C1 = Params().C1  # 4 * 4.706^2 as an exact rational
 
@@ -486,3 +487,34 @@ def test_sampled_mass_matches_old_loop_per_seed():
         ):
             got = _window_mass(ints, edges, "sampled", 150, seed, params, "")
             assert got == old_sampled_mass(ints, inside, 150, seed)
+
+
+# The sampling loop that the chunked getrandbits draws replaced, kept
+# verbatim as an oracle: one getrandbits(1) per coordinate of every trial.
+def per_coordinate_mass(ints, edges, trials, seed):
+    dim = len(ints)
+    draw = random.Random(seed).getrandbits
+    ones = (1,) * dim
+    hits = sum(bisect_right(edges, sum(compress(ints, map(draw, ones)))) & 1 for _ in range(trials))
+    return Fraction(hits, trials)
+
+
+@st.composite
+def sampled_windows(draw):
+    """(ints, edges, trials, seed): entries small or up to 10^30, dimension
+    1..40 (so above one 32-bit word of draws), edges among the reachable sums,
+    trial counts from 1 to past two chunks."""
+    ints = draw(st.lists(st.integers(-9, 9) | st.integers(-10**30, 10**30), min_size=1, max_size=40))
+    reach = sum(map(abs, ints)) + 1
+    cuts = draw(st.lists(st.integers(-reach, reach), min_size=2, max_size=6, unique=True))
+    edges = tuple(sorted(cuts)[: len(cuts) // 2 * 2])
+    chunk = _SAMPLE_CHUNK
+    trials = draw(st.integers(1, 40) | st.sampled_from((chunk - 1, chunk, chunk + 1, 2 * chunk + 3)))
+    return ints, edges, trials, draw(st.integers(0, 2**64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_windows())
+def test_chunked_sampled_mass_matches_per_coordinate_draws(case):
+    ints, edges, trials, seed = case
+    assert _window_mass(ints, edges, "sampled", trials, seed, Params(), "") == per_coordinate_mass(ints, edges, trials, seed)

@@ -18,6 +18,7 @@ from cubecover import (
     sample_uncovered,
 )
 import cubecover.core as core_mod
+import cubecover.cube as cube_mod
 from cubecover.core import ClearedRow, clear_denominators
 from cubecover.cube import _coverage_sweep
 
@@ -424,11 +425,54 @@ def _grid_systems():
         yield CoveringSystem.from_rows(lr.rows[1:] or lr.rows, lr.mu[1:] or lr.mu)
 
 
-def test_split_table_sweep_matches_gray_oracle():
+def _forced_splits(n):
+    """Every split point for n <= 10; the ends and the middle above that."""
+    return range(n + 1) if n <= 10 else sorted({0, 1, (n + 1) // 2, n - 1, n})
+
+
+def test_split_table_sweep_matches_gray_oracle(monkeypatch):
+    rule = cube_mod._split_further
     for sys_ in _grid_systems():
         expected = gray_coverage_sweep(sys_, collect_exclusive=True)
-        assert _coverage_sweep(sys_, collect_exclusive=True) == expected, sys_
-        assert _coverage_sweep(sys_) == (*expected[:2], None)
+        # The split the rule picks (None), then each forced one.
+        for low in (None, *_forced_splits(sys_.n)):
+            forced = rule if low is None else (lambda entries, at, n, k, low=low: at < low)
+            monkeypatch.setattr(cube_mod, "_split_further", forced)
+            assert _coverage_sweep(sys_, collect_exclusive=True) == expected, (sys_, low)
+            assert _coverage_sweep(sys_) == (*expected[:2], None), (sys_, low)
+        monkeypatch.setattr(cube_mod, "_split_further", rule)
         rep = enumerate_uncovered(sys_)
         assert rep.uncovered_count == expected[0]
         assert rep.witness == (Vertex.from_code(expected[1], sys_.n) if expected[1] is not None else None)
+
+
+def _split_point(sys_):
+    """The number of low coordinates the sweep tabulates on sys_."""
+    asked = []
+    rule = cube_mod._split_further
+
+    def spy(entries, low, n, k):
+        asked.append((low, rule(entries, low, n, k)))
+        return asked[-1][1]
+
+    cube_mod._split_further = spy
+    try:
+        _coverage_sweep(sys_)
+    finally:
+        cube_mod._split_further = rule
+    # The sweep asks at low = 0, 1, ... and stops at the first no, or at n.
+    low, further = asked[-1]
+    return low + further
+
+
+def test_split_point_grows_with_sparse_tables_and_stays_near_half_on_dense_rows():
+    # LR rows take 2 to n+1 distinct low sums, so their tables pay for a
+    # split far past n/2; dense rows have up to 2^l and stay near n/2.  A
+    # split put back at n/2 passes every oracle but fails here.
+    for n in range(16, 25, 2):
+        assert _split_point(lr_cover(n)) >= 2 * n // 3, n
+    rng = random.Random(20261019)
+    for k, n, big in ((2, 12, 6), (4, 14, 6), (8, 16, 6), (6, 20, 10**6), (8, 24, 10**6), (16, 24, 10**6)):
+        rows = [[Fraction(rng.randint(-big, big) or 1, rng.randint(1, 4)) for _ in range(n)] for _ in range(k)]
+        mu = [sum(c for c in row if rng.random() < 0.5) for row in rows]
+        assert _split_point(CoveringSystem.from_rows(rows, mu)) <= (n + 1) // 2 + 1, (k, n)

@@ -6,7 +6,10 @@ Gray-code coverage sweep and the Fraction-keyed subset-sum and sampling
 loops, before both became integer kernels; the window-edge cases
 were recorded from the full 2^d subset-sum table, before exact mode met in
 the middle; the CSV and `scales` cases at the end from the code in which
-each report class wrote its own JSON dict.  Any change to the sweep or to
+each report class wrote its own JSON dict; the LR covers with n = 18..24,
+the 8 x 20 and 16 x 22 systems and the sampled cases at 1 and 4500 trials
+from the sweep that split at n/2 and the sampler that drew one bit per
+getrandbits call.  Any change to the sweep or to
 the anti-concentration arithmetic that alters a single byte of output
 (exit code, stdout or stderr) fails here.
 
@@ -83,6 +86,17 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
     cases.append(("verify-duplicate-row", verify, _system_text([*rows, rows[1]], [*mu, mu[1]])))
     lr = lr_cover(12)
     cases.append(("verify-above-cap", [*verify, "--cap", "10"], _system_text(lr.rows, lr.mu)))
+    # Sizes at which the sweep's split point moves furthest from n/2: LR
+    # covers up to the default cap, with and without the sum row, and dense
+    # systems of up to 16 rows.  Their own generator leaves the draws above alone.
+    large = random.Random(20261019)
+    for n in (18, 20, 22, 24):
+        lr = lr_cover(n)
+        cases.append((f"verify-lr-{n}", verify, _system_text(lr.rows, lr.mu)))
+        cases.append((f"verify-lr-{n}-no-sum-row", verify, _system_text(lr.rows[1:], lr.mu[1:])))
+    cases.append(("verify-lr-20-permuted-rescaled", verify, _system_text(*_lr_variant(large, 20))))
+    for k, n, zeros in ((8, 20, (13,)), (16, 22, ())):
+        cases.append((f"verify-dense-{k}x{n}", verify, _system_text(*_dense_system(large, k, n, zeros))))
 
     vectors = {
         "ones": ["1"] * 14,
@@ -136,6 +150,17 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
         ("both-edges-signed", ["1"] * 99 + ["-1"], ["--c0", "5", "--cap", "100"]),
     ):
         cases.append((f"window-{name}", [*window, *extra], json.dumps({"vector": vec})))
+    # Sampled mass at a single draw, across a chunk of draws, and in
+    # dimension above 32 (more than one 32-bit word of draws per trial).
+    wide = [str((-1) ** j * (j * j % 23 + 1)) for j in range(40)]
+    for name, vec, trials in (("signed", vectors["signed"], "1"), ("rational", vectors["rational"], "1"),
+                              ("ones", vectors["ones"], "4500"), ("d40", wide, "4500")):
+        cases.append((f"atom-{name}-sampled-trials-{trials}",
+                      ["atom-prob", "--input", "-", "--seed", "6", "--mode", "sampled", "--trials", trials],
+                      json.dumps({"vector": vec, "a": "3"})))
+        cases.append((f"window-{name}-sampled-trials-{trials}",
+                      ["window", "--input", "-", "--seed", "8", "--mode", "sampled", "--trials", trials],
+                      json.dumps({"vector": vec})))
     # CSV: one key,value line per top-level key, each value a scalar as it
     # is, a rational as p/q, or compact JSON (lists, vertices, records).
     lr = lr_cover(6)
