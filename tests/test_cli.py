@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import os
 import random
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from _pins import record_missing
 from cubecover import lr_cover, parse_system
 from cubecover.cli import _DISPATCH, run_command
 from test_refute_pinned import _block_system, _system_text
@@ -445,3 +452,55 @@ def test_document_commands_reject_bad_entries(tmp_path, command):
         path.write_text(text)
         result = run_command([command, "--input", str(path), "--seed", "0"])
         assert (result.exit_code, result.stdout, result.stderr) == (3, "", f"input error: {message}\n"), text
+
+
+# argv whose parsing is pinned, with argparse's own messages: help, usage
+# errors, unread options, stray arguments, "--" and abbreviations.  Each
+# command's options are parsed by its own subparser; whatever that parser
+# leaves over is parsed again by the top-level parser, so every message here
+# must stay as the top-level parser alone gave it.  argparse words its
+# messages differently on different Python versions, so the pins are recorded
+# per version (3.10, 3.11 and 3.13) in data/cli_pinned.json:
+#
+#     python tests/test_cli.py    # record the cases the data file lacks
+CLI_PINS = Path(__file__).parent / "data" / "cli_pinned.json"
+PYTHON = "py{}.{}".format(*sys.version_info[:2])
+LR4_TEXT = json.dumps(lr_cover(4).to_json_dict())
+ARGPARSE_ARGVS = (
+    [], ["--help"], ["-h"], ["-x"], ["--", "construct-lr", "--n", "4"],
+    ["frobnicate"], ["Refute"], ["help"],
+    ["refute", "-h"], ["refute", "--help"], ["window", "-h"], ["construct-lr", "-h", "--n", "x"],
+    ["construct-lr"], ["bounds", "--n", "100"], ["construct-lr", "--n", "x"], ["construct-lr", "--cap", "4"],
+    ["construct-lr", "--n", "4"], ["construct-lr", "--n=4", "--format", "csv"],
+    ["construct-lr", "--n", "6", "--cap", "4"], ["decompose", "--stage", "third"], ["atom-prob", "--mode", "bogus"],
+    ["refute", "--seed"], ["refute", "-x"], ["refute", "--input", "-", "--seed", "1", "--format", "xml"],
+    ["verify", "--input", "-", "extra"], ["verify", "--inp", "-", "--seed", "0"],
+    ["verify", "--input", "-", "--seed", "0"], ["refute", "--input", "-", "--seed", "1", "--seed", "2"],
+    ["refute", "--input", "-", "--seed", "1", "--"], ["refute", "--", "--input", "-"],
+    ["refute", "--input", "-", "--seed", "1", "--", "extra"],
+    ["bounds", "--n", "100", "--k", "3", "--s", "2", "--w", "1"],
+    ["bounds", "--n", "100", "--k", "3", "--s", "2", "--w", "1", "--n", "50", "stray"],
+)
+ARGPARSE_CASES = [(f"{PYTHON} {' '.join(argv) or '(no arguments)'}", argv, LR4_TEXT) for argv in ARGPARSE_ARGVS]
+
+
+def _run_capturing_argparse(argv, text):
+    """run_command's result on ``text`` as stdin, with what argparse printed
+    to stdout and stderr itself, formatted for 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        result = run_command(list(argv))
+    return {**result._asdict(), "argparse_stdout": out.getvalue(), "argparse_stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("name, argv, text", ARGPARSE_CASES, ids=[c[0] for c in ARGPARSE_CASES])
+def test_argparse_messages_are_pinned(name, argv, text):
+    pinned = json.loads(CLI_PINS.read_text())
+    if name not in pinned:
+        pytest.skip(f"no argparse messages recorded on {PYTHON}")
+    assert _run_capturing_argparse(argv, text) == pinned[name]
+
+
+if __name__ == "__main__":
+    record_missing(CLI_PINS, ARGPARSE_CASES, _run_capturing_argparse)

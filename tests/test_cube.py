@@ -1,9 +1,12 @@
 import itertools
+import math
 import random
 import sys
+import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubecover import (
     CapExceededError,
@@ -139,6 +142,71 @@ def test_rows_through_rejects_wrong_length():
     for batch in ([Vertex((0, 0))], [Vertex((0, 0, 0, 0)), Vertex((1,) * 5)]):
         with pytest.raises(ValueError, match="vertex has [25] bits, expected 4"):
             rows_through(sys_, batch)
+
+
+def _rows_through_scanning_every_column(system, vertices):
+    """``rows_through`` as it stood before it picked the set columns with
+    ``compress``, kept verbatim (docstring aside) as its oracle."""
+    n = system.n
+    for x in vertices:
+        if len(x) != n:
+            raise ValueError(f"vertex has {len(x)} bits, expected {n}")
+    cols = [j for j in range(n) if any(x.bits[j] for x in vertices)]
+    # Each vertex's set columns, as positions in cols.
+    sets = [[t for t, j in enumerate(cols) if x.bits[j]] for x in vertices]
+    hits: list[list[int]] = [[] for _ in vertices]
+    for i, (row, mu) in enumerate(zip(system.rows, system.mu)):
+        # (numerator, denominator) in one call per entry; zeros skip the scaling.
+        pairs = [row[j].as_integer_ratio() for j in cols]
+        top, bottom = mu.as_integer_ratio()
+        d = math.lcm(bottom, *[q for p, q in pairs if p])
+        ints = [p * (d // q) if p else 0 for p, q in pairs]
+        target = top * (d // bottom)
+        for hit, on in zip(hits, sets):
+            if sum([ints[t] for t in on]) == target:
+                hit.append(i)
+    return hits
+
+
+@st.composite
+def _systems_and_batches(draw):
+    """A rational system with 1-6 rows on 1-10 columns, each mu_i a subset
+    sum through one of the batch's vertices or a random rational, and a batch
+    of 0-5 vertices that may hold the all-zero vertex."""
+    n, k = draw(st.integers(1, 10)), draw(st.integers(1, 6))
+    entry = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 7, 10**9 + 7)))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n).filter(any)) for _ in range(k)]
+    bits = st.tuples(*[st.integers(0, 1)] * n)
+    vertices = [Vertex(b) for b in draw(st.lists(st.one_of(st.just((0,) * n), bits), max_size=5))]
+    mu = []
+    for row in rows:
+        if vertices and draw(st.booleans()):
+            x = draw(st.sampled_from(vertices))
+            mu.append(sum((c for c, b in zip(row, x.bits) if b), Fraction(0)))
+        else:
+            mu.append(draw(entry))
+    return CoveringSystem.from_rows(rows, mu), vertices
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems_and_batches())
+def test_rows_through_matches_the_column_scanning_oracle(case):
+    system, vertices = case
+    assert rows_through(system, vertices) == _rows_through_scanning_every_column(system, vertices)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_systems_and_batches(), st.integers(0, 5), st.sampled_from((-1, 1)))
+def test_rows_through_rejects_a_wrong_length_vertex_before_reading_a_row(case, at, step):
+    system, vertices = case
+    if system.n + step < 0:
+        return
+    vertices.insert(min(at, len(vertices)), Vertex((0,) * (system.n + step)))
+    # No rows to read: a row read before the length check raises AttributeError.
+    rowless = types.SimpleNamespace(n=system.n)
+    for check in (rows_through, _rows_through_scanning_every_column):
+        with pytest.raises(ValueError, match=f"vertex has {system.n + step} bits, expected {system.n}"):
+            check(rowless, vertices)
 
 
 class _ClearedFormRead(Exception):

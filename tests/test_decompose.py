@@ -1,9 +1,12 @@
 import dataclasses
+import heapq
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubecover import (
     CoveringSystem,
@@ -17,6 +20,8 @@ from cubecover import (
     second_decomposition,
     validate_scales,
 )
+from cubecover.core import as_fractions, clear_row
+from cubecover.decompose import ClearedBlock
 from cubecover.refute import derived_column_budget, derived_scale_count
 
 PARAMS = Params()
@@ -538,3 +543,156 @@ def test_second_decomposition_k60_n400_under_a_second():
     # incremental kernel takes about 0.1 s there.
     assert time.perf_counter() - start < 1.0
     assert check_decomposition2(system, d)
+
+
+# ------------------------------- oracle for the threshold test of the first stage
+
+
+def _first_decomposition_building_every_mass(matrix, S, W, params=PARAMS):
+    """``first_decomposition`` as it stood before it skipped the column masses
+    when tau/W exceeds the row count, kept verbatim (docstring aside) as the
+    oracle of that skip: it always builds the masses and scans them for
+    heavy columns."""
+    if S < 1:
+        raise ValueError(f"S must be >= 1, got {S}")
+    w = Fraction(W)
+    if w <= 0:
+        raise ValueError(f"W must be positive, got {W}")
+    if not isinstance(matrix, ClearedBlock):
+        rows = [as_fractions(row) for row in matrix]
+        matrix = ClearedBlock([clear_row(row) for row in rows], len(rows[0]) if rows else 0)
+    ell, m = len(matrix.rows), matrix.m
+    tau = params.tau
+    tau_num, tau_den = tau.numerator, tau.denominator
+    threshold = tau / w
+    c1 = params.C1
+
+    scales: list[int] = []
+    col_sq: list[list[tuple[int, int]]] = [[] for _ in range(m)]  # (row, b_ij^2), b_ij != 0
+    row_sq: list[list[tuple[int, int]]] = []  # per row, (column, b_ij^2), b_ij != 0
+    for i, (cols, ints, _, mult) in enumerate(matrix.rows):
+        scales.append(mult)
+        entries = [(j, b * b) for j, b in zip(cols, ints)]
+        row_sq.append(entries)
+        for j, sq in entries:
+            col_sq[j].append((i, sq))
+    resid = [sum(sq for _, sq in entries) for entries in row_sq]  # sum over M1 of b_ij^2
+    q = [r if r > 0 else d * d for r, d in zip(resid, scales)]  # a zero row keeps norm 1
+    # Initial column masses sum_i b_ij^2 / q_i, as integers over the common
+    # L = lcm(q): column j's mass is col_num[j] / L.  It becomes a Fraction in
+    # ``mass`` when a renormalization first changes it.
+    common = math.lcm(*q)
+    col_num = [0] * m
+    for entries, qi in zip(row_sq, q):
+        weight = common // qi
+        for j, sq in entries:
+            col_num[j] += sq * weight
+    mass: dict[int, Fraction] = {}
+    # A heap of the heavy columns; a column leaving M1 is dropped when it
+    # surfaces.  Masses only grow, so each column crosses the threshold once.
+    heavy = [j for j, num in enumerate(col_num) if num * threshold.denominator >= threshold.numerator * common]
+
+    l1 = list(range(ell))
+    l2: list[int] = []
+    m1 = set(range(m))
+    m2: list[int] = []
+    renorms = [0] * ell
+    cuts: list[list[int]] = [[] for _ in range(ell)]  # len(M2) at each renormalization
+
+    def leave_m1(j: int) -> None:
+        m1.remove(j)
+        m2.append(j)
+        for i, sq in col_sq[j]:
+            resid[i] -= sq
+
+    while heavy:
+        pick = heapq.heappop(heavy)
+        if pick not in m1:
+            continue
+        leave_m1(pick)
+        departures: list[int] = []
+        for i in l1:
+            r = resid[i]
+            if r > 0 and r * tau_den <= tau_num * q[i]:
+                old = q[i]
+                q[i] = r
+                renorms[i] += 1
+                cuts[i].append(len(m2))
+                if renorms[i] == S:
+                    departures.append(i)
+                    continue  # its whole support leaves M1 below
+                for j, sq in row_sq[i]:
+                    if j in m1:
+                        before = mass[j] if j in mass else Fraction(col_num[j], common)
+                        mass[j] = before + Fraction(sq * (old - r), old * r)
+                        if before < threshold <= mass[j]:
+                            heapq.heappush(heavy, j)
+        for i in departures:
+            l1.remove(i)
+            l2.append(i)
+            for j, _ in row_sq[i]:
+                if j in m1:
+                    leave_m1(j)
+
+    # Parts between the cut points t_2..t_S, in departure order, which the
+    # output lists them in.
+    partitions: dict[int, ScalePartition] = {}
+    for i in l2:
+        bounds = [0, *cuts[i][1:]]
+        parts = [m2[a:b] for a, b in zip(bounds, bounds[1:])]
+        parts.append(m1.union(m2[bounds[-1]:]))
+        sq = dict(row_sq[i])
+        norms = tuple(Fraction(sum(sq.get(j, 0) for j in p), scales[i] ** 2) for p in parts)
+        partitions[i] = ScalePartition(
+            parts=tuple(tuple(sorted(p)) for p in parts), C1=c1, squared_norms=norms, smallest_scale_sq=norms[-1]
+        )
+
+    # Final renormalization to unit residual norm; not a scale boundary.
+    for i in l1:
+        if resid[i] > 0:
+            q[i] = resid[i]
+
+    return Decomposition1(
+        S=S,
+        W=w,
+        L1=tuple(l1),
+        L2=tuple(sorted(l2)),
+        M1=tuple(sorted(m1)),
+        M2=tuple(m2),
+        row_norm_sq=tuple(Fraction(qi, d * d) for qi, d in zip(q, scales)),
+        renorm_counts=tuple(renorms),
+        scale_partitions=partitions,
+    )
+
+
+_entries = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 7, 1000, 10**6)))
+
+
+@st.composite
+def _threshold_blocks(draw):
+    """(rows, S, tau/W): 1-6 rows over 1-8 columns, each a sparse random row,
+    a decay row or a single entry in the shared column 0 (so a column of mass
+    exactly l is common), with tau/W in {l - 1, l, just above l, 2l}."""
+    ell, m = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rows = []
+    for _ in range(ell):
+        kind = draw(st.sampled_from(("sparse", "decay", "shared")))
+        row = [Fraction(0)] * m
+        if kind == "shared":
+            row[0] = draw(_entries.filter(bool))
+        elif kind == "decay":
+            for t, j in enumerate(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4, unique=True))):
+                row[j] = Fraction(draw(st.sampled_from((-3, -1, 1, 2))), 1000**t)
+        else:
+            row = [draw(_entries) if draw(st.booleans()) else Fraction(0) for _ in range(m)]
+        rows.append(row)
+    threshold = draw(st.sampled_from((ell - 1, ell, ell + Fraction(1, 10**6), 2 * ell)))
+    return rows, draw(st.integers(1, 3)), max(threshold, Fraction(1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_threshold_blocks())
+def test_first_decomposition_matches_the_mass_building_oracle_around_the_row_count(case):
+    rows, s, threshold = case
+    w = TAU / threshold
+    assert first_decomposition(rows, s, w) == _first_decomposition_building_every_mass(rows, s, w)

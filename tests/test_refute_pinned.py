@@ -34,7 +34,7 @@ from pathlib import Path
 import pytest
 
 from _pins import record_missing
-from cubecover import lr_cover
+from cubecover import DEFAULT_PARAMS, lr_cover
 from cubecover.cli import run_command
 
 DATA = Path(__file__).parent / "data" / "refute_pinned.json"
@@ -182,6 +182,22 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
                  "decompose-second-decay-s3-w1over1000"):
         argv, text = runs[name]
         cases.append((f"{name}-csv", [*argv, "--format", "csv"], text))
+    # The heavy-column threshold tau/W at the bound on an initial column mass:
+    # a row adds at most 1 to a column's mass, so with l rows tau/W = l
+    # moves a column that all l rows share, and tau/W just above l moves none.
+    tau = DEFAULT_PARAMS.tau
+    ell = 3
+    shared = [[Fraction(c)] + [Fraction(0)] * 3 for c in (1, -2, 5)]
+    shared_text = _system_text(shared, [Fraction(0), Fraction(1), Fraction(5)])
+    for label, w in (("at-ell", tau / ell), ("above-ell", tau / (ell + Fraction(1, 10**6)))):
+        cases.append((f"decompose-first-shared-column-threshold-{label}",
+                      ["decompose", "--input", "-", "--seed", "3", "--stage", "first", "--s", "1", "--w", _fmt(w)],
+                      shared_text))
+    # A plank system refuted with tau/W just above and just below k = 4.
+    plank_text = _system_text(*_plank_system(random.Random(4), 4, 16))
+    for label, threshold in (("above-k", 4 + Fraction(1, 1000)), ("below-k", 4 - Fraction(1, 1000))):
+        cases.append((f"plank-4x16-threshold-{label}",
+                      ["refute", "--input", "-", "--seed", "5", "--w", _fmt(tau / threshold)], plank_text))
     return cases
 
 
