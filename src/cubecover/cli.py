@@ -8,6 +8,11 @@ the commands that draw random numbers (``SEEDED_COMMANDS``) read the seed;
 when one of them runs without --seed, a random seed is drawn and logged to
 stderr so the run can be replayed, and the output records it.  The others
 ignore --seed and log nothing.
+
+A command's options are parsed by that command's own subparser.  Only when
+argv names no command, or the subparser leaves arguments over, does the
+top-level parser parse argv again, so that help, usage and errors read as
+that parser gives them.
 """
 
 from __future__ import annotations
@@ -118,11 +123,12 @@ def _emit(doc: dict, fmt: str) -> str:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subparsers by command name, built once
+    per process.
 
-    Parsing does not modify the parser (every call gets a fresh namespace),
-    so all calls of run_command share this one.
+    Parsing does not modify the parsers (every call gets a fresh namespace),
+    so all calls of run_command share these.
     """
     parser = argparse.ArgumentParser(
         prog="cubecover",
@@ -193,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--w", type=str, required=True)
 
-    return parser
+    return parser, sub.choices
 
 
 def _params_from(args: argparse.Namespace, seed: int | None) -> Params:
@@ -351,9 +357,17 @@ _DISPATCH = {
 
 def run_command(argv: list[str]) -> CommandResult:
     """Parse argv, dispatch, and return (exit_code, stdout JSON, stderr text)."""
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # The top-level parser would hand argv[1:] to the command's subparser.
+        # With no command, or arguments left over, it parses argv itself, so
+        # that the usage and the error it prints are its own.
+        args, extra = None, None
+        if argv and argv[0] in commands:
+            args, extra = commands[argv[0]].parse_known_args(argv[1:])
+            args.command = argv[0]
+        if args is None or extra:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         ok = exc.code in (0, None)
         return CommandResult(0 if ok else 3, "", "" if ok else "argument parsing failed\n")

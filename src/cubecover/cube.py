@@ -42,7 +42,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, compress, islice, repeat
 from operator import and_, or_
 from typing import Sequence
 
@@ -90,9 +90,9 @@ def rows_through(system: CoveringSystem, vertices: Sequence[Vertex]) -> list[lis
     for x in vertices:
         if len(x) != n:
             raise ValueError(f"vertex has {len(x)} bits, expected {n}")
-    cols = [j for j in range(n) if any(x.bits[j] for x in vertices)]
+    cols = list(compress(range(n), map(any, zip(*[x.bits for x in vertices]))))
     # Each vertex's set columns, as positions in cols.
-    sets = [[t for t, j in enumerate(cols) if x.bits[j]] for x in vertices]
+    sets = [list(compress(range(len(cols)), [x.bits[j] for j in cols])) for x in vertices]
     hits: list[list[int]] = [[] for _ in vertices]
     for i, (row, mu) in enumerate(zip(system.rows, system.mu)):
         # (numerator, denominator) in one call per entry; zeros skip the scaling.

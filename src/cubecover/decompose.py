@@ -17,7 +17,8 @@ Two algorithms:
   zero-residual rows and their columns, until the leftover zero rows are few
   and all have large support on the final moved columns.  It clears nothing:
   each round hands the first decomposition the working rows of
-  ``CoveringSystem.cleared_rows``, restricted to the working columns.
+  ``CoveringSystem.cleared_rows``, restricted to the working columns once a
+  column has been absorbed and as they are before.
 
 Row blocks are named L1/L2 (first stage) and K1..K4 (second stage); column
 blocks M1/M2 and N1..N3.
@@ -102,6 +103,9 @@ def first_decomposition(
     columns only gains members while in M1.  The move picks the smallest
     heavy column, as a rescan of M1 in column order would.  ``row_norm_sq``
     is reported in the original units, Q_i / D_i^2 (1 for a zero row).
+    Under the initial normalizers b_ij^2 <= Q_i, so each of the l rows adds
+    at most 1 to a column's mass, which is then at most l: when tau/W > l
+    no column is heavy, nothing moves, and the masses are never built.
 
     M1 is always the complement of M2, so a renormalization records only
     t_s = |M2| at that moment: M1 was then [m] - M2[:t_s].  A row in L2 has
@@ -136,19 +140,22 @@ def first_decomposition(
             col_sq[j].append((i, sq))
     resid = [sum(sq for _, sq in entries) for entries in row_sq]  # sum over M1 of b_ij^2
     q = [r if r > 0 else d * d for r, d in zip(resid, scales)]  # a zero row keeps norm 1
-    # Initial column masses sum_i b_ij^2 / q_i, as integers over the common
-    # L = lcm(q): column j's mass is col_num[j] / L.  It becomes a Fraction in
-    # ``mass`` when a renormalization first changes it.
-    common = math.lcm(*q)
-    col_num = [0] * m
-    for entries, qi in zip(row_sq, q):
-        weight = common // qi
-        for j, sq in entries:
-            col_num[j] += sq * weight
     mass: dict[int, Fraction] = {}
     # A heap of the heavy columns; a column leaving M1 is dropped when it
     # surfaces.  Masses only grow, so each column crosses the threshold once.
-    heavy = [j for j, num in enumerate(col_num) if num * threshold.denominator >= threshold.numerator * common]
+    heavy: list[int] = []
+    t_num, t_den = threshold.numerator, threshold.denominator
+    if t_num <= ell * t_den:  # above ell no initial mass is heavy, and nothing moves
+        # Initial column masses sum_i b_ij^2 / q_i, as integers over the
+        # common L = lcm(q): column j's mass is col_num[j] / L.  It becomes a
+        # Fraction in ``mass`` when a renormalization first changes it.
+        common = math.lcm(*q)
+        col_num = [0] * m
+        for entries, qi in zip(row_sq, q):
+            weight = common // qi
+            for j, sq in entries:
+                col_num[j] += sq * weight
+        heavy = [j for j, num in enumerate(col_num) if num * t_den >= t_num * common]
 
     l1 = list(range(ell))
     l2: list[int] = []
@@ -381,10 +388,15 @@ def second_decomposition(
             n1, n2 = list(work_cols), []
             partitions = {}
             break
-        # The working rows of the cleared system, on the working columns.  The
-        # call looks up the public name, so a wrapper bound to it sees it.
-        index = {j: t for t, j in enumerate(work_cols)}
-        block = ClearedBlock([cleared[i].restricted(index) for i in work_rows], len(work_cols))
+        # The working rows of the cleared system, on the working columns: as
+        # they are while every column is working, else restricted.  The call
+        # looks up the public name, so a wrapper bound to it sees it.
+        if len(work_cols) == n:
+            rows = [cleared[i] for i in work_rows]
+        else:
+            index = {j: t for t, j in enumerate(work_cols)}
+            rows = [cleared[i].restricted(index) for i in work_rows]
+        block = ClearedBlock(rows, len(work_cols))
         d1 = first_decomposition(block, S, w, params)
         l1g = [work_rows[i] for i in d1.L1]
         l2g = [work_rows[i] for i in d1.L2]
