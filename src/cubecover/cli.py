@@ -359,9 +359,8 @@ def run_command(argv: list[str]) -> CommandResult:
     """Parse argv, dispatch, and return (exit_code, stdout JSON, stderr text)."""
     parser, commands = _build_parser()
     try:
-        # The top-level parser would hand argv[1:] to the command's subparser.
-        # With no command, or arguments left over, it parses argv itself, so
-        # that the usage and the error it prints are its own.
+        # The top-level parser would hand argv[1:] to the same subparser; it
+        # parses argv itself only to print its own usage and errors.
         args, extra = None, None
         if argv and argv[0] in commands:
             args, extra = commands[argv[0]].parse_known_args(argv[1:])

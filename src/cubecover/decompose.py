@@ -17,8 +17,8 @@ Two algorithms:
   zero-residual rows and their columns, until the leftover zero rows are few
   and all have large support on the final moved columns.  It clears nothing:
   each round hands the first decomposition the working rows of
-  ``CoveringSystem.cleared_rows``, restricted to the working columns once a
-  column has been absorbed and as they are before.
+  ``CoveringSystem.cleared_rows`` as they are until a column is absorbed,
+  and restricted to the working columns after.
 
 Row blocks are named L1/L2 (first stage) and K1..K4 (second stage); column
 blocks M1/M2 and N1..N3.

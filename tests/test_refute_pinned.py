@@ -14,7 +14,9 @@ and a dense rational copy of the row, before it read the parts off M2 at the
 renormalizations' cut points and the norms off the cleared row; the
 lr-14-minus-pair-sampled pin (a sampled N3 witness on draw 178) from the
 code whose sampler could still keep drawing after the witness; the *-csv
-pins from the code in which each report class wrote its own JSON dict.  Any
+pins from the code in which each report class wrote its own JSON dict; the
+*-threshold-* pins (tau/W at and around the row count) from the code that
+built every column mass whatever the threshold.  Any
 change to the arithmetic of the refute path that alters a single byte of
 output fails here.
 
