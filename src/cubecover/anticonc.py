@@ -13,7 +13,9 @@ window is a union of half-open integer intervals of them, derived once (with
 integer square roots where the window is quadratic).  Exact mode meets in the
 middle (Horowitz and Sahni, 1974): it tabulates the subset sums of each half
 of the coordinates, 2^(dim/2) terms each, and counts the pairs that land in a
-window by bisection.
+window by bisection.  Sampled mode packs each trial's draws into bytes and
+sums one 256-entry subset-sum table lookup per group of 8 coordinates; a
+vector wider than 256 coordinates sums its selected entries one by one.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
+from operator import add
 from typing import Sequence
 
 from .core import (
@@ -37,8 +40,11 @@ from .core import (
 )
 
 
-# Sampled trials drawn per getrandbits call, and the map from a byte to its top bit.
-_SAMPLE_CHUNK = 256
+# Sampled draws per getrandbits call (or one trial's, if more), the widest
+# vector whose sampled sums go through byte tables, and the map from a byte
+# to its top bit.
+_CHUNK_DRAWS = 1 << 14
+_TABLE_DIM = 256
 _TOP_BIT = bytes(b >> 7 for b in range(256))
 
 
@@ -81,6 +87,19 @@ def _integer_form(
     return scaled[: len(vec)], scaled[len(vec) :], mult
 
 
+def _byte_tables(ints: Sequence[int]) -> list[list[int]]:
+    """Per group of 8 coordinates, the subset sums indexed by a byte whose
+    bit k selects coordinate 8g + k.  A short last group's table repeats up
+    to 256 entries: the high bits of its byte belong to the next trial."""
+    tables = []
+    for g in range(0, len(ints), 8):
+        table = [0]
+        for c in ints[g : g + 8]:
+            table += [s + c for s in table]
+        tables.append(table * (256 // len(table)))
+    return tables
+
+
 def _shell_edges(total: int, qd: int, qn4: int, p_sq: int, r_sq: int) -> tuple[int, ...]:
     """Edges of {s : (2s - total)^2 qd p_sq >= qn4 r_sq and (2s - total)^2 qd r_sq <= qn4 p_sq}
     for qd, qn4, p_sq, r_sq >= 1: the s with a <= |2s - total| <= b."""
@@ -114,7 +133,11 @@ def _window_mass(
     number of sums in every interval shifted by -s, two bisections each.
     Sampled mode returns the hit frequency over ``trials`` draws: the same
     coordinate draws as one ``getrandbits(1)`` each, taken from one
-    ``getrandbits`` call per chunk of ``_SAMPLE_CHUNK`` trials.
+    ``getrandbits`` call per ``_CHUNK_DRAWS`` draws (at least one trial).
+    Up to ``_TABLE_DIM`` coordinates, a trial's sum is one lookup per group
+    of 8 coordinates, in a 256-entry table of the group's subset sums, by
+    the byte of its 8 draws; wider vectors, on which the tables measured
+    slower, sum the selected entries through ``compress``.
     """
     dim = len(ints)
     if mode == "exact":
@@ -134,17 +157,32 @@ def _window_mass(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     draw = random.Random(seed).getrandbits
+    tables = _byte_tables(ints) if 0 < dim <= _TABLE_DIM else None
+    per_call = max(1, _CHUNK_DRAWS // max(dim, 1))
     hits = 0
-    for done in range(0, trials, _SAMPLE_CHUNK):
-        chunk = min(_SAMPLE_CHUNK, trials - done)
-        # getrandbits(1) is the top bit of one 32-bit output, and
-        # getrandbits(32 m) packs m outputs least significant first: byte 3
-        # of each 4-byte word, translated to its top bit, is the same draw.
-        words = 4 * chunk * dim
-        bits = iter(draw(8 * words).to_bytes(words, "little")[3::4].translate(_TOP_BIT))
-        # compress reads one selector per entry of ints, so each trial takes
-        # the next dim bits from the shared iterator.
-        sums = map(sum, map(compress, repeat(ints, chunk), repeat(bits)))
+    for done in range(0, trials, per_call):
+        chunk = min(per_call, trials - done)
+        n = chunk * dim
+        # getrandbits(1) is the top bit of one 32-bit output, getrandbits(32 m)
+        # packs m outputs least significant first, and consecutive calls
+        # continue one stream: byte 3 of each 4-byte word, translated to its
+        # top bit, is the same draw.
+        bits = draw(32 * n).to_bytes(4 * n, "little")[3::4].translate(_TOP_BIT)
+        if tables is None:
+            # compress reads one selector per entry of ints, so each trial
+            # takes the next dim bits from the shared iterator.
+            sums = map(sum, map(compress, repeat(ints, chunk), repeat(iter(bits))))
+        else:
+            # Bit 8p of y is draw p; after the shift-ORs, byte p of y holds
+            # draws p..p+7, so byte t*dim + 8g selects trial t's group g.
+            y = int.from_bytes(bits, "little")
+            y |= y >> 7
+            y |= y >> 14
+            y |= y >> 28
+            packed = y.to_bytes(n, "little")
+            sums = map(tables[0].__getitem__, packed[::dim])
+            for g in range(1, len(tables)):
+                sums = map(add, sums, map(tables[g].__getitem__, packed[8 * g :: dim]))
         hits += sum(map((1).__and__, map(bisect_right, repeat(edges), sums)))
     return Fraction(hits, trials)
 

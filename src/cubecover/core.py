@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 
 class SystemFormatError(ValueError):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress
@@ -22,7 +23,8 @@ from cubecover import (
     unit_row,
     validate_scales,
 )
-from cubecover.anticonc import _SAMPLE_CHUNK, _integer_form, _shell_edges, _window_mass
+from cubecover import anticonc
+from cubecover.anticonc import _CHUNK_DRAWS, _TABLE_DIM, _integer_form, _shell_edges, _window_mass
 
 C1 = Params().C1  # 4 * 4.706^2 as an exact rational
 
@@ -502,14 +504,19 @@ def per_coordinate_mass(ints, edges, trials, seed):
 @st.composite
 def sampled_windows(draw):
     """(ints, edges, trials, seed): entries small or up to 10^30, dimension
-    1..40 (so above one 32-bit word of draws), edges among the reachable sums,
-    trial counts from 1 to past two chunks."""
-    ints = draw(st.lists(st.integers(-9, 9) | st.integers(-10**30, 10**30), min_size=1, max_size=40))
+    1..40 (so above one 32-bit word of draws) or next to the widest vector
+    summed through byte tables, edges among the reachable sums, trial counts
+    from 1 to past two getrandbits calls, and around 256 trials."""
+    entries = st.integers(-9, 9) | st.integers(-10**30, 10**30)
+    wide = st.sampled_from((_TABLE_DIM - 1, _TABLE_DIM, _TABLE_DIM + 1))
+    ints = draw(st.lists(entries, min_size=1, max_size=40)
+                | wide.flatmap(lambda d: st.lists(entries, min_size=d, max_size=d)))
     reach = sum(map(abs, ints)) + 1
     cuts = draw(st.lists(st.integers(-reach, reach), min_size=2, max_size=6, unique=True))
     edges = tuple(sorted(cuts)[: len(cuts) // 2 * 2])
-    chunk = _SAMPLE_CHUNK
-    trials = draw(st.integers(1, 40) | st.sampled_from((chunk - 1, chunk, chunk + 1, 2 * chunk + 3)))
+    per_call = _CHUNK_DRAWS // len(ints) or 1
+    trials = draw(st.integers(1, 40) | st.sampled_from((255, 256, 257, 515))
+                  | st.sampled_from((per_call - 1 or 1, per_call, per_call + 1, 2 * per_call + 3)))
     return ints, edges, trials, draw(st.integers(0, 2**64))
 
 
@@ -517,4 +524,41 @@ def sampled_windows(draw):
 @given(sampled_windows())
 def test_chunked_sampled_mass_matches_per_coordinate_draws(case):
     ints, edges, trials, seed = case
-    assert _window_mass(ints, edges, "sampled", trials, seed, Params(), "") == per_coordinate_mass(ints, edges, trials, seed)
+    expected = per_coordinate_mass(ints, edges, trials, seed)
+    # Compress at every dimension, the bound in use, and byte tables at every dimension.
+    for table_dim in (0, _TABLE_DIM, 10**6):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(anticonc, "_TABLE_DIM", table_dim)
+            assert _window_mass(ints, edges, "sampled", trials, seed, Params(), "") == expected, table_dim
+
+
+def test_sampled_mass_sums_through_byte_tables_up_to_the_bound(monkeypatch):
+    built, byte_tables = [], anticonc._byte_tables
+    monkeypatch.setattr(anticonc, "_byte_tables", lambda ints: built.append(len(ints)) or byte_tables(ints))
+    for dim in (1, _TABLE_DIM, _TABLE_DIM + 1):
+        _window_mass([1] * dim, (0, 1), "sampled", 3, 0, Params(), "")
+    assert built == [1, _TABLE_DIM]
+
+
+def test_byte_tables_index_subset_sums_by_byte():
+    ints = [3, -5, 10**30, 0, 7, 2, -1, 4, 9, 11, -6]
+    tables = anticonc._byte_tables(ints)
+    assert list(map(len, tables)) == [256, 256]
+    for byte in range(256):
+        assert tables[0][byte] == sum(c for k, c in enumerate(ints[:8]) if byte >> k & 1)
+        # Bits 3..7 of the short last group's byte belong to the next trial.
+        assert tables[1][byte] == sum(c for k, c in enumerate(ints[8:]) if byte >> k & 1)
+
+
+@pytest.mark.parametrize("dim, trials", [(4096, 300), (50000, 10)])
+def test_wide_sampled_mass_holds_one_call_of_draws_at_a_time(dim, trials):
+    # A call draws 4 bytes per coordinate draw and holds a few copies of
+    # them: at most _CHUNK_DRAWS draws, or one trial's if that is more.
+    ints = [(-1) ** j * (j % 97 + 1) for j in range(dim)]
+    tracemalloc.start()
+    try:
+        _window_mass(ints, (0, 1), "sampled", trials, 0, Params(), "")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * max(_CHUNK_DRAWS, dim)

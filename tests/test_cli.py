@@ -93,6 +93,15 @@ def test_non_integer_n_is_an_input_error(tmp_path, n):
     assert "n must be a positive integer" in result.stderr
 
 
+def test_non_ascii_digit_is_an_input_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 2, "rows": [["\u0661", "1"]], "mu": ["1"]}', encoding="utf-8")
+    result = run_command(["verify", "--input", str(path), "--seed", "0"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "row 0, column 0: bad rational" in result.stderr
+
+
 def test_missing_input_file():
     result = run_command(["verify", "--input", "/nonexistent/x.json", "--seed", "0"])
     assert result == (3, "", "input error: [Errno 2] No such file or directory: '/nonexistent/x.json'\n")

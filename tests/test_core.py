@@ -34,6 +34,13 @@ def test_parse_rational_rejects(bad):
         parse_rational(bad)
 
 
+# Digits of other scripts: int() reads them, and \d alone would match them.
+@pytest.mark.parametrize("bad", ["\u0661", "\uff15/\uff17", "1/\u0662", "-\u0663", "\u0967\u0966"])
+def test_parse_rational_rejects_non_ascii_digits(bad):
+    with pytest.raises(SystemFormatError, match="bad rational"):
+        parse_rational(bad, where="row 0, column 0")
+
+
 def test_parse_rational_zero_denominator():
     with pytest.raises(SystemFormatError, match="zero denominator"):
         parse_rational("1/0", where="row 1, column 0")

@@ -9,7 +9,8 @@ the middle; the CSV and `scales` cases at the end from the code in which
 each report class wrote its own JSON dict; the LR covers with n = 18..24,
 the 8 x 20 and 16 x 22 systems and the sampled cases at 1 and 4500 trials
 from the sweep that split at n/2 and the sampler that drew one bit per
-getrandbits call.  Any change to the sweep or to
+getrandbits call; the sampled cases at d = 1..257 from the sampler that
+summed each trial's entries through compress.  Any change to the sweep or to
 the anti-concentration arithmetic that alters a single byte of output
 (exit code, stdout or stderr) fails here.
 
@@ -84,6 +85,8 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
         cases.append((f"verify-dense-{k}x{n}", verify, _system_text(*_dense_system(rng, k, n, zeros))))
     rows, mu = _dense_system(rng, 3, 9)
     cases.append(("verify-duplicate-row", verify, _system_text([*rows, rows[1]], [*mu, mu[1]])))
+    # A digit of another script is not a digit of a rational.
+    cases.append(("verify-non-ascii-digit", verify, json.dumps({"n": 2, "rows": [["\u0661", "1"]], "mu": ["1"]})))
     lr = lr_cover(12)
     cases.append(("verify-above-cap", [*verify, "--cap", "10"], _system_text(lr.rows, lr.mu)))
     # Sizes at which the sweep's split point moves furthest from n/2: LR
@@ -161,6 +164,24 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
         cases.append((f"window-{name}-sampled-trials-{trials}",
                       ["window", "--input", "-", "--seed", "8", "--mode", "sampled", "--trials", trials],
                       json.dumps({"vector": vec})))
+    # Sampled mass on both sides of each 8-coordinate group boundary and of the
+    # widest vector summed through byte tables (256), on vectors with a zero
+    # entry (for d > 1) and with 10^30 and -10^30 as first and last entry, at
+    # one trial and at 257.  The atom is a sum of small entries, hit whenever
+    # the huge entries cancel and the rest lands on it.
+    for d in (1, 7, 8, 9, 16, 17, 24, 64, 256, 257):
+        base = [str((-1) ** j * (j * j % 19 + 1)) for j in range(d)]
+        zero = [*base[: d // 2], "0", *base[d // 2 + 1 :]]
+        huge = ["1" + "0" * 30, *base[1 : d - 1], "-1" + "0" * 30][:d]
+        for name, vec in (("zero", zero), ("huge", huge))[d == 1:]:
+            a = str(sum(int(c) for c in vec[1:8:2] if len(c) < 30))
+            for trials in ("1", "257"):
+                cases.append((f"atom-d{d}-{name}-sampled-trials-{trials}",
+                              ["atom-prob", "--input", "-", "--seed", "9", "--mode", "sampled", "--trials", trials],
+                              json.dumps({"vector": vec, "a": a})))
+                cases.append((f"window-d{d}-{name}-sampled-trials-{trials}",
+                              ["window", "--input", "-", "--seed", "10", "--mode", "sampled", "--trials", trials],
+                              json.dumps({"vector": vec})))
     # CSV: one key,value line per top-level key, each value a scalar as it
     # is, a rational as p/q, or compact JSON (lists, vertices, records).
     lr = lr_cover(6)
