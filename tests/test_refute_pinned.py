@@ -200,6 +200,43 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
     for label, threshold in (("above-k", 4 + Fraction(1, 1000)), ("below-k", 4 - Fraction(1, 1000))):
         cases.append((f"plank-4x16-threshold-{label}",
                       ["refute", "--input", "-", "--seed", "5", "--w", _fmt(tau / threshold)], plank_text))
+    # The same plank system with tau/W inside (0, 1): the heaviest columns
+    # move to N2, so N1 is a strict subset of the columns and each K3 row is
+    # restricted to it (uncovered at 1/20 and 1/8, the precondition fails on
+    # the restricted rows at 1/10).
+    for label, threshold in (("1over20", Fraction(1, 20)), ("1over10", Fraction(1, 10)), ("1over8", Fraction(1, 8))):
+        cases.append((f"plank-4x16-n1-subset-threshold-{label}",
+                      ["refute", "--input", "-", "--seed", "5", "--w", _fmt(tau / threshold)], plank_text))
+    # Zero spelled "0/7", "-0" and "+00" in rows and mu, beside plain "0";
+    # and a row that is zero in every spelling, which is an input error.
+    spellings = ("0/7", "-0", "+00", "0")
+    for name, argv, text in list(cases):
+        if name in ("random-6x36", "random-6x36-decompose", "plank-4x16"):
+            doc = json.loads(text)
+            zeros = iter(range(10**6))
+            respell = lambda c: spellings[next(zeros) % 4] if c == "0" else c
+            doc["rows"] = [[respell(c) for c in row] for row in doc["rows"]]
+            doc["mu"] = [respell(c) for c in doc["mu"]]
+            cases.append((f"{name}-zero-spellings", argv, json.dumps(doc)))
+    zero_row_text = json.dumps({"n": 4, "rows": [["1", "0", "-1/2", "0"], ["0/7", "-0", "+00", "0"]], "mu": ["-0", "0/3"]})
+    cases.append(("zero-row-spellings", ["refute", "--input", "-", "--seed", "3"], zero_row_text))
+    # The default W and S built from --c (the W multiplier) and --c5.
+    for name in ("random-6x36", "random-8x40", "lr-12"):
+        argv, text = runs[name]
+        for label, extra in (("c-3over2", ["--c", "3/2"]), ("c5-7", ["--c5", "7"]),
+                             ("c-1over3-c5-2", ["--c", "1/3", "--c5", "2"])):
+            cases.append((f"{name}-{label}", [*argv, *extra], text))
+    # The second decomposition on a non-default gamma: its output holds both
+    # hypothesis sides.
+    for name in ("random-8x40-decompose", "random-12x60-decompose"):
+        argv, text = runs[name]
+        for gamma in ("1/2", "1"):
+            cases.append((f"{name}-gamma-{gamma.replace('/', 'over')}", [*argv, "--stage", "second", "--gamma", gamma],
+                          text))
+    block_text = _system_text(*_block_system(random.Random(1), 6, 80))
+    cases.append(("decompose-second-blocks-1-6x80-s1-w10-gamma-2over3",
+                  ["decompose", "--input", "-", "--seed", "3", "--stage", "second", "--s", "1", "--w", "10",
+                   "--gamma", "2/3"], block_text))
     return cases
 
 
