@@ -109,6 +109,19 @@ def _unit_row(values: list, where: str) -> UnitRow:
     return unit_row(coeffs)
 
 
+def _ascii_int(text: str) -> int:
+    """An integer option: ``int(text)`` on ASCII text without "_", whose
+    digits, sign and whitespace ``int`` reads as it does everywhere else; any
+    other text (a non-ASCII digit such as "\u0666", or "1_0") is an error."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
+# argparse names the type of a bad value by its __name__: "invalid int value".
+_ascii_int.__name__ = "int"
+
+
 def _emit(doc: dict, fmt: str) -> str:
     """The document as indented JSON, or as CSV: one key,value line per key,
     a scalar or a rational as its text and any other value as compact JSON."""
@@ -138,14 +151,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     reads = {
         "--input": {"help": "input JSON file, or '-' for stdin"},
-        "--cap": {"type": int, "default": None, "help": "enumeration cap override"},
-        "--trials": {"type": int, "default": None, "help": "sampling budget override"},
+        "--cap": {"type": _ascii_int, "default": None, "help": "enumeration cap override"},
+        "--trials": {"type": _ascii_int, "default": None, "help": "sampling budget override"},
     }
 
     def common(p: argparse.ArgumentParser, *flags: str) -> None:
         """--seed and --format on every command; each of ``flags`` (--input,
         --cap, --trials) only on the commands that read it."""
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (random and logged if omitted)")
+        p.add_argument("--seed", type=_ascii_int, default=None, help="RNG seed (random and logged if omitted)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         for flag in flags:
             p.add_argument(flag, **reads[flag])
@@ -155,11 +168,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("construct-lr", help="emit the n/2+1 reference cover")
     common(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
 
     p = sub.add_parser("decompose", help="run the first or second decomposition")
     common(p, "--input")
-    p.add_argument("--s", type=int, default=None, help="scale count S")
+    p.add_argument("--s", type=_ascii_int, default=None, help="scale count S")
     p.add_argument("--w", type=str, default=None, help="column budget W (rational)")
     p.add_argument("--gamma", type=str, default=None, help="absorption exponent (rational in (0,1])")
     p.add_argument("--stage", choices=("first", "second"), default="second")
@@ -176,7 +189,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("scales", help="greedy scale partition of a vector")
     common(p, "--input")
-    p.add_argument("--target-s", type=int, default=None)
+    p.add_argument("--target-s", type=_ascii_int, default=None)
 
     p = sub.add_parser("window", help="concentration-window probability of a unit row")
     common(p, "--input", "--cap", "--trials")
@@ -185,7 +198,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("refute", help="assemble an uncovered vertex or report the failed stage")
     common(p, "--input", "--cap", "--trials")
-    p.add_argument("--s", type=int, default=None)
+    p.add_argument("--s", type=_ascii_int, default=None)
     p.add_argument("--w", type=str, default=None)
     p.add_argument("--c5", type=str, default=None)
     p.add_argument("--c", type=str, default=None, help="multiplier for the default W shape")
@@ -194,9 +207,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("bounds", help="evaluate the pipeline hypothesis inequalities")
     common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
+    p.add_argument("--k", type=_ascii_int, required=True)
+    p.add_argument("--s", type=_ascii_int, required=True)
     p.add_argument("--w", type=str, required=True)
 
     return parser, sub.choices

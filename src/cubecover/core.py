@@ -16,7 +16,7 @@ place a system's rows are cleared.  A stage that works on some rows and
 columns takes them from there with ``ClearedRow.restricted`` (renumbered,
 same D), ``CoveringSystem.restrict`` builds a subsystem that carries them,
 and ``UnitRow.with_cleared`` a unit row that does.  ``parse_system`` parses
-each distinct entry string once.
+each distinct entry string once (``_parse_entries``).
 
 Results are written by one rule, ``wire``, the ``default=`` hook of every
 ``json.dumps`` that writes one: a rational is its ratstr "p" or "p/q", a
@@ -31,11 +31,13 @@ import math
 import re
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
+# bytes.translate table from the text "0101..." to the bit values 0 and 1.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class SystemFormatError(ValueError):
@@ -86,7 +88,8 @@ class Vertex:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
+        # count() compares with ==, as ``in`` does: 1.0 and True count as 1.
+        if self.bits.count(0) + self.bits.count(1) != len(self.bits):
             raise ValueError(f"vertex bits must be 0/1, got {self.bits}")
 
     def __len__(self) -> int:
@@ -100,7 +103,11 @@ class Vertex:
 
     @classmethod
     def from_code(cls, code: int, n: int) -> "Vertex":
-        return cls(tuple((code >> (n - 1 - j)) & 1 for j in range(n)))
+        """The vertex whose coordinate j is bit n-1-j of ``code``: the low n
+        bits of its two's complement, so any int gives n bits."""
+        # A leading 1 makes the binary text exactly n + 1 digits, also at n = 0.
+        text = format((code & ((1 << n) - 1)) | (1 << n), "b")
+        return cls(tuple(text[1:].encode().translate(_BIT_BYTES)))
 
 
 def wire(obj: object) -> object:
@@ -143,7 +150,7 @@ class CoveringSystem:
         for i, row in enumerate(self.rows):
             if len(row) != self.n:
                 raise SystemFormatError(f"row {i} has {len(row)} entries, expected {self.n}")
-            if all(c == 0 for c in row):
+            if not any(row):
                 raise SystemFormatError(f"zero row at index {i}")
 
     @classmethod
@@ -203,21 +210,23 @@ class CoveringSystem:
 
 def _parse_entries(raw: list, where, parsed: dict[str, Fraction]) -> tuple[Fraction, ...]:
     """Parse a list of rationals, each distinct string once: ``parsed`` maps the
-    strings already seen to their values.  ``where(j)`` names entry j, and is
-    only formatted once some entry has failed to parse."""
-    out = []
+    strings already seen to their values, and gains the new ones.  Equal
+    strings give one Fraction object.
+
+    Only the entries not in ``parsed`` are parsed, and the values are then
+    looked up in entry order, both in C-level loops.  When an entry fails
+    (a bad string, a number, or a list or dict, which is unhashable) the
+    entries are parsed again in order, naming the place of the first bad
+    one: ``where(j)`` names entry j, and is only formatted then."""
     try:
-        for c in raw:
-            x = parsed.get(c) if type(c) is str else None
-            if x is None:
-                # A non-string entry fails here, before it could be stored.
-                x = parsed[c] = parse_rational(c)
-            out.append(x)
-    except SystemFormatError:
+        for c in set(raw).difference(parsed):
+            # A non-string entry fails here, before it could be stored.
+            parsed[c] = parse_rational(c)
+    except (SystemFormatError, TypeError):
         for j, c in enumerate(raw):
             parse_rational(c, where=where(j))
         raise
-    return tuple(out)
+    return tuple(map(parsed.__getitem__, raw))
 
 
 def parse_system(text: str) -> CoveringSystem:
@@ -359,9 +368,24 @@ def unit_row(coeffs: Sequence[Fraction | int | str]) -> UnitRow:
     return UnitRow(coeffs=vec, norm_sq=q)
 
 
+# typed: an int C0 gives int C1 and C3 (and a float tau), a Fraction equal
+# to it Fractions, so the two must not share an entry.
+@lru_cache(maxsize=None, typed=True)
+def _derived_constants(C0: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """(C1, C3, tau) for one C0: C1 = 4 C0^2, C3 = 1 + C1^2 and tau = 1/C3,
+    so that (1 - tau) / tau = C1^2."""
+    c1 = 4 * C0 * C0
+    c3 = 1 + c1 * c1
+    return c1, c3, 1 / c3
+
+
 @dataclass(frozen=True)
 class Params:
     """Global tunables; the derived constants C1, tau, C3 follow from C0.
+
+    They are computed once per C0 value, not per instance, since every
+    command builds a Params of its own (``_derived_constants``), and kept
+    on the instance on first access.
 
     S and W default to None, meaning "derive from the instance" (the
     refutation pipeline uses S = floor(C5 * ln n) and
@@ -379,19 +403,18 @@ class Params:
     seed: int = 0
     require_hypotheses: bool = False
 
-    # Computed on first access and kept: the instance is frozen.
+    # Looked up on first access and kept: the instance is frozen.
     @cached_property
     def C1(self) -> Fraction:
-        return 4 * self.C0 * self.C0
-
-    @cached_property
-    def tau(self) -> Fraction:
-        # (1 - tau) / tau = C1^2
-        return 1 / self.C3
+        return _derived_constants(self.C0)[0]
 
     @cached_property
     def C3(self) -> Fraction:
-        return 1 + self.C1 * self.C1
+        return _derived_constants(self.C0)[1]
+
+    @cached_property
+    def tau(self) -> Fraction:
+        return _derived_constants(self.C0)[2]
 
 
 DEFAULT_PARAMS = Params()

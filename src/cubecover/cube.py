@@ -84,15 +84,16 @@ def rows_through(system: CoveringSystem, vertices: Sequence[Vertex]) -> list[lis
     rational ``system.rows`` and ``system.mu`` only, never ``cleared_rows``.
     Each row is taken on the columns set in at least one vertex and scaled,
     with mu_i, by the least common denominator of its nonzero entries there
-    and mu_i; each vertex then costs one integer subset sum per row.
+    and mu_i; each vertex then costs one integer subset sum per row,
+    ``sum(compress(ints, bits))`` over its bits on those columns.
     """
     n = system.n
     for x in vertices:
         if len(x) != n:
             raise ValueError(f"vertex has {len(x)} bits, expected {n}")
     cols = list(compress(range(n), map(any, zip(*[x.bits for x in vertices]))))
-    # Each vertex's set columns, as positions in cols.
-    sets = [list(compress(range(len(cols)), [x.bits[j] for j in cols])) for x in vertices]
+    # Each vertex's bits on cols.
+    bits_on_cols = [list(map(x.bits.__getitem__, cols)) for x in vertices]
     hits: list[list[int]] = [[] for _ in vertices]
     for i, (row, mu) in enumerate(zip(system.rows, system.mu)):
         # (numerator, denominator) in one call per entry; zeros skip the scaling.
@@ -101,8 +102,8 @@ def rows_through(system: CoveringSystem, vertices: Sequence[Vertex]) -> list[lis
         d = math.lcm(bottom, *[q for p, q in pairs if p])
         ints = [p * (d // q) if p else 0 for p, q in pairs]
         target = top * (d // bottom)
-        for hit, on in zip(hits, sets):
-            if sum([ints[t] for t in on]) == target:
+        for hit, bits in zip(hits, bits_on_cols):
+            if sum(compress(ints, bits)) == target:
                 hit.append(i)
     return hits
 

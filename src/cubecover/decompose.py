@@ -30,6 +30,7 @@ import heapq
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 from .anticonc import ScalePartition, validate_scales
@@ -105,7 +106,10 @@ def first_decomposition(
     is reported in the original units, Q_i / D_i^2 (1 for a zero row).
     Under the initial normalizers b_ij^2 <= Q_i, so each of the l rows adds
     at most 1 to a column's mass, which is then at most l: when tau/W > l
-    no column is heavy, nothing moves, and the masses are never built.
+    no column is heavy and nothing moves.  That path builds no per-entry
+    tables and no masses: it reads each row's squared norm,
+    ``sum(map(mul, ints, ints))``, and reports every row in L1 and every
+    column in M1.
 
     M1 is always the complement of M2, so a renormalization records only
     t_s = |M2| at that moment: M1 was then [m] - M2[:t_s].  A row in L2 has
@@ -129,16 +133,8 @@ def first_decomposition(
     threshold = tau / w
     c1 = params.C1
 
-    scales: list[int] = []
-    col_sq: list[list[tuple[int, int]]] = [[] for _ in range(m)]  # (row, b_ij^2), b_ij != 0
-    row_sq: list[list[tuple[int, int]]] = []  # per row, (column, b_ij^2), b_ij != 0
-    for i, (cols, ints, _, mult) in enumerate(matrix.rows):
-        scales.append(mult)
-        entries = [(j, b * b) for j, b in zip(cols, ints)]
-        row_sq.append(entries)
-        for j, sq in entries:
-            col_sq[j].append((i, sq))
-    resid = [sum(sq for _, sq in entries) for entries in row_sq]  # sum over M1 of b_ij^2
+    scales = [row.D for row in matrix.rows]
+    resid = [sum(map(mul, row.ints, row.ints)) for row in matrix.rows]  # sum over M1 of b_ij^2
     q = [r if r > 0 else d * d for r, d in zip(resid, scales)]  # a zero row keeps norm 1
     mass: dict[int, Fraction] = {}
     # A heap of the heavy columns; a column leaving M1 is dropped when it
@@ -146,6 +142,13 @@ def first_decomposition(
     heavy: list[int] = []
     t_num, t_den = threshold.numerator, threshold.denominator
     if t_num <= ell * t_den:  # above ell no initial mass is heavy, and nothing moves
+        col_sq: list[list[tuple[int, int]]] = [[] for _ in range(m)]  # (row, b_ij^2), b_ij != 0
+        row_sq: list[list[tuple[int, int]]] = []  # per row, (column, b_ij^2), b_ij != 0
+        for i, (cols, ints, _, _) in enumerate(matrix.rows):
+            entries = [(j, b * b) for j, b in zip(cols, ints)]
+            row_sq.append(entries)
+            for j, sq in entries:
+                col_sq[j].append((i, sq))
         # Initial column masses sum_i b_ij^2 / q_i, as integers over the
         # common L = lcm(q): column j's mass is col_num[j] / L.  It becomes a
         # Fraction in ``mass`` when a renormalization first changes it.
@@ -325,8 +328,13 @@ def _gamma_exceeds(count: int, base: int, gamma: Fraction) -> bool:
 
 def hypothesis_sides(n: int, k: int, S: int, W: Fraction, params: Params) -> tuple[tuple[Fraction, Fraction], ...]:
     """(lhs, rhs) of the two hypotheses of the second decomposition:
-    C3*k*S*W <= n/8 and k^5 (S*W)^2 <= C4^5 n^3."""
-    return (params.C3 * k * S * W, Fraction(n, 8)), (k**5 * (S * W) ** 2, C4**5 * n**3)
+    C3*k*S*W <= n/8 and k^5 (S*W)^2 <= C4^5 n^3.  Each side is one Fraction,
+    built from integers."""
+    c3, w_num, w_den = params.C3, W.numerator, W.denominator
+    return (
+        (Fraction(c3.numerator * k * S * w_num, c3.denominator * w_den), Fraction(n, 8)),
+        (Fraction(k**5 * (S * w_num) ** 2, w_den**2), Fraction(C4.numerator**5 * n**3, C4.denominator**5)),
+    )
 
 
 def second_decomposition(
@@ -371,7 +379,7 @@ def second_decomposition(
     q_final: dict[int, Fraction] = {}
     for i in k1:
         _, ints, _, mult = cleared[i]
-        q_final[i] = Fraction(sum(b * b for b in ints), mult * mult)
+        q_final[i] = Fraction(sum(map(mul, ints, ints)), mult * mult)
     trace: list[dict] = []
     if n3 or k1:
         trace.append(

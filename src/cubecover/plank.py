@@ -25,13 +25,25 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import reduce
+from itertools import compress, repeat, starmap
+from operator import add, lt, truediv
+from typing import Iterable, Sequence
 
 from .core import Params, DEFAULT_PARAMS, UnitRow, Vertex
 
 # Slack of the float checks: M's symmetry and diagonal in bang_signs, and
 # ||y'||_inf <= 1 in the finder.
 FLOAT_TOL = 1e-9
+
+
+def _float_sum(values: Iterable[float]) -> float:
+    """The plain left-to-right sum of ``values``, as ``sum`` gives it through
+    Python 3.11.  From 3.12 on ``sum`` compensates the rounding of float
+    terms, which moves the last bits of some sums and, through the sign
+    search and the rounding draws, the vertex returned; every float sum of
+    this module goes through here, so outputs are equal on every version."""
+    return reduce(add, values, 0)
 
 
 class PlankPreconditionError(ValueError):
@@ -111,7 +123,7 @@ def bang_signs(
     rng = random.Random(seed)
     eps = [1 if rng.getrandbits(1) else -1 for _ in range(k)]
     u = [theta[t] * eps[t] for t in range(k)]
-    Mu = [sum(rows[t][j] * u[j] for j in range(k)) for t in range(k)]
+    Mu = [_float_sum(rows[t][j] * u[j] for j in range(k)) for t in range(k)]
     flips = 0
     while True:
         best_t = -1
@@ -130,7 +142,7 @@ def bang_signs(
         for t in range(k):
             Mu[t] += rows[t][best_t] * delta
         flips += 1
-    objective = sum(Mu[t] * u[t] for t in range(k)) - 2.0 * sum(
+    objective = _float_sum(Mu[t] * u[t] for t in range(k)) - 2.0 * _float_sum(
         u[t] * zeta[t] for t in range(k)
     )
     return SignVector(signs=tuple(eps), flips=flips, objective=objective)
@@ -209,7 +221,7 @@ def find_uncovered_small_norm(
     # Each row as its nonzero (column, coefficient / sqrt(q)) pairs in column
     # order.  A zero term leaves a float sum unchanged, so every sum below
     # equals its dense form bit for bit.  ``checks`` holds, per row, what the
-    # rounding tests: the cleared (column, b_j) pairs, D and the target.
+    # rounding tests: the cleared row's support and b_j, D and the target.
     vf, mu_f, checks = [], [], []
     for r, t in zip(rows, targets):
         support, ints, _, mult = r.cleared
@@ -218,15 +230,15 @@ def find_uncovered_small_norm(
         # rounded, as float() of the Fraction is.
         vf.append([(j, b / mult / root) for j, b in zip(support, ints)])
         mu_f.append(float(t) / root)
-        checks.append((list(zip(support, ints)), mult, t))
+        checks.append((support, ints, mult, t))
     theta = math.sqrt(2.0 * math.log(4.0 * ell))
-    zeta = [2.0 * mu_f[i] - sum(v for _, v in vf[i]) for i in range(ell)]
+    zeta = [2.0 * mu_f[i] - _float_sum(v for _, v in vf[i]) for i in range(ell)]
     lookup = [dict(entries) for entries in vf]
     gram = [[0.0] * ell for _ in range(ell)]
     for i in range(ell):
         for i2 in range(i, ell):
             other = lookup[i2]
-            gram[i][i2] = gram[i2][i] = sum(v * other[j] for j, v in vf[i] if j in other)
+            gram[i][i2] = gram[i2][i] = _float_sum(v * other[j] for j, v in vf[i] if j in other)
     seed = params.seed if seed is None else seed
     rng = random.Random(seed)
     sv = bang_signs(gram, zeta, [theta] * ell, seed=rng.getrandbits(63))
@@ -240,15 +252,18 @@ def find_uncovered_small_norm(
         raise RuntimeError(
             f"||y'||_inf = {overflow} exceeds 1; the precondition should forbid this"
         )
-    y = [min(1.0, max(0.0, (c + 1.0) / 2.0)) for c in y_prime]
+    # min(1, max(0, (c + 1) / 2)) per coordinate, in C-level loops.
+    y = list(map(min, repeat(1.0), map(max, repeat(0.0), map(truediv, map((1.0).__add__, y_prime), repeat(2.0)))))
 
     for attempt in range(1, params.sample_cap + 1):
-        w = [1 if rng.random() < y_j else 0 for y_j in y]
-        for terms, mult, t in checks:
-            if sum(b for j, b in terms if w[j]) * t.denominator == t.numerator * mult:
+        # w_j = 1 iff the j-th draw of rng.random() is below y_j, drawn in
+        # coordinate order.
+        w = tuple(map(int, map(lt, starmap(rng.random, repeat((), m)), y)))
+        for support, ints, mult, t in checks:
+            if sum(compress(ints, map(w.__getitem__, support))) * t.denominator == t.numerator * mult:
                 break
         else:
-            return Vertex(tuple(w)), attempt
+            return Vertex(w), attempt
     raise SampleCapError(
         f"no separated vertex within {params.sample_cap} rounding samples", params.sample_cap
     )

@@ -8,7 +8,9 @@ K3 x N1 block.  Every stage reads ``CoveringSystem.cleared_rows`` and
 clears no row again: the decomposition restricts them to each round's
 working block, the N3 subcube is a ``CoveringSystem.restrict`` that carries
 them (and the rational rows, for the exact re-check of a sampled witness),
-and the K3 unit rows carry them restricted to N1.  For the K2/K4
+and the K3 unit rows carry them restricted to N1.  When N1 is every column
+(as on a plank system where nothing moves), each K3 row's cleared form and
+rational row are handed over as they are, with no copy.  For the K2/K4
 certificate and the K3 block each row's integer terms, its target (D*mu_i
 less the entries on the set columns) and, for K4, its Cauchy-Schwarz bound
 are computed once, so a draw of the N2 sampler costs one integer sum per
@@ -28,6 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Mapping
 
 from .core import ClearedRow, CoveringSystem, Params, DEFAULT_PARAMS, UnitRow, Vertex
@@ -76,16 +79,29 @@ def derived_scale_count(n: int, params: Params = DEFAULT_PARAMS) -> int:
     return max(1, int(float(params.C5) * math.log(n))) if n > 1 else 1
 
 
+def _log_ratio(n: int) -> tuple[int, int]:
+    """The float ln(n) (1.0 when n <= 1) as an exact integer ratio."""
+    return math.log(n).as_integer_ratio() if n > 1 else (1, 1)
+
+
 def column_budget_floor(n: int, k: int) -> Fraction:
-    """ln(n) * k^2 / n (k^2 when n = 1), frozen as an exact rational."""
-    return Fraction(math.log(n) if n > 1 else 1.0) * k * k / n
+    """ln(n) * k^2 / n (k^2 when n = 1), frozen as an exact rational.
+
+    The float ln(n) is read exactly, and the Fraction built once, from
+    integers."""
+    p, q = _log_ratio(n)
+    return Fraction(p * k * k, q * n)
 
 
 def derived_column_budget(n: int, k: int, params: Params = DEFAULT_PARAMS) -> Fraction:
-    """Default W = w_multiplier * ln(n) * k^2 / n, frozen as an exact rational."""
+    """Default W = w_multiplier * ln(n) * k^2 / n, frozen as an exact rational
+    (1/100 when that is not positive), built once from integers as
+    ``column_budget_floor`` is."""
     if params.W is not None:
         return Fraction(params.W)
-    w = params.w_multiplier * column_budget_floor(n, k)
+    c = params.w_multiplier
+    p, q = _log_ratio(n)
+    w = Fraction(c.numerator * p * k * k, c.denominator * q * n)
     return w if w > 0 else Fraction(1, 100)
 
 
@@ -241,7 +257,8 @@ def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) 
     fixed.update(w2)
     n1_bits: dict[int, int] = {j: 0 for j in d.N1}
     if d.K3:
-        n1_index = {j: t for t, j in enumerate(d.N1)}
+        whole = len(d.N1) == n  # N1 is every column: the rows go over as they are
+        n1_index = None if whole else {j: t for t, j in enumerate(d.N1)}
         set_cols = {j for j in (*d.N2, *d.N3) if fixed[j]}
         block, targets = [], []
         for i in d.K3:
@@ -249,9 +266,12 @@ def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) 
             # there, which the plank stage reads as is, and mu_i less the
             # entries on the set columns.
             row = system.cleared_rows[i]
-            local = row.restricted(n1_index)._replace(rhs=0)
-            norm = sum(b * b for b in local.ints)
-            coeffs = tuple([system.rows[i][j] for j in d.N1])
+            if whole:
+                local, coeffs = row._replace(rhs=0), system.rows[i]
+            else:
+                local = row.restricted(n1_index)._replace(rhs=0)
+                coeffs = tuple(map(system.rows[i].__getitem__, d.N1))
+            norm = sum(map(mul, local.ints, local.ints))
             block.append(UnitRow.with_cleared(coeffs, Fraction(norm, row.D * row.D), local))
             targets.append(Fraction(_target_less(row, set_cols), row.D))
         precheck = check_small_norm_precondition(block)
@@ -271,7 +291,7 @@ def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) 
         n1_bits = {j: bit for j, bit in zip(d.N1, witness.bits)}
 
     fixed.update(n1_bits)
-    u = Vertex(tuple(fixed[j] for j in range(n)))
+    u = Vertex(tuple(map(fixed.__getitem__, range(n))))
     violating = rows_through(system, [u])[0]
     if violating:
         # The per-block certificates make this unreachable; report honestly

@@ -13,6 +13,7 @@ import pytest
 
 from _pins import record_missing
 from cubecover import lr_cover, parse_system
+from cubecover import cli
 from cubecover.cli import _DISPATCH, run_command
 from test_refute_pinned import _block_system, _system_text
 
@@ -352,6 +353,35 @@ def test_sampling_budget_and_cap_are_range_checked(tmp_path, command, flag, valu
         assert result == (3, "", f"input error: {message}\n")
 
 
+# Every integer option, on a command that reads it.  argparse's type=int
+# read a non-ASCII digit ("\u0666" as 6) and "1_0" as 10.
+INT_OPTIONS = (
+    ("construct-lr", "--n"), ("bounds", "--n"), ("bounds", "--k"), ("bounds", "--s"), ("decompose", "--s"),
+    ("refute", "--s"), ("refute", "--seed"), ("refute", "--trials"), ("refute", "--cap"), ("scales", "--target-s"),
+)
+
+
+@pytest.mark.parametrize("command, flag", INT_OPTIONS, ids=[c + f for c, f in INT_OPTIONS])
+@pytest.mark.parametrize("value", ["\u0666", "1_0", "\uff11", "4\u00a0"])
+def test_integer_options_read_ascii_digits_only(tmp_path, command, flag, value):
+    argv = valid_argv(tmp_path, command)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    if flag != "--seed":
+        argv += ["--seed", "0"]
+    assert run_command(argv) == (3, "", "argument parsing failed\n")
+
+
+@pytest.mark.parametrize("text, value", [("4", 4), ("+4", 4), (" 12\t", 12), ("007", 7), ("-0", 0), ("-3", -3)])
+def test_integer_options_keep_int_syntax(text, value):
+    assert cli._ascii_int(text) == value
+    if value > 0:
+        result = run_command(["bounds", "--n", "100", "--k", text, "--s", "2", "--w", "1"])
+        assert result.exit_code == 0 and json.loads(result.stdout)["k"] == value
+
+
 def test_csv_format_flattens_top_level(tmp_path):
     path = write(tmp_path, "v.json", {"vector": ["1", "1"], "a": "1"})
     result = run_command(["atom-prob", "--input", path, "--seed", "0", "--format", "csv"])
@@ -489,6 +519,7 @@ ARGPARSE_ARGVS = (
     ["refute", "--input", "-", "--seed", "1", "--", "extra"],
     ["bounds", "--n", "100", "--k", "3", "--s", "2", "--w", "1"],
     ["bounds", "--n", "100", "--k", "3", "--s", "2", "--w", "1", "--n", "50", "stray"],
+    ["construct-lr", "--n", "\u0666", "--seed", "0"], ["construct-lr", "--n", "1_0"],
 )
 ARGPARSE_CASES = [(f"{PYTHON} {' '.join(argv) or '(no arguments)'}", argv, LR4_TEXT) for argv in ARGPARSE_ARGVS]
 

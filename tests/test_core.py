@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import cubecover.core as core
 from cubecover import (
     CoveringSystem,
     Params,
     SystemFormatError,
+    Vertex,
     apply_rescaling,
     enumerate_uncovered,
     format_rational,
@@ -217,6 +219,15 @@ def test_params_derived_constants(c0):
     assert Params().C0 == Fraction(4706, 1000)
 
 
+def test_params_derived_constants_are_shared_per_c0_and_type():
+    # One computation per C0 value: two instances read the same objects.
+    assert Params(seed=1).tau is Params(seed=2).tau and Params(seed=1).C3 is Params(seed=2).C3
+    # An int C0 and the equal Fraction are different keys: each keeps its
+    # own arithmetic (int C1 and C3 with a float tau, or all Fractions).
+    assert type(Params(C0=5).tau) is float and type(Params(C0=Fraction(5)).tau) is Fraction
+    assert type(Params(C0=Fraction(5)).C1) is Fraction and type(Params(C0=5).C1) is int
+
+
 def test_restrict_carries_the_cleared_rows():
     from cubecover.core import ClearedRow, clear_row
 
@@ -229,3 +240,109 @@ def test_restrict_carries_the_cleared_rows():
     # its 2/5 and keeps D = 5 where clear_row would take 1.
     assert sub.cleared_rows == [clear_row(fresh.rows[0], fresh.mu[0]), ClearedRow([1, 2], [5, 15], 10, 5)]
     assert enumerate_uncovered(sub) == enumerate_uncovered(fresh)
+
+
+# The entry parser and the vertex constructors as they were before they ran
+# their loops in C (set difference, map, format, tuple.count), kept verbatim
+# as oracles.
+def _parse_entries_oracle(raw, where, parsed):
+    out = []
+    try:
+        for c in raw:
+            x = parsed.get(c) if type(c) is str else None
+            if x is None:
+                # A non-string entry fails here, before it could be stored.
+                x = parsed[c] = parse_rational(c)
+            out.append(x)
+    except SystemFormatError:
+        for j, c in enumerate(raw):
+            parse_rational(c, where=where(j))
+        raise
+    return tuple(out)
+
+
+def _from_code_oracle(code, n):
+    return tuple((code >> (n - 1 - j)) & 1 for j in range(n))
+
+
+def _vertex_bits_ok_oracle(bits):
+    return not any(b not in (0, 1) for b in bits)
+
+
+GOOD_ENTRIES = st.one_of(
+    st.sampled_from(["0", "0/7", "-0", "+00", " 1", "1", "01", "-2/4", "1/2", "3", " -1/2 ", "10/5"]),
+    rationals.map(str),
+)
+BAD_ENTRIES = st.one_of(
+    st.sampled_from(["", "x", "1.5", "3/0", "1/2 x", "١", "--1", "7 /0"]),
+    st.sampled_from([1, 0, 1.0, 0.5, True, False, None, [], ["1"], {"p": 1}, {}]),
+)
+
+
+def _outcome(parse, raw, parsed):
+    try:
+        return "ok", parse(raw, lambda j: f"row 3, column {j}", parsed)
+    except SystemFormatError as exc:
+        return "error", str(exc)
+
+
+@given(st.lists(st.lists(GOOD_ENTRIES, max_size=8), min_size=1, max_size=4), st.lists(BAD_ENTRIES, max_size=2),
+       st.randoms(use_true_random=False))
+def test_parse_entries_matches_the_oracle(rows, bad, rnd):
+    # Rows parsed in turn through one shared dict, as parse_system does; the
+    # last row may carry bad entries anywhere.
+    last = rows[-1] + bad
+    rnd.shuffle(last)
+    rows = [*rows[:-1], last]
+    parsed, parsed_oracle = {}, {}
+    for raw in rows:
+        got, want = _outcome(core._parse_entries, raw, parsed), _outcome(_parse_entries_oracle, raw, parsed_oracle)
+        assert got == want
+        if got[0] == "error":
+            break
+        assert parsed == parsed_oracle
+        values = got[1]
+        assert all(type(x) is Fraction for x in values)
+        # Equal strings share one Fraction, the one the dict holds.
+        assert all(x is parsed[c] for c, x in zip(raw, values))
+
+
+@pytest.mark.parametrize("entry", [["1"], {"p": 1}, [], {}])
+def test_parse_entries_names_an_unhashable_entry(entry):
+    raw = ["1", "2/3", entry, "x"]
+    where = lambda j: f"vector[{j}]"
+    with pytest.raises(SystemFormatError) as exc:
+        core._parse_entries(raw, where, {})
+    with pytest.raises(SystemFormatError) as oracle:
+        _parse_entries_oracle(raw, where, {})
+    assert str(exc.value) == str(oracle.value) == f"vector[2]: bad rational {entry!r} (expected 'p' or 'p/q')"
+
+
+@given(st.integers(0, 12), st.one_of(st.integers(-(2**14), 2**14), st.integers(-(2**80), 2**80)))
+def test_from_code_matches_the_oracle(n, code):
+    assert Vertex.from_code(code, n).bits == _from_code_oracle(code, n)
+    assert all(type(b) is int for b in Vertex.from_code(code, n))
+
+
+@given(st.lists(st.sampled_from([0, 1, 2, -1, 0.5, "1", None, True, False, 1.0, 0.0]), max_size=6))
+def test_vertex_bits_check_matches_the_oracle(bits):
+    bits = tuple(bits)
+    if _vertex_bits_ok_oracle(bits):
+        assert Vertex(bits).bits == bits
+    else:
+        with pytest.raises(ValueError) as exc:
+            Vertex(bits)
+        assert str(exc.value) == f"vertex bits must be 0/1, got {bits}"
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, "1", None])
+def test_vertex_rejects_non_bits(bad):
+    with pytest.raises(ValueError, match=r"vertex bits must be 0/1, got \(0, "):
+        Vertex((0, bad, 1))
+
+
+def test_parse_system_zero_spellings():
+    system = parse_system(json.dumps({"n": 3, "rows": [["0/7", "-0", "1"], ["+00", "2", "0"]], "mu": ["-0", "0/3"]}))
+    assert system.rows == ((0, 0, 1), (0, 2, 0)) and system.mu == (0, 0)
+    with pytest.raises(SystemFormatError, match="^zero row at index 1$"):
+        parse_system(json.dumps({"n": 3, "rows": [["0", "0", "1"], ["0/7", "-0", "+00"]], "mu": ["0", "1"]}))

@@ -20,6 +20,7 @@ from cubecover import (
     second_decomposition,
     validate_scales,
 )
+from cubecover import decompose
 from cubecover.core import as_fractions, clear_row
 from cubecover.decompose import ClearedBlock
 from cubecover.refute import derived_column_budget, derived_scale_count
@@ -696,3 +697,25 @@ def test_first_decomposition_matches_the_mass_building_oracle_around_the_row_cou
     rows, s, threshold = case
     w = TAU / threshold
     assert first_decomposition(rows, s, w) == _first_decomposition_building_every_mass(rows, s, w)
+
+
+# hypothesis_sides as it was before it built each side from integers, kept
+# verbatim as the oracle (C4 is the module's constant).
+def _hypothesis_sides_oracle(n, k, S, W, params):
+    C4 = decompose.C4
+    return (params.C3 * k * S * W, Fraction(n, 8)), (k**5 * (S * W) ** 2, C4**5 * n**3)
+
+
+_C0S = st.sampled_from((PARAMS.C0, Fraction(5), Fraction(47, 9), Fraction(1, 3), Fraction(4706, 1000) + Fraction(1, 10**9)))
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.integers(1, 200), st.integers(1, 10**30)), st.integers(1, 10**5), st.integers(1, 300),
+       st.one_of(st.fractions(min_value=Fraction(1, 10**12), max_value=10**6, max_denominator=10**12),
+                 st.builds(lambda n, k: derived_column_budget(n, k), st.integers(1, 10**9), st.integers(1, 10**4))),
+       _C0S)
+def test_hypothesis_sides_match_the_oracle(n, k, s, w, c0):
+    params = Params(C0=c0)
+    got = decompose.hypothesis_sides(n, k, s, w, params)
+    assert got == _hypothesis_sides_oracle(n, k, s, w, Params(C0=c0))
+    assert all(type(side) is Fraction for pair in got for side in pair)

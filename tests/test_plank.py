@@ -379,3 +379,14 @@ def test_float_targets_are_rejected():
         find_uncovered_small_norm(rows, [Fraction(1, 2), 0.5])
     with pytest.raises(ValueError, match=r"^targets\[0\] = 0\.0 is not rational"):
         find_uncovered_small_norm(rows, [0.0, 1])
+
+
+def test_float_sums_round_left_to_right_on_every_version():
+    # sum() compensates float rounding from Python 3.12 on (it gives 1.0
+    # here); the plank stage keeps the plain left-to-right sum, 0.0, so that
+    # its sign search and rounding draws repeat on every supported version.
+    from cubecover.plank import _float_sum
+
+    assert _float_sum([1e16, 1.0, -1e16]) == 0.0
+    assert _float_sum(x for x in [0.1] * 10) == 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1
+    assert _float_sum([]) == 0 and type(_float_sum([])) is int

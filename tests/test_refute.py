@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from typing import Mapping
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubecover import (
     CoveringSystem,
@@ -24,6 +26,7 @@ from cubecover import (
     second_decomposition,
 )
 from cubecover.core import wire
+from cubecover.refute import column_budget_floor, derived_column_budget
 
 C1 = Params().C1
 
@@ -575,3 +578,30 @@ def test_soundness_checks_hold_under_python_O():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+# The column budget as it was before it built its Fraction from integers,
+# kept verbatim as the oracle: the float ln(n) through chained Fraction
+# operations.
+def _column_budget_floor_oracle(n, k):
+    return Fraction(math.log(n) if n > 1 else 1.0) * k * k / n
+
+
+def _derived_column_budget_oracle(n, k, params):
+    if params.W is not None:
+        return Fraction(params.W)
+    w = params.w_multiplier * _column_budget_floor_oracle(n, k)
+    return w if w > 0 else Fraction(1, 100)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.integers(1, 300), st.integers(1, 10**30)), st.integers(1, 10**5),
+       st.sampled_from((Params().C0, Fraction(5), Fraction(47, 9))),
+       st.one_of(st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(1, 3), Fraction(0), Fraction(-1), 2)),
+                 st.fractions(min_value=-10, max_value=10**6, max_denominator=10**6)),
+       st.one_of(st.none(), st.fractions(min_value=Fraction(1, 10**9), max_value=100, max_denominator=10**9)))
+def test_column_budget_matches_the_oracle(n, k, c0, multiplier, w):
+    params = Params(C0=c0, w_multiplier=multiplier, W=w)
+    assert column_budget_floor(n, k) == _column_budget_floor_oracle(n, k)
+    got = derived_column_budget(n, k, params)
+    assert got == _derived_column_budget_oracle(n, k, params) and type(got) is Fraction

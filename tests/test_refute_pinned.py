@@ -16,7 +16,11 @@ lr-14-minus-pair-sampled pin (a sampled N3 witness on draw 178) from the
 code whose sampler could still keep drawing after the witness; the *-csv
 pins from the code in which each report class wrote its own JSON dict; the
 *-threshold-* pins (tau/W at and around the row count) from the code that
-built every column mass whatever the threshold.  Any
+built every column mass whatever the threshold; the plank-4x16-n1-subset-*
+(K3 rows restricted to a strict subset N1), *-zero-spellings, *-c-* and
+*-c5-* (the default W and S) and *-gamma-* (hypothesis sides) pins from the
+code that copied every K3 row onto N1, parsed entries one at a time and
+built W and the hypothesis sides through chained Fraction operations.  Any
 change to the arithmetic of the refute path that alters a single byte of
 output fails here.
 
