@@ -226,7 +226,9 @@ def _parse_entries(raw: list, where, parsed: dict[str, Fraction]) -> tuple[Fract
         for j, c in enumerate(raw):
             parse_rational(c, where=where(j))
         raise
-    return tuple(map(parsed.__getitem__, raw))
+    # Through a list: map gives tuple() no length, and a tuple grown without
+    # one is resized (see clear_denominators).
+    return tuple(list(map(parsed.__getitem__, raw)))
 
 
 def parse_system(text: str) -> CoveringSystem:

@@ -10,9 +10,12 @@ Two algorithms:
   columns leave, so the whole run is exact: the entries never change, only
   q does.  A renormalization records only the length of M2 at that moment;
   a departed row's scale parts are the slices of M2 between those cut
-  points, and their squared norms are read off its cleared row.  It takes a
-  rational matrix, which it clears itself (``core.clear_row``), or a
-  ``ClearedBlock`` of rows cleared already.
+  points, and their squared norms are read off its cleared row.  When
+  tau/W exceeds the row count no column can be heavy, and the run builds
+  none of this: it reads each row's squared norm and returns every row in
+  L1 and every column in M1.  It takes a rational matrix, which it clears
+  itself (``core.clear_row``), or a ``ClearedBlock`` of rows cleared
+  already.
 * second_decomposition iterates the first decomposition, absorbing
   zero-residual rows and their columns, until the leftover zero rows are few
   and all have large support on the final moved columns.  It clears nothing:

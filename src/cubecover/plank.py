@@ -26,8 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, repeat, starmap
-from operator import add, lt, truediv
+from operator import add
 from typing import Iterable, Sequence
 
 from .core import Params, DEFAULT_PARAMS, UnitRow, Vertex
@@ -221,7 +220,7 @@ def find_uncovered_small_norm(
     # Each row as its nonzero (column, coefficient / sqrt(q)) pairs in column
     # order.  A zero term leaves a float sum unchanged, so every sum below
     # equals its dense form bit for bit.  ``checks`` holds, per row, what the
-    # rounding tests: the cleared row's support and b_j, D and the target.
+    # rounding tests: the cleared (column, b_j) pairs, D and the target.
     vf, mu_f, checks = [], [], []
     for r, t in zip(rows, targets):
         support, ints, _, mult = r.cleared
@@ -230,7 +229,7 @@ def find_uncovered_small_norm(
         # rounded, as float() of the Fraction is.
         vf.append([(j, b / mult / root) for j, b in zip(support, ints)])
         mu_f.append(float(t) / root)
-        checks.append((support, ints, mult, t))
+        checks.append((list(zip(support, ints)), mult, t))
     theta = math.sqrt(2.0 * math.log(4.0 * ell))
     zeta = [2.0 * mu_f[i] - _float_sum(v for _, v in vf[i]) for i in range(ell)]
     lookup = [dict(entries) for entries in vf]
@@ -252,18 +251,20 @@ def find_uncovered_small_norm(
         raise RuntimeError(
             f"||y'||_inf = {overflow} exceeds 1; the precondition should forbid this"
         )
-    # min(1, max(0, (c + 1) / 2)) per coordinate, in C-level loops.
-    y = list(map(min, repeat(1.0), map(max, repeat(0.0), map(truediv, map((1.0).__add__, y_prime), repeat(2.0)))))
+    # y_j = min(1, max(0, (c_j + 1) / 2)).  The check above leaves each
+    # (c_j + 1) / 2 within FLOAT_TOL / 2 of [0, 1], and a value inside [0, 1]
+    # (never -0.0) is its own clip, so the clip runs only when one is outside.
+    y = [(c + 1.0) / 2.0 for c in y_prime]
+    if min(y) < 0.0 or max(y) > 1.0:
+        y = [min(1.0, max(0.0, v)) for v in y]
 
     for attempt in range(1, params.sample_cap + 1):
-        # w_j = 1 iff the j-th draw of rng.random() is below y_j, drawn in
-        # coordinate order.
-        w = tuple(map(int, map(lt, starmap(rng.random, repeat((), m)), y)))
-        for support, ints, mult, t in checks:
-            if sum(compress(ints, map(w.__getitem__, support))) * t.denominator == t.numerator * mult:
+        w = [1 if rng.random() < y_j else 0 for y_j in y]
+        for terms, mult, t in checks:
+            if sum(b for j, b in terms if w[j]) * t.denominator == t.numerator * mult:
                 break
         else:
-            return Vertex(w), attempt
+            return Vertex(tuple(w)), attempt
     raise SampleCapError(
         f"no separated vertex within {params.sample_cap} rounding samples", params.sample_cap
     )

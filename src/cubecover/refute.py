@@ -99,9 +99,9 @@ def derived_column_budget(n: int, k: int, params: Params = DEFAULT_PARAMS) -> Fr
     ``column_budget_floor`` is."""
     if params.W is not None:
         return Fraction(params.W)
-    c = params.w_multiplier
+    c_num, c_den = params.w_multiplier.as_integer_ratio()
     p, q = _log_ratio(n)
-    w = Fraction(c.numerator * p * k * k, c.denominator * q * n)
+    w = Fraction(c_num * p * k * k, c_den * q * n)
     return w if w > 0 else Fraction(1, 100)
 
 
@@ -270,7 +270,7 @@ def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) 
                 local, coeffs = row._replace(rhs=0), system.rows[i]
             else:
                 local = row.restricted(n1_index)._replace(rhs=0)
-                coeffs = tuple(map(system.rows[i].__getitem__, d.N1))
+                coeffs = tuple(list(map(system.rows[i].__getitem__, d.N1)))
             norm = sum(map(mul, local.ints, local.ints))
             block.append(UnitRow.with_cleared(coeffs, Fraction(norm, row.D * row.D), local))
             targets.append(Fraction(_target_less(row, set_cols), row.D))
@@ -291,7 +291,7 @@ def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) 
         n1_bits = {j: bit for j, bit in zip(d.N1, witness.bits)}
 
     fixed.update(n1_bits)
-    u = Vertex(tuple(map(fixed.__getitem__, range(n))))
+    u = Vertex(tuple(list(map(fixed.__getitem__, range(n)))))
     violating = rows_through(system, [u])[0]
     if violating:
         # The per-block certificates make this unreachable; report honestly

@@ -605,3 +605,9 @@ def test_column_budget_matches_the_oracle(n, k, c0, multiplier, w):
     assert column_budget_floor(n, k) == _column_budget_floor_oracle(n, k)
     got = derived_column_budget(n, k, params)
     assert got == _derived_column_budget_oracle(n, k, params) and type(got) is Fraction
+
+
+def test_column_budget_is_exact_for_an_int_or_float_multiplier():
+    for multiplier in (2, 1.5, 0.1):
+        w = derived_column_budget(100, 5, Params(w_multiplier=multiplier))
+        assert type(w) is Fraction and w == Fraction(multiplier) * column_budget_floor(100, 5)
