@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .core import Params, DEFAULT_PARAMS, UnitRow, Vertex
@@ -122,7 +122,7 @@ def bang_signs(
     rng = random.Random(seed)
     eps = [1 if rng.getrandbits(1) else -1 for _ in range(k)]
     u = [theta[t] * eps[t] for t in range(k)]
-    Mu = [_float_sum(rows[t][j] * u[j] for j in range(k)) for t in range(k)]
+    Mu = [_float_sum(map(mul, rows[t], u)) for t in range(k)]
     flips = 0
     while True:
         best_t = -1
@@ -141,9 +141,7 @@ def bang_signs(
         for t in range(k):
             Mu[t] += rows[t][best_t] * delta
         flips += 1
-    objective = _float_sum(Mu[t] * u[t] for t in range(k)) - 2.0 * _float_sum(
-        u[t] * zeta[t] for t in range(k)
-    )
+    objective = _float_sum(map(mul, Mu, u)) - 2.0 * _float_sum(map(mul, u, zeta))
     return SignVector(signs=tuple(eps), flips=flips, objective=objective)
 
 

@@ -79,29 +79,24 @@ def derived_scale_count(n: int, params: Params = DEFAULT_PARAMS) -> int:
     return max(1, int(float(params.C5) * math.log(n))) if n > 1 else 1
 
 
-def _log_ratio(n: int) -> tuple[int, int]:
-    """The float ln(n) (1.0 when n <= 1) as an exact integer ratio."""
-    return math.log(n).as_integer_ratio() if n > 1 else (1, 1)
+def _budget(n: int, k: int, c_num: int, c_den: int) -> Fraction:
+    """(c_num / c_den) * ln(n) * k^2 / n, with ln(n) the float ln(n) (1.0
+    when n <= 1) read exactly: one Fraction, built from integers."""
+    p, q = math.log(n).as_integer_ratio() if n > 1 else (1, 1)
+    return Fraction(c_num * p * k * k, c_den * q * n)
 
 
 def column_budget_floor(n: int, k: int) -> Fraction:
-    """ln(n) * k^2 / n (k^2 when n = 1), frozen as an exact rational.
-
-    The float ln(n) is read exactly, and the Fraction built once, from
-    integers."""
-    p, q = _log_ratio(n)
-    return Fraction(p * k * k, q * n)
+    """ln(n) * k^2 / n (k^2 when n = 1), frozen as an exact rational."""
+    return _budget(n, k, 1, 1)
 
 
 def derived_column_budget(n: int, k: int, params: Params = DEFAULT_PARAMS) -> Fraction:
     """Default W = w_multiplier * ln(n) * k^2 / n, frozen as an exact rational
-    (1/100 when that is not positive), built once from integers as
-    ``column_budget_floor`` is."""
+    (1/100 when that is not positive)."""
     if params.W is not None:
         return Fraction(params.W)
-    c_num, c_den = params.w_multiplier.as_integer_ratio()
-    p, q = _log_ratio(n)
-    w = Fraction(c_num * p * k * k, c_den * q * n)
+    w = _budget(n, k, *params.w_multiplier.as_integer_ratio())
     return w if w > 0 else Fraction(1, 100)
 
 

@@ -12,8 +12,7 @@ from unittest import mock
 import pytest
 
 from _pins import record_missing
-from cubecover import lr_cover, parse_system
-from cubecover import cli
+from cubecover import cli, lr_cover, parse_system
 from cubecover.cli import _DISPATCH, run_command
 from test_refute_pinned import _block_system, _system_text
 

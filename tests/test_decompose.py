@@ -717,5 +717,5 @@ _C0S = st.sampled_from((PARAMS.C0, Fraction(5), Fraction(47, 9), Fraction(1, 3),
 def test_hypothesis_sides_match_the_oracle(n, k, s, w, c0):
     params = Params(C0=c0)
     got = decompose.hypothesis_sides(n, k, s, w, params)
-    assert got == _hypothesis_sides_oracle(n, k, s, w, Params(C0=c0))
+    assert got == _hypothesis_sides_oracle(n, k, s, w, params)
     assert all(type(side) is Fraction for pair in got for side in pair)

@@ -31,6 +31,7 @@ if the current code would change one of them.
 """
 
 import io
+import itertools
 import json
 import random
 import sys
@@ -217,8 +218,8 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
     for name, argv, text in list(cases):
         if name in ("random-6x36", "random-6x36-decompose", "plank-4x16"):
             doc = json.loads(text)
-            zeros = iter(range(10**6))
-            respell = lambda c: spellings[next(zeros) % 4] if c == "0" else c
+            spelling = itertools.cycle(spellings)
+            respell = lambda c: next(spelling) if c == "0" else c
             doc["rows"] = [[respell(c) for c in row] for row in doc["rows"]]
             doc["mu"] = [respell(c) for c in doc["mu"]]
             cases.append((f"{name}-zero-spellings", argv, json.dumps(doc)))
