@@ -31,7 +31,7 @@ import math
 import re
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from itertools import compress
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -213,11 +213,16 @@ def _parse_entries(raw: list, where, parsed: dict[str, Fraction]) -> tuple[Fract
     strings already seen to their values, and gains the new ones.  Equal
     strings give one Fraction object.
 
-    Only the entries not in ``parsed`` are parsed, and the values are then
-    looked up in entry order, both in C-level loops.  When an entry fails
-    (a bad string, a number, or a list or dict, which is unhashable) the
-    entries are parsed again in order, naming the place of the first bad
-    one: ``where(j)`` names entry j, and is only formatted then."""
+    When every entry is a string seen before, this is one lookup per entry.
+    Otherwise only the distinct entries not in ``parsed`` are parsed (a set
+    difference) before the lookups.  When an entry fails (a bad string, a
+    number, or a list or dict, which is unhashable) the entries are parsed
+    again in order, naming the place of the first bad one: ``where(j)``
+    names entry j, and is only formatted then."""
+    try:
+        return tuple([parsed[c] for c in raw])
+    except (KeyError, TypeError):  # a new string, a number, a list or a dict
+        pass
     try:
         for c in set(raw).difference(parsed):
             # A non-string entry fails here, before it could be stored.
@@ -226,9 +231,7 @@ def _parse_entries(raw: list, where, parsed: dict[str, Fraction]) -> tuple[Fract
         for j, c in enumerate(raw):
             parse_rational(c, where=where(j))
         raise
-    # Through a list: map gives tuple() no length, and a tuple grown without
-    # one is resized (see clear_denominators).
-    return tuple(list(map(parsed.__getitem__, raw)))
+    return tuple([parsed[c] for c in raw])
 
 
 def parse_system(text: str) -> CoveringSystem:
@@ -370,13 +373,13 @@ def unit_row(coeffs: Sequence[Fraction | int | str]) -> UnitRow:
     return UnitRow(coeffs=vec, norm_sq=q)
 
 
-# typed: an int C0 gives int C1 and C3 (and a float tau), a Fraction equal
-# to it Fractions, so the two must not share an entry.
-@lru_cache(maxsize=None, typed=True)
-def _derived_constants(C0: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+@cache
+def _derived_constants(C0: Fraction | int | float) -> tuple[Fraction, Fraction, Fraction]:
     """(C1, C3, tau) for one C0: C1 = 4 C0^2, C3 = 1 + C1^2 and tau = 1/C3,
-    so that (1 - tau) / tau = C1^2."""
-    c1 = 4 * C0 * C0
+    so that (1 - tau) / tau = C1^2.  All three are exact rationals, also for
+    an int or float C0, which is read exactly."""
+    c0 = Fraction(C0)
+    c1 = 4 * c0 * c0
     c3 = 1 + c1 * c1
     return c1, c3, 1 / c3
 

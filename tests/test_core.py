@@ -12,6 +12,7 @@ from cubecover import (
     SystemFormatError,
     Vertex,
     apply_rescaling,
+    attempt_refutation,
     enumerate_uncovered,
     format_rational,
     lr_cover,
@@ -219,13 +220,18 @@ def test_params_derived_constants(c0):
     assert Params().C0 == Fraction(4706, 1000)
 
 
-def test_params_derived_constants_are_shared_per_c0_and_type():
+def test_params_derived_constants_are_shared_per_c0_and_exact():
     # One computation per C0 value: two instances read the same objects.
     assert Params(seed=1).tau is Params(seed=2).tau and Params(seed=1).C3 is Params(seed=2).C3
-    # An int C0 and the equal Fraction are different keys: each keeps its
-    # own arithmetic (int C1 and C3 with a float tau, or all Fractions).
-    assert type(Params(C0=5).tau) is float and type(Params(C0=Fraction(5)).tau) is Fraction
-    assert type(Params(C0=Fraction(5)).C1) is Fraction and type(Params(C0=5).C1) is int
+    # An int or float C0 is read exactly: tau was 1 / int, a float, which
+    # the first decomposition could not take apart into numerator and
+    # denominator.
+    for c0 in (5, 4.75):
+        params = Params(C0=c0)
+        assert all(type(x) is Fraction for x in (params.C1, params.C3, params.tau))
+        assert params.tau == Params(C0=Fraction(c0)).tau
+        system = lr_cover(8)
+        assert attempt_refutation(system, params) == attempt_refutation(system, Params(C0=Fraction(c0)))
 
 
 def test_restrict_carries_the_cleared_rows():
