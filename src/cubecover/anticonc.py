@@ -1,10 +1,10 @@
 """Anti-concentration estimators: atom probabilities, the 1/sqrt(supp) bound,
 scale partitions with geometric norm decay, and the concentration-window check.
 
-A vector has S scales (with respect to a constant C1) when its coordinates
-split into ordered parts P_1..P_S whose l2-norms decay by a factor >= C1
-between consecutive parts.  All decay comparisons here are exact: they are
-performed on squared norms with a rational C1.
+A vector has S scales (with respect to the paper's constant C1, ``core.C1``)
+when its coordinates split into ordered parts P_1..P_S whose l2-norms decay
+by a factor >= C1 between consecutive parts.  All decay comparisons here are
+exact: they are performed on squared norms with the rational C1.
 
 Probabilities over uniform x in {0,1}^dim are taken on the vector scaled by
 the least common denominator D of its entries and of the target: the subset
@@ -30,6 +30,8 @@ from operator import add
 from typing import Sequence
 
 from .core import (
+    C0 as WINDOW_C0,
+    C1,
     CapExceededError,
     Params,
     DEFAULT_PARAMS,
@@ -251,17 +253,15 @@ class ScalePartition:
         cls,
         v: Sequence[Fraction | int],
         parts: Sequence[Sequence[int]],
-        C1: Fraction | int | float,
     ) -> "ScalePartition":
         vec = as_fractions(v)
-        c1 = Fraction(C1)
         tup_parts = tuple(tuple(sorted(p)) for p in parts)
         norms = tuple(
             sum((vec[j] * vec[j] for j in p), Fraction(0)) for p in tup_parts
         )
         return cls(
             parts=tup_parts,
-            C1=c1,
+            C1=C1,
             squared_norms=norms,
             smallest_scale_sq=norms[-1] if norms else Fraction(0),
         )
@@ -269,9 +269,7 @@ class ScalePartition:
 
 def scale_partition(
     v: Sequence[Fraction | int | str],
-    C1: Fraction | int | float | None = None,
     target_S: int | None = None,
-    params: Params = DEFAULT_PARAMS,
 ) -> ScalePartition:
     """Greedy scale partition: a lower bound on the achievable number of scales.
 
@@ -286,8 +284,7 @@ def scale_partition(
     vec = as_fractions(v)
     if all(c == 0 for c in vec):
         raise ValueError("zero vector has no scale partition")
-    c1 = Fraction(C1) if C1 is not None else params.C1
-    c1_sq = c1 * c1
+    c1_sq = C1 * C1
     order = sorted(range(len(vec)), key=lambda j: (-(vec[j] * vec[j]), j))
     suffix_sq = [Fraction(0)] * (len(order) + 1)
     for pos in range(len(order) - 1, -1, -1):
@@ -316,7 +313,7 @@ def scale_partition(
         if len(parts) > target_S:
             merged = [c for p in parts[target_S - 1 :] for c in p]
             parts = parts[: target_S - 1] + [merged]
-    return ScalePartition.build(vec, parts, c1)
+    return ScalePartition.build(vec, parts)
 
 
 def validate_scales(
@@ -373,14 +370,14 @@ def concentration_window_prob(
     if not isinstance(row, UnitRow):
         row = unit_row(row)
     if C0 is None:
-        c0 = params.C0
+        c0 = WINDOW_C0
     elif isinstance(C0, float):
         # Read floats as their decimal literal so that C0=4.706 means exactly
-        # 4706/1000 and not the slightly smaller binary neighbour.
+        # 4706/1000 and not the slightly larger binary neighbour.
         c0 = Fraction(str(C0))
     else:
         c0 = Fraction(C0)
-    if c0 < Fraction(4706, 1000):
+    if c0 < WINDOW_C0:
         raise ValueError(f"C0 must be >= 4.706, got {float(c0)}")
     ints, _, mult = _integer_form(row.coeffs)
     # On sums scaled by D, 2 D z = 2S - T with T = D sum(v).  For c0 = p/r

@@ -43,6 +43,11 @@ from .essential import verify_essential
 # The commands that draw random numbers: only these read --seed.
 SEEDED_COMMANDS = frozenset({"bang", "find-uncovered", "refute", "atom-prob", "window"})
 
+# refute and bounds report floats of their numeric options: each option must
+# be at most this in magnitude, and --w at least its reciprocal, so that
+# every float they print stays finite.
+OPTION_LIMIT = 10**30
+
 
 class CommandResult(NamedTuple):
     exit_code: int
@@ -240,6 +245,17 @@ def _params_from(args: argparse.Namespace, seed: int | None) -> Params:
     return Params(**kwargs)
 
 
+def _check_limits(*options: tuple[str, Fraction | int | None]) -> None:
+    """Each (flag, value) within OPTION_LIMIT, a positive --w at least
+    1/OPTION_LIMIT; an unset (None) value passes.  Otherwise an input error
+    that names the flag."""
+    for flag, value in options:
+        if value is not None and abs(value) > OPTION_LIMIT:
+            raise SystemFormatError(f"{flag} must be at most 10^30 in magnitude")
+        if flag == "--w" and value is not None and 0 < value * OPTION_LIMIT < 1:
+            raise SystemFormatError("--w must be at least 10^-30")
+
+
 def _cmd_verify(args, params) -> tuple[int, dict]:
     system = parse_system(_read_input(args.input))
     report = verify_essential(system, params)
@@ -256,13 +272,13 @@ def _cmd_decompose(args, params) -> tuple[int, dict]:
     s = refute.derived_scale_count(system.n, params)
     w = refute.derived_column_budget(system.n, system.k, params)
     if args.stage == "first":
-        d1 = decompose.first_decomposition(system.rows, s, w, params)
-        ok = decompose.check_decomposition1(system.rows, d1, params)
+        d1 = decompose.first_decomposition(system.rows, s, w)
+        ok = decompose.check_decomposition1(system.rows, d1)
         return 0, {"stage": "first", **wire(d1), "invariants_ok": ok}
     d2 = decompose.second_decomposition(system, s, w, params)
     doc = wire(d2)
     doc["stage"] = "second"
-    doc["invariants_ok"] = decompose.check_decomposition2(system, d2, params)
+    doc["invariants_ok"] = decompose.check_decomposition2(system, d2)
     return (0 if d2.hypotheses_ok else 2), doc
 
 
@@ -270,6 +286,8 @@ def _cmd_bang(args, params) -> tuple[int, dict]:
     doc = _read_document(args.input, m="matrix", zeta="list", theta="list")
     m = [_numbers(row, f"m[{i}]") for i, row in enumerate(doc["m"])]
     sv = plank.bang_signs(m, _numbers(doc["zeta"], "zeta"), _numbers(doc["theta"], "theta"), seed=params.seed)
+    if not math.isfinite(sv.objective):
+        raise SystemFormatError(f"the objective is {sv.objective}: m, zeta and theta are too large for floats")
     return 0, wire(sv)
 
 
@@ -303,7 +321,7 @@ def _cmd_scales(args, params) -> tuple[int, dict]:
     doc = _read_document(args.input, vector="list")
     vector = _parse_entries(doc["vector"], lambda j: f"vector[{j}]", {})
     try:
-        part = anticonc.scale_partition(vector, target_S=args.target_s, params=params)
+        part = anticonc.scale_partition(vector, target_S=args.target_s)
     except anticonc.ScalePartitionError as exc:
         return 1, {"error": str(exc)}
     return 0, wire(part)
@@ -320,6 +338,7 @@ def _cmd_window(args, params) -> tuple[int, dict]:
 
 
 def _cmd_refute(args, params) -> tuple[int, dict]:
+    _check_limits(("--s", params.S), ("--w", params.W), ("--c5", params.C5), ("--c", params.w_multiplier))
     system = parse_system(_read_input(args.input))
     outcome = refute.attempt_refutation(system, params)
     return (0 if outcome.status == "uncovered" else 1), wire(outcome)
@@ -333,7 +352,8 @@ def _cmd_bounds(args, params) -> tuple[int, dict]:
             raise SystemFormatError(f"{flag} must be >= 1, got {value}")
     if w <= 0:
         raise SystemFormatError(f"--w must be positive, got {args.w}")
-    (h1_lhs, h1_rhs), (h2_lhs, h2_rhs) = decompose.hypothesis_sides(n, k, s, w, params)
+    _check_limits(("--n", n), ("--k", k), ("--s", s), ("--w", w))
+    (h1_lhs, h1_rhs), (h2_lhs, h2_rhs) = decompose.hypothesis_sides(n, k, s, w)
     # Pipeline-shaped small-norm product with alpha ~ 16k^2/n, beta ~ 1/W, ell ~ k.
     small_norm_lhs = 2.0 * (16.0 * k * k / n) * (1.0 / float(w)) * math.log(4.0 * k)
     w_floor = refute.column_budget_floor(n, k)

@@ -18,6 +18,10 @@ same D), ``CoveringSystem.restrict`` builds a subsystem that carries them,
 and ``UnitRow.with_cleared`` a unit row that does.  ``parse_system`` parses
 each distinct entry string once (``_parse_entries``).
 
+The paper's window constant C0 = 4.706 and the constants that follow from
+it, C1, C3 and TAU, are exact module constants; ``Params`` holds only the
+tunables.
+
 Results are written by one rule, ``wire``, the ``default=`` hook of every
 ``json.dumps`` that writes one: a rational is its ratstr "p" or "p/q", a
 vertex its 0/1 bits, and a record (a dataclass) an object of its fields in
@@ -31,7 +35,7 @@ import math
 import re
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -163,12 +167,6 @@ class CoveringSystem:
         tup_mu = as_fractions(mu)
         n = len(tup_rows[0]) if tup_rows else 0
         return cls(n=n, k=len(tup_rows), rows=tup_rows, mu=tup_mu)
-
-    def row_support(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j, c in enumerate(self.rows[i]) if c != 0)
-
-    def column_support_size(self, j: int) -> int:
-        return sum(1 for i in range(self.k) if self.rows[i][j] != 0)
 
     @cached_property
     def cleared_rows(self) -> list[ClearedRow]:
@@ -373,31 +371,25 @@ def unit_row(coeffs: Sequence[Fraction | int | str]) -> UnitRow:
     return UnitRow(coeffs=vec, norm_sq=q)
 
 
-@cache
-def _derived_constants(C0: Fraction | int | float) -> tuple[Fraction, Fraction, Fraction]:
-    """(C1, C3, tau) for one C0: C1 = 4 C0^2, C3 = 1 + C1^2 and tau = 1/C3,
-    so that (1 - tau) / tau = C1^2.  All three are exact rationals, also for
-    an int or float C0, which is read exactly."""
-    c0 = Fraction(C0)
-    c1 = 4 * c0 * c0
-    c3 = 1 + c1 * c1
-    return c1, c3, 1 / c3
+# The paper's window constant and the constants that follow from it, as
+# exact rationals: C1 = 4 C0^2, C3 = 1 + C1^2 and TAU = 1/C3, so that
+# (1 - TAU) / TAU = C1^2.
+C0 = Fraction(4706, 1000)
+C1 = 4 * C0 * C0
+C3 = 1 + C1 * C1
+TAU = 1 / C3
 
 
 @dataclass(frozen=True)
 class Params:
-    """Global tunables; the derived constants C1, tau, C3 follow from C0.
-
-    They are computed once per C0 value, not per instance, since every
-    command builds a Params of its own (``_derived_constants``), and kept
-    on the instance on first access.
+    """Global tunables.  The paper's constants are not among them: they are
+    the module constants C0, C1, C3 and TAU.
 
     S and W default to None, meaning "derive from the instance" (the
     refutation pipeline uses S = floor(C5 * ln n) and
     W = w_multiplier * ln(n) * k^2 / n).
     """
 
-    C0: Fraction = Fraction(4706, 1000)
     gamma: Fraction = Fraction(1, 3)
     S: int | None = None
     W: Fraction | None = None
@@ -407,19 +399,6 @@ class Params:
     sample_cap: int = 1000
     seed: int = 0
     require_hypotheses: bool = False
-
-    # Looked up on first access and kept: the instance is frozen.
-    @cached_property
-    def C1(self) -> Fraction:
-        return _derived_constants(self.C0)[0]
-
-    @cached_property
-    def C3(self) -> Fraction:
-        return _derived_constants(self.C0)[1]
-
-    @cached_property
-    def tau(self) -> Fraction:
-        return _derived_constants(self.C0)[2]
 
 
 DEFAULT_PARAMS = Params()

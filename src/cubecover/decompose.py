@@ -24,7 +24,9 @@ Two algorithms:
   and restricted to the working columns after.
 
 Row blocks are named L1/L2 (first stage) and K1..K4 (second stage); column
-blocks M1/M2 and N1..N3.
+blocks M1/M2 and N1..N3.  tau, C1 and C3 are the paper's constants
+(``core.TAU``, ``core.C1``, ``core.C3``); only the second decomposition
+reads ``Params``, for gamma.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ from typing import Mapping, Sequence
 
 from .anticonc import ScalePartition, validate_scales
 from .core import (
+    C1,
+    C3,
+    TAU,
     ClearedRow,
     CoveringSystem,
     Params,
@@ -88,7 +93,6 @@ def first_decomposition(
     matrix: Matrix | ClearedBlock,
     S: int,
     W: Fraction | int | float,
-    params: Params = DEFAULT_PARAMS,
 ) -> Decomposition1:
     """Move heavy columns to M2 until all remaining column masses are below tau/W.
 
@@ -131,10 +135,8 @@ def first_decomposition(
         rows = [as_fractions(row) for row in matrix]
         matrix = ClearedBlock([clear_row(row) for row in rows], len(rows[0]) if rows else 0)
     ell, m = len(matrix.rows), matrix.m
-    tau = params.tau
-    tau_num, tau_den = tau.numerator, tau.denominator
-    threshold = tau / w
-    c1 = params.C1
+    tau_num, tau_den = TAU.numerator, TAU.denominator
+    threshold = TAU / w
 
     scales = [row.D for row in matrix.rows]
     resid = [sum(map(mul, row.ints, row.ints)) for row in matrix.rows]  # sum over M1 of b_ij^2
@@ -215,7 +217,7 @@ def first_decomposition(
         sq = dict(row_sq[i])
         norms = tuple(Fraction(sum(sq.get(j, 0) for j in p), scales[i] ** 2) for p in parts)
         partitions[i] = ScalePartition(
-            parts=tuple(tuple(sorted(p)) for p in parts), C1=c1, squared_norms=norms, smallest_scale_sq=norms[-1]
+            parts=tuple(tuple(sorted(p)) for p in parts), C1=C1, squared_norms=norms, smallest_scale_sq=norms[-1]
         )
 
     # Final renormalization to unit residual norm; not a scale boundary.
@@ -236,11 +238,7 @@ def first_decomposition(
     )
 
 
-def check_decomposition1(
-    matrix: Matrix,
-    d: Decomposition1,
-    params: Params = DEFAULT_PARAMS,
-) -> bool:
+def check_decomposition1(matrix: Matrix, d: Decomposition1) -> bool:
     """Exact verification of every Decomposition1 invariant.
 
     Shape mismatches raise; invariant failures return False.
@@ -269,7 +267,7 @@ def check_decomposition1(
         )
         if col_sq >= inv_w:
             return False
-    if Fraction(len(d.M2)) > params.C3 * ell * d.S * d.W:
+    if Fraction(len(d.M2)) > C3 * ell * d.S * d.W:
         return False
     m1_set = set(d.M1)
     for i in d.L2:
@@ -329,13 +327,13 @@ def _gamma_exceeds(count: int, base: int, gamma: Fraction) -> bool:
     return count**qq > base**p
 
 
-def hypothesis_sides(n: int, k: int, S: int, W: Fraction, params: Params) -> tuple[tuple[Fraction, Fraction], ...]:
+def hypothesis_sides(n: int, k: int, S: int, W: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
     """(lhs, rhs) of the two hypotheses of the second decomposition:
     C3*k*S*W <= n/8 and k^5 (S*W)^2 <= C4^5 n^3.  Each side is one Fraction,
     built from integers."""
-    c3, w_num, w_den = params.C3, W.numerator, W.denominator
+    w_num, w_den = W.numerator, W.denominator
     return (
-        (Fraction(c3.numerator * k * S * w_num, c3.denominator * w_den), Fraction(n, 8)),
+        (Fraction(C3.numerator * k * S * w_num, C3.denominator * w_den), Fraction(n, 8)),
         (Fraction(k**5 * (S * w_num) ** 2, w_den**2), Fraction(C4.numerator**5 * n**3, C4.denominator**5)),
     )
 
@@ -408,7 +406,7 @@ def second_decomposition(
             index = {j: t for t, j in enumerate(work_cols)}
             rows = [cleared[i].restricted(index) for i in work_rows]
         block = ClearedBlock(rows, len(work_cols))
-        d1 = first_decomposition(block, S, w, params)
+        d1 = first_decomposition(block, S, w)
         l1g = [work_rows[i] for i in d1.L1]
         l2g = [work_rows[i] for i in d1.L2]
         m1g = [work_cols[j] for j in d1.M1]
@@ -467,7 +465,7 @@ def second_decomposition(
         }
         break
 
-    (h1_lhs, h1_rhs), (h2_lhs, h2_rhs) = hypothesis_sides(n, k, S, w, params)
+    (h1_lhs, h1_rhs), (h2_lhs, h2_rhs) = hypothesis_sides(n, k, S, w)
     h1 = h1_lhs <= h1_rhs
     h2 = h2_lhs <= h2_rhs
     h3 = max(len(s) for s in supports) <= 2 * k
@@ -493,11 +491,7 @@ def second_decomposition(
     )
 
 
-def check_decomposition2(
-    system: CoveringSystem,
-    d: Decomposition2,
-    params: Params = DEFAULT_PARAMS,
-) -> bool:
+def check_decomposition2(system: CoveringSystem, d: Decomposition2) -> bool:
     """Exact verification of every Decomposition2 invariant.
 
     Shape mismatches raise; invariant failures return False.  The column
@@ -515,8 +509,9 @@ def check_decomposition2(
     rows = system.rows
     n12 = d.N1 + d.N2
     thresh16 = Fraction(16 * k * k, n)
+    column_sizes = system.supports()[1]
     for j in n12:
-        if system.column_support_size(j) > thresh16:
+        if column_sizes[j] > thresh16:
             return False
     for i in d.K1:
         if any(rows[i][j] != 0 for j in n12):

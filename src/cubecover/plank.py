@@ -222,11 +222,19 @@ def find_uncovered_small_norm(
     vf, mu_f, checks = [], [], []
     for r, t in zip(rows, targets):
         support, ints, _, mult = r.cleared
-        root = math.sqrt(float(r.norm_sq))
-        # b / D is the coefficient's float: int true division is correctly
-        # rounded, as float() of the Fraction is.
-        vf.append([(j, b / mult / root) for j, b in zip(support, ints)])
-        mu_f.append(float(t) / root)
+        # The coefficients and the target are read scaled by 2^-e and q by
+        # 4^-e, with 4^e near q, so that rows far from unit scale neither
+        # underflow nor overflow a float.  A power of two changes no rounding:
+        # while the unscaled values are in range, every float here is theirs.
+        # Each is an int true division of shifted integers, correctly rounded
+        # as float() of a Fraction is.
+        q = r.norm_sq
+        e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+        up, down = max(-e, 0), max(e, 0)
+        root = math.sqrt((q.numerator << 2 * up) / (q.denominator << 2 * down))
+        den = mult << down
+        vf.append([(j, (b << up) / den / root) for j, b in zip(support, ints)])
+        mu_f.append((t.numerator << up) / (t.denominator << down) / root)
         checks.append((list(zip(support, ints)), mult, t))
     theta = math.sqrt(2.0 * math.log(4.0 * ell))
     zeta = [2.0 * mu_f[i] - _float_sum(v for _, v in vf[i]) for i in range(ell)]

@@ -34,6 +34,7 @@ from cubecover import (
     unit_row,
     verify_essential,
 )
+from cubecover.core import C0, C1
 
 PARAMS = Params()
 
@@ -71,12 +72,12 @@ def test_criterion_02_support_bound_theorem():
     for n in range(2, 21, 2):
         system = lr_cover(n)
         assert verify_essential(system).is_essential
-        sizes = [len(system.row_support(i)) for i in range(system.k)]
+        sizes = [len(s) for s in system.supports()[0]]
         ok = ok and max(sizes) <= 2 * system.k
         for _ in range(5):
             factors = [Fraction(rng.randint(1, 99), rng.randint(1, 99)) for _ in range(system.k)]
             scaled = apply_rescaling(system, factors)
-            sizes = [len(scaled.row_support(i)) for i in range(scaled.k)]
+            sizes = [len(s) for s in scaled.supports()[0]]
             ok = ok and max(sizes) <= 2 * scaled.k
             variants += 1
     report(2, ok and variants == 50, f"{variants} rescaled variants")
@@ -117,7 +118,7 @@ def test_criterion_05_concentration_window():
         if all(c == 0 for c in coeffs):
             coeffs[rng.randrange(dim)] = Fraction(1)
         prob, window_ok = concentration_window_prob(unit_row(coeffs))
-        ok = ok and window_ok and prob * PARAMS.C0 >= 1
+        ok = ok and window_ok and prob * C0 >= 1
     report(5, ok)
 
 
@@ -231,11 +232,11 @@ def test_criterion_08_decomposition_postconditions():
     )
     hypothesis_hits = 0
     for system, s, w in cases:
-        d1 = first_decomposition(system.rows, s, w, PARAMS)
-        ok = ok and check_decomposition1(system.rows, d1, PARAMS)
-        ok = ok and Fraction(len(d1.M2)) <= (1 + PARAMS.C1 * PARAMS.C1) * system.k * s * w
+        d1 = first_decomposition(system.rows, s, w)
+        ok = ok and check_decomposition1(system.rows, d1)
+        ok = ok and Fraction(len(d1.M2)) <= (1 + C1 * C1) * system.k * s * w
         d2 = second_decomposition(system, s, w, PARAMS)
-        ok = ok and check_decomposition2(system, d2, PARAMS)
+        ok = ok and check_decomposition2(system, d2)
         if d2.hypotheses_ok:
             hypothesis_hits += 1
             ok = ok and 2 * len(d2.N1) >= system.n

@@ -25,8 +25,7 @@ from cubecover import (
 )
 from cubecover import anticonc
 from cubecover.anticonc import _CHUNK_DRAWS, _TABLE_DIM, _integer_form, _shell_edges, _window_mass
-
-C1 = Params().C1  # 4 * 4.706^2 as an exact rational
+from cubecover.core import C1  # 4 * 4.706^2 as an exact rational
 
 
 def brute_force_atom(v, a):
@@ -149,20 +148,20 @@ def test_scale_partition_output_always_validates():
 
 
 def test_validate_scales_rejects_bad_decay():
-    part = ScalePartition.build([1, 1], [[0], [1]], C1)
+    part = ScalePartition.build([1, 1], [[0], [1]])
     assert validate_scales([1, 1], part) is False
 
 
 def test_validate_scales_single_part():
-    part = ScalePartition.build([3, -7], [[0, 1]], C1)
+    part = ScalePartition.build([3, -7], [[0, 1]])
     assert validate_scales([3, -7], part) is True
 
 
 def test_validate_scales_structural_errors():
-    part = ScalePartition.build([1, 2, 3], [[0], [1]], C1)  # misses index 2
+    part = ScalePartition.build([1, 2, 3], [[0], [1]])  # misses index 2
     with pytest.raises(ValueError):
         validate_scales([1, 2, 3], part)
-    overlap = ScalePartition.build([1, 2], [[0, 1], [1]], C1)
+    overlap = ScalePartition.build([1, 2], [[0, 1], [1]])
     with pytest.raises(ValueError):
         validate_scales([1, 2], overlap)
 
@@ -182,7 +181,7 @@ def test_window_boundaries_are_exact():
 def test_geometric_blocks_window_mass():
     v = [2**i for i in range(16)]
     parts = [list(range(7, 16)), list(range(7))]
-    part = ScalePartition.build(v, parts, C1)
+    part = ScalePartition.build(v, parts)
     assert validate_scales(v, part)
     # The ball |s - 5| < b * delta at b = 2: all 2^16 subset sums are distinct
     # integers and the window has width 2*b*delta, so the hit count is at most
@@ -231,7 +230,7 @@ def test_window_claim_holds_for_random_unit_rows():
 
 def test_window_accepts_float_boundary_c0():
     # The float literal 4.706 must be read as the decimal 4706/1000, not its
-    # slightly smaller binary neighbour.
+    # binary value, which is larger by about 4.05e-16.
     prob, ok = concentration_window_prob([1, 1], C0=4.706)
     assert prob == Fraction(1, 2) and ok
 
@@ -246,7 +245,7 @@ def test_sampled_modes_require_positive_trials():
 def test_singleton_partition_of_geometric_vector_is_invalid():
     # Adjacent powers of two have norm ratio 2, far below C1 ~ 88.6.
     v = [2**i for i in range(16)]
-    singletons = ScalePartition.build(v, [[j] for j in range(15, -1, -1)], C1)
+    singletons = ScalePartition.build(v, [[j] for j in range(15, -1, -1)])
     assert validate_scales(v, singletons) is False
 
 

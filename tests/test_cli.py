@@ -200,6 +200,61 @@ def test_bang_command(tmp_path):
     assert repeat.stdout == result.stdout
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_bang_refuses_an_infinite_objective(tmp_path):
+    path = write(tmp_path, "bang.json", {"m": [[1e308, 1e308], [1e308, 1e308]], "zeta": [0, 0], "theta": [1, 1]})
+    result = run_command(["bang", "--input", path, "--seed", "0"])
+    assert result.exit_code == 3 and result.stderr.startswith("input error: the objective is inf")
+    if result.stdout:
+        _strict_json(result.stdout)
+
+
+def test_pinned_json_stdout_is_strict_json():
+    parsed = 0
+    for path in sorted((Path(__file__).parent / "data").glob("*_pinned.json")):
+        for name, pin in json.loads(path.read_text()).items():
+            if pin["stdout"] and "csv" not in name:
+                _strict_json(pin["stdout"])
+                parsed += 1
+    assert parsed >= 250
+
+
+# Values whose floats would overflow in refute and bounds (exit 4 before).
+BIG = str(10**400)
+MAGNITUDE_CASES = (
+    *(("refute", flag, BIG, f"{flag} must be at most 10^30 in magnitude") for flag in ("--w", "--c", "--c5", "--s")),
+    *(("bounds", flag, BIG, f"{flag} must be at most 10^30 in magnitude") for flag in ("--n", "--k", "--s", "--w")),
+    ("bounds", "--w", "1/" + BIG, "--w must be at least 10^-30"),
+    ("bounds", "--w", "-" + BIG, "--w must be positive, got -" + BIG),
+)
+
+
+@pytest.mark.parametrize("command, flag, value, message", MAGNITUDE_CASES,
+                         ids=[f"{case[0]}{case[1]}-{i}" for i, case in enumerate(MAGNITUDE_CASES)])
+def test_option_magnitudes_are_limited(tmp_path, command, flag, value, message):
+    if command == "refute":
+        argv = [*valid_argv(tmp_path, "refute"), "--seed", "0", flag, value]
+    else:
+        args = {"--n": "100", "--k": "3", "--s": "2", "--w": "1", flag: value}
+        argv = ["bounds", *(token for pair in args.items() for token in pair)]
+    assert run_command(argv) == (3, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize("value", (str(cli.OPTION_LIMIT), f"1/{cli.OPTION_LIMIT}"))
+def test_bounds_floats_stay_finite_at_the_option_limit(value):
+    limit = str(cli.OPTION_LIMIT)
+    result = run_command(["bounds", "--n", "1", "--k", limit, "--s", limit, "--w", value])
+    assert result.exit_code == 0
+    doc = _strict_json(result.stdout)
+    assert len(doc["inequalities"]) == 4
+
+
 def test_find_uncovered_command(tmp_path):
     rows = []
     for i in range(4):

@@ -38,6 +38,6 @@ def test_essential_with_expected_size(n):
 @pytest.mark.parametrize("n", range(2, 13, 2))
 def test_support_profile(n):
     sys_ = lr_cover(n)
-    sizes = [len(sys_.row_support(i)) for i in range(sys_.k)]
+    sizes = [len(s) for s in sys_.supports()[0]]
     assert sizes == [n] + [2] * (n // 2)
     assert max(sizes) <= 2 * sys_.k

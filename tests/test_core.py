@@ -12,7 +12,6 @@ from cubecover import (
     SystemFormatError,
     Vertex,
     apply_rescaling,
-    attempt_refutation,
     enumerate_uncovered,
     format_rational,
     lr_cover,
@@ -207,31 +206,13 @@ def test_parse_system_repeated_strings_parse_alike():
     assert all(type(c) is Fraction for row in system.rows for c in row)
 
 
-@pytest.mark.parametrize("c0", [Params().C0, Fraction(5), Fraction(47, 9)])
-def test_params_derived_constants(c0):
-    params = Params(C0=c0)
-    c1 = 4 * c0 * c0
-    assert (params.C1, params.tau, params.C3) == (c1, 1 / (1 + c1 * c1), 1 + c1 * c1)
-    # Computed once per instance: later reads return the same objects.
-    assert params.C1 is params.C1 and params.tau is params.tau and params.C3 is params.C3
-    # A replaced instance derives its own constants.
-    other = dataclasses.replace(params, C0=c0 + 1)
-    assert other.C1 == 4 * (c0 + 1) ** 2 and other.tau == 1 / (1 + other.C1**2)
-    assert Params().C0 == Fraction(4706, 1000)
-
-
-def test_params_derived_constants_are_shared_per_c0_and_exact():
-    # One computation per C0 value: two instances read the same objects.
-    assert Params(seed=1).tau is Params(seed=2).tau and Params(seed=1).C3 is Params(seed=2).C3
-    # An int or float C0 is read exactly: tau was 1 / int, a float, which
-    # the first decomposition could not take apart into numerator and
-    # denominator.
-    for c0 in (5, 4.75):
-        params = Params(C0=c0)
-        assert all(type(x) is Fraction for x in (params.C1, params.C3, params.tau))
-        assert params.tau == Params(C0=Fraction(c0)).tau
-        system = lr_cover(8)
-        assert attempt_refutation(system, params) == attempt_refutation(system, Params(C0=Fraction(c0)))
+def test_paper_constants_are_exact_fractions():
+    assert core.C0 == Fraction(4706, 1000)
+    assert all(type(x) is Fraction for x in (core.C0, core.C1, core.C3, core.TAU))
+    assert (core.C1, core.C3, core.TAU) == (4 * core.C0**2, 1 + core.C1**2, 1 / (1 + core.C1**2))
+    assert (1 - core.TAU) / core.TAU == core.C1**2
+    # C0 is the paper's, not a tunable.
+    assert "C0" not in {f.name for f in dataclasses.fields(Params)}
 
 
 def test_restrict_carries_the_cleared_rows():

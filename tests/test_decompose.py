@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from cubecover import (
     CoveringSystem,
     Decomposition1,
-    Params,
     ScalePartition,
     check_decomposition1,
     check_decomposition2,
@@ -21,12 +20,9 @@ from cubecover import (
     validate_scales,
 )
 from cubecover import decompose
-from cubecover.core import as_fractions, clear_row
+from cubecover.core import C1, C3, TAU, as_fractions, clear_row
 from cubecover.decompose import ClearedBlock
 from cubecover.refute import derived_column_budget, derived_scale_count
-
-PARAMS = Params()
-TAU = PARAMS.tau
 
 
 def random_rational_system(rng, max_k=10, max_n=40):
@@ -62,7 +58,7 @@ def test_first_identity_w4_moves_all_columns():
     assert sorted(d.M2) == [0, 1]
     assert d.M1 == ()
     assert d.L1 == (0, 1)  # rows end with zero residual norm, never renormalized
-    assert len(d.M2) <= (1 + PARAMS.C1**2) * 2 * 1 * 4
+    assert len(d.M2) <= (1 + C1**2) * 2 * 1 * 4
     assert check_decomposition1([[1, 0], [0, 1]], d)
 
 
@@ -266,7 +262,6 @@ def _partition_from_snapshots(
     row: Sequence[Fraction],
     snapshots: Sequence[frozenset[int]],
     m: int,
-    C1: Fraction,
 ) -> ScalePartition:
     """Scale parts from the M1 snapshots taken at each renormalization.
 
@@ -286,10 +281,10 @@ def _partition_from_snapshots(
             sorted(snapshots[s] - snapshots[s + 1]) for s in range(1, S - 1)
         )
         parts.append(sorted(snapshots[S - 1]))
-    return ScalePartition.build(row, parts, C1)
+    return ScalePartition.build(row, parts)
 
 
-def reference_first_decomposition(matrix, S, W, params=PARAMS):
+def reference_first_decomposition(matrix, S, W):
     """The exact-Fraction first decomposition kept as the oracle.
 
     It rescans M1 in column order for the first heavy column and recomputes
@@ -304,9 +299,8 @@ def reference_first_decomposition(matrix, S, W, params=PARAMS):
     rows = [tuple(Fraction(c) for c in row) for row in matrix]
     ell = len(rows)
     m = len(rows[0]) if rows else 0
-    tau = params.tau
+    tau = TAU
     threshold = tau / w
-    c1 = params.C1
 
     supports = [frozenset(j for j, c in enumerate(row) if c != 0) for row in rows]
     q: list[Fraction] = []
@@ -345,7 +339,7 @@ def reference_first_decomposition(matrix, S, W, params=PARAMS):
         for i in departures:
             l1.remove(i)
             l2.append(i)
-            partitions[i] = _partition_from_snapshots(rows[i], snapshots[i], m, c1)
+            partitions[i] = _partition_from_snapshots(rows[i], snapshots[i], m)
             moved = sorted(supports[i] & m1)
             m1 -= supports[i]
             m2.extend(moved)
@@ -404,15 +398,14 @@ def _oracle_grid():
             yield f"random-k{k}-n{n}-S{s}-W{w_name}", _oracle_matrix(rng, k, n), s, w
     # Moving column 0 leaves row 0 with p = 1 / (1 + C1^2) = tau exactly: the
     # renormalization test is inclusive at the boundary.
-    c1 = PARAMS.C1
     for s in (1, 2):
-        yield f"boundary-p-equals-tau-S{s}", [[c1, 1, 0], [1, c1, 1]], s, Fraction(1)
+        yield f"boundary-p-equals-tau-S{s}", [[C1, 1, 0], [1, C1, 1]], s, Fraction(1)
     for n in (6, 12, 20):
         ws = (("tiny", Fraction(1, 10**6)), ("1", Fraction(1)), ("derived", derived_column_budget(n, n // 2 + 1)))
         for s, (w_name, w) in zip(ss, ws):
             yield f"lr-n{n}-S{s}-W{w_name}", lr_cover(n).rows, s, w
     # Every column's mass is exactly tau / W = 1/4: the heavy test is inclusive.
-    yield "boundary-mass-equals-threshold", [[1, 1, 1, 1]], 1, 4 * PARAMS.tau
+    yield "boundary-mass-equals-threshold", [[1, 1, 1, 1]], 1, 4 * TAU
     # Under W = 1/10000 some column turns heavy only once two renormalizations
     # have both added to its mass.
     for seed in (28, 150):
@@ -520,11 +513,11 @@ def test_second_decomposition_matches_reference_first_stage(monkeypatch):
     ours = [second_decomposition(system, s, w) for system, s, w in cases]
     calls = []
 
-    def reference_on_dense_block(block, S, W, params=PARAMS):
+    def reference_on_dense_block(block, S, W):
         # The second decomposition hands over each round's cleared block;
         # the reference runs on the rational matrix it stands for.
         calls.append(block)
-        return reference_first_decomposition(_dense(block), S, W, params)
+        return reference_first_decomposition(_dense(block), S, W)
 
     monkeypatch.setattr(decompose_mod, "first_decomposition", reference_on_dense_block)
     assert [second_decomposition(system, s, w) for system, s, w in cases] == ours
@@ -549,7 +542,7 @@ def test_second_decomposition_k60_n400_under_a_second():
 # ------------------------------- oracle for the threshold test of the first stage
 
 
-def _first_decomposition_building_every_mass(matrix, S, W, params=PARAMS):
+def _first_decomposition_building_every_mass(matrix, S, W):
     """``first_decomposition`` as it stood before it skipped the column masses
     when tau/W exceeds the row count, kept verbatim (docstring aside) as the
     oracle of that skip: it always builds the masses and scans them for
@@ -563,10 +556,9 @@ def _first_decomposition_building_every_mass(matrix, S, W, params=PARAMS):
         rows = [as_fractions(row) for row in matrix]
         matrix = ClearedBlock([clear_row(row) for row in rows], len(rows[0]) if rows else 0)
     ell, m = len(matrix.rows), matrix.m
-    tau = params.tau
+    tau = TAU
     tau_num, tau_den = tau.numerator, tau.denominator
     threshold = tau / w
-    c1 = params.C1
 
     scales: list[int] = []
     col_sq: list[list[tuple[int, int]]] = [[] for _ in range(m)]  # (row, b_ij^2), b_ij != 0
@@ -645,7 +637,7 @@ def _first_decomposition_building_every_mass(matrix, S, W, params=PARAMS):
         sq = dict(row_sq[i])
         norms = tuple(Fraction(sum(sq.get(j, 0) for j in p), scales[i] ** 2) for p in parts)
         partitions[i] = ScalePartition(
-            parts=tuple(tuple(sorted(p)) for p in parts), C1=c1, squared_norms=norms, smallest_scale_sq=norms[-1]
+            parts=tuple(tuple(sorted(p)) for p in parts), C1=C1, squared_norms=norms, smallest_scale_sq=norms[-1]
         )
 
     # Final renormalization to unit residual norm; not a scale boundary.
@@ -700,22 +692,17 @@ def test_first_decomposition_matches_the_mass_building_oracle_around_the_row_cou
 
 
 # hypothesis_sides as it was before it built each side from integers, kept
-# verbatim as the oracle (C4 is the module's constant).
-def _hypothesis_sides_oracle(n, k, S, W, params):
+# verbatim as the oracle (C3 and C4 are the modules' constants).
+def _hypothesis_sides_oracle(n, k, S, W):
     C4 = decompose.C4
-    return (params.C3 * k * S * W, Fraction(n, 8)), (k**5 * (S * W) ** 2, C4**5 * n**3)
-
-
-_C0S = st.sampled_from((PARAMS.C0, Fraction(5), Fraction(47, 9), Fraction(1, 3), Fraction(4706, 1000) + Fraction(1, 10**9)))
+    return (C3 * k * S * W, Fraction(n, 8)), (k**5 * (S * W) ** 2, C4**5 * n**3)
 
 
 @settings(max_examples=300)
 @given(st.one_of(st.integers(1, 200), st.integers(1, 10**30)), st.integers(1, 10**5), st.integers(1, 300),
        st.one_of(st.fractions(min_value=Fraction(1, 10**12), max_value=10**6, max_denominator=10**12),
-                 st.builds(lambda n, k: derived_column_budget(n, k), st.integers(1, 10**9), st.integers(1, 10**4))),
-       _C0S)
-def test_hypothesis_sides_match_the_oracle(n, k, s, w, c0):
-    params = Params(C0=c0)
-    got = decompose.hypothesis_sides(n, k, s, w, params)
-    assert got == _hypothesis_sides_oracle(n, k, s, w, params)
+                 st.builds(lambda n, k: derived_column_budget(n, k), st.integers(1, 10**9), st.integers(1, 10**4))))
+def test_hypothesis_sides_match_the_oracle(n, k, s, w):
+    got = decompose.hypothesis_sides(n, k, s, w)
+    assert got == _hypothesis_sides_oracle(n, k, s, w)
     assert all(type(side) is Fraction for pair in got for side in pair)

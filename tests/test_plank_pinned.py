@@ -4,7 +4,9 @@ The expected outputs in data/plank_pinned.json were recorded from the code in
 which the plank precondition and the finder each cleared their rows on their
 own, and in which `bounds` computed its hypothesis formulas itself; the
 `bang` and the later CSV cases from the code in which each report class wrote
-its own JSON dict.  Any
+its own JSON dict; the bounds-*-big, bounds-w-tiny and bang-infinite-objective
+pins from the code that first refused option values beyond 10^30 and a
+non-finite objective.  Any
 change that alters a single byte of output (exit code, stdout or stderr)
 fails here.
 
@@ -100,11 +102,21 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
     # The error and the failed check of a precondition failure, in CSV.
     cases.append(("find-precondition-fails-csv", ["find-uncovered", "--input", "-", "--seed", "0", "--format", "csv"],
                   _doc(rows, [Fraction(1, 2)] * 3)))
+    # Values whose floats would overflow: refused as input errors that name
+    # the flag.
+    big = str(10**400)
+    for flag, value in (("--n", big), ("--k", big), ("--s", big), ("--w", big), ("--w", "1/" + big)):
+        args = {"--n": "100", "--k": "3", "--s": "2", "--w": "1", flag: value}
+        cases.append((f"bounds-{flag[2:]}-{'tiny' if '/' in value else 'big'}",
+                      ["bounds", *(token for pair in args.items() for token in pair), "--seed", "0"], ""))
     bang = json.dumps({"m": [[2, 0.5, -0.25], [0.5, 1, 0.75], [-0.25, 0.75, 3]], "zeta": [0.5, -1, 0.25],
                        "theta": [1, 0.5, 0.125]})
     for seed in ("0", "3"):
         cases.append((f"bang-3x3-seed{seed}", ["bang", "--input", "-", "--seed", seed], bang))
     cases.append(("bang-3x3-csv", ["bang", "--input", "-", "--seed", "3", "--format", "csv"], bang))
+    # An objective beyond the float range, which JSON cannot hold.
+    cases.append(("bang-infinite-objective", ["bang", "--input", "-", "--seed", "0"],
+                  json.dumps({"m": [[1e308, 1e308], [1e308, 1e308]], "zeta": [0, 0], "theta": [1, 1]})))
     return cases
 
 
@@ -137,7 +149,7 @@ def test_pins_cover_vertices_and_failures():
     assert any("/" in doc["check"]["beta"] for doc in finds)
     assert codes["find-precondition-fails"] == 2 and codes["find-rounding-cap"] == 1
     bounds = [json.loads(expected[name]["stdout"]) for name, argv, _ in CASES
-              if argv[0] == "bounds" and "csv" not in name]
+              if argv[0] == "bounds" and codes[name] == 0 and "csv" not in name]
     oks = {ineq["ok"] for doc in bounds for ineq in doc["inequalities"]}
     assert oks == {True, False}
 

@@ -28,8 +28,6 @@ from cubecover import (
 from cubecover.core import wire
 from cubecover.refute import column_budget_floor, derived_column_budget
 
-C1 = Params().C1
-
 
 def empty_decomposition(system, **overrides) -> Decomposition2:
     base = dict(
@@ -261,7 +259,7 @@ def random_block(rng):
             # Mostly the decomposition's shape, N1 inside the last part; not always.
             last = [j for j in n1 if rng.random() < 0.9] + rest[cut:]
             parts = [rest[:cut], last] if cut else [last]
-            partitions[i] = ScalePartition.build(rows[i], parts, C1)
+            partitions[i] = ScalePartition.build(rows[i], parts)
     d = empty_decomposition(
         system,
         K2=tuple(i for i in range(k) if blocks[i] == "K2"),
@@ -300,7 +298,7 @@ def test_k4_predicate_implies_no_completion():
     # force over all completions x in {0,1}^N1 finds none; so too for every w
     # the sampler accepts.
     row = [Fraction(1, 4), Fraction(1, 4), Fraction(100), Fraction(100), Fraction(1, 2), Fraction(1, 2)]
-    part = ScalePartition.build(row, [[2, 3], [0, 1, 4, 5]], C1)
+    part = ScalePartition.build(row, [[2, 3], [0, 1, 4, 5]])
 
     def assert_no_completion(w, mu_val):
         for xbits in itertools.product((0, 1), repeat=2):
@@ -341,7 +339,7 @@ def test_k4_predicate_implies_no_completion():
 
 def test_sample_n2_accepts_k4_certificate():
     row = [Fraction(1, 4), Fraction(1, 4), Fraction(100), Fraction(100), Fraction(1, 2), Fraction(1, 2)]
-    part = ScalePartition.build(row, [[2, 3], [0, 1, 4, 5]], C1)
+    part = ScalePartition.build(row, [[2, 3], [0, 1, 4, 5]])
     sys_ = CoveringSystem.from_rows([row], [Fraction(7)])
     d = empty_decomposition(
         sys_, K4=(0,), N1=(0, 1), N2=(2, 3, 4, 5), scale_partitions={0: part}
@@ -596,12 +594,11 @@ def _derived_column_budget_oracle(n, k, params):
 
 @settings(max_examples=300)
 @given(st.one_of(st.integers(1, 300), st.integers(1, 10**30)), st.integers(1, 10**5),
-       st.sampled_from((Params().C0, Fraction(5), Fraction(47, 9))),
        st.one_of(st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(1, 3), Fraction(0), Fraction(-1), 2)),
                  st.fractions(min_value=-10, max_value=10**6, max_denominator=10**6)),
        st.one_of(st.none(), st.fractions(min_value=Fraction(1, 10**9), max_value=100, max_denominator=10**9)))
-def test_column_budget_matches_the_oracle(n, k, c0, multiplier, w):
-    params = Params(C0=c0, w_multiplier=multiplier, W=w)
+def test_column_budget_matches_the_oracle(n, k, multiplier, w):
+    params = Params(w_multiplier=multiplier, W=w)
     assert column_budget_floor(n, k) == _column_budget_floor_oracle(n, k)
     got = derived_column_budget(n, k, params)
     assert got == _derived_column_budget_oracle(n, k, params) and type(got) is Fraction

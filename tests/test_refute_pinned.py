@@ -20,7 +20,9 @@ built every column mass whatever the threshold; the plank-4x16-n1-subset-*
 (K3 rows restricted to a strict subset N1), *-zero-spellings, *-c-* and
 *-c5-* (the default W and S) and *-gamma-* (hypothesis sides) pins from the
 code that copied every K3 row onto N1, parsed entries one at a time and
-built W and the hypothesis sides through chained Fraction operations.  Any
+built W and the hypothesis sides through chained Fraction operations; the
+random-6x36-*-big pins from the code that first refused option values beyond
+10^30.  Any
 change to the arithmetic of the refute path that alters a single byte of
 output fails here.
 
@@ -41,7 +43,8 @@ from pathlib import Path
 import pytest
 
 from _pins import record_missing
-from cubecover import DEFAULT_PARAMS, lr_cover
+from cubecover import lr_cover
+from cubecover.core import TAU
 from cubecover.cli import run_command
 
 DATA = Path(__file__).parent / "data" / "refute_pinned.json"
@@ -192,7 +195,7 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
     # The heavy-column threshold tau/W at the bound on an initial column mass:
     # a row adds at most 1 to a column's mass, so with l rows tau/W = l
     # moves a column that all l rows share, and tau/W just above l moves none.
-    tau = DEFAULT_PARAMS.tau
+    tau = TAU
     ell = 3
     shared = [[Fraction(c)] + [Fraction(0)] * 3 for c in (1, -2, 5)]
     shared_text = _system_text(shared, [Fraction(0), Fraction(1), Fraction(5)])
@@ -238,6 +241,10 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
         for gamma in ("1/2", "1"):
             cases.append((f"{name}-gamma-{gamma.replace('/', 'over')}", [*argv, "--stage", "second", "--gamma", gamma],
                           text))
+    # Options whose floats would overflow: refused as input errors.
+    argv, text = runs["random-6x36"]
+    for flag in ("--w", "--c", "--c5", "--s"):
+        cases.append((f"random-6x36-{flag[2:]}-big", [*argv, flag, str(10**400)], text))
     block_text = _system_text(*_block_system(random.Random(1), 6, 80))
     cases.append(("decompose-second-blocks-1-6x80-s1-w10-gamma-2over3",
                   ["decompose", "--input", "-", "--seed", "3", "--stage", "second", "--s", "1", "--w", "10",
