@@ -32,9 +32,8 @@ from typing import Sequence
 from .core import (
     C0 as WINDOW_C0,
     C1,
+    ENUMERATION_CAP,
     CapExceededError,
-    Params,
-    DEFAULT_PARAMS,
     UnitRow,
     as_fractions,
     clear_denominators,
@@ -121,15 +120,15 @@ def _window_mass(
     mode: str,
     trials: int,
     seed: int,
-    params: Params,
+    cap: int,
     cap_message: str,
 ) -> Fraction:
     """P(<x, ints> in the window) for x uniform on {0,1}^dim.
 
     The window is the union of the disjoint half-open intervals
     [edges[0], edges[1]), [edges[2], edges[3]), ...: s lies in it iff
-    bisect_right(edges, s) is odd.  Exact mode (dim must be
-    within the enumeration cap) meets in the middle: it takes the subset-sum
+    bisect_right(edges, s) is odd.  Exact mode (dim at most ``cap``, else
+    CapExceededError(cap_message)) meets in the middle: it takes the subset-sum
     counts of each half of ints, sorts the larger table's sums with prefix
     counts, and for each sum s of the smaller table adds its count times the
     number of sums in every interval shifted by -s, two bisections each.
@@ -143,7 +142,7 @@ def _window_mass(
     """
     dim = len(ints)
     if mode == "exact":
-        if dim > params.enumeration_cap:
+        if dim > cap:
             raise CapExceededError(cap_message)
         small, large = sorted((subset_sum_counts(ints[: dim // 2]), subset_sum_counts(ints[dim // 2 :])), key=len)
         keys = sorted(large)
@@ -195,27 +194,27 @@ def atom_probability(
     mode: str = "exact",
     trials: int = 10000,
     seed: int = 0,
-    params: Params = DEFAULT_PARAMS,
+    cap: int = ENUMERATION_CAP,
 ) -> Fraction:
     """P(<x, v> = a) for x uniform on {0,1}^dim.
 
-    Exact mode enumerates all subsets (dim must be within the enumeration
-    cap) and returns a reduced rational; sampled mode returns the empirical
-    frequency over ``trials`` draws.
+    Exact mode enumerates all subsets (dim must be at most ``cap``) and
+    returns a reduced rational; sampled mode returns the empirical
+    frequency over ``trials`` draws from ``seed``.
     """
     ints, (target,), _ = _integer_form(v, as_fractions([a])[0])
     return _window_mass(
-        ints, (target, target + 1), mode, trials, seed, params,
-        f"dim={len(ints)} exceeds enumeration cap {params.enumeration_cap}",
+        ints, (target, target + 1), mode, trials, seed, cap,
+        f"dim={len(ints)} exceeds enumeration cap {cap}",
     )
 
 
 def max_atom_probability(
-    v: Sequence[Fraction | int], params: Params = DEFAULT_PARAMS
+    v: Sequence[Fraction | int], cap: int = ENUMERATION_CAP
 ) -> tuple[Fraction, Fraction]:
-    """(max_a P(<x,v> = a), an argmax a), computed exactly by enumeration."""
+    """(max_a P(<x,v> = a), an argmax a), exactly by enumeration; dim <= ``cap``."""
     ints, _, mult = _integer_form(v)
-    if len(ints) > params.enumeration_cap:
+    if len(ints) > cap:
         raise CapExceededError(f"dim={len(ints)} exceeds enumeration cap")
     counts = subset_sum_counts(ints)
     best_s, best_m = max(counts.items(), key=lambda kv: (kv[1], kv[0]))
@@ -359,13 +358,14 @@ def concentration_window_prob(
     mode: str = "exact",
     trials: int = 10000,
     seed: int = 0,
-    params: Params = DEFAULT_PARAMS,
+    cap: int = ENUMERATION_CAP,
 ) -> tuple[Fraction, bool]:
     """P(1/C0 <= |<x,v> - (1/2) sum v| <= C0) for a unit-normalized row.
 
     The row is coeffs/sqrt(q); with z = <x,coeffs> - (1/2) sum coeffs the
     window membership is decided exactly via z^2 * C0^2 >= q and
     z^2 <= C0^2 * q.  ok is the claim probability >= 1/C0, also exact.
+    Exact mode needs dim <= ``cap``; sampled mode draws ``trials`` from ``seed``.
     """
     if not isinstance(row, UnitRow):
         row = unit_row(row)
@@ -385,6 +385,6 @@ def concentration_window_prob(
     # (2S - T)^2 qd p^2 >= 4 D^2 qn r^2 and (2S - T)^2 qd r^2 <= 4 D^2 qn p^2.
     edges = _shell_edges(sum(ints), row.norm_sq.denominator, 4 * mult * mult * row.norm_sq.numerator,
                          c0.numerator ** 2, c0.denominator ** 2)
-    prob = _window_mass(ints, edges, mode, trials, seed, params,
+    prob = _window_mass(ints, edges, mode, trials, seed, cap,
                         f"dim={len(ints)} exceeds enumeration cap")
     return prob, prob * c0 >= 1

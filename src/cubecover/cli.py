@@ -33,6 +33,7 @@ from .core import (
     SystemFormatError,
     UnitRow,
     _parse_entries,
+    parse_object,
     parse_rational,
     parse_system,
     unit_row,
@@ -73,15 +74,11 @@ def _read_document(path: str | None, **kinds: str) -> dict:
     """Read a JSON object from ``path`` that holds every key of ``kinds``.
 
     A key of kind "list" must hold a list, one of kind "matrix" a list of
-    lists; a "scalar" is checked where it is parsed.  A non-object document,
-    a missing key or a wrong kind is an input error.
+    lists; a "scalar" is checked where it is parsed.  Bad JSON, a non-object
+    document, a missing key (``core.parse_object``) or a wrong kind is an input error.
     """
-    doc = json.loads(_read_input(path))
-    if not isinstance(doc, dict):
-        raise SystemFormatError("top-level JSON value must be an object")
+    doc = parse_object(_read_input(path), kinds)
     for key, kind in kinds.items():
-        if key not in doc:
-            raise SystemFormatError(f"missing key {key!r}")
         value = doc[key]
         if kind != "scalar" and not isinstance(value, list):
             raise SystemFormatError(f"{key} must be a list, got {type(value).__name__}")
@@ -258,7 +255,7 @@ def _check_limits(*options: tuple[str, Fraction | int | None]) -> None:
 
 def _cmd_verify(args, params) -> tuple[int, dict]:
     system = parse_system(_read_input(args.input))
-    report = verify_essential(system, params)
+    report = verify_essential(system, params.enumeration_cap)
     return (0 if report.is_essential else 1), wire(report)
 
 
@@ -275,7 +272,7 @@ def _cmd_decompose(args, params) -> tuple[int, dict]:
         d1 = decompose.first_decomposition(system.rows, s, w)
         ok = decompose.check_decomposition1(system.rows, d1)
         return 0, {"stage": "first", **wire(d1), "invariants_ok": ok}
-    d2 = decompose.second_decomposition(system, s, w, params)
+    d2 = decompose.second_decomposition(system, s, w, params.gamma)
     doc = wire(d2)
     doc["stage"] = "second"
     doc["invariants_ok"] = decompose.check_decomposition2(system, d2)
@@ -297,7 +294,7 @@ def _cmd_find_uncovered(args, params) -> tuple[int, dict]:
     targets = _parse_entries(doc["targets"], lambda j: f"targets[{j}]", {})
     check = plank.check_small_norm_precondition(rows)
     try:
-        vertex, attempts = plank.find_uncovered_small_norm(rows, targets, params, check=check)
+        vertex, attempts = plank.find_uncovered_small_norm(rows, targets, params.sample_cap, params.seed, check=check)
     except plank.PlankPreconditionError as exc:
         return 2, {"error": str(exc), "check": exc.check}
     except plank.SampleCapError as exc:
@@ -312,7 +309,7 @@ def _cmd_atom_prob(args, params) -> tuple[int, dict]:
     # Rejects the zero vector, before any probability is computed.
     bound = anticonc.littlewood_offord_bound(vector)
     prob = anticonc.atom_probability(vector, a, mode=args.mode, trials=params.sample_cap,
-                                     seed=params.seed, params=params)
+                                     seed=params.seed, cap=params.enumeration_cap)
     return 0, {"probability": prob, "probability_float": float(prob),
                "littlewood_offord_bound": bound, "mode": args.mode}
 
@@ -332,7 +329,7 @@ def _cmd_window(args, params) -> tuple[int, dict]:
     row = _unit_row(doc["vector"], "vector")
     c0 = parse_rational(args.c0) if args.c0 is not None else None
     prob, ok = anticonc.concentration_window_prob(
-        row, C0=c0, mode=args.mode, trials=params.sample_cap, seed=params.seed, params=params
+        row, C0=c0, mode=args.mode, trials=params.sample_cap, seed=params.seed, cap=params.enumeration_cap
     )
     return (0 if ok else 1), {"probability": prob, "probability_float": float(prob), "ok": ok}
 
@@ -417,13 +414,10 @@ def run_command(argv: list[str]) -> CommandResult:
         if seeded:
             doc.setdefault("seed", seed)
         return CommandResult(code, _emit(doc, args.format), "\n".join(stderr_lines) + ("\n" if stderr_lines else ""))
-    except (SystemFormatError, json.JSONDecodeError) as exc:
-        stderr_lines.append(f"input error: {exc}")
-        return CommandResult(3, "", "\n".join(stderr_lines) + "\n")
     except CapExceededError as exc:
         stderr_lines.append(f"precondition failure: {exc}")
         return CommandResult(2, "", "\n".join(stderr_lines) + "\n")
-    except ValueError as exc:
+    except ValueError as exc:  # a SystemFormatError, or a value a stage refuses
         stderr_lines.append(f"input error: {exc}")
         return CommandResult(3, "", "\n".join(stderr_lines) + "\n")
     except Exception:

@@ -18,9 +18,9 @@ same D), ``CoveringSystem.restrict`` builds a subsystem that carries them,
 and ``UnitRow.with_cleared`` a unit row that does.  ``parse_system`` parses
 each distinct entry string once (``_parse_entries``).
 
-The paper's window constant C0 = 4.706 and the constants that follow from
-it, C1, C3 and TAU, are exact module constants; ``Params`` holds only the
-tunables.
+The paper's window constant C0 = 4.706, the constants that follow from it
+(C1, C3, TAU) and the default ENUMERATION_CAP are module constants; only the
+refute pipeline and the command line take ``Params``.
 
 Results are written by one rule, ``wire``, the ``default=`` hook of every
 ``json.dumps`` that writes one: a rational is its ratstr "p" or "p/q", a
@@ -232,6 +232,21 @@ def _parse_entries(raw: list, where, parsed: dict[str, Fraction]) -> tuple[Fract
     return tuple([parsed[c] for c in raw])
 
 
+def parse_object(text: str, keys: Iterable[str]) -> dict:
+    """The JSON object ``text`` holds, with every key of ``keys``; malformed
+    JSON, another value or a missing key is a SystemFormatError."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SystemFormatError(f"malformed JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SystemFormatError("top-level JSON value must be an object")
+    for key in keys:
+        if key not in doc:
+            raise SystemFormatError(f"missing key {key!r}")
+    return doc
+
+
 def parse_system(text: str) -> CoveringSystem:
     """Parse the JSON wire format {"n": int, "rows": [[ratstr]], "mu": [ratstr]}.
 
@@ -239,15 +254,7 @@ def parse_system(text: str) -> CoveringSystem:
     distinct entry string is parsed once per call; equal strings share one
     Fraction.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SystemFormatError(f"malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SystemFormatError("top-level JSON value must be an object")
-    for key in ("n", "rows", "mu"):
-        if key not in doc:
-            raise SystemFormatError(f"missing key {key!r}")
+    doc = parse_object(text, ("n", "rows", "mu"))
     n = doc["n"]
     # bool is an int subclass; "n": true must not read as n = 1.
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -379,11 +386,13 @@ C1 = 4 * C0 * C0
 C3 = 1 + C1 * C1
 TAU = 1 / C3
 
+ENUMERATION_CAP = 24  # the default largest n of an exhaustive sweep or table
+
 
 @dataclass(frozen=True)
 class Params:
-    """Global tunables.  The paper's constants are not among them: they are
-    the module constants C0, C1, C3 and TAU.
+    """The refute pipeline's tunables, built by the command line from its
+    options; the paper's constants C0, C1, C3 and TAU are module constants.
 
     S and W default to None, meaning "derive from the instance" (the
     refutation pipeline uses S = floor(C5 * ln n) and
@@ -395,7 +404,7 @@ class Params:
     W: Fraction | None = None
     C5: Fraction = Fraction(32)
     w_multiplier: Fraction = Fraction(1)
-    enumeration_cap: int = 24
+    enumeration_cap: int = ENUMERATION_CAP
     sample_cap: int = 1000
     seed: int = 0
     require_hypotheses: bool = False

@@ -46,7 +46,7 @@ from itertools import accumulate, compress, islice, repeat
 from operator import and_, or_
 from typing import Sequence
 
-from .core import CapExceededError, CoveringSystem, Params, DEFAULT_PARAMS, Vertex
+from .core import ENUMERATION_CAP, CapExceededError, CoveringSystem, Vertex
 
 
 @dataclass(frozen=True)
@@ -181,16 +181,11 @@ def _coverage_sweep(
     return uncovered, min_code, excl
 
 
-def enumerate_uncovered(
-    system: CoveringSystem,
-    params: Params = DEFAULT_PARAMS,
-) -> CoverageReport:
-    """Exhaustively count uncovered vertices; n must be within the enumeration cap."""
+def enumerate_uncovered(system: CoveringSystem, cap: int = ENUMERATION_CAP) -> CoverageReport:
+    """Exhaustively count uncovered vertices; n must be at most ``cap``."""
     n = system.n
-    if n > params.enumeration_cap:
-        raise CapExceededError(
-            f"n={n} exceeds enumeration cap {params.enumeration_cap}; use sample_uncovered"
-        )
+    if n > cap:
+        raise CapExceededError(f"n={n} exceeds enumeration cap {cap}; use sample_uncovered")
     uncovered, min_code, _ = _coverage_sweep(system)
     witness = Vertex.from_code(min_code, n) if min_code is not None else None
     return CoverageReport(

@@ -25,8 +25,11 @@ Two algorithms:
 
 Row blocks are named L1/L2 (first stage) and K1..K4 (second stage); column
 blocks M1/M2 and N1..N3.  tau, C1 and C3 are the paper's constants
-(``core.TAU``, ``core.C1``, ``core.C3``); only the second decomposition
-reads ``Params``, for gamma.
+(``core.TAU``, ``core.C1``, ``core.C3``).
+
+Ties go by index: the first decomposition moves the smallest heavy column
+first and scans rows in index order, the second absorbs the first qualifying
+Z row.  Permuting rows or columns can change the blocks and the verdict.
 """
 
 from __future__ import annotations
@@ -45,8 +48,6 @@ from .core import (
     TAU,
     ClearedRow,
     CoveringSystem,
-    Params,
-    DEFAULT_PARAMS,
     as_fractions,
     clear_row,
 )
@@ -342,7 +343,7 @@ def second_decomposition(
     system: CoveringSystem,
     S: int,
     W: Fraction | int | float,
-    params: Params = DEFAULT_PARAMS,
+    gamma: Fraction = Fraction(1, 3),
 ) -> Decomposition2:
     """Iterate the first decomposition, absorbing zero rows, until stable.
 
@@ -363,7 +364,6 @@ def second_decomposition(
     if w <= 0:
         raise ValueError(f"W must be positive, got {W}")
     k, n = system.k, system.n
-    gamma = params.gamma
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     cleared = system.cleared_rows

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CapExceededError, CoveringSystem, Params, DEFAULT_PARAMS, Vertex
+from .core import ENUMERATION_CAP, CapExceededError, CoveringSystem, Vertex
 from .cube import _coverage_sweep, rows_through
 
 
@@ -70,12 +70,11 @@ def check_support_bound(system: CoveringSystem) -> tuple[bool, tuple[int, ...]]:
     return max(sizes) <= 2 * system.k, sizes
 
 
-def verify_essential(system: CoveringSystem, params: Params = DEFAULT_PARAMS) -> EssentialReport:
-    """Full (E1)-(E3) report; E1 and E3 come from a single exhaustive sweep."""
-    if system.n > params.enumeration_cap:
-        raise CapExceededError(
-            f"n={system.n} exceeds enumeration cap {params.enumeration_cap}"
-        )
+def verify_essential(system: CoveringSystem, cap: int = ENUMERATION_CAP) -> EssentialReport:
+    """Full (E1)-(E3) report; E1 and E3 come from a single exhaustive sweep,
+    which needs n at most ``cap``."""
+    if system.n > cap:
+        raise CapExceededError(f"n={system.n} exceeds enumeration cap {cap}")
     uncovered, min_code, excl = _coverage_sweep(system, collect_exclusive=True)
     e1 = uncovered == 0
     e1_witness, e3_witnesses = _rechecked(system, min_code, excl)

@@ -29,7 +29,7 @@ from functools import reduce
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .core import Params, DEFAULT_PARAMS, UnitRow, Vertex
+from .core import UnitRow, Vertex
 
 # Slack of the float checks: M's symmetry and diagonal in bang_signs, and
 # ||y'||_inf <= 1 in the finder.
@@ -184,8 +184,8 @@ def check_small_norm_precondition(rows: Sequence[UnitRow]) -> SmallNormCheck:
 def find_uncovered_small_norm(
     rows: Sequence[UnitRow],
     targets: Sequence[Fraction | int],
-    params: Params = DEFAULT_PARAMS,
-    seed: int | None = None,
+    trials: int = 1000,
+    seed: int = 0,
     check: SmallNormCheck | None = None,
 ) -> tuple[Vertex, int]:
     """Return a vertex off every hyperplane <coeffs_i, x> = targets_i, plus attempts.
@@ -194,10 +194,12 @@ def find_uncovered_small_norm(
     rows when the caller has computed it already.  Pipeline: theta = sqrt(2 log 4l),
     zeta = 2*mu - V*1, eps from the sign search on V V^T, y' = theta V^T eps
     (guaranteed ||y'||_inf <= 1), y = (y'+1)/2, then per-coordinate rounding
-    P(w_j = 1) = y_j until all separations hold.  A candidate's inner product
-    with row i is the subset sum s of the cleared row over D_i: a target t,
-    which must be rational (a Fraction or an int, on the scale of coeffs), is
-    hit iff s * den(t) == num(t) * D_i, exactly.
+    P(w_j = 1) = y_j, at most ``trials`` draws from ``seed``, until all
+    separations hold.  A candidate's inner product with row i is the subset
+    sum s of the cleared row over D_i: a target t, which must be rational (a
+    Fraction or an int, on the scale of coeffs), is hit iff
+    s * den(t) == num(t) * D_i, exactly.  A target beyond the float range is
+    the infinity of its sign in the floats: the sign search's limit as t grows.
     """
     ell = len(rows)
     if ell == 0:
@@ -234,7 +236,10 @@ def find_uncovered_small_norm(
         root = math.sqrt((q.numerator << 2 * up) / (q.denominator << 2 * down))
         den = mult << down
         vf.append([(j, (b << up) / den / root) for j, b in zip(support, ints)])
-        mu_f.append((t.numerator << up) / (t.denominator << down) / root)
+        try:
+            mu_f.append((t.numerator << up) / (t.denominator << down) / root)
+        except OverflowError:  # not copysign(inf, t), which calls float(t)
+            mu_f.append(math.inf if t > 0 else -math.inf)
         checks.append((list(zip(support, ints)), mult, t))
     theta = math.sqrt(2.0 * math.log(4.0 * ell))
     zeta = [2.0 * mu_f[i] - _float_sum(v for _, v in vf[i]) for i in range(ell)]
@@ -244,7 +249,6 @@ def find_uncovered_small_norm(
         for i2 in range(i, ell):
             other = lookup[i2]
             gram[i][i2] = gram[i2][i] = _float_sum(v * other[j] for j, v in vf[i] if j in other)
-    seed = params.seed if seed is None else seed
     rng = random.Random(seed)
     sv = bang_signs(gram, zeta, [theta] * ell, seed=rng.getrandbits(63))
     column_sums = [0.0] * m
@@ -264,13 +268,11 @@ def find_uncovered_small_norm(
     if min(y) < 0.0 or max(y) > 1.0:
         y = [min(1.0, max(0.0, v)) for v in y]
 
-    for attempt in range(1, params.sample_cap + 1):
+    for attempt in range(1, trials + 1):
         w = [1 if rng.random() < y_j else 0 for y_j in y]
         for terms, mult, t in checks:
             if sum(b for j, b in terms if w[j]) * t.denominator == t.numerator * mult:
                 break
         else:
             return Vertex(tuple(w)), attempt
-    raise SampleCapError(
-        f"no separated vertex within {params.sample_cap} rounding samples", params.sample_cap
-    )
+    raise SampleCapError(f"no separated vertex within {trials} rounding samples", trials)

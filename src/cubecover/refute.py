@@ -118,7 +118,7 @@ def choose_n3_assignment(
     cols = list(d.N3)
     sub = system.restrict(d.K1, cols)
     if sub.n <= params.enumeration_cap:
-        report = enumerate_uncovered(sub, params)
+        report = enumerate_uncovered(sub, params.enumeration_cap)
     else:
         report = sample_uncovered(sub, trials=params.sample_cap, seed=params.seed)
     if report.witness is None:
@@ -213,7 +213,7 @@ def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) 
     n, k = system.n, system.k
     S = derived_scale_count(n, params)
     W = derived_column_budget(n, k, params)
-    d = second_decomposition(system, S, W, params)
+    d = second_decomposition(system, S, W, params.gamma)
     detail: dict = {
         "S": S,
         "W": W,
@@ -277,7 +277,7 @@ def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) 
             )
         try:
             witness, attempts = find_uncovered_small_norm(
-                block, targets, params, seed=params.seed + 2, check=precheck
+                block, targets, params.sample_cap, params.seed + 2, check=precheck
             )
         except SampleCapError as exc:
             detail["rounding"] = {"attempts": exc.attempts}

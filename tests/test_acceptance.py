@@ -36,8 +36,6 @@ from cubecover import (
 )
 from cubecover.core import C0, C1
 
-PARAMS = Params()
-
 
 def report(criterion, ok, note=""):
     line = f"criterion {criterion:2d}: {'PASS' if ok else 'FAIL'}"
@@ -235,7 +233,7 @@ def test_criterion_08_decomposition_postconditions():
         d1 = first_decomposition(system.rows, s, w)
         ok = ok and check_decomposition1(system.rows, d1)
         ok = ok and Fraction(len(d1.M2)) <= (1 + C1 * C1) * system.k * s * w
-        d2 = second_decomposition(system, s, w, PARAMS)
+        d2 = second_decomposition(system, s, w)
         ok = ok and check_decomposition2(system, d2)
         if d2.hypotheses_ok:
             hypothesis_hits += 1
@@ -305,7 +303,7 @@ def test_criterion_10_oracle_equivalence():
             if not any(evaluate_row(system, i, x) for i in range(k)):
                 uncovered.append(x)
         rng.choice([1, 2, 4])  # unused: drawn so that the seeded systems after it stay the same
-        rep = enumerate_uncovered(system, PARAMS)
+        rep = enumerate_uncovered(system)
         ok = ok and rep.uncovered_count == len(uncovered)
         ok = ok and rep.witness == (min(uncovered) if uncovered else None)
         if not ok:

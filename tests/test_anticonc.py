@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubecover import (
-    Params,
     ScalePartition,
     ScalePartitionError,
     UnitRow,
@@ -25,7 +24,7 @@ from cubecover import (
 )
 from cubecover import anticonc
 from cubecover.anticonc import _CHUNK_DRAWS, _TABLE_DIM, _integer_form, _shell_edges, _window_mass
-from cubecover.core import C1  # 4 * 4.706^2 as an exact rational
+from cubecover.core import C1, ENUMERATION_CAP  # C1 = 4 * 4.706^2 as an exact rational
 
 
 def brute_force_atom(v, a):
@@ -63,7 +62,7 @@ def test_atom_probability_cap():
     from cubecover import CapExceededError
 
     with pytest.raises(CapExceededError):
-        atom_probability([1] * 30, 3, params=Params(enumeration_cap=24))
+        atom_probability([1] * 30, 3, cap=24)
 
 
 def test_littlewood_offord_bound_values():
@@ -170,7 +169,7 @@ def test_window_boundaries_are_exact():
     # [100, 1] with delta^2 = 1, b = 2, a = 2: the sum 0 sits on |s - a| = b * delta,
     # which the strict ball window (s - a)^2 < b^2 delta^2 excludes; only the sum 1 is inside.
     assert scale_partition([100, 1]).smallest_scale_sq == 1
-    assert _window_mass([100, 1], ball_edges(2, 4, 1), "exact", 0, 0, Params(), "") == Fraction(1, 4)
+    assert _window_mass([100, 1], ball_edges(2, 4, 1), "exact", 0, 0, ENUMERATION_CAP, "") == Fraction(1, 4)
     # [3, 4] with C0 = 10: the sums 3 and 4 sit on z^2 C0^2 = q (z = -1/2, 1/2, q = 25),
     # which the closed window includes.
     assert concentration_window_prob([3, 4], C0=10)[0] == 1
@@ -187,7 +186,7 @@ def test_geometric_blocks_window_mass():
     # integers and the window has width 2*b*delta, so the hit count is at most
     # that many integers.
     window_sq = 4 * part.smallest_scale_sq
-    prob = _window_mass(v, ball_edges(5, window_sq.numerator, window_sq.denominator), "exact", 0, 0, Params(), "")
+    prob = _window_mass(v, ball_edges(5, window_sq.numerator, window_sq.denominator), "exact", 0, 0, ENUMERATION_CAP, "")
     delta = math.sqrt(float(part.smallest_scale_sq))
     assert 0 < prob <= (4 * delta + 1) / 2**16
     assert atom_probability(v, 5) == Fraction(1, 2**16)
@@ -357,8 +356,8 @@ def test_anticoncentration_window_matches_fraction_oracle():
 
             scaled = window_sq * mult * mult
             edges = ball_edges(target, scaled.numerator, scaled.denominator)
-            assert _window_mass(ints, edges, "exact", 0, 0, Params(), "") == fraction_exact_mass(v, inside)
-            sampled = _window_mass(ints, edges, "sampled", 200, seed, Params(), "")
+            assert _window_mass(ints, edges, "exact", 0, 0, ENUMERATION_CAP, "") == fraction_exact_mass(v, inside)
+            sampled = _window_mass(ints, edges, "sampled", 200, seed, ENUMERATION_CAP, "")
             assert sampled == fraction_sampled_mass(v, inside, 200, seed)
             checked += 1
     assert checked > 100
@@ -454,7 +453,6 @@ def _mass_vectors():
 
 def test_meet_in_the_middle_mass_matches_full_enumeration():
     rng = random.Random(75)
-    params = Params()
     for ints in _mass_vectors():
         total = sum(ints)
         lo_sum, hi_sum = sum(c for c in ints if c < 0), sum(c for c in ints if c > 0)
@@ -472,12 +470,11 @@ def test_meet_in_the_middle_mass_matches_full_enumeration():
         edges = tuple(sorted(rng.sample(range(lo_sum - 5, hi_sum + 6), 2 * rng.randint(1, 3))))
         windows.append((edges, lambda s, edges=edges: bisect_right(edges, s) & 1 == 1))
         for edges, inside in windows:
-            assert _window_mass(ints, edges, "exact", 0, 0, params, "") == old_exact_mass(ints, inside)
+            assert _window_mass(ints, edges, "exact", 0, 0, ENUMERATION_CAP, "") == old_exact_mass(ints, inside)
 
 
 def test_sampled_mass_matches_old_loop_per_seed():
     rng = random.Random(76)
-    params = Params()
     for ints in _mass_vectors():
         target, seed = rng.randint(-20, 20), rng.randrange(10**6)
         total = sum(ints)
@@ -486,7 +483,7 @@ def test_sampled_mass_matches_old_loop_per_seed():
             (ball_edges(target, 50, 3), old_ball_predicate(target, 50, 3)),
             (_shell_edges(total, 2, 300, 49, 4), old_shell_predicate(total, 2, 300, 49, 4)),
         ):
-            got = _window_mass(ints, edges, "sampled", 150, seed, params, "")
+            got = _window_mass(ints, edges, "sampled", 150, seed, ENUMERATION_CAP, "")
             assert got == old_sampled_mass(ints, inside, 150, seed)
 
 
@@ -528,14 +525,14 @@ def test_chunked_sampled_mass_matches_per_coordinate_draws(case):
     for table_dim in (0, _TABLE_DIM, 10**6):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(anticonc, "_TABLE_DIM", table_dim)
-            assert _window_mass(ints, edges, "sampled", trials, seed, Params(), "") == expected, table_dim
+            assert _window_mass(ints, edges, "sampled", trials, seed, ENUMERATION_CAP, "") == expected, table_dim
 
 
 def test_sampled_mass_sums_through_byte_tables_up_to_the_bound(monkeypatch):
     built, byte_tables = [], anticonc._byte_tables
     monkeypatch.setattr(anticonc, "_byte_tables", lambda ints: built.append(len(ints)) or byte_tables(ints))
     for dim in (1, _TABLE_DIM, _TABLE_DIM + 1):
-        _window_mass([1] * dim, (0, 1), "sampled", 3, 0, Params(), "")
+        _window_mass([1] * dim, (0, 1), "sampled", 3, 0, ENUMERATION_CAP, "")
     assert built == [1, _TABLE_DIM]
 
 
@@ -556,7 +553,7 @@ def test_wide_sampled_mass_holds_one_call_of_draws_at_a_time(dim, trials):
     ints = [(-1) ** j * (j % 97 + 1) for j in range(dim)]
     tracemalloc.start()
     try:
-        _window_mass(ints, (0, 1), "sampled", trials, 0, Params(), "")
+        _window_mass(ints, (0, 1), "sampled", trials, 0, ENUMERATION_CAP, "")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

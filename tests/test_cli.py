@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 
 from _pins import record_missing
-from cubecover import cli, lr_cover, parse_system
+from cubecover import cli, decompose, lr_cover, parse_system
 from cubecover.cli import _DISPATCH, run_command
 from test_refute_pinned import _block_system, _system_text
 
@@ -480,6 +480,36 @@ def test_document_matrices_need_list_rows(tmp_path, command, key):
     doc[key] = [doc[key][0], 7]
     result = _run_document(tmp_path, command, doc)
     assert (result.exit_code, result.stderr) == (3, f"input error: {key} must be a list of lists\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose", "refute", *(c[0] for c in DOCUMENT_COMMANDS)])
+def test_malformed_json_is_named_on_every_document_command(tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_text("{nope")
+    with pytest.raises(json.JSONDecodeError) as decode:
+        json.loads("{nope")
+    result = run_command([command, "--input", str(path), "--seed", "0"])
+    assert (result.exit_code, result.stdout, result.stderr) == (3, "", f"input error: malformed JSON: {decode.value}\n")
+
+
+@pytest.mark.parametrize("n, holds", [(42736, False), (42737, True)])
+def test_refute_and_bounds_agree_at_the_column_budget_boundary(tmp_path, n, holds):
+    # Two rows at 2 % density: with the default S and W, the column-budget
+    # hypothesis C3*k*S*W <= n/8 first holds for k = 2 at n = 42,737.
+    rng = random.Random(1)
+    rows = [["1" if rng.random() < 0.02 else "0" for _ in range(n)] for _ in range(2)]
+    result = run_command(["refute", "--input", write(tmp_path, "sys.json", {"n": n, "rows": rows, "mu": ["1/2"] * 2}),
+                          "--seed", "0"])
+    detail = json.loads(result.stdout)["detail"]
+    hypotheses = detail["hypotheses"]
+    assert hypotheses["product_ok"] is holds
+    (lhs, rhs), _ = decompose.hypothesis_sides(n, 2, detail["S"], Fraction(detail["W"]))
+    assert (lhs <= rhs, float(lhs), float(rhs)) == (holds, hypotheses["product_lhs"], hypotheses["product_rhs"])
+    bounds = run_command(["bounds", "--n", str(n), "--k", "2", "--s", str(detail["S"]), "--w", detail["W"]])
+    column_budget = json.loads(bounds.stdout)["inequalities"][0]
+    assert column_budget["name"].startswith("column-budget")
+    assert (column_budget["ok"], column_budget["lhs"], column_budget["rhs"]) == (
+        holds, hypotheses["product_lhs"], hypotheses["product_rhs"])
 
 
 def test_internal_key_error_exits_4(tmp_path, monkeypatch):

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from cubecover import (
     CapExceededError,
     CoveringSystem,
-    Params,
     Vertex,
     apply_rescaling,
     enumerate_uncovered,
@@ -255,7 +254,7 @@ def test_enumerate_lr4_without_row0():
 
 def test_enumerate_respects_cap():
     with pytest.raises(CapExceededError):
-        enumerate_uncovered(lr_cover(8), Params(enumeration_cap=6))
+        enumerate_uncovered(lr_cover(8), 6)
 
 
 def test_gray_engine_matches_naive_oracle():

@@ -6,7 +6,6 @@ import pytest
 from cubecover import (
     CapExceededError,
     CoveringSystem,
-    Params,
     Vertex,
     apply_rescaling,
     check_support_bound,
@@ -44,7 +43,7 @@ def test_check_cover_lr4_missing_pair_row():
 
 def test_check_cover_refuses_above_cap():
     with pytest.raises(CapExceededError, match="n=10 exceeds enumeration cap 8"):
-        verify_essential(lr_cover(10), Params(enumeration_cap=8))
+        verify_essential(lr_cover(10), 8)
 
 
 def test_variable_usage():

@@ -359,10 +359,10 @@ def test_sparse_finder_equals_dense_oracle(monkeypatch):
             expected, (gram, zeta), sv = _dense_find_uncovered(rows, targets, params, seed)
         except SampleCapError:
             with pytest.raises(SampleCapError):
-                find_uncovered_small_norm(rows, targets, params, seed=seed)
+                find_uncovered_small_norm(rows, targets, params.sample_cap, seed=seed)
             continue
         calls.clear()
-        assert find_uncovered_small_norm(rows, targets, params, seed=seed) == expected
+        assert find_uncovered_small_norm(rows, targets, params.sample_cap, seed=seed) == expected
         (new_gram, new_zeta), new_sv = calls
         assert [[float(c).hex() for c in r] for r in new_gram] == [[float(c).hex() for c in r] for r in gram]
         assert [z.hex() for z in new_zeta] == [z.hex() for z in zeta]
@@ -379,6 +379,31 @@ def test_float_targets_are_rejected():
         find_uncovered_small_norm(rows, [Fraction(1, 2), 0.5])
     with pytest.raises(ValueError, match=r"^targets\[0\] = 0\.0 is not rational"):
         find_uncovered_small_norm(rows, [0.0, 1])
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_target_beyond_float_range_is_the_limit_of_large_targets(sign):
+    # float(10**400) overflows.  Such a target enters the sign search as the
+    # infinity of its sign, which gives the vertex of a target as large as a
+    # float holds; the rounding still checks every target exactly.
+    rng = random.Random(41)
+    compared = 0
+    for trial in range(30):
+        rows = _plank_block(rng, rng.randint(1, 6), rng.randint(8, 40), rng.choice((0, 0, 2, 4)))
+        if not _fraction_precondition(rows).ok:
+            continue
+        targets = [sum(r.coeffs, Fraction(0)) / 2 for r in rows]
+        i, seed = rng.randrange(len(rows)), rng.randrange(1 << 20)
+        vertices = []
+        for magnitude in (10**300, 10**400):
+            targets[i] = sign * magnitude
+            vertex, _ = find_uncovered_small_norm(rows, targets, seed=seed)
+            for r, t in zip(rows, targets):
+                assert sum(c for c, b in zip(r.coeffs, vertex) if b) != t
+            vertices.append(vertex)
+        assert vertices[0] == vertices[1]
+        compared += 1
+    assert compared >= 15
 
 
 def test_float_sums_round_left_to_right_on_every_version():

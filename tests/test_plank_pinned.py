@@ -6,7 +6,8 @@ own, and in which `bounds` computed its hypothesis formulas itself; the
 `bang` and the later CSV cases from the code in which each report class wrote
 its own JSON dict; the bounds-*-big, bounds-w-tiny and bang-infinite-objective
 pins from the code that first refused option values beyond 10^30 and a
-non-finite objective.  Any
+non-finite objective; the find-*-target-beyond-float-* pins from the code
+that first read such a target as the infinity of its sign.  Any
 change that alters a single byte of output (exit code, stdout or stderr)
 fails here.
 
@@ -117,6 +118,15 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
     # An objective beyond the float range, which JSON cannot hold.
     cases.append(("bang-infinite-objective", ["bang", "--input", "-", "--seed", "0"],
                   json.dumps({"m": [[1e308, 1e308], [1e308, 1e308]], "zeta": [0, 0], "theta": [1, 1]})))
+    # A target beyond the float range, of either sign: one row of sixteen
+    # 1/4 entries, and the first target of a 4 x 16 block.
+    rows, targets = blocks["disjoint-4x16"]
+    for label, sign in (("plus", 1), ("minus", -1)):
+        big = Fraction(sign * 10**400)
+        cases.append((f"find-one-row-target-beyond-float-{label}", ["find-uncovered", "--input", "-", "--seed", "0"],
+                      _doc([[Fraction(1, 4)] * 16], [big])))
+        cases.append((f"find-disjoint-4x16-target-beyond-float-{label}",
+                      ["find-uncovered", "--input", "-", "--seed", "5"], _doc(rows, [big, *targets[1:]])))
     return cases
 
 

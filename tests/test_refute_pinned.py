@@ -22,7 +22,8 @@ built every column mass whatever the threshold; the plank-4x16-n1-subset-*
 code that copied every K3 row onto N1, parsed entries one at a time and
 built W and the hypothesis sides through chained Fraction operations; the
 random-6x36-*-big pins from the code that first refused option values beyond
-10^30.  Any
+10^30; the plank-4x16-mu0-beyond-float-* pins from the code that first read
+such a K3 target as the infinity of its sign.  Any
 change to the arithmetic of the refute path that alters a single byte of
 output fails here.
 
@@ -249,6 +250,11 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
     cases.append(("decompose-second-blocks-1-6x80-s1-w10-gamma-2over3",
                   ["decompose", "--input", "-", "--seed", "3", "--stage", "second", "--s", "1", "--w", "10",
                    "--gamma", "2/3"], block_text))
+    # A K3 target beyond the float range, of either sign.
+    for label, sign in (("plus", 1), ("minus", -1)):
+        rows, mu = _plank_system(random.Random(4), 4, 16)
+        mu[0] = Fraction(sign * 10**400)
+        cases.append((f"plank-4x16-mu0-beyond-float-{label}", plank_argv, _system_text(rows, mu)))
     return cases
 
 
