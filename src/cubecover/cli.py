@@ -9,10 +9,13 @@ when one of them runs without --seed, a random seed is drawn and logged to
 stderr so the run can be replayed, and the output records it.  The others
 ignore --seed and log nothing.
 
-A command's options are parsed by that command's own subparser.  Only when
-argv names no command, or the subparser leaves arguments over, does the
-top-level parser parse argv again, so that help, usage and errors read as
-that parser gives them.
+argv is parsed in up to three steps.  First ``_fast_args`` reads well-formed
+argv (every token an exact option of the command, given once, with a value
+that converts) into the namespace the command's subparser would give, without
+argparse.  Any other argv goes to that subparser.  Only when argv names no
+command, or the subparser leaves arguments over, does the top-level parser
+parse argv again, so that help, usage and errors read as that parser gives
+them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import anticonc, construct, decompose, plank, refute
 from .core import (
@@ -33,6 +36,7 @@ from .core import (
     SystemFormatError,
     UnitRow,
     _parse_entries,
+    format_rational,
     parse_object,
     parse_rational,
     parse_system,
@@ -130,7 +134,9 @@ def _emit(doc: dict, fmt: str) -> str:
     if fmt == "csv":
         lines = []
         for key, value in doc.items():
-            if not (value is None or isinstance(value, (str, int, float, Fraction))):
+            if isinstance(value, Fraction):
+                value = format_rational(value)  # also past the int digit limit, unlike str()
+            elif not (value is None or isinstance(value, (str, int, float))):
                 value = json.dumps(value, default=wire)
             lines.append(f"{key},{value}")
         return "\n".join(lines) + "\n"
@@ -138,9 +144,10 @@ def _emit(doc: dict, fmt: str) -> str:
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The command-line parser and its subparsers by command name, built once
-    per process.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser],
+                             dict[str, dict[str, argparse.Action]]]:
+    """The command-line parser, its subparsers by command name, and each
+    command's options (option string to ``Action``), built once per process.
 
     Parsing does not modify the parsers (every call gets a fresh namespace),
     so all calls of run_command share these.
@@ -150,6 +157,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         description="Verify, construct, decompose and refute hyperplane covers of {0,1}^n.",
     )
     sub = parser.add_subparsers(dest="command")
+    options: dict[str, dict[str, argparse.Action]] = {}
 
     reads = {
         "--input": {"help": "input JSON file, or '-' for stdin"},
@@ -157,64 +165,108 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         "--trials": {"type": _ascii_int, "default": None, "help": "sampling budget override"},
     }
 
-    def common(p: argparse.ArgumentParser, *flags: str) -> None:
-        """--seed and --format on every command; each of ``flags`` (--input,
-        --cap, --trials) only on the commands that read it."""
-        p.add_argument("--seed", type=_ascii_int, default=None, help="RNG seed (random and logged if omitted)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def command(name: str, help: str, *flags: str) -> Callable[..., None]:
+        """Add the subparser ``name`` with --seed and --format, and each of
+        ``flags`` (--input, --cap, --trials) that it reads; return a function
+        that adds one more option to it.  Every option goes into its table."""
+        p = sub.add_parser(name, help=help)
+        table = options[name] = {}
+
+        def add(flag: str, **kwargs) -> None:
+            table[flag] = p.add_argument(flag, **kwargs)
+
+        add("--seed", type=_ascii_int, default=None, help="RNG seed (random and logged if omitted)")
+        add("--format", choices=("json", "csv"), default="json")
         for flag in flags:
-            p.add_argument(flag, **reads[flag])
+            add(flag, **reads[flag])
+        return add
 
-    p = sub.add_parser("verify", help="decide the essential-cover axioms")
-    common(p, "--input", "--cap")
+    command("verify", "decide the essential-cover axioms", "--input", "--cap")
 
-    p = sub.add_parser("construct-lr", help="emit the n/2+1 reference cover")
-    common(p)
-    p.add_argument("--n", type=_ascii_int, required=True)
+    add = command("construct-lr", "emit the n/2+1 reference cover")
+    add("--n", type=_ascii_int, required=True)
 
-    p = sub.add_parser("decompose", help="run the first or second decomposition")
-    common(p, "--input")
-    p.add_argument("--s", type=_ascii_int, default=None, help="scale count S")
-    p.add_argument("--w", type=str, default=None, help="column budget W (rational)")
-    p.add_argument("--gamma", type=str, default=None, help="absorption exponent (rational in (0,1])")
-    p.add_argument("--stage", choices=("first", "second"), default="second")
+    add = command("decompose", "run the first or second decomposition", "--input")
+    add("--s", type=_ascii_int, default=None, help="scale count S")
+    add("--w", type=str, default=None, help="column budget W (rational)")
+    add("--gamma", type=str, default=None, help="absorption exponent (rational in (0,1])")
+    add("--stage", choices=("first", "second"), default="second")
 
-    p = sub.add_parser("bang", help="sign vector separated from prescribed targets")
-    common(p, "--input")
+    command("bang", "sign vector separated from prescribed targets", "--input")
 
-    p = sub.add_parser("find-uncovered", help="uncovered vertex for a small-column-norm system")
-    common(p, "--input", "--trials")
+    command("find-uncovered", "uncovered vertex for a small-column-norm system", "--input", "--trials")
 
-    p = sub.add_parser("atom-prob", help="P(<x,v> = a) for uniform x")
-    common(p, "--input", "--cap", "--trials")
-    p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
+    add = command("atom-prob", "P(<x,v> = a) for uniform x", "--input", "--cap", "--trials")
+    add("--mode", choices=("exact", "sampled"), default="exact")
 
-    p = sub.add_parser("scales", help="greedy scale partition of a vector")
-    common(p, "--input")
-    p.add_argument("--target-s", type=_ascii_int, default=None)
+    add = command("scales", "greedy scale partition of a vector", "--input")
+    add("--target-s", type=_ascii_int, default=None)
 
-    p = sub.add_parser("window", help="concentration-window probability of a unit row")
-    common(p, "--input", "--cap", "--trials")
-    p.add_argument("--c0", type=str, default=None, help="window constant (>= 4.706)")
-    p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
+    add = command("window", "concentration-window probability of a unit row", "--input", "--cap", "--trials")
+    add("--c0", type=str, default=None, help="window constant (>= 4.706)")
+    add("--mode", choices=("exact", "sampled"), default="exact")
 
-    p = sub.add_parser("refute", help="assemble an uncovered vertex or report the failed stage")
-    common(p, "--input", "--cap", "--trials")
-    p.add_argument("--s", type=_ascii_int, default=None)
-    p.add_argument("--w", type=str, default=None)
-    p.add_argument("--c5", type=str, default=None)
-    p.add_argument("--c", type=str, default=None, help="multiplier for the default W shape")
-    p.add_argument("--gamma", type=str, default=None)
-    p.add_argument("--strict-hypotheses", action="store_true")
+    add = command("refute", "assemble an uncovered vertex or report the failed stage", "--input", "--cap", "--trials")
+    add("--s", type=_ascii_int, default=None)
+    add("--w", type=str, default=None)
+    add("--c5", type=str, default=None)
+    add("--c", type=str, default=None, help="multiplier for the default W shape")
+    add("--gamma", type=str, default=None)
+    add("--strict-hypotheses", action="store_true")
 
-    p = sub.add_parser("bounds", help="evaluate the pipeline hypothesis inequalities")
-    common(p)
-    p.add_argument("--n", type=_ascii_int, required=True)
-    p.add_argument("--k", type=_ascii_int, required=True)
-    p.add_argument("--s", type=_ascii_int, required=True)
-    p.add_argument("--w", type=str, required=True)
+    add = command("bounds", "evaluate the pipeline hypothesis inequalities")
+    add("--n", type=_ascii_int, required=True)
+    add("--k", type=_ascii_int, required=True)
+    add("--s", type=_ascii_int, required=True)
+    add("--w", type=str, required=True)
 
-    return parser, sub.choices
+    return parser, sub.choices, options
+
+
+def _fast_args(command: str, rest: list[str]) -> argparse.Namespace | None:
+    """The namespace the subparser of ``command`` gives for ``rest``, read
+    without argparse when ``rest`` is well formed, else None.
+
+    Well formed means: each token is an option string of the command, given
+    exactly and at most once, followed by its value, or the bare
+    --strict-hypotheses; each value is "-" or does not start with "-", and
+    converts (``type``) to one of the option's ``choices``; every required
+    option is given.  An option not given gets its default, a str default
+    through ``type`` (not checked against ``choices``), as argparse does.
+    Anything else (help, an abbreviation, "--n=4", "--", a repeated option,
+    a missing or bad value) is left to argparse, so that its messages stay
+    its own."""
+    table = _build_parser()[2][command]
+    values: dict[str, object] = {}
+    tokens = iter(rest)
+    for token in tokens:
+        action = table.get(token)
+        if action is None or action.dest in values:
+            return None
+        if action.nargs == 0:  # --strict-hypotheses, a store_true
+            values[action.dest] = action.const
+            continue
+        text = next(tokens, None)
+        if text is None or (text.startswith("-") and text != "-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    for action in table.values():
+        if action.dest not in values:
+            if action.required:
+                return None
+            default = action.default
+            if isinstance(default, str) and action.type is not None:
+                default = action.type(default)
+            values[action.dest] = default
+    args = argparse.Namespace()
+    vars(args).update(values)  # Namespace(**values) sets them one by one: 3x slower
+    return args
 
 
 def _params_from(args: argparse.Namespace, seed: int | None) -> Params:
@@ -387,13 +439,15 @@ _DISPATCH = {
 
 def run_command(argv: list[str]) -> CommandResult:
     """Parse argv, dispatch, and return (exit_code, stdout JSON, stderr text)."""
-    parser, commands = _build_parser()
+    parser, commands, _ = _build_parser()
     try:
         # The top-level parser would hand argv[1:] to the same subparser; it
         # parses argv itself only to print its own usage and errors.
         args, extra = None, None
         if argv and argv[0] in commands:
-            args, extra = commands[argv[0]].parse_known_args(argv[1:])
+            args = _fast_args(argv[0], argv[1:])
+            if args is None:
+                args, extra = commands[argv[0]].parse_known_args(argv[1:])
             args.command = argv[0]
         if args is None or extra:
             args = parser.parse_args(argv)

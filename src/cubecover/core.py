@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -61,11 +62,15 @@ def parse_rational(text: str, where: str = "") -> Fraction:
     body = text.strip() if isinstance(text, str) else ""
     if _RATIONAL_RE.match(body):
         num, _, den = body.partition("/")
-        if not den:
-            return Fraction(int(num))
-        if int(den):
-            return Fraction(int(num), int(den))
-        problem = f"zero denominator in {text!r}"
+        try:
+            if not den:
+                return Fraction(int(num))
+            if int(den):
+                return Fraction(int(num), int(den))
+            problem = f"zero denominator in {text!r}"
+        except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
+            digits = max(len(num.lstrip("+-")), len(den))
+            problem = f"{digits}-digit integer exceeds the limit of {sys.get_int_max_str_digits()} digits"
     else:
         problem = f"bad rational {text!r} (expected 'p' or 'p/q')"
     raise SystemFormatError(f"{where}: {problem}" if where else problem)
@@ -81,8 +86,28 @@ def as_fractions(values: Iterable[Fraction | int | str]) -> tuple[Fraction, ...]
 
 
 def format_rational(x: Fraction) -> str:
-    """Canonical reduced string form, "p" or "p/q" (the ``str`` of a Fraction)."""
-    return str(Fraction(x))
+    """Canonical reduced string form, "p" or "p/q" (the ``str`` of a Fraction),
+    also for a numerator or denominator of more digits than ``str`` writes
+    under Python's int digit limit (``sys.get_int_max_str_digits()``)."""
+    try:
+        return str(Fraction(x))
+    except ValueError:  # past the digit limit: write p and q in pieces
+        x = Fraction(x)
+        p = _decimal(x.numerator)
+        return p if x.denominator == 1 else f"{p}/{_decimal(x.denominator)}"
+
+
+def _decimal(n: int) -> str:
+    """The decimal text of ``n``, written in pieces of fewer digits than the
+    int digit limit, which must be set (nonzero); the limit is not changed."""
+    width = sys.get_int_max_str_digits() - 1
+    base = 10**width
+    digits, pieces = abs(n), []
+    while digits >= base:
+        digits, low = divmod(digits, base)
+        pieces.append(str(low).zfill(width))
+    pieces.append(("-" if n < 0 else "") + str(digits))
+    return "".join(reversed(pieces))
 
 
 @dataclass(frozen=True, order=True)
@@ -234,10 +259,11 @@ def _parse_entries(raw: list, where, parsed: dict[str, Fraction]) -> tuple[Fract
 
 def parse_object(text: str, keys: Iterable[str]) -> dict:
     """The JSON object ``text`` holds, with every key of ``keys``; malformed
-    JSON, another value or a missing key is a SystemFormatError."""
+    JSON (also JSON nested deeper than the decoder recurses), another value or
+    a missing key is a SystemFormatError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise SystemFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SystemFormatError("top-level JSON value must be an object")

@@ -10,6 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _pins import record_missing
 from cubecover import cli, decompose, lr_cover, parse_system
@@ -484,12 +485,53 @@ def test_document_matrices_need_list_rows(tmp_path, command, key):
 
 @pytest.mark.parametrize("command", ["verify", "decompose", "refute", *(c[0] for c in DOCUMENT_COMMANDS)])
 def test_malformed_json_is_named_on_every_document_command(tmp_path, command):
+    # Bad syntax, and arrays nested deeper than the decoder recurses (that
+    # raised RecursionError, an internal error).
     path = tmp_path / "bad.json"
-    path.write_text("{nope")
-    with pytest.raises(json.JSONDecodeError) as decode:
-        json.loads("{nope")
-    result = run_command([command, "--input", str(path), "--seed", "0"])
-    assert (result.exit_code, result.stdout, result.stderr) == (3, "", f"input error: malformed JSON: {decode.value}\n")
+    for text in ("{nope", "[" * 100_000):
+        path.write_text(text)
+        with pytest.raises((json.JSONDecodeError, RecursionError)) as decode:
+            json.loads(text)
+        result = run_command([command, "--input", str(path), "--seed", "0"])
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            3, "", f"input error: malformed JSON: {decode.value}\n"), text[:8]
+
+
+# str() refuses an int of more digits than sys.get_int_max_str_digits() (4300
+# by default).  An exact result past that is still written in full, in JSON
+# and in CSV; an input entry past it is an input error that names its place.
+TEN_2500 = "1" + "0" * 2500
+
+
+@pytest.mark.parametrize("vector, parts, norms, smallest", [
+    ([TEN_2500, "1"], [[0], [1]], ["1" + "0" * 5000, "1"], "1"),
+    ([TEN_2500, "-" + TEN_2500], [[0, 1]], ["2" + "0" * 5000], "2" + "0" * 5000),
+], ids=["two-scales", "one-scale"])
+def test_results_past_the_int_digit_limit_are_written(tmp_path, vector, parts, norms, smallest):
+    result = _run_document(tmp_path, "scales", {"vector": vector})
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert json.loads(result.stdout) == {"parts": parts, "C1": "5536609/62500", "squared_norms": norms,
+                                         "smallest_scale_sq": smallest}
+    lines = [f"parts,{json.dumps(parts)}", "C1,5536609/62500", f"squared_norms,{json.dumps(norms)}",
+             f"smallest_scale_sq,{smallest}"]
+    csv = run_command(["scales", "--input", str(tmp_path / "doc.json"), "--format", "csv"])
+    assert csv == (0, "\n".join(lines) + "\n", "")
+
+
+@pytest.mark.parametrize("command, entry, place", [
+    ("scales", "1" + "0" * 4300, "vector[0]"),
+    ("atom-prob", "-1/" + "3" * 4301, "vector[0]"),
+    ("verify", "7" * 4301, "row 0, column 0"),
+])
+def test_entries_past_the_int_digit_limit_are_named(tmp_path, command, entry, place):
+    if command == "verify":
+        doc = {"n": 2, "rows": [[entry, "1"]], "mu": ["0"]}
+    else:
+        doc = {"vector": [entry, "1"], "a": "0"}
+    digits = len(entry.partition("/")[2] or entry)
+    limit = sys.get_int_max_str_digits()
+    message = f"input error: {place}: {digits}-digit integer exceeds the limit of {limit} digits\n"
+    assert _run_document(tmp_path, command, doc) == (3, "", message)
 
 
 @pytest.mark.parametrize("n, holds", [(42736, False), (42737, True)])
@@ -575,6 +617,90 @@ def test_document_commands_reject_bad_entries(tmp_path, command):
         path.write_text(text)
         result = run_command([command, "--input", str(path), "--seed", "0"])
         assert (result.exit_code, result.stdout, result.stderr) == (3, "", f"input error: {message}\n"), text
+
+
+# cli._fast_args reads well-formed argv without argparse.  Whenever it returns
+# a namespace, that must be the namespace of the command's own subparser, with
+# no argument left over; anything it cannot read exactly, it leaves to argparse.
+SUBPARSERS = cli._build_parser()[1]
+FAST_VALUES = ("4", "0", " 7", "1/2", "json", "csv", "first", "second", "exact", "sampled",
+               "-", "", "-5", "\u0666", "1_0", "x", "--", "-h", "--inp", "--seed")
+HOSTILE_TOKENS = ("-", "", "-5", "\u0666", "1_0", "--inp", "--n=4", "-h", "--help", "--",
+                  "--strict-hypotheses", "extra")
+
+
+@st.composite
+def command_argvs(draw):
+    """A command and argv for it: some of its options in any order, each
+    with a value (the bare --strict-hypotheses without one) that is half the
+    time one it reads, and half the time hostile tokens, options without a
+    value or repeated options put in between."""
+    command = draw(st.sampled_from(sorted(SUBPARSERS)))
+    actions = SUBPARSERS[command]._option_string_actions
+    options = draw(st.permutations(sorted(actions.keys() - {"-h", "--help"})))
+    options = options[:draw(st.integers(0, len(options)))]
+
+    def value(action):
+        reads = action.choices or (("4", " 7", "+0") if action.type is cli._ascii_int else ("1/2", "x", "-"))
+        return draw(st.one_of(st.sampled_from(reads), st.sampled_from(FAST_VALUES)))
+
+    chunks = [[option] if actions[option].nargs == 0 else [option, value(actions[option])] for option in options]
+    for _ in range(draw(st.integers(1, 3)) if draw(st.booleans()) else 0):
+        chunk = draw(st.one_of(st.sampled_from(HOSTILE_TOKENS).map(lambda token: [token]),
+                               st.sampled_from(sorted(actions)).map(lambda option: [option]),
+                               st.sampled_from(chunks or [[]])))
+        chunks.insert(draw(st.integers(0, len(chunks))), chunk)
+    return command, [token for chunk in chunks for token in chunk]
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_argvs())
+def test_fast_args_equal_argparse(case):
+    command, rest = case
+    fast = cli._fast_args(command, rest)
+    if fast is not None:
+        args, extra = SUBPARSERS[command].parse_known_args(rest)
+        assert (vars(fast), extra) == (vars(args), [])
+
+
+# One argv per command that gives every option of its subparser once: each
+# takes the fast path, so an option it cannot read fails here.
+CANONICAL_ARGVS = {
+    "verify": ["--input", "-", "--seed", "1", "--format", "csv", "--cap", "16"],
+    "construct-lr": ["--n", "6", "--seed", "1", "--format", "json"],
+    "decompose": ["--input", "x.json", "--s", "2", "--w", "1/2", "--gamma", "1/3", "--stage", "first",
+                  "--seed", "1", "--format", "json"],
+    "bang": ["--format", "csv", "--seed", "1", "--input", "-"],
+    "find-uncovered": ["--input", "-", "--trials", "10", "--seed", "1", "--format", "json"],
+    "atom-prob": ["--input", "-", "--mode", "sampled", "--cap", "8", "--trials", "100", "--seed", "1",
+                  "--format", "json"],
+    "scales": ["--input", "-", "--target-s", "3", "--seed", "1", "--format", "json"],
+    "window": ["--input", "-", "--c0", "5", "--mode", "exact", "--cap", "8", "--trials", "9", "--seed", "1",
+               "--format", "csv"],
+    "refute": ["--input", "-", "--seed", "1", "--cap", "16", "--trials", "50", "--s", "2", "--w", "1/1000000",
+               "--c5", "32", "--c", "2", "--gamma", "1/3", "--strict-hypotheses", "--format", "json"],
+    "bounds": ["--n", "100", "--k", "3", "--s", "2", "--w", "1", "--seed", "0", "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DISPATCH))
+def test_fast_args_read_every_option_of_each_command(command):
+    rest = CANONICAL_ARGVS[command]
+    subparser = SUBPARSERS[command]
+    assert {token for token in rest if token.startswith("--")} == set(subparser._option_string_actions) - {
+        "-h", "--help"}
+    fast = cli._fast_args(command, rest)
+    args, extra = subparser.parse_known_args(rest)
+    assert fast is not None and (vars(fast), extra) == (vars(args), [])
+
+
+def test_fast_args_leave_argparse_unused_on_well_formed_argv(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a well-formed argv")
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_known_args", refuse)
+    assert run_command(["construct-lr", "--n", "4", "--seed", "1"]).exit_code == 0
+    assert run_command(["bounds", "--n", "100", "--k", "3", "--s", "2", "--w", "1"]).exit_code == 0
 
 
 # argv whose parsing is pinned, with argparse's own messages: help, usage

@@ -53,6 +53,19 @@ def test_format_parse_round_trip(x):
     assert parse_rational(format_rational(x)) == x
 
 
+# str() refuses an int of more digits than sys.get_int_max_str_digits() (4300
+# by default); format_rational writes it in pieces, zero-padded between them.
+@pytest.mark.parametrize("x, text", [
+    (Fraction(10**5000 + 1, 7), "1" + "0" * 4999 + "1/7"),
+    (Fraction(-(10**5000) - 10**100), "-1" + "0" * 4899 + "1" + "0" * 100),
+    (Fraction(3, 10**9000), "3/1" + "0" * 9000),
+    (Fraction(-(10**8598) + 1), "-" + "9" * 8598),
+    (Fraction(10**8598), "1" + "0" * 8598),
+])
+def test_format_rational_writes_past_the_int_digit_limit(x, text):
+    assert format_rational(x) == text
+
+
 def test_parse_system_minimal():
     sys_ = parse_system('{"n": 1, "rows": [["1"]], "mu": ["0"]}')
     assert (sys_.n, sys_.k) == (1, 1)
