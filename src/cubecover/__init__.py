@@ -3,17 +3,17 @@ hyperplane covers of the binary cube {0,1}^n."""
 
 from .core import (
     CapExceededError,
+    ClearedBlock,
     CoveringSystem,
     Params,
     DEFAULT_PARAMS,
     SystemFormatError,
-    UnitRow,
     Vertex,
     apply_rescaling,
+    cleared_block,
     format_rational,
     parse_rational,
     parse_system,
-    unit_row,
 )
 from .cube import CoverageReport, enumerate_uncovered, evaluate_row, rows_through, sample_uncovered
 from .essential import (

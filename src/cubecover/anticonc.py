@@ -26,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
-from operator import add
+from operator import add, mul
 from typing import Sequence
 
 from .core import (
@@ -34,10 +34,8 @@ from .core import (
     C1,
     ENUMERATION_CAP,
     CapExceededError,
-    UnitRow,
     as_fractions,
     clear_denominators,
-    unit_row,
 )
 
 
@@ -101,11 +99,11 @@ def _byte_tables(ints: Sequence[int]) -> list[list[int]]:
     return tables
 
 
-def _shell_edges(total: int, qd: int, qn4: int, p_sq: int, r_sq: int) -> tuple[int, ...]:
-    """Edges of {s : (2s - total)^2 qd p_sq >= qn4 r_sq and (2s - total)^2 qd r_sq <= qn4 p_sq}
-    for qd, qn4, p_sq, r_sq >= 1: the s with a <= |2s - total| <= b."""
-    a = math.isqrt(-(-qn4 * r_sq // (qd * p_sq)) - 1) + 1
-    b = math.isqrt(qn4 * p_sq // (qd * r_sq))
+def _shell_edges(total: int, qn4: int, p_sq: int, r_sq: int) -> tuple[int, ...]:
+    """Edges of {s : (2s - total)^2 p_sq >= qn4 r_sq and (2s - total)^2 r_sq <= qn4 p_sq}
+    for qn4, p_sq, r_sq >= 1: the s with a <= |2s - total| <= b."""
+    a = math.isqrt(-(-qn4 * r_sq // p_sq) - 1) + 1
+    b = math.isqrt(qn4 * p_sq // r_sq)
     lo, hi = (total + a + 1) // 2, (total + b) // 2 + 1  # 2s - total in [a, b]
     if lo >= hi:
         return ()
@@ -353,22 +351,24 @@ def validate_scales(
 
 
 def concentration_window_prob(
-    row: UnitRow | Sequence[Fraction | int | str],
+    row: Sequence[Fraction | int | str],
     C0: Fraction | float | None = None,
     mode: str = "exact",
     trials: int = 10000,
     seed: int = 0,
     cap: int = ENUMERATION_CAP,
 ) -> tuple[Fraction, bool]:
-    """P(1/C0 <= |<x,v> - (1/2) sum v| <= C0) for a unit-normalized row.
+    """P(1/C0 <= |<x,v> - (1/2) sum v| <= C0) for the row read as a unit
+    vector, v = row / ||row||, so that scaling the row changes nothing.
 
-    The row is coeffs/sqrt(q); with z = <x,coeffs> - (1/2) sum coeffs the
-    window membership is decided exactly via z^2 * C0^2 >= q and
-    z^2 <= C0^2 * q.  ok is the claim probability >= 1/C0, also exact.
+    With q = ||row||^2 and z = <x,row> - (1/2) sum row the window membership
+    is decided exactly via z^2 * C0^2 >= q and z^2 <= C0^2 * q.  ok is the
+    claim probability >= 1/C0, also exact.  A zero row is a ValueError.
     Exact mode needs dim <= ``cap``; sampled mode draws ``trials`` from ``seed``.
     """
-    if not isinstance(row, UnitRow):
-        row = unit_row(row)
+    ints = _integer_form(row)[0]
+    if not any(ints):
+        raise ValueError("cannot unit-normalize a zero row")
     if C0 is None:
         c0 = WINDOW_C0
     elif isinstance(C0, float):
@@ -379,12 +379,10 @@ def concentration_window_prob(
         c0 = Fraction(C0)
     if c0 < WINDOW_C0:
         raise ValueError(f"C0 must be >= 4.706, got {float(c0)}")
-    ints, _, mult = _integer_form(row.coeffs)
-    # On sums scaled by D, 2 D z = 2S - T with T = D sum(v).  For c0 = p/r
-    # and q = qn/qd, z^2 c0^2 >= q and z^2 <= c0^2 q read
-    # (2S - T)^2 qd p^2 >= 4 D^2 qn r^2 and (2S - T)^2 qd r^2 <= 4 D^2 qn p^2.
-    edges = _shell_edges(sum(ints), row.norm_sq.denominator, 4 * mult * mult * row.norm_sq.numerator,
-                         c0.numerator ** 2, c0.denominator ** 2)
+    # On the row scaled by D, 2 D z = 2S - T with T = D sum(row), and
+    # D^2 q = sum(ints^2).  For c0 = p/r, z^2 c0^2 >= q and z^2 <= c0^2 q read
+    # (2S - T)^2 p^2 >= 4 sum(ints^2) r^2 and (2S - T)^2 r^2 <= 4 sum(ints^2) p^2.
+    edges = _shell_edges(sum(ints), 4 * sum(map(mul, ints, ints)), c0.numerator ** 2, c0.denominator ** 2)
     prob = _window_mass(ints, edges, mode, trials, seed, cap,
                         f"dim={len(ints)} exceeds enumeration cap")
     return prob, prob * c0 >= 1

@@ -9,13 +9,12 @@ when one of them runs without --seed, a random seed is drawn and logged to
 stderr so the run can be replayed, and the output records it.  The others
 ignore --seed and log nothing.
 
-argv is parsed in up to three steps.  First ``_fast_args`` reads well-formed
+argv is parsed in up to two steps.  First ``_fast_args`` reads well-formed
 argv (every token an exact option of the command, given once, with a value
 that converts) into the namespace the command's subparser would give, without
-argparse.  Any other argv goes to that subparser.  Only when argv names no
-command, or the subparser leaves arguments over, does the top-level parser
-parse argv again, so that help, usage and errors read as that parser gives
-them.
+argparse.  Any other argv goes to the top-level parser, which hands the
+command's arguments to that subparser, so that help, usage and errors read
+as the top-level parser gives them.
 """
 
 from __future__ import annotations
@@ -34,13 +33,12 @@ from .core import (
     CapExceededError,
     Params,
     SystemFormatError,
-    UnitRow,
     _parse_entries,
+    cleared_block,
     format_rational,
     parse_object,
     parse_rational,
     parse_system,
-    unit_row,
     wire,
 )
 from .essential import verify_essential
@@ -106,13 +104,13 @@ def _numbers(values: list, key: str) -> list[float]:
     return out
 
 
-def _unit_row(values: list, where: str) -> UnitRow:
-    """The unit row of the rationals ``values``; a zero row is an input error
-    that names its place ``where``."""
+def _nonzero_row(values: list, where: str) -> tuple[Fraction, ...]:
+    """The rationals ``values``, a row that the command reads as a unit
+    vector: a zero row is an input error that names its place ``where``."""
     coeffs = _parse_entries(values, lambda j: f"{where}[{j}]", {})
     if not any(coeffs):
         raise SystemFormatError(f"{where}: cannot unit-normalize a zero row")
-    return unit_row(coeffs)
+    return coeffs
 
 
 def _ascii_int(text: str) -> int:
@@ -321,7 +319,7 @@ def _cmd_decompose(args, params) -> tuple[int, dict]:
     s = refute.derived_scale_count(system.n, params)
     w = refute.derived_column_budget(system.n, system.k, params)
     if args.stage == "first":
-        d1 = decompose.first_decomposition(system.rows, s, w)
+        d1 = decompose.first_decomposition(system.block(range(system.k), range(system.n)), s, w)
         ok = decompose.check_decomposition1(system.rows, d1)
         return 0, {"stage": "first", **wire(d1), "invariants_ok": ok}
     d2 = decompose.second_decomposition(system, s, w, params.gamma)
@@ -342,11 +340,12 @@ def _cmd_bang(args, params) -> tuple[int, dict]:
 
 def _cmd_find_uncovered(args, params) -> tuple[int, dict]:
     doc = _read_document(args.input, rows="matrix", targets="list")
-    rows = [_unit_row(r, f"rows[{i}]") for i, r in enumerate(doc["rows"])]
+    rows = [_nonzero_row(r, f"rows[{i}]") for i, r in enumerate(doc["rows"])]
     targets = _parse_entries(doc["targets"], lambda j: f"targets[{j}]", {})
-    check = plank.check_small_norm_precondition(rows)
+    block = cleared_block(rows)
+    check = plank.check_small_norm_precondition(block)
     try:
-        vertex, attempts = plank.find_uncovered_small_norm(rows, targets, params.sample_cap, params.seed, check=check)
+        vertex, attempts = plank.find_uncovered_small_norm(block, targets, params.sample_cap, params.seed, check=check)
     except plank.PlankPreconditionError as exc:
         return 2, {"error": str(exc), "check": exc.check}
     except plank.SampleCapError as exc:
@@ -378,7 +377,7 @@ def _cmd_scales(args, params) -> tuple[int, dict]:
 
 def _cmd_window(args, params) -> tuple[int, dict]:
     doc = _read_document(args.input, vector="list")
-    row = _unit_row(doc["vector"], "vector")
+    row = _nonzero_row(doc["vector"], "vector")
     c0 = parse_rational(args.c0) if args.c0 is not None else None
     prob, ok = anticonc.concentration_window_prob(
         row, C0=c0, mode=args.mode, trials=params.sample_cap, seed=params.seed, cap=params.enumeration_cap
@@ -441,16 +440,11 @@ def run_command(argv: list[str]) -> CommandResult:
     """Parse argv, dispatch, and return (exit_code, stdout JSON, stderr text)."""
     parser, commands, _ = _build_parser()
     try:
-        # The top-level parser would hand argv[1:] to the same subparser; it
-        # parses argv itself only to print its own usage and errors.
-        args, extra = None, None
-        if argv and argv[0] in commands:
-            args = _fast_args(argv[0], argv[1:])
-            if args is None:
-                args, extra = commands[argv[0]].parse_known_args(argv[1:])
-            args.command = argv[0]
-        if args is None or extra:
+        args = _fast_args(argv[0], argv[1:]) if argv and argv[0] in commands else None
+        if args is None:
             args = parser.parse_args(argv)
+        else:
+            args.command = argv[0]
     except SystemExit as exc:
         ok = exc.code in (0, None)
         return CommandResult(0 if ok else 3, "", "" if ok else "argument parsing failed\n")

@@ -3,20 +3,21 @@
 A covering system is a k x n rational matrix V together with a right-hand side
 mu; row i defines the hyperplane <v_i, x> = mu_i over vertices x in {0,1}^n.
 Membership is an exact predicate, so every scalar is an arbitrary-precision
-rational.  Quantities that would be irrational (the 1/sqrt(q) factor of a
-unit-normalized row) are never materialized; they are carried as a rational
-row together with its rational squared norm, and all comparisons involving
-them are performed on squares.
+rational.  A quantity that would be irrational (a row read as a unit vector,
+divided by its norm) is never materialized: a stage that reads rows so works
+out each row's rational squared norm itself, and compares squares.
 
 The exact kernels elsewhere work on integers through one helper,
 ``clear_row``: a row's nonzero entries and an optional right-hand side,
 scaled by their least common denominator D.  ``CoveringSystem.cleared_rows``
 (row i with mu_i) holds that form, computed on first use; it is the only
-place a system's rows are cleared.  A stage that works on some rows and
-columns takes them from there with ``ClearedRow.restricted`` (renumbered,
-same D), ``CoveringSystem.restrict`` builds a subsystem that carries them,
-and ``UnitRow.with_cleared`` a unit row that does.  ``parse_system`` parses
-each distinct entry string once (``_parse_entries``).
+place a system's rows are cleared, as ``cleared_block`` is the only place a
+rational matrix is.  A ``ClearedBlock`` (cleared rows on numbered columns)
+is what the first decomposition and the plank stage read;
+``CoveringSystem.block`` cuts one from a system's cleared rows (renumbered,
+same D), and ``CoveringSystem.restrict`` builds a subsystem that carries
+them.  ``parse_system`` parses each distinct entry string once
+(``_parse_entries``).
 
 The paper's window constant C0 = 4.706, the constants that follow from it
 (C1, C3, TAU) and the default ENUMERATION_CAP are module constants; only the
@@ -198,18 +199,27 @@ class CoveringSystem:
         """Row i and mu_i cleared over one D_i (``clear_row``), for every row."""
         return [clear_row(row, mu) for row, mu in zip(self.rows, self.mu)]
 
+    def block(self, rows: Sequence[int], cols: Sequence[int]) -> ClearedBlock:
+        """The cleared rows ``rows`` on the ascending columns ``cols``
+        (renumbered 0..len(cols)-1): as they are when ``cols`` is every
+        column, else restricted (``ClearedRow.restricted``, same D)."""
+        cleared = self.cleared_rows
+        if len(cols) == self.n:
+            return ClearedBlock([cleared[i] for i in rows], self.n)
+        index = {j: t for t, j in enumerate(cols)}
+        return ClearedBlock([cleared[i].restricted(index) for i in rows], len(cols))
+
     def restrict(self, rows: Sequence[int], cols: Sequence[int]) -> "CoveringSystem":
         """The rows ``rows`` with their mu_i, on the ascending columns ``cols``
-        (renumbered 0..len(cols)-1).  Its cleared rows are this system's,
-        restricted (``ClearedRow.restricted``), so no row is cleared again."""
-        index = {j: t for t, j in enumerate(cols)}
+        (renumbered 0..len(cols)-1).  Its cleared rows are this system's
+        ``block``, so no row is cleared again."""
         sub = CoveringSystem(
             n=len(cols),
             k=len(rows),
             rows=tuple([tuple([self.rows[i][j] for j in cols]) for i in rows]),
             mu=tuple([self.mu[i] for i in rows]),
         )
-        sub.__dict__["cleared_rows"] = [self.cleared_rows[i].restricted(index) for i in rows]
+        sub.__dict__["cleared_rows"] = self.block(rows, cols).rows  # where the cached_property keeps its value
         return sub
 
     def supports(self) -> tuple[list[list[int]], list[int]]:
@@ -259,12 +269,16 @@ def _parse_entries(raw: list, where, parsed: dict[str, Fraction]) -> tuple[Fract
 
 def parse_object(text: str, keys: Iterable[str]) -> dict:
     """The JSON object ``text`` holds, with every key of ``keys``; malformed
-    JSON (also JSON nested deeper than the decoder recurses), another value or
-    a missing key is a SystemFormatError."""
+    JSON (also JSON nested deeper than the decoder recurses, or an integer
+    literal of more digits than ``sys.get_int_max_str_digits()``), another
+    value or a missing key is a SystemFormatError."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise SystemFormatError(f"malformed JSON: {exc}") from exc
+    except ValueError as exc:  # int() refuses a literal past the int digit limit; it is not changed
+        limit = sys.get_int_max_str_digits()
+        raise SystemFormatError(f"malformed JSON: an integer literal has more than {limit} digits") from exc
     if not isinstance(doc, dict):
         raise SystemFormatError("top-level JSON value must be an object")
     for key in keys:
@@ -366,42 +380,25 @@ def clear_row(row: Sequence[Fraction | int], rhs: Fraction | int = 0) -> Cleared
 
 
 @dataclass(frozen=True)
-class UnitRow:
-    """A unit-normalized row stored exactly: the vector is coeffs / sqrt(norm_sq)."""
+class ClearedBlock:
+    """An l x m matrix given by its rows in cleared form (``ClearedRow``,
+    columns numbered 0..m-1, rhs unused).  A row's D may be any positive
+    multiple of its entries' least common denominator: the stages that read
+    a block are invariant under scaling a row."""
 
-    coeffs: tuple[Fraction, ...]
-    norm_sq: Fraction
-
-    def __post_init__(self) -> None:
-        if self.norm_sq <= 0:
-            raise ValueError("norm_sq must be positive")
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    @cached_property
-    def cleared(self) -> ClearedRow:
-        """The coefficients cleared over their nonzeros (``clear_row``, rhs 0),
-        unless the row was built ``with_cleared``."""
-        return clear_row(self.coeffs)
-
-    @classmethod
-    def with_cleared(cls, coeffs: tuple[Fraction, ...], norm_sq: Fraction, cleared: ClearedRow) -> "UnitRow":
-        """A unit row whose cleared form is already known: ``cleared`` holds the
-        nonzero coeffs times some positive D, with rhs 0.  The plank stage is
-        invariant under that D, so it need not be the least one."""
-        row = cls(coeffs=coeffs, norm_sq=norm_sq)
-        row.__dict__["cleared"] = cleared  # where the cached_property keeps its value
-        return row
+    rows: Sequence[ClearedRow]
+    m: int
 
 
-def unit_row(coeffs: Sequence[Fraction | int | str]) -> UnitRow:
-    """Wrap a rational vector as a unit row with q = its full squared norm."""
-    vec = as_fractions(coeffs)
-    q = sum((c * c for c in vec), Fraction(0))
-    if q == 0:
-        raise ValueError("cannot unit-normalize a zero row")
-    return UnitRow(coeffs=vec, norm_sq=q)
+def cleared_block(matrix: Sequence[Sequence[Fraction | int | str]]) -> ClearedBlock:
+    """The rational matrix ``matrix`` as a ClearedBlock, each row cleared over
+    its nonzero entries (``clear_row``, rhs 0).  Rows of unequal length are a
+    ValueError."""
+    rows = [as_fractions(row) for row in matrix]
+    m = len(rows[0]) if rows else 0
+    if any(len(row) != m for row in rows):
+        raise ValueError("rows have inconsistent lengths")
+    return ClearedBlock([clear_row(row) for row in rows], m)
 
 
 # The paper's window constant and the constants that follow from it, as

@@ -13,15 +13,14 @@ Two algorithms:
   points, and their squared norms are read off its cleared row.  When
   tau/W exceeds the row count no column can be heavy, and the run builds
   none of this: it reads each row's squared norm and returns every row in
-  L1 and every column in M1.  It takes a rational matrix, which it clears
-  itself (``core.clear_row``), or a ``ClearedBlock`` of rows cleared
-  already.
+  L1 and every column in M1.  It reads a ``core.ClearedBlock``: a
+  system's rows cut by ``CoveringSystem.block``, or a rational matrix
+  cleared by ``core.cleared_block``.
 * second_decomposition iterates the first decomposition, absorbing
   zero-residual rows and their columns, until the leftover zero rows are few
   and all have large support on the final moved columns.  It clears nothing:
-  each round hands the first decomposition the working rows of
-  ``CoveringSystem.cleared_rows`` as they are until a column is absorbed,
-  and restricted to the working columns after.
+  each round hands the first decomposition ``CoveringSystem.block`` of the
+  working rows and columns.
 
 Row blocks are named L1/L2 (first stage) and K1..K4 (second stage); column
 blocks M1/M2 and N1..N3.  tau, C1 and C3 are the paper's constants
@@ -42,32 +41,13 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .anticonc import ScalePartition, validate_scales
-from .core import (
-    C1,
-    C3,
-    TAU,
-    ClearedRow,
-    CoveringSystem,
-    as_fractions,
-    clear_row,
-)
+from .core import C1, C3, TAU, ClearedBlock, CoveringSystem, as_fractions
 
 Matrix = Sequence[Sequence[Fraction | int]]
 
 # Scale of the row-count hypothesis k^5 (S*W)^2 <= C4^5 n^3: a documented
 # choice, not a claim.
 C4 = Fraction(1)
-
-
-@dataclass(frozen=True)
-class ClearedBlock:
-    """An l x m matrix given by its rows in cleared form (``core.ClearedRow``,
-    columns numbered 0..m-1, rhs unused).  A row's D may be any positive
-    multiple of its entries' least common denominator: the first
-    decomposition is invariant under scaling a row."""
-
-    rows: Sequence[ClearedRow]
-    m: int
 
 
 @dataclass(frozen=True)
@@ -91,7 +71,7 @@ class Decomposition1:
 
 
 def first_decomposition(
-    matrix: Matrix | ClearedBlock,
+    block: ClearedBlock,
     S: int,
     W: Fraction | int | float,
 ) -> Decomposition1:
@@ -103,15 +83,14 @@ def first_decomposition(
     remaining support.  Terminates in at most m iterations since every
     iteration removes one column.
 
-    ``matrix`` is a rational matrix, whose rows are cleared here
-    (``core.clear_row``), or a ``ClearedBlock`` of rows cleared already:
-    b_i = D_i a_i either way, and the outputs are equal.  Residual squared
-    norms over M1 are kept per row and lose b_ij^2 as column j leaves M1;
-    column masses sum_i b_ij^2 / Q_i (the D_i^2 cancel) change only when a
-    row is renormalized, which only makes them grow, so the set of heavy
-    columns only gains members while in M1.  The move picks the smallest
-    heavy column, as a rescan of M1 in column order would.  ``row_norm_sq``
-    is reported in the original units, Q_i / D_i^2 (1 for a zero row).
+    ``block`` holds each row a_i as b_i = D_i a_i; the outputs do not
+    depend on the D_i.  Residual squared norms over M1 are kept per row and
+    lose b_ij^2 as column j leaves M1; column masses sum_i b_ij^2 / Q_i (the
+    D_i^2 cancel) change only when a row is renormalized, which only makes
+    them grow, so the set of heavy columns only gains members while in M1.
+    The move picks the smallest heavy column, as a rescan of M1 in column
+    order would.  ``row_norm_sq`` is reported in the original units,
+    Q_i / D_i^2 (1 for a zero row).
     Under the initial normalizers b_ij^2 <= Q_i, so each of the l rows adds
     at most 1 to a column's mass, which is then at most l: when tau/W > l
     no column is heavy and nothing moves.  That path builds no per-entry
@@ -132,15 +111,12 @@ def first_decomposition(
     w = Fraction(W)
     if w <= 0:
         raise ValueError(f"W must be positive, got {W}")
-    if not isinstance(matrix, ClearedBlock):
-        rows = [as_fractions(row) for row in matrix]
-        matrix = ClearedBlock([clear_row(row) for row in rows], len(rows[0]) if rows else 0)
-    ell, m = len(matrix.rows), matrix.m
+    ell, m = len(block.rows), block.m
     tau_num, tau_den = TAU.numerator, TAU.denominator
     threshold = TAU / w
 
-    scales = [row.D for row in matrix.rows]
-    resid = [sum(map(mul, row.ints, row.ints)) for row in matrix.rows]  # sum over M1 of b_ij^2
+    scales = [row.D for row in block.rows]
+    resid = [sum(map(mul, row.ints, row.ints)) for row in block.rows]  # sum over M1 of b_ij^2
     q = [r if r > 0 else d * d for r, d in zip(resid, scales)]  # a zero row keeps norm 1
     mass: dict[int, Fraction] = {}
     # A heap of the heavy columns; a column leaving M1 is dropped when it
@@ -150,7 +126,7 @@ def first_decomposition(
     if t_num <= ell * t_den:  # above ell no initial mass is heavy, and nothing moves
         col_sq: list[list[tuple[int, int]]] = [[] for _ in range(m)]  # (row, b_ij^2), b_ij != 0
         row_sq: list[list[tuple[int, int]]] = []  # per row, (column, b_ij^2), b_ij != 0
-        for i, (cols, ints, _, _) in enumerate(matrix.rows):
+        for i, (cols, ints, _, _) in enumerate(block.rows):
             entries = [(j, b * b) for j, b in zip(cols, ints)]
             row_sq.append(entries)
             for j, sq in entries:
@@ -397,16 +373,8 @@ def second_decomposition(
             n1, n2 = list(work_cols), []
             partitions = {}
             break
-        # The working rows of the cleared system, on the working columns: as
-        # they are while every column is working, else restricted.  The call
-        # looks up the public name, so a wrapper bound to it sees it.
-        if len(work_cols) == n:
-            rows = [cleared[i] for i in work_rows]
-        else:
-            index = {j: t for t, j in enumerate(work_cols)}
-            rows = [cleared[i].restricted(index) for i in work_rows]
-        block = ClearedBlock(rows, len(work_cols))
-        d1 = first_decomposition(block, S, w)
+        # The call looks up the public name, so a wrapper bound to it sees it.
+        d1 = first_decomposition(system.block(work_rows, work_cols), S, w)
         l1g = [work_rows[i] for i in d1.L1]
         l2g = [work_rows[i] for i in d1.L2]
         m1g = [work_cols[j] for j in d1.M1]

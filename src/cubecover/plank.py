@@ -7,11 +7,12 @@ is merely single-flip optimal for the quadratic objective
 inequality, so the search here is strict steepest-ascent coordinate flipping
 from a seeded random start rather than exhaustive maximization.
 
-Both stages read each row's cleared form ``UnitRow.cleared``: the refute
-pipeline hands over rows that carry it (``UnitRow.with_cleared``), other
-callers' rows clear themselves on first use.  Any positive D works, as
-both stages are invariant under it.  The small-norm precondition is exact:
-column norms are integer sums over one common denominator.  The finder
+Both stages read a ``core.ClearedBlock`` and each row b = D a as the unit
+vector a / ||a||, working out its squared norm sum b^2 / D^2 themselves: the
+refute pipeline hands over the K3 rows of ``CoveringSystem.block``, other
+callers a matrix cleared by ``core.cleared_block``.  Any positive D works,
+as both stages are invariant under it.  The small-norm precondition is
+exact: column norms are integer sums over one common denominator.  The finder
 turns the separated point into a randomized rounding distribution over the
 cube, building the Gram matrix and the projection over the nonzero
 coefficients, read as b / D (zero terms cannot change a float sum, so the
@@ -29,7 +30,7 @@ from functools import reduce
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .core import UnitRow, Vertex
+from .core import ClearedBlock, Vertex
 
 # Slack of the float checks: M's symmetry and diagonal in bang_signs, and
 # ||y'||_inf <= 1 in the finder.
@@ -145,33 +146,28 @@ def bang_signs(
     return SignVector(signs=tuple(eps), flips=flips, objective=objective)
 
 
-def check_small_norm_precondition(rows: Sequence[UnitRow]) -> SmallNormCheck:
+def check_small_norm_precondition(block: ClearedBlock) -> SmallNormCheck:
     """Compute alpha, beta, ell and the product 2*alpha*beta*log(4*ell).
 
-    Column norms are those of the unit-normalized rows: column j contributes
-    sum_i c_ij^2 / q_i, exactly.  With each row's cleared form b_ij = D_i c_ij
-    and D_i^2 q_i = P_i / R_i in lowest terms, the sum is
-    sum_i b_ij^2 R_i (L / P_i) over the common L = lcm(P_i): integers, with
+    Column norms are those of the rows read as unit vectors: column j
+    contributes sum_i a_ij^2 / ||a_i||^2, exactly.  With each row's cleared
+    form b_ij = D_i a_ij and P_i = sum_j b_ij^2 = D_i^2 ||a_i||^2, the sum is
+    sum_i b_ij^2 (L / P_i) over the common L = lcm(P_i): integers, with
     beta = max_j (that sum) / L.
     """
-    ell = len(rows)
+    ell = len(block.rows)
     if ell == 0:
         return SmallNormCheck(alpha=0, beta=Fraction(0), ell=0, lhs=0.0, ok=True)
-    m = len(rows[0])
-    cleared = []  # per row: (support, cleared coefficients, P_i, R_i)
-    for r in rows:
-        if len(r) != m:
-            raise ValueError("rows have inconsistent lengths")
-        support, ints, _, mult = r.cleared
+    norms = []  # P_i
+    for support, ints, _, _ in block.rows:
         if not support:
             raise ValueError("zero row")
-        q = r.norm_sq * (mult * mult)
-        cleared.append((support, ints, q.numerator, q.denominator))
-    common = math.lcm(*[p for _, _, p, _ in cleared])
-    supp = [0] * m
-    col_sq = [0] * m
-    for support, ints, p, rr in cleared:
-        weight = rr * (common // p)
+        norms.append(sum(map(mul, ints, ints)))
+    common = math.lcm(*norms)
+    supp = [0] * block.m
+    col_sq = [0] * block.m
+    for (support, ints, _, _), p in zip(block.rows, norms):
+        weight = common // p
         for j, b in zip(support, ints):
             supp[j] += 1
             col_sq[j] += b * b * weight
@@ -182,13 +178,14 @@ def check_small_norm_precondition(rows: Sequence[UnitRow]) -> SmallNormCheck:
 
 
 def find_uncovered_small_norm(
-    rows: Sequence[UnitRow],
+    block: ClearedBlock,
     targets: Sequence[Fraction | int],
     trials: int = 1000,
     seed: int = 0,
     check: SmallNormCheck | None = None,
 ) -> tuple[Vertex, int]:
-    """Return a vertex off every hyperplane <coeffs_i, x> = targets_i, plus attempts.
+    """Return a vertex off every hyperplane <a_i, x> = targets_i, plus
+    attempts, for the rows b_i = D_i a_i of ``block``.
 
     Requires the small-norm precondition; ``check`` is its result on these
     rows when the caller has computed it already.  Pipeline: theta = sqrt(2 log 4l),
@@ -197,11 +194,11 @@ def find_uncovered_small_norm(
     P(w_j = 1) = y_j, at most ``trials`` draws from ``seed``, until all
     separations hold.  A candidate's inner product with row i is the subset
     sum s of the cleared row over D_i: a target t, which must be rational (a
-    Fraction or an int, on the scale of coeffs), is hit iff
+    Fraction or an int, on the scale of a_i), is hit iff
     s * den(t) == num(t) * D_i, exactly.  A target beyond the float range is
     the infinity of its sign in the floats: the sign search's limit as t grows.
     """
-    ell = len(rows)
+    ell = len(block.rows)
     if ell == 0:
         raise ValueError("need at least one row")
     if len(targets) != ell:
@@ -209,28 +206,26 @@ def find_uncovered_small_norm(
     for i, t in enumerate(targets):
         if not isinstance(t, (Fraction, int)):
             raise ValueError(f"targets[{i}] = {t!r} is not rational (a Fraction or an int)")
-    m = len(rows[0])
     if check is None:
-        check = check_small_norm_precondition(rows)
+        check = check_small_norm_precondition(block)
     if not check.ok:
         raise PlankPreconditionError(
             f"precondition 2*alpha*beta*log(4*ell) = {check.lhs:.6f} > 1", check
         )
 
-    # Each row as its nonzero (column, coefficient / sqrt(q)) pairs in column
-    # order.  A zero term leaves a float sum unchanged, so every sum below
-    # equals its dense form bit for bit.  ``checks`` holds, per row, what the
+    # Each row as its nonzero (column, a_j / sqrt(q)) pairs in column order,
+    # with q = ||a||^2.  A zero term leaves a float sum unchanged, so every
+    # sum below equals its dense form bit for bit.  ``checks`` holds, per row, what the
     # rounding tests: the cleared (column, b_j) pairs, D and the target.
     vf, mu_f, checks = [], [], []
-    for r, t in zip(rows, targets):
-        support, ints, _, mult = r.cleared
+    for (support, ints, _, mult), t in zip(block.rows, targets):
         # The coefficients and the target are read scaled by 2^-e and q by
         # 4^-e, with 4^e near q, so that rows far from unit scale neither
         # underflow nor overflow a float.  A power of two changes no rounding:
         # while the unscaled values are in range, every float here is theirs.
         # Each is an int true division of shifted integers, correctly rounded
         # as float() of a Fraction is.
-        q = r.norm_sq
+        q = Fraction(sum(map(mul, ints, ints)), mult * mult)
         e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
         up, down = max(-e, 0), max(e, 0)
         root = math.sqrt((q.numerator << 2 * up) / (q.denominator << 2 * down))
@@ -251,7 +246,7 @@ def find_uncovered_small_norm(
             gram[i][i2] = gram[i2][i] = _float_sum(v * other[j] for j, v in vf[i] if j in other)
     rng = random.Random(seed)
     sv = bang_signs(gram, zeta, [theta] * ell, seed=rng.getrandbits(63))
-    column_sums = [0.0] * m
+    column_sums = [0.0] * block.m
     for entries, sign in zip(vf, sv.signs):
         for j, v in entries:
             column_sums[j] += v * sign

@@ -5,12 +5,12 @@ The pipeline decomposes the system, fixes the N3 coordinates from a vertex
 avoiding the K1 hyperplanes, rejection-samples the N2 coordinates until the
 K2/K4 acceptance certificate holds, and runs the small-norm finder on the
 K3 x N1 block.  Every stage reads ``CoveringSystem.cleared_rows`` and
-clears no row again: the decomposition restricts them to each round's
-working block, the N3 subcube is a ``CoveringSystem.restrict`` that carries
-them (and the rational rows, for the exact re-check of a sampled witness),
-and the K3 unit rows carry them restricted to N1.  When N1 is every column
-(as on a plank system where nothing moves), each K3 row's cleared form and
-rational row are handed over as they are, with no copy.  For the K2/K4
+clears no row again: the decomposition and the small-norm stage read them
+cut to their rows and columns by ``CoveringSystem.block`` (as they are, with
+no copy, when every column is kept, as on a plank system where nothing
+moves), and the N3 subcube is a ``CoveringSystem.restrict`` that carries
+them (and the rational rows, for the exact re-check of a sampled
+witness).  For the K2/K4
 certificate and the K3 block each row's integer terms, its target (D*mu_i
 less the entries on the set columns) and, for K4, its Cauchy-Schwarz bound
 are computed once, so a draw of the N2 sampler costs one integer sum per
@@ -30,10 +30,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Mapping
 
-from .core import ClearedRow, CoveringSystem, Params, DEFAULT_PARAMS, UnitRow, Vertex
+from .core import ClearedRow, CoveringSystem, Params, DEFAULT_PARAMS, Vertex
 from .cube import enumerate_uncovered, rows_through, sample_uncovered
 from .decompose import Decomposition2, second_decomposition
 from .plank import (
@@ -252,23 +251,12 @@ def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) 
     fixed.update(w2)
     n1_bits: dict[int, int] = {j: 0 for j in d.N1}
     if d.K3:
-        whole = len(d.N1) == n  # N1 is every column: the rows go over as they are
-        n1_index = None if whole else {j: t for t, j in enumerate(d.N1)}
+        # Row i on N1 and, over the same D, mu_i less the entries on the set
+        # columns.
+        block = system.block(d.K3, d.N1)
         set_cols = {j for j in (*d.N2, *d.N3) if fixed[j]}
-        block, targets = [], []
-        for i in d.K3:
-            # Row i and mu_i over one D: the row on N1 with its squared norm
-            # there, which the plank stage reads as is, and mu_i less the
-            # entries on the set columns.
-            row = system.cleared_rows[i]
-            if whole:
-                local, coeffs = row._replace(rhs=0), system.rows[i]
-            else:
-                local = row.restricted(n1_index)._replace(rhs=0)
-                coeffs = tuple(list(map(system.rows[i].__getitem__, d.N1)))
-            norm = sum(map(mul, local.ints, local.ints))
-            block.append(UnitRow.with_cleared(coeffs, Fraction(norm, row.D * row.D), local))
-            targets.append(Fraction(_target_less(row, set_cols), row.D))
+        cleared = system.cleared_rows
+        targets = [Fraction(_target_less(cleared[i], set_cols), cleared[i].D) for i in d.K3]
         precheck = check_small_norm_precondition(block)
         detail["small_norm"] = precheck
         if not precheck.ok:

@@ -23,6 +23,7 @@ from cubecover import (
     check_decomposition1,
     check_decomposition2,
     check_small_norm_precondition,
+    cleared_block,
     concentration_window_prob,
     enumerate_uncovered,
     evaluate_row,
@@ -31,7 +32,6 @@ from cubecover import (
     lr_cover,
     max_atom_probability,
     second_decomposition,
-    unit_row,
     verify_essential,
 )
 from cubecover.core import C0, C1
@@ -115,7 +115,7 @@ def test_criterion_05_concentration_window():
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(dim)]
         if all(c == 0 for c in coeffs):
             coeffs[rng.randrange(dim)] = Fraction(1)
-        prob, window_ok = concentration_window_prob(unit_row(coeffs))
+        prob, window_ok = concentration_window_prob(coeffs)
         ok = ok and window_ok and prob * C0 >= 1
     report(5, ok)
 
@@ -174,15 +174,15 @@ def test_criterion_07_uncovered_vertex_finder():
             coeffs = [Fraction(0)] * 64
             for j in layout[16 * i : 16 * i + 16]:
                 coeffs[j] = Fraction(1, 4)
-            rows.append(unit_row(coeffs))
+            rows.append(coeffs)
             targets.append(Fraction(2))  # the center value of each row
-        check = check_small_norm_precondition(rows)
+        check = check_small_norm_precondition(cleared_block(rows))
         ok = ok and check.ok and abs(check.lhs - 2 * (1 / 16) * math.log(16)) < 1e-12
-        vertex, attempts = find_uncovered_small_norm(rows, targets, seed=trial)
+        vertex, attempts = find_uncovered_small_norm(cleared_block(rows), targets, seed=trial)
         ok = ok and attempts <= 20
         attempts_seen.append(attempts)
         for r, t in zip(rows, targets):
-            dot = sum((c for c, b in zip(r.coeffs, vertex.bits) if b), Fraction(0))
+            dot = sum((c for c, b in zip(r, vertex.bits) if b), Fraction(0))
             ok = ok and dot != t
     mean = sum(attempts_seen) / len(attempts_seen)
     report(7, ok and mean <= 4.0, f"mean attempts {mean:.2f}, max {max(attempts_seen)}")
@@ -230,7 +230,7 @@ def test_criterion_08_decomposition_postconditions():
     )
     hypothesis_hits = 0
     for system, s, w in cases:
-        d1 = first_decomposition(system.rows, s, w)
+        d1 = first_decomposition(cleared_block(system.rows), s, w)
         ok = ok and check_decomposition1(system.rows, d1)
         ok = ok and Fraction(len(d1.M2)) <= (1 + C1 * C1) * system.k * s * w
         d2 = second_decomposition(system, s, w)

@@ -12,14 +12,12 @@ from hypothesis import given, settings, strategies as st
 from cubecover import (
     ScalePartition,
     ScalePartitionError,
-    UnitRow,
     atom_probability,
     concentration_window_prob,
     littlewood_offord_bound,
     max_atom_probability,
     scale_partition,
     subset_sum_counts,
-    unit_row,
     validate_scales,
 )
 from cubecover import anticonc
@@ -173,8 +171,6 @@ def test_window_boundaries_are_exact():
     # [3, 4] with C0 = 10: the sums 3 and 4 sit on z^2 C0^2 = q (z = -1/2, 1/2, q = 25),
     # which the closed window includes.
     assert concentration_window_prob([3, 4], C0=10)[0] == 1
-    # A unit row whose stored q = 1/100 puts z = +-1 on z^2 = C0^2 q, also included.
-    assert concentration_window_prob(UnitRow((Fraction(1), Fraction(1)), Fraction(1, 100)), C0=10)[0] == Fraction(1, 2)
 
 
 def test_geometric_blocks_window_mass():
@@ -223,7 +219,7 @@ def test_window_claim_holds_for_random_unit_rows():
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
         if all(c == 0 for c in coeffs):
             coeffs[0] = Fraction(1)
-        prob, ok = concentration_window_prob(unit_row(coeffs))
+        prob, ok = concentration_window_prob(coeffs)
         assert ok, (coeffs, prob)
 
 
@@ -325,16 +321,16 @@ def test_max_atom_probability_matches_fraction_oracle():
 def test_window_probability_matches_fraction_oracle():
     for v, _, seed in _oracle_vectors():
         for c0 in (Fraction(4706, 1000), Fraction(37, 7)):
-            row = unit_row(v)
+            norm_sq = sum((c * c for c in v), Fraction(0))
             half = sum(v, Fraction(0)) / 2
             c0_sq = c0 * c0
 
             def inside(s):
                 z_sq = (s - half) ** 2
-                return z_sq * c0_sq >= row.norm_sq and z_sq <= c0_sq * row.norm_sq
+                return z_sq * c0_sq >= norm_sq and z_sq <= c0_sq * norm_sq
 
-            assert concentration_window_prob(row, C0=c0)[0] == fraction_exact_mass(v, inside)
-            sampled, _ = concentration_window_prob(row, C0=c0, mode="sampled", trials=200, seed=seed)
+            assert concentration_window_prob(v, C0=c0)[0] == fraction_exact_mass(v, inside)
+            sampled, _ = concentration_window_prob(v, C0=c0, mode="sampled", trials=200, seed=seed)
             assert sampled == fraction_sampled_mass(v, inside, 200, seed)
 
 
@@ -431,12 +427,13 @@ def test_shell_edges_match_old_predicate():
         total, qd, p, r = rng.randint(-41, 41), rng.randint(1, 9), rng.randint(1, 8), rng.randint(1, 8)
         j = rng.randint(1, 6)
         # qn4 = (j p)^2 qd puts |2s - T| = j r on the inner edge, qn4 = (j r)^2 qd
-        # puts |2s - T| = j p on the outer one.
-        qn4 = rng.choice(((j * p) ** 2 * qd, (j * r) ** 2 * qd, rng.randint(1, 600)))
+        # puts |2s - T| = j p on the outer one.  The window reads 4 D^2 q,
+        # which is qn4 / qd: qd divides qn4.
+        qn4 = rng.choice(((j * p) ** 2, (j * r) ** 2, rng.randint(1, 600))) * qd
         inside = old_shell_predicate(total, qd, qn4, p * p, r * r)
         reach = int(math.sqrt(qn4 * p * p / (qd * r * r))) // 2 + 4
         sums = range(total // 2 - reach, total // 2 + reach + 1)
-        _assert_edges_match(_shell_edges(total, qd, qn4, p * p, r * r), inside, sums)
+        _assert_edges_match(_shell_edges(total, qn4 // qd, p * p, r * r), inside, sums)
         inner += any((2 * s - total) ** 2 * qd * p * p == qn4 * r * r for s in sums if inside(s))
         outer += any((2 * s - total) ** 2 * qd * r * r == qn4 * p * p for s in sums if inside(s))
     assert inner > 200 and outer > 200
@@ -466,7 +463,7 @@ def test_meet_in_the_middle_mass_matches_full_enumeration():
         num, den = rng.randint(1, 900), rng.randint(1, 7)
         windows.append((ball_edges(target, num, den), old_ball_predicate(target, num, den)))
         qn4 = rng.randint(1, 4 * sum(c * c for c in ints) + 4)
-        windows.append((_shell_edges(total, qd, qn4, p * p, r * r), old_shell_predicate(total, qd, qn4, p * p, r * r)))
+        windows.append((_shell_edges(total, qn4, p * p, r * r), old_shell_predicate(total, qd, qn4 * qd, p * p, r * r)))
         edges = tuple(sorted(rng.sample(range(lo_sum - 5, hi_sum + 6), 2 * rng.randint(1, 3))))
         windows.append((edges, lambda s, edges=edges: bisect_right(edges, s) & 1 == 1))
         for edges, inside in windows:
@@ -481,7 +478,7 @@ def test_sampled_mass_matches_old_loop_per_seed():
         for edges, inside in (
             ((target, target + 1), old_atom_predicate(target)),
             (ball_edges(target, 50, 3), old_ball_predicate(target, 50, 3)),
-            (_shell_edges(total, 2, 300, 49, 4), old_shell_predicate(total, 2, 300, 49, 4)),
+            (_shell_edges(total, 150, 49, 4), old_shell_predicate(total, 2, 300, 49, 4)),
         ):
             got = _window_mass(ints, edges, "sampled", 150, seed, ENUMERATION_CAP, "")
             assert got == old_sampled_mass(ints, inside, 150, seed)

@@ -2,7 +2,7 @@
 
 Each test maps a random vector (and target) to another whose atom or window
 probability is known to be the same, and checks that the exact computation
-agrees.  The vectors have zero, negative and repeated entries, and their
+agrees (and, for a window scaled by a positive rational, the sampled one).  The vectors have zero, negative and repeated entries, and their
 dimensions cover 0, 1, odd and even.
 """
 
@@ -87,3 +87,15 @@ def test_window_probability_is_invariant_under_permutation(v, rnd, c0):
 @given(nonzero_vectors(), st.sampled_from([None, Fraction(37, 7), Fraction(6)]))
 def test_window_probability_is_invariant_under_negation(v, c0):
     assert concentration_window_prob([-c for c in v], C0=c0) == concentration_window_prob(v, C0=c0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonzero_vectors(), st.builds(Fraction, st.integers(1, 50), st.integers(1, 30)),
+       st.sampled_from([None, Fraction(37, 7), Fraction(6)]), st.integers(0, 2**32))
+def test_window_probability_is_invariant_under_positive_scaling(v, scale, c0, seed):
+    # The window reads the vector as a unit vector, v / ||v||: the draws of a
+    # sampled run hit it on the scaled vector exactly when they do on v.
+    w = [scale * c for c in v]
+    assert concentration_window_prob(w, C0=c0) == concentration_window_prob(v, C0=c0)
+    sampled = {"C0": c0, "mode": "sampled", "trials": 64, "seed": seed}
+    assert concentration_window_prob(w, **sampled) == concentration_window_prob(v, **sampled)

@@ -495,6 +495,16 @@ def test_malformed_json_is_named_on_every_document_command(tmp_path, command):
         result = run_command([command, "--input", str(path), "--seed", "0"])
         assert (result.exit_code, result.stdout, result.stderr) == (
             3, "", f"input error: malformed JSON: {decode.value}\n"), text[:8]
+    # An integer literal past the int digit limit: json raises a plain
+    # ValueError that words a remedy the user cannot apply.
+    text = '{"n": ' + "9" * 5000 + "}"
+    path.write_text(text)
+    with pytest.raises(ValueError) as decode:
+        json.loads(text)
+    assert not isinstance(decode.value, json.JSONDecodeError)
+    limit = sys.get_int_max_str_digits()
+    assert run_command([command, "--input", str(path), "--seed", "0"]) == (
+        3, "", f"input error: malformed JSON: an integer literal has more than {limit} digits\n")
 
 
 # str() refuses an int of more digits than sys.get_int_max_str_digits() (4300
@@ -593,6 +603,9 @@ BAD_ENTRIES = {
         ('{"rows": [["1", "1"]], "targets": ["0", "0"]}', "expected 1 targets, got 2"),
         ('{"rows": [["1", "1", "1"]], "targets": ["0", "0"]}', "expected 1 targets, got 2"),
         ('{"rows": [["1", "1"], ["0", "0"]], "targets": ["0", "0"]}', "rows[1]: cannot unit-normalize a zero row"),
+        # Every row is read as a unit vector over the same columns.
+        ('{"rows": [["1", "1"], ["1"]], "targets": ["0", "0"]}', "rows have inconsistent lengths"),
+        ('{"rows": [], "targets": []}', "need at least one row"),
     ),
     "window": (
         ('{"vector": [0.1, "1"]}', f"vector[0]: bad rational 0.1 {_RATIONAL}"),
@@ -704,10 +717,10 @@ def test_fast_args_leave_argparse_unused_on_well_formed_argv(monkeypatch):
 
 
 # argv whose parsing is pinned, with argparse's own messages: help, usage
-# errors, unread options, stray arguments, "--" and abbreviations.  Each
-# command's options are parsed by its own subparser; whatever that parser
-# leaves over is parsed again by the top-level parser, so every message here
-# must stay as the top-level parser alone gave it.  argparse words its
+# errors, unread options, stray arguments, "--" and abbreviations.  argv that
+# the fast path does not read is parsed by the top-level parser, which hands
+# a command's arguments to its subparser, so every message here must stay as
+# the top-level parser alone gave it.  argparse words its
 # messages differently on different Python versions, so the pins are recorded
 # per version (3.10, 3.11 and 3.13) in data/cli_pinned.json:
 #

@@ -20,8 +20,7 @@ from cubecover import (
     validate_scales,
 )
 from cubecover import decompose
-from cubecover.core import C1, C3, TAU, as_fractions, clear_row
-from cubecover.decompose import ClearedBlock
+from cubecover.core import C1, C3, TAU, ClearedBlock, as_fractions, clear_row, cleared_block
 from cubecover.refute import derived_column_budget, derived_scale_count
 
 
@@ -45,7 +44,7 @@ def random_rational_system(rng, max_k=10, max_n=40):
 
 def test_first_identity_tiny_w_keeps_everything():
     # tau/W > 1 >= every column mass, so no column moves.
-    d = first_decomposition([[1, 0], [0, 1]], S=1, W=Fraction(1, 10000))
+    d = first_decomposition(cleared_block([[1, 0], [0, 1]]), S=1, W=Fraction(1, 10000))
     assert Fraction(1, 10000) < TAU
     assert d.M2 == ()
     assert d.L1 == (0, 1)
@@ -54,7 +53,7 @@ def test_first_identity_tiny_w_keeps_everything():
 
 
 def test_first_identity_w4_moves_all_columns():
-    d = first_decomposition([[1, 0], [0, 1]], S=1, W=4)
+    d = first_decomposition(cleared_block([[1, 0], [0, 1]]), S=1, W=4)
     assert sorted(d.M2) == [0, 1]
     assert d.M1 == ()
     assert d.L1 == (0, 1)  # rows end with zero residual norm, never renormalized
@@ -63,7 +62,7 @@ def test_first_identity_w4_moves_all_columns():
 
 
 def test_first_single_entry():
-    d = first_decomposition([[1]], S=1, W=1)
+    d = first_decomposition(cleared_block([[1]]), S=1, W=1)
     assert d.M2 == (0,)
     assert d.M1 == ()
     assert check_decomposition1([[1]], d)
@@ -72,7 +71,7 @@ def test_first_single_entry():
 def test_first_decay_row_acquires_scales():
     # Column masses force removals, each renormalization registers a scale.
     matrix = [[10000, 100, 1]]
-    d = first_decomposition(matrix, S=2, W=1)
+    d = first_decomposition(cleared_block(matrix), S=2, W=1)
     assert d.L2 == (0,)
     assert d.renorm_counts == (2,)
     part = d.scale_partitions[0]
@@ -86,7 +85,7 @@ def test_first_decomposition_terminates_within_column_count():
     rng = random.Random(9)
     for _ in range(20):
         sys_ = random_rational_system(rng, max_k=5, max_n=12)
-        d = first_decomposition(sys_.rows, S=2, W=1)
+        d = first_decomposition(cleared_block(sys_.rows), S=2, W=1)
         assert len(d.M2) <= sys_.n
 
 
@@ -97,7 +96,7 @@ def test_first_mass_accounting():
         sys_ = random_rational_system(rng, max_k=6, max_n=20)
         w = Fraction(rng.choice([1, 2, 4]))
         s = rng.randint(1, 3)
-        d = first_decomposition(sys_.rows, S=s, W=w)
+        d = first_decomposition(cleared_block(sys_.rows), S=s, W=w)
         assert Fraction(len(d.M2)) * TAU / w <= sys_.k * s
 
 
@@ -107,13 +106,13 @@ def test_check_decomposition1_accepts_outputs():
         sys_ = random_rational_system(rng, max_k=6, max_n=20)
         s = rng.randint(1, 3)
         w = Fraction(rng.choice([1, 2, 4, Fraction(1, 2)]))
-        d = first_decomposition(sys_.rows, S=s, W=w)
+        d = first_decomposition(cleared_block(sys_.rows), S=s, W=w)
         assert check_decomposition1(sys_.rows, d)
 
 
 def test_check_decomposition1_detects_moved_column():
     matrix = [[1, 0], [0, 1]]
-    d = first_decomposition(matrix, S=1, W=4)
+    d = first_decomposition(cleared_block(matrix), S=1, W=4)
     # Moving one M2 column back to M1 plants a column of effective norm 1 >= W^{-1/2}.
     j = d.M2[0]
     bad = dataclasses.replace(d, M1=(j,), M2=tuple(c for c in d.M2 if c != j))
@@ -121,7 +120,7 @@ def test_check_decomposition1_detects_moved_column():
 
 
 def test_check_decomposition1_shape_mismatch():
-    d = first_decomposition([[1, 0], [0, 1]], S=1, W=4)
+    d = first_decomposition(cleared_block([[1, 0], [0, 1]]), S=1, W=4)
     with pytest.raises(ValueError):
         check_decomposition1([[1, 0, 0], [0, 1, 0]], d)
 
@@ -436,12 +435,12 @@ ORACLE_GRID = list(_oracle_grid())
 
 @pytest.mark.parametrize("label, matrix, s, w", ORACLE_GRID, ids=[case[0] for case in ORACLE_GRID])
 def test_first_decomposition_matches_reference(label, matrix, s, w):
-    assert first_decomposition(matrix, s, w) == reference_first_decomposition(matrix, s, w)
+    assert first_decomposition(cleared_block(matrix), s, w) == reference_first_decomposition(matrix, s, w)
 
 
 def test_oracle_grid_reaches_departures_and_moves():
     # The grid is only an oracle if it exercises each branch of the kernel.
-    results = [first_decomposition(m, s, w) for _, m, s, w in ORACLE_GRID]
+    results = [first_decomposition(cleared_block(m), s, w) for _, m, s, w in ORACLE_GRID]
     assert any(d.L2 for d in results)
     assert any(d.M2 and d.M1 for d in results)
     assert any(not d.M2 for d in results)
@@ -483,9 +482,6 @@ def _restricted_block_cases():
 
 
 def test_cleared_block_entry_matches_dense_and_reference():
-    from cubecover.core import clear_row
-    from cubecover.decompose import ClearedBlock
-
     seen = {"larger D": 0, "zero row": 0, "L2": 0}
     for rows, kept, s, w in _restricted_block_cases():
         index = {j: t for t, j in enumerate(kept)}
@@ -493,7 +489,7 @@ def test_cleared_block_entry_matches_dense_and_reference():
         dense = [[row[j] for j in kept] for row in rows]
         assert _dense(block) == dense
         ours = first_decomposition(block, s, w)
-        for other in (first_decomposition(dense, s, w), reference_first_decomposition(dense, s, w)):
+        for other in (first_decomposition(cleared_block(dense), s, w), reference_first_decomposition(dense, s, w)):
             for field in dataclasses.fields(Decomposition1):
                 assert getattr(ours, field.name) == getattr(other, field.name), field.name
         for full, restricted in zip(block.rows, map(clear_row, dense)):
@@ -688,7 +684,7 @@ def _threshold_blocks(draw):
 def test_first_decomposition_matches_the_mass_building_oracle_around_the_row_count(case):
     rows, s, threshold = case
     w = TAU / threshold
-    assert first_decomposition(rows, s, w) == _first_decomposition_building_every_mass(rows, s, w)
+    assert first_decomposition(cleared_block(rows), s, w) == _first_decomposition_building_every_mass(rows, s, w)
 
 
 # hypothesis_sides as it was before it built each side from integers, kept

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cubecover.plank as plank_module
 from cubecover import (
@@ -12,10 +13,10 @@ from cubecover import (
     SampleCapError,
     bang_signs,
     check_small_norm_precondition,
+    cleared_block,
     find_uncovered_small_norm,
-    unit_row,
 )
-from cubecover.core import UnitRow, Vertex
+from cubecover.core import Vertex
 from cubecover.plank import SmallNormCheck
 
 
@@ -109,8 +110,8 @@ def test_small_norm_check_disjoint_supports():
         coeffs = [Fraction(0)] * 64
         for j in range(16 * i, 16 * i + 16):
             coeffs[j] = Fraction(1, 4)
-        rows.append(unit_row(coeffs))
-    check = check_small_norm_precondition(rows)
+        rows.append(coeffs)
+    check = check_small_norm_precondition(cleared_block(rows))
     assert check.alpha == 1
     assert check.beta == Fraction(1, 16)
     assert check.lhs == pytest.approx(2 * (1 / 16) * math.log(16))
@@ -118,15 +119,15 @@ def test_small_norm_check_disjoint_supports():
 
 
 def test_small_norm_check_single_row():
-    check = check_small_norm_precondition([unit_row([Fraction(1, 2)] * 4)])
+    check = check_small_norm_precondition(cleared_block([[Fraction(1, 2)] * 4]))
     assert (check.alpha, check.beta) == (1, Fraction(1, 4))
     assert check.lhs == pytest.approx(0.5 * math.log(4))
     assert check.ok
 
 
 def test_small_norm_check_identical_rows():
-    e1 = unit_row([1, 0, 0])
-    check = check_small_norm_precondition([e1, e1])
+    e1 = [1, 0, 0]
+    check = check_small_norm_precondition(cleared_block([e1, e1]))
     assert (check.alpha, check.beta) == (2, Fraction(2))
     assert check.lhs == pytest.approx(8 * math.log(8))
     assert not check.ok
@@ -134,12 +135,12 @@ def test_small_norm_check_identical_rows():
 
 def test_small_norm_check_zero_row():
     with pytest.raises(ValueError):
-        check_small_norm_precondition([unit_row([0, 0])])
+        check_small_norm_precondition(cleared_block([[0, 0]]))
 
 
 def test_find_uncovered_unreachable_target():
-    row = unit_row([Fraction(1, 2)] * 4)
-    vertex, attempts = find_uncovered_small_norm([row], [Fraction(10)], seed=0)
+    block = cleared_block([[Fraction(1, 2)] * 4])
+    vertex, attempts = find_uncovered_small_norm(block, [Fraction(10)], seed=0)
     assert attempts == 1  # no vertex can reach 10, the first sample works
     assert len(vertex) == 4
 
@@ -150,25 +151,25 @@ def test_find_uncovered_disjoint_instance():
         coeffs = [Fraction(0)] * 64
         for j in range(16 * i, 16 * i + 16):
             coeffs[j] = Fraction(1, 4)
-        rows.append(unit_row(coeffs))
+        rows.append(coeffs)
         targets.append(Fraction(2))  # the center value 8 * (1/4) / sqrt(16)... as <coeffs, x>
-    vertex, attempts = find_uncovered_small_norm(rows, targets, seed=11)
+    vertex, attempts = find_uncovered_small_norm(cleared_block(rows), targets, seed=11)
     assert attempts <= 20
     for r, t in zip(rows, targets):
-        dot = sum((c for c, b in zip(r.coeffs, vertex.bits) if b), Fraction(0))
+        dot = sum((c for c, b in zip(r, vertex.bits) if b), Fraction(0))
         assert dot != t
 
 
 def test_find_uncovered_precondition_failure():
-    e1 = unit_row([1, 0, 0])
+    e1 = [1, 0, 0]
     with pytest.raises(PlankPreconditionError, match="> 1"):
-        find_uncovered_small_norm([e1, e1], [Fraction(0), Fraction(0)])
+        find_uncovered_small_norm(cleared_block([e1, e1]), [Fraction(0), Fraction(0)])
 
 
 def test_find_uncovered_deterministic():
-    row = unit_row([1, 1, 1, 1])
-    a = find_uncovered_small_norm([row], [Fraction(2)], seed=21)
-    b = find_uncovered_small_norm([row], [Fraction(2)], seed=21)
+    block = cleared_block([[1, 1, 1, 1]])
+    a = find_uncovered_small_norm(block, [Fraction(2)], seed=21)
+    b = find_uncovered_small_norm(block, [Fraction(2)], seed=21)
     assert a == b
 
 
@@ -184,13 +185,13 @@ def test_y_prime_infinity_bound():
             coeffs = [Fraction(0)] * m
             for j in used[16 * i : 16 * i + 16]:
                 coeffs[j] = Fraction(rng.choice([-1, 1]), 4)
-            rows.append(unit_row(coeffs))
-        check = check_small_norm_precondition(rows)
+            rows.append(coeffs)
+        check = check_small_norm_precondition(cleared_block(rows))
         assert check.ok
         theta = math.sqrt(2 * math.log(4 * len(rows)))
         assert theta * math.sqrt(check.alpha * float(check.beta)) <= 1 + 1e-9
         # The finder itself raises if the bound were violated.
-        find_uncovered_small_norm(rows, [Fraction(1), Fraction(1)], seed=rng.randint(0, 9999))
+        find_uncovered_small_norm(cleared_block(rows), [Fraction(1), Fraction(1)], seed=rng.randint(0, 9999))
 
 
 def test_rounding_soundness_reverification():
@@ -203,18 +204,24 @@ def test_rounding_soundness_reverification():
             coeffs = [Fraction(0)] * m
             for j in range(12 * i, 12 * i + 12):
                 coeffs[j] = Fraction(rng.choice([-1, 1]), rng.choice([4, 5]))
-            rows.append(unit_row(coeffs))
+            rows.append(coeffs)
             targets.append(Fraction(rng.randint(-2, 2)))
-        if not check_small_norm_precondition(rows).ok:
+        block = cleared_block(rows)
+        if not check_small_norm_precondition(block).ok:
             continue
-        vertex, _ = find_uncovered_small_norm(rows, targets, seed=trial)
+        vertex, _ = find_uncovered_small_norm(block, targets, seed=trial)
         for r, t in zip(rows, targets):
-            dot = sum((c for c, b in zip(r.coeffs, vertex.bits) if b), Fraction(0))
+            dot = sum((c for c, b in zip(r, vertex.bits) if b), Fraction(0))
             assert dot != t
 
 
-# The all-Fraction precondition and the dense Gram build, kept verbatim as
-# oracles for the cleared-integer precondition and the sparse finder.
+# The all-Fraction precondition and the dense Gram build, kept as oracles for
+# the cleared-integer precondition and the sparse finder.  Each reads the
+# rational rows and works out every row's own squared norm.
+
+
+def _norm_sq(row):
+    return sum((c * c for c in row), Fraction(0))
 
 
 def _fraction_precondition(rows):
@@ -227,12 +234,12 @@ def _fraction_precondition(rows):
     for r in rows:
         if len(r) != m:
             raise ValueError("rows have inconsistent lengths")
-        nonzero = [(j, c) for j, c in enumerate(r.coeffs) if c != 0]
+        nonzero = [(j, c) for j, c in enumerate(r) if c != 0]
         if not nonzero:
             raise ValueError("zero row")
         for j, c in nonzero:
             supp[j] += 1
-            col_sq[j] += c * c / r.norm_sq
+            col_sq[j] += c * c / _norm_sq(r)
     alpha = max(supp)
     beta = max(col_sq)
     lhs = 2.0 * alpha * float(beta) * math.log(4.0 * ell)
@@ -246,9 +253,9 @@ def _dense_find_uncovered(rows, targets, params, seed):
     m = len(rows[0])
     vf = []
     for r in rows:
-        root = math.sqrt(float(r.norm_sq))
-        vf.append([float(c) / root if c else 0.0 for c in r.coeffs])
-    mu_f = [float(t) / math.sqrt(float(r.norm_sq)) for t, r in zip(targets, rows)]
+        root = math.sqrt(float(_norm_sq(r)))
+        vf.append([float(c) / root if c else 0.0 for c in r])
+    mu_f = [float(t) / math.sqrt(float(_norm_sq(r))) for t, r in zip(targets, rows)]
     theta = math.sqrt(2.0 * math.log(4.0 * ell))
     zeta = [2.0 * mu_f[i] - sum(vf[i]) for i in range(ell)]
     gram = [
@@ -265,7 +272,7 @@ def _dense_find_uncovered(rows, targets, params, seed):
         w = [1 if rng.random() < y_j else 0 for y_j in y]
         ok = True
         for i in range(ell):
-            dot = sum((rows[i].coeffs[j] for j in range(m) if w[j]), Fraction(0))
+            dot = sum((rows[i][j] for j in range(m) if w[j]), Fraction(0))
             if dot == targets[i]:
                 ok = False
                 break
@@ -279,44 +286,76 @@ MIXED = (Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7), Fraction(-1), Fraction
 
 def _random_block(rng, ell, m, density, shared=(), zero=()):
     """ell rows over m columns: random supports, the ``shared`` columns in every
-    row, the ``zero`` columns in none; every third row gets a norm_sq that is not
-    its squared norm, as a decomposition's residual normalizer is."""
+    row, the ``zero`` columns in none."""
     rows = []
-    for i in range(ell):
+    for _ in range(ell):
         coeffs = [Fraction(0)] * m
         for j in range(m):
             if j not in zero and (j in shared or rng.random() < density):
                 coeffs[j] = rng.choice(MIXED)
         if not any(coeffs):
             coeffs[next(j for j in range(m) if j not in zero)] = Fraction(2, 5)
-        row = unit_row(coeffs)
-        if i % 3 == 2:
-            row = UnitRow(coeffs=row.coeffs, norm_sq=row.norm_sq * Fraction(rng.randint(2, 9), rng.randint(2, 9)))
-        rows.append(row)
+        rows.append(coeffs)
     return rows
 
 
 def test_precondition_equals_fraction_oracle():
     rng = random.Random(2024)
-    blocks = [[], [unit_row([Fraction(2, 5), 0, Fraction(-1, 3)])]]
+    blocks = [[], [[Fraction(2, 5), 0, Fraction(-1, 3)]]]
     for trial in range(60):
         ell, m = rng.randint(1, 7), rng.randint(1, 40)
         shared = {rng.randrange(m)} if trial % 2 else set()
         zero = {j for j in range(1, m) if j not in shared and rng.random() < 0.2}
         blocks.append(_random_block(rng, ell, m, rng.choice((0.1, 0.4, 0.9)), shared, zero))
     for rows in blocks:
-        assert check_small_norm_precondition(rows) == _fraction_precondition(rows)
+        assert check_small_norm_precondition(cleared_block(rows)) == _fraction_precondition(rows)
     assert any(_fraction_precondition(rows).ok for rows in blocks)
     assert any(not _fraction_precondition(rows).ok for rows in blocks)
 
 
 def test_precondition_errors_match_fraction_oracle():
-    for rows in ([unit_row([1, 2]), unit_row([1, 2, 3])], [unit_row([1, 0]), UnitRow((Fraction(0),) * 2, Fraction(1))]):
+    for rows in ([[1, 2], [1, 2, 3]], [[1, 0], [0, 0]]):
         with pytest.raises(ValueError) as new:
-            check_small_norm_precondition(rows)
+            check_small_norm_precondition(cleared_block(rows))
         with pytest.raises(ValueError) as old:
             _fraction_precondition(rows)
         assert str(new.value) == str(old.value)
+
+
+# The precondition reads every row as a unit vector: scaling a row by a
+# positive rational, or permuting the block's columns, leaves its record as
+# it is.
+_entries = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 7)))
+_factors = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def _blocks(draw):
+    """1-6 nonzero rational rows over 1-12 columns, sparse or dense."""
+    ell, m = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    rows = []
+    for _ in range(ell):
+        row = draw(st.lists(_entries, min_size=m, max_size=m))
+        if not any(row):
+            row[draw(st.integers(0, m - 1))] = draw(_factors)
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocks(), st.data())
+def test_precondition_is_invariant_under_positive_row_scaling(rows, data):
+    factors = data.draw(st.lists(_factors, min_size=len(rows), max_size=len(rows)))
+    scaled = [[f * c for c in row] for f, row in zip(factors, rows)]
+    assert check_small_norm_precondition(cleared_block(scaled)) == check_small_norm_precondition(cleared_block(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocks(), st.data())
+def test_precondition_is_invariant_under_column_permutation(rows, data):
+    order = data.draw(st.permutations(range(len(rows[0]))))
+    permuted = [[row[j] for j in order] for row in rows]
+    assert check_small_norm_precondition(cleared_block(permuted)) == check_small_norm_precondition(cleared_block(rows))
 
 
 def _plank_block(rng, ell, s, shared):
@@ -328,7 +367,7 @@ def _plank_block(rng, ell, s, shared):
         coeffs = [Fraction(0)] * m
         for j in range(i * step, i * step + s):
             coeffs[j] = rng.choice(MIXED[:3])
-        rows.append(unit_row(coeffs))
+        rows.append(coeffs)
     return rows
 
 
@@ -352,17 +391,17 @@ def test_sparse_finder_equals_dense_oracle(monkeypatch):
             continue
         targets = []
         for r in rows:
-            half = sum(r.coeffs, Fraction(0)) / 2
+            half = sum(r, Fraction(0)) / 2
             targets.append(rng.choice((half, Fraction(rng.randint(-2, 2)), half + Fraction(1, 3), 1)))
         seed = rng.randrange(1 << 20)
         try:
             expected, (gram, zeta), sv = _dense_find_uncovered(rows, targets, params, seed)
         except SampleCapError:
             with pytest.raises(SampleCapError):
-                find_uncovered_small_norm(rows, targets, params.sample_cap, seed=seed)
+                find_uncovered_small_norm(cleared_block(rows), targets, params.sample_cap, seed=seed)
             continue
         calls.clear()
-        assert find_uncovered_small_norm(rows, targets, params.sample_cap, seed=seed) == expected
+        assert find_uncovered_small_norm(cleared_block(rows), targets, params.sample_cap, seed=seed) == expected
         (new_gram, new_zeta), new_sv = calls
         assert [[float(c).hex() for c in r] for r in new_gram] == [[float(c).hex() for c in r] for r in gram]
         assert [z.hex() for z in new_zeta] == [z.hex() for z in zeta]
@@ -374,11 +413,11 @@ def test_sparse_finder_equals_dense_oracle(monkeypatch):
 def test_float_targets_are_rejected():
     # A target is exact and on the scale of the coefficients: a float is
     # refused, even one whose binary value is exact.
-    rows = [unit_row([1, 0]), unit_row([0, 1])]
+    block = cleared_block([[1, 0], [0, 1]])
     with pytest.raises(ValueError, match=r"^targets\[1\] = 0\.5 is not rational"):
-        find_uncovered_small_norm(rows, [Fraction(1, 2), 0.5])
+        find_uncovered_small_norm(block, [Fraction(1, 2), 0.5])
     with pytest.raises(ValueError, match=r"^targets\[0\] = 0\.0 is not rational"):
-        find_uncovered_small_norm(rows, [0.0, 1])
+        find_uncovered_small_norm(block, [0.0, 1])
 
 
 @pytest.mark.parametrize("sign", (1, -1))
@@ -392,14 +431,14 @@ def test_target_beyond_float_range_is_the_limit_of_large_targets(sign):
         rows = _plank_block(rng, rng.randint(1, 6), rng.randint(8, 40), rng.choice((0, 0, 2, 4)))
         if not _fraction_precondition(rows).ok:
             continue
-        targets = [sum(r.coeffs, Fraction(0)) / 2 for r in rows]
+        targets = [sum(r, Fraction(0)) / 2 for r in rows]
         i, seed = rng.randrange(len(rows)), rng.randrange(1 << 20)
         vertices = []
         for magnitude in (10**300, 10**400):
             targets[i] = sign * magnitude
-            vertex, _ = find_uncovered_small_norm(rows, targets, seed=seed)
+            vertex, _ = find_uncovered_small_norm(cleared_block(rows), targets, seed=seed)
             for r, t in zip(rows, targets):
-                assert sum(c for c, b in zip(r.coeffs, vertex) if b) != t
+                assert sum(c for c, b in zip(r, vertex) if b) != t
             vertices.append(vertex)
         assert vertices[0] == vertices[1]
         compared += 1

@@ -10,9 +10,10 @@ each report class wrote its own JSON dict; the LR covers with n = 18..24,
 the 8 x 20 and 16 x 22 systems and the sampled cases at 1 and 4500 trials
 from the sweep that split at n/2 and the sampler that drew one bit per
 getrandbits call; the sampled cases at d = 1..257 from the sampler that
-summed each trial's entries through compress.  Any change to the sweep or to
-the anti-concentration arithmetic that alters a single byte of output
-(exit code, stdout or stderr) fails here.
+summed each trial's entries through compress; verify-n-5000-digits from the
+code that first named a JSON integer literal past the int digit limit.  Any
+change to the sweep or to the anti-concentration arithmetic that alters a
+single byte of output (exit code, stdout or stderr) fails here.
 
     python tests/test_sweep_pinned.py    # record the cases the data file lacks
 
@@ -200,6 +201,8 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
         scales = ["scales", "--input", "-", "--seed", "0", *extra]
         cases.append((f"scales-{name}", scales, json.dumps({"vector": vec})))
         cases.append((f"scales-{name}-csv", [*scales, "--format", "csv"], json.dumps({"vector": vec})))
+    # A JSON integer literal past the int digit limit is a named input error.
+    cases.append(("verify-n-5000-digits", verify, '{"n": ' + "9" * 5000 + ', "rows": [["1"]], "mu": ["0"]}'))
     return cases
 
 
