@@ -11,8 +11,9 @@ ignore --seed and log nothing.
 
 argv is parsed in up to two steps.  First ``_fast_args`` reads well-formed
 argv (every token an exact option of the command, given once, with a value
-that converts) into the namespace the command's subparser would give, without
-argparse.  Any other argv goes to the top-level parser, which hands the
+that converts) into the namespace the command's subparser would give, from
+the option tables ``_COMMANDS``, without argparse.  Any other argv goes to
+the top-level parser, built from the same tables only then, which hands the
 command's arguments to that subparser, so that help, usage and errors read
 as the top-level parser gives them.
 """
@@ -26,7 +27,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import anticonc, construct, decompose, plank, refute
 from .core import (
@@ -35,6 +36,7 @@ from .core import (
     SystemFormatError,
     _parse_entries,
     cleared_block,
+    dump_json,
     format_rational,
     parse_object,
     parse_rational,
@@ -127,8 +129,10 @@ _ascii_int.__name__ = "int"
 
 
 def _emit(doc: dict, fmt: str) -> str:
-    """The document as indented JSON, or as CSV: one key,value line per key,
-    a scalar or a rational as its text and any other value as compact JSON."""
+    """The document as indented JSON (``core.dump_json``, the text of
+    ``json.dumps(doc, indent=2, default=wire)``), or as CSV: one key,value
+    line per key, a scalar or a rational as its text and any other value as
+    compact JSON."""
     if fmt == "csv":
         lines = []
         for key, value in doc.items():
@@ -138,14 +142,65 @@ def _emit(doc: dict, fmt: str) -> str:
                 value = json.dumps(value, default=wire)
             lines.append(f"{key},{value}")
         return "\n".join(lines) + "\n"
-    return json.dumps(doc, indent=2, default=wire) + "\n"
+    return dump_json(doc) + "\n"
+
+
+# The options that document commands read, by their add_argument keywords.
+_READS = {
+    "--input": {"help": "input JSON file, or '-' for stdin"},
+    "--cap": {"type": _ascii_int, "default": None, "help": "enumeration cap override"},
+    "--trials": {"type": _ascii_int, "default": None, "help": "sampling budget override"},
+}
+
+
+def _command(help: str, *reads: str, **more: dict) -> tuple[str, dict[str, dict]]:
+    """A command's help and its options, option string to add_argument
+    keywords, in order: --seed, --format, each of ``reads`` (--input, --cap,
+    --trials) it reads, then ``more``, whose names are the option strings
+    without "--" and with "_" for "-"."""
+    options = {
+        "--seed": {"type": _ascii_int, "default": None, "help": "RNG seed (random and logged if omitted)"},
+        "--format": {"choices": ("json", "csv"), "default": "json"},
+    }
+    options.update((flag, _READS[flag]) for flag in reads)
+    options.update(("--" + name.replace("_", "-"), kwargs) for name, kwargs in more.items())
+    return help, options
+
+
+_INT = {"type": _ascii_int, "default": None}
+_TEXT = {"type": str, "default": None}
+_REQUIRED_INT = {"type": _ascii_int, "required": True}
+_MODE = {"choices": ("exact", "sampled"), "default": "exact"}
+
+# Every command: its help and options.  ``_fast_args`` reads argv from these
+# tables; argparse is built from them (``_build_parser``) only for argv that
+# the fast path leaves to it.
+_COMMANDS = {
+    "verify": _command("decide the essential-cover axioms", "--input", "--cap"),
+    "construct-lr": _command("emit the n/2+1 reference cover", n=_REQUIRED_INT),
+    "decompose": _command(
+        "run the first or second decomposition", "--input", s=dict(_INT, help="scale count S"),
+        w=dict(_TEXT, help="column budget W (rational)"),
+        gamma=dict(_TEXT, help="absorption exponent (rational in (0,1])"),
+        stage={"choices": ("first", "second"), "default": "second"}),
+    "bang": _command("sign vector separated from prescribed targets", "--input"),
+    "find-uncovered": _command("uncovered vertex for a small-column-norm system", "--input", "--trials"),
+    "atom-prob": _command("P(<x,v> = a) for uniform x", "--input", "--cap", "--trials", mode=_MODE),
+    "scales": _command("greedy scale partition of a vector", "--input", target_s=_INT),
+    "window": _command("concentration-window probability of a unit row", "--input", "--cap", "--trials",
+                       c0=dict(_TEXT, help="window constant (>= 4.706)"), mode=_MODE),
+    "refute": _command("assemble an uncovered vertex or report the failed stage", "--input", "--cap", "--trials",
+                       s=_INT, w=_TEXT, c5=_TEXT, c=dict(_TEXT, help="multiplier for the default W shape"),
+                       gamma=_TEXT, strict_hypotheses={"action": "store_true"}),
+    "bounds": _command("evaluate the pipeline hypothesis inequalities", n=_REQUIRED_INT, k=_REQUIRED_INT,
+                       s=_REQUIRED_INT, w={"type": str, "required": True}),
+}
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser],
-                             dict[str, dict[str, argparse.Action]]]:
-    """The command-line parser, its subparsers by command name, and each
-    command's options (option string to ``Action``), built once per process.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subparsers by command name, built
+    from ``_COMMANDS`` once per process, when argparse is first needed.
 
     Parsing does not modify the parsers (every call gets a fresh namespace),
     so all calls of run_command share these.
@@ -155,75 +210,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         description="Verify, construct, decompose and refute hyperplane covers of {0,1}^n.",
     )
     sub = parser.add_subparsers(dest="command")
-    options: dict[str, dict[str, argparse.Action]] = {}
-
-    reads = {
-        "--input": {"help": "input JSON file, or '-' for stdin"},
-        "--cap": {"type": _ascii_int, "default": None, "help": "enumeration cap override"},
-        "--trials": {"type": _ascii_int, "default": None, "help": "sampling budget override"},
-    }
-
-    def command(name: str, help: str, *flags: str) -> Callable[..., None]:
-        """Add the subparser ``name`` with --seed and --format, and each of
-        ``flags`` (--input, --cap, --trials) that it reads; return a function
-        that adds one more option to it.  Every option goes into its table."""
+    for name, (help, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
-        table = options[name] = {}
-
-        def add(flag: str, **kwargs) -> None:
-            table[flag] = p.add_argument(flag, **kwargs)
-
-        add("--seed", type=_ascii_int, default=None, help="RNG seed (random and logged if omitted)")
-        add("--format", choices=("json", "csv"), default="json")
-        for flag in flags:
-            add(flag, **reads[flag])
-        return add
-
-    command("verify", "decide the essential-cover axioms", "--input", "--cap")
-
-    add = command("construct-lr", "emit the n/2+1 reference cover")
-    add("--n", type=_ascii_int, required=True)
-
-    add = command("decompose", "run the first or second decomposition", "--input")
-    add("--s", type=_ascii_int, default=None, help="scale count S")
-    add("--w", type=str, default=None, help="column budget W (rational)")
-    add("--gamma", type=str, default=None, help="absorption exponent (rational in (0,1])")
-    add("--stage", choices=("first", "second"), default="second")
-
-    command("bang", "sign vector separated from prescribed targets", "--input")
-
-    command("find-uncovered", "uncovered vertex for a small-column-norm system", "--input", "--trials")
-
-    add = command("atom-prob", "P(<x,v> = a) for uniform x", "--input", "--cap", "--trials")
-    add("--mode", choices=("exact", "sampled"), default="exact")
-
-    add = command("scales", "greedy scale partition of a vector", "--input")
-    add("--target-s", type=_ascii_int, default=None)
-
-    add = command("window", "concentration-window probability of a unit row", "--input", "--cap", "--trials")
-    add("--c0", type=str, default=None, help="window constant (>= 4.706)")
-    add("--mode", choices=("exact", "sampled"), default="exact")
-
-    add = command("refute", "assemble an uncovered vertex or report the failed stage", "--input", "--cap", "--trials")
-    add("--s", type=_ascii_int, default=None)
-    add("--w", type=str, default=None)
-    add("--c5", type=str, default=None)
-    add("--c", type=str, default=None, help="multiplier for the default W shape")
-    add("--gamma", type=str, default=None)
-    add("--strict-hypotheses", action="store_true")
-
-    add = command("bounds", "evaluate the pipeline hypothesis inequalities")
-    add("--n", type=_ascii_int, required=True)
-    add("--k", type=_ascii_int, required=True)
-    add("--s", type=_ascii_int, required=True)
-    add("--w", type=str, required=True)
-
-    return parser, sub.choices, options
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+    return parser, sub.choices
 
 
 def _fast_args(command: str, rest: list[str]) -> argparse.Namespace | None:
     """The namespace the subparser of ``command`` gives for ``rest``, read
-    without argparse when ``rest`` is well formed, else None.
+    from ``_COMMANDS`` without argparse when ``rest`` is well formed, else None.
 
     Well formed means: each token is an option string of the command, given
     exactly and at most once, followed by its value, or the bare
@@ -234,34 +230,37 @@ def _fast_args(command: str, rest: list[str]) -> argparse.Namespace | None:
     Anything else (help, an abbreviation, "--n=4", "--", a repeated option,
     a missing or bad value) is left to argparse, so that its messages stay
     its own."""
-    table = _build_parser()[2][command]
+    options = _COMMANDS[command][1]
     values: dict[str, object] = {}
     tokens = iter(rest)
     for token in tokens:
-        action = table.get(token)
-        if action is None or action.dest in values:
+        kwargs = options.get(token)
+        dest = token[2:].replace("-", "_")
+        if kwargs is None or dest in values:
             return None
-        if action.nargs == 0:  # --strict-hypotheses, a store_true
-            values[action.dest] = action.const
+        if "action" in kwargs:  # --strict-hypotheses, the one store_true
+            values[dest] = True
             continue
         text = next(tokens, None)
         if text is None or (text.startswith("-") and text != "-"):
             return None
+        kind = kwargs.get("type")
         try:
-            value = text if action.type is None else action.type(text)
+            value = text if kind is None else kind(text)
         except (TypeError, ValueError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if "choices" in kwargs and value not in kwargs["choices"]:
             return None
-        values[action.dest] = value
-    for action in table.values():
-        if action.dest not in values:
-            if action.required:
+        values[dest] = value
+    for flag, kwargs in options.items():
+        dest = flag[2:].replace("-", "_")
+        if dest not in values:
+            if kwargs.get("required"):
                 return None
-            default = action.default
-            if isinstance(default, str) and action.type is not None:
-                default = action.type(default)
-            values[action.dest] = default
+            default = kwargs.get("default", False if "action" in kwargs else None)
+            if isinstance(default, str) and "type" in kwargs:
+                default = kwargs["type"](default)
+            values[dest] = default
     args = argparse.Namespace()
     vars(args).update(values)  # Namespace(**values) sets them one by one: 3x slower
     return args
@@ -438,18 +437,17 @@ _DISPATCH = {
 
 def run_command(argv: list[str]) -> CommandResult:
     """Parse argv, dispatch, and return (exit_code, stdout JSON, stderr text)."""
-    parser, commands, _ = _build_parser()
     try:
-        args = _fast_args(argv[0], argv[1:]) if argv and argv[0] in commands else None
+        args = _fast_args(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
         if args is None:
-            args = parser.parse_args(argv)
+            args = _build_parser()[0].parse_args(argv)
         else:
             args.command = argv[0]
     except SystemExit as exc:
         ok = exc.code in (0, None)
         return CommandResult(0 if ok else 3, "", "" if ok else "argument parsing failed\n")
     if args.command is None or args.command not in _DISPATCH:
-        return CommandResult(3, "", parser.format_usage())
+        return CommandResult(3, "", _build_parser()[0].format_usage())
     stderr_lines: list[str] = []
     seeded = args.command in SEEDED_COMMANDS
     seed = args.seed

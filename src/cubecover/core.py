@@ -23,10 +23,11 @@ The paper's window constant C0 = 4.706, the constants that follow from it
 (C1, C3, TAU) and the default ENUMERATION_CAP are module constants; only the
 refute pipeline and the command line take ``Params``.
 
-Results are written by one rule, ``wire``, the ``default=`` hook of every
-``json.dumps`` that writes one: a rational is its ratstr "p" or "p/q", a
-vertex its 0/1 bits, and a record (a dataclass) an object of its fields in
-declaration order.
+Results are written by one rule, ``wire``: a rational is its ratstr "p" or
+"p/q", a vertex its 0/1 bits, and a record (a dataclass) an object of its
+fields in declaration order.  ``dump_json`` writes a result as indented JSON
+by that rule, the text of ``json.dumps(indent=2, default=wire)``; ``wire``
+is also the ``default=`` hook of the compact ``json.dumps`` of CSV values.
 """
 
 from __future__ import annotations
@@ -142,10 +143,11 @@ class Vertex:
 
 def wire(obj: object) -> object:
     """The JSON value of a result that ``json`` cannot write by itself, for
-    ``json.dumps(..., default=wire)``: a Fraction is its ratstr, a Vertex its
-    list of bits, and a dataclass a dict of its fields in declaration order,
-    whose values ``json`` writes in turn (tuples as lists, int mapping keys
-    as strings).  Called on a record, it gives a command's output document."""
+    ``json.dumps(..., default=wire)`` and ``dump_json``: a Fraction is its
+    ratstr, a Vertex its list of bits, and a dataclass a dict of its fields
+    in declaration order, whose values are written in turn (tuples as lists,
+    int mapping keys as strings).  Called on a record, it gives a command's
+    output document."""
     kind = type(obj)
     if kind is Fraction:
         return format_rational(obj)
@@ -154,6 +156,74 @@ def wire(obj: object) -> object:
     if is_dataclass(obj):
         return {f.name: getattr(obj, f.name) for f in fields(obj)}
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def dump_json(value: object) -> str:
+    """``json.dumps(value, indent=2, default=wire)``: the same text, or the
+    same exception.  With ``indent`` set, ``json`` runs its pure-Python
+    encoder, a few generator frames per item; this writes the exact types a
+    result holds directly.  The rest goes to ``json.dumps`` itself: a
+    subclass of a type ``json`` writes natively, a dict with a key of any
+    type but str, int, float, bool and None, and a cycle, which ``json``
+    reports."""
+    try:
+        return _dump(value, "\n")
+    except RecursionError:  # a cycle, or nested deeper than the stack allows
+        return _json_dumps(value, "\n")
+
+
+def _json_dumps(value: object, newline: str) -> str:
+    """``json.dumps(value, indent=2, default=wire)`` with each line break
+    followed by the indentation that ``newline`` carries."""
+    return json.dumps(value, indent=2, default=wire).replace("\n", newline)
+
+
+# The mapping key types that json writes as the quoted text of their value.
+_KEY_TYPES = frozenset({int, float, bool, type(None)})
+_INT_ONLY = frozenset({int})
+_BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dump(value: object, newline: str) -> str:
+    """``value`` as indented JSON whose inner line breaks are ``newline``,
+    a line break and the indentation of the line that holds ``value``."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is Fraction:
+        return _quote(format_rational(value))
+    if kind is float:  # json writes NaN, Infinity and -Infinity
+        return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+    inner = newline + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if type(key) is not str:
+                if type(key) not in _KEY_TYPES:
+                    return _json_dumps(value, newline)
+                key = _dump(key, newline)
+            items.append(f"{_quote(key)}: {_dump(item, inner)}")
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        items = [_dump(item, inner) for item in value]
+    elif kind is Vertex and _INT_ONLY.issuperset(map(type, value.bits)):
+        items = bytes(value.bits).translate(_BIT_TEXT).decode()  # one character per bit
+    elif isinstance(value, (str, int, float, list, tuple, dict)):
+        return _json_dumps(value, newline)
+    else:
+        return _dump(wire(value), newline)
+    if not items:
+        return "[]"
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 @dataclass(frozen=True)

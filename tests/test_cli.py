@@ -1,10 +1,15 @@
 import contextlib
+import enum
+import functools
+import gc
 import io
 import json
+import math
 import os
 import random
 import re
 import sys
+from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -15,7 +20,10 @@ from hypothesis import given, settings, strategies as st
 from _pins import record_missing
 from cubecover import cli, decompose, lr_cover, parse_system
 from cubecover.cli import _DISPATCH, run_command
-from test_refute_pinned import _block_system, _system_text
+from cubecover.core import Params, Vertex, dump_json, wire
+from cubecover.essential import verify_essential
+from cubecover.refute import attempt_refutation
+from test_refute_pinned import _block_system, _plank_system, _system_text
 
 
 def write(tmp_path, name, doc):
@@ -712,6 +720,7 @@ def test_fast_args_leave_argparse_unused_on_well_formed_argv(monkeypatch):
         raise AssertionError("argparse parsed a well-formed argv")
 
     monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_known_args", refuse)
+    monkeypatch.setattr(cli, "_build_parser", refuse)  # nor is the parser built
     assert run_command(["construct-lr", "--n", "4", "--seed", "1"]).exit_code == 0
     assert run_command(["bounds", "--n", "100", "--k", "3", "--s", "2", "--w", "1"]).exit_code == 0
 
@@ -763,6 +772,97 @@ def test_argparse_messages_are_pinned(name, argv, text):
     if name not in pinned:
         pytest.skip(f"no argparse messages recorded on {PYTHON}")
     assert _run_capturing_argparse(argv, text) == pinned[name]
+
+
+# dump_json must write what json.dumps(indent=2, default=wire) writes, or
+# raise what it raises.  The trees below mix every type a result holds with
+# the values at the edges of each (the int digit limit, float specials,
+# escaped and astral characters, keys json coerces or refuses), and with the
+# subclasses and unknown objects that dump_json hands to json itself.
+class Bit(enum.IntEnum):
+    ONE = 1
+
+
+class Text(str):
+    pass
+
+
+class Ratio(Fraction):
+    pass
+
+
+LIMIT = sys.get_int_max_str_digits()
+# +-10**d at the int digit limit and one digit past it, built by map: a
+# strategy that holds an int past the limit has no repr.
+EDGE_INTS = st.sampled_from((LIMIT - 1, LIMIT)).flatmap(lambda d: st.sampled_from((10**d, -(10**d))))
+EDGE_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308, 1e-06, 1e16)
+EDGE_TEXT = ('"', "\\", "a\x00\x1f\x7f", " \xe9", "\U0001f600", "\ud800")
+FALLBACKS = (Bit.ONE, Text("t"), Ratio(1, 2), OrderedDict(a=1), Vertex((True, 1.0, 0)), object())
+
+
+@functools.cache
+def _records():
+    """An essential report, a found and a failed refutation, and a second decomposition."""
+    plank = parse_system(_system_text(*_plank_system(random.Random(0), 4, 16)))
+    blocks = parse_system(_system_text(*_block_system(random.Random(0), 8, 60)))
+    return (verify_essential(lr_cover(4)), attempt_refutation(plank, Params(W=Fraction(1, 10**6), seed=1)),
+            attempt_refutation(lr_cover(8), Params(seed=7)),
+            decompose.second_decomposition(blocks, S=1, W=Fraction(1, 10)))
+
+
+_keys = st.one_of(st.text(), st.sampled_from(EDGE_TEXT), st.integers(), EDGE_INTS, st.floats(),
+                  st.booleans(), st.none(), st.sampled_from((Bit.ONE, Text("k"), (1, 2), Fraction(1, 2))))
+_leaves = st.one_of(
+    st.text(), st.sampled_from(EDGE_TEXT), st.integers(), EDGE_INTS, st.floats(),
+    st.sampled_from(EDGE_FLOATS), st.booleans(), st.none(), st.fractions(),
+    st.just(LIMIT).map(lambda d: Fraction(10**d + 1, 3)),
+    st.lists(st.integers(0, 1)).map(lambda bits: Vertex(tuple(bits))),
+    st.sampled_from(FALLBACKS), st.deferred(lambda: st.sampled_from(_records())),
+)
+_trees = st.recursive(_leaves, lambda children: st.one_of(
+    st.lists(children), st.lists(children).map(tuple), st.dictionaries(_keys, children),
+    st.dictionaries(_keys, children).map(OrderedDict)), max_leaves=20)
+
+
+def _written(write, value):
+    try:
+        return write(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_trees)
+def test_dump_json_writes_as_json_dumps(value):
+    assert _written(dump_json, value) == _written(lambda v: json.dumps(v, indent=2, default=wire), value)
+
+
+def _cycles():
+    loop, mapping, ordered = [], {}, OrderedDict()
+    loop.append([loop])
+    mapping["self"] = (mapping,)
+    ordered["list"] = [ordered]
+    return loop, mapping, [ordered]
+
+
+@pytest.mark.parametrize("value", _cycles(), ids=["list", "dict", "fallback"])
+def test_dump_json_reports_a_cycle_as_json_dumps(value):
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        dump_json(value)
+
+
+def test_emit_leaves_no_cyclic_garbage():
+    # json.dumps(indent=2) leaves a reference cycle per call for the collector.
+    report, found, failed, _ = _records()
+    docs = [wire(report), wire(found), wire(failed)]
+    gc.collect()
+    gc.disable()
+    try:
+        for doc in docs:
+            cli._emit(doc, "json")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 if __name__ == "__main__":
