@@ -5,8 +5,6 @@ from .core import (
     CapExceededError,
     ClearedBlock,
     CoveringSystem,
-    Params,
-    DEFAULT_PARAMS,
     SystemFormatError,
     Vertex,
     apply_rescaling,

@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 from . import anticonc, construct, decompose, plank, refute
 from .core import (
+    ENUMERATION_CAP,
     CapExceededError,
-    Params,
     SystemFormatError,
     _parse_entries,
     cleared_block,
@@ -148,8 +148,8 @@ def _emit(doc: dict, fmt: str) -> str:
 # The options that document commands read, by their add_argument keywords.
 _READS = {
     "--input": {"help": "input JSON file, or '-' for stdin"},
-    "--cap": {"type": _ascii_int, "default": None, "help": "enumeration cap override"},
-    "--trials": {"type": _ascii_int, "default": None, "help": "sampling budget override"},
+    "--cap": {"type": _ascii_int, "default": ENUMERATION_CAP, "help": "enumeration cap override"},
+    "--trials": {"type": _ascii_int, "default": 1000, "help": "sampling budget override"},
 }
 
 
@@ -169,6 +169,7 @@ def _command(help: str, *reads: str, **more: dict) -> tuple[str, dict[str, dict]
 
 _INT = {"type": _ascii_int, "default": None}
 _TEXT = {"type": str, "default": None}
+_GAMMA = dict(_TEXT, default="1/3")
 _REQUIRED_INT = {"type": _ascii_int, "required": True}
 _MODE = {"choices": ("exact", "sampled"), "default": "exact"}
 
@@ -181,7 +182,7 @@ _COMMANDS = {
     "decompose": _command(
         "run the first or second decomposition", "--input", s=dict(_INT, help="scale count S"),
         w=dict(_TEXT, help="column budget W (rational)"),
-        gamma=dict(_TEXT, help="absorption exponent (rational in (0,1])"),
+        gamma=dict(_GAMMA, help="absorption exponent (rational in (0,1])"),
         stage={"choices": ("first", "second"), "default": "second"}),
     "bang": _command("sign vector separated from prescribed targets", "--input"),
     "find-uncovered": _command("uncovered vertex for a small-column-norm system", "--input", "--trials"),
@@ -190,8 +191,9 @@ _COMMANDS = {
     "window": _command("concentration-window probability of a unit row", "--input", "--cap", "--trials",
                        c0=dict(_TEXT, help="window constant (>= 4.706)"), mode=_MODE),
     "refute": _command("assemble an uncovered vertex or report the failed stage", "--input", "--cap", "--trials",
-                       s=_INT, w=_TEXT, c5=_TEXT, c=dict(_TEXT, help="multiplier for the default W shape"),
-                       gamma=_TEXT, strict_hypotheses={"action": "store_true"}),
+                       s=_INT, w=_TEXT, c5=dict(_TEXT, default="32"),
+                       c=dict(_TEXT, default="1", help="multiplier for the default W shape"),
+                       gamma=_GAMMA, strict_hypotheses={"action": "store_true"}),
     "bounds": _command("evaluate the pipeline hypothesis inequalities", n=_REQUIRED_INT, k=_REQUIRED_INT,
                        s=_REQUIRED_INT, w={"type": str, "required": True}),
 }
@@ -266,31 +268,6 @@ def _fast_args(command: str, rest: list[str]) -> argparse.Namespace | None:
     return args
 
 
-def _params_from(args: argparse.Namespace, seed: int | None) -> Params:
-    kwargs: dict = {} if seed is None else {"seed": seed}
-    if getattr(args, "cap", None) is not None:
-        if args.cap < 0:
-            raise SystemFormatError(f"--cap must be >= 0, got {args.cap}")
-        kwargs["enumeration_cap"] = args.cap
-    if getattr(args, "trials", None) is not None:
-        if args.trials < 1:
-            raise SystemFormatError(f"--trials must be >= 1, got {args.trials}")
-        kwargs["sample_cap"] = args.trials
-    if getattr(args, "s", None) is not None:
-        kwargs["S"] = args.s
-    if getattr(args, "w", None) is not None:
-        kwargs["W"] = parse_rational(args.w)
-    if getattr(args, "gamma", None) is not None:
-        kwargs["gamma"] = parse_rational(args.gamma)
-    if getattr(args, "c5", None) is not None:
-        kwargs["C5"] = parse_rational(args.c5)
-    if getattr(args, "c", None) is not None:
-        kwargs["w_multiplier"] = parse_rational(args.c)
-    if getattr(args, "strict_hypotheses", False):
-        kwargs["require_hypotheses"] = True
-    return Params(**kwargs)
-
-
 def _check_limits(*options: tuple[str, Fraction | int | None]) -> None:
     """Each (flag, value) within OPTION_LIMIT, a positive --w at least
     1/OPTION_LIMIT; an unset (None) value passes.  Otherwise an input error
@@ -302,49 +279,51 @@ def _check_limits(*options: tuple[str, Fraction | int | None]) -> None:
             raise SystemFormatError("--w must be at least 10^-30")
 
 
-def _cmd_verify(args, params) -> tuple[int, dict]:
+def _cmd_verify(args) -> tuple[int, dict]:
     system = parse_system(_read_input(args.input))
-    report = verify_essential(system, params.enumeration_cap)
+    report = verify_essential(system, args.cap)
     return (0 if report.is_essential else 1), wire(report)
 
 
-def _cmd_construct_lr(args, params) -> tuple[int, dict]:
+def _cmd_construct_lr(args) -> tuple[int, dict]:
     system = construct.lr_cover(args.n)
     return 0, system.to_json_dict()
 
 
-def _cmd_decompose(args, params) -> tuple[int, dict]:
+def _cmd_decompose(args) -> tuple[int, dict]:
+    w = None if args.w is None else parse_rational(args.w)
+    gamma = parse_rational(args.gamma)
     system = parse_system(_read_input(args.input))
-    s = refute.derived_scale_count(system.n, params)
-    w = refute.derived_column_budget(system.n, system.k, params)
+    s = refute.derived_scale_count(system.n) if args.s is None else args.s
+    w = refute.derived_column_budget(system.n, system.k) if w is None else w
     if args.stage == "first":
         d1 = decompose.first_decomposition(system.block(range(system.k), range(system.n)), s, w)
         ok = decompose.check_decomposition1(system.rows, d1)
         return 0, {"stage": "first", **wire(d1), "invariants_ok": ok}
-    d2 = decompose.second_decomposition(system, s, w, params.gamma)
+    d2 = decompose.second_decomposition(system, s, w, gamma)
     doc = wire(d2)
     doc["stage"] = "second"
     doc["invariants_ok"] = decompose.check_decomposition2(system, d2)
     return (0 if d2.hypotheses_ok else 2), doc
 
 
-def _cmd_bang(args, params) -> tuple[int, dict]:
+def _cmd_bang(args) -> tuple[int, dict]:
     doc = _read_document(args.input, m="matrix", zeta="list", theta="list")
     m = [_numbers(row, f"m[{i}]") for i, row in enumerate(doc["m"])]
-    sv = plank.bang_signs(m, _numbers(doc["zeta"], "zeta"), _numbers(doc["theta"], "theta"), seed=params.seed)
+    sv = plank.bang_signs(m, _numbers(doc["zeta"], "zeta"), _numbers(doc["theta"], "theta"), seed=args.seed)
     if not math.isfinite(sv.objective):
         raise SystemFormatError(f"the objective is {sv.objective}: m, zeta and theta are too large for floats")
     return 0, wire(sv)
 
 
-def _cmd_find_uncovered(args, params) -> tuple[int, dict]:
+def _cmd_find_uncovered(args) -> tuple[int, dict]:
     doc = _read_document(args.input, rows="matrix", targets="list")
     rows = [_nonzero_row(r, f"rows[{i}]") for i, r in enumerate(doc["rows"])]
     targets = _parse_entries(doc["targets"], lambda j: f"targets[{j}]", {})
     block = cleared_block(rows)
     check = plank.check_small_norm_precondition(block)
     try:
-        vertex, attempts = plank.find_uncovered_small_norm(block, targets, params.sample_cap, params.seed, check=check)
+        vertex, attempts = plank.find_uncovered_small_norm(block, targets, args.trials, args.seed, check=check)
     except plank.PlankPreconditionError as exc:
         return 2, {"error": str(exc), "check": exc.check}
     except plank.SampleCapError as exc:
@@ -352,19 +331,18 @@ def _cmd_find_uncovered(args, params) -> tuple[int, dict]:
     return 0, {"vertex": vertex, "attempts": attempts, "check": check}
 
 
-def _cmd_atom_prob(args, params) -> tuple[int, dict]:
+def _cmd_atom_prob(args) -> tuple[int, dict]:
     doc = _read_document(args.input, vector="list", a="scalar")
     vector = _parse_entries(doc["vector"], lambda j: f"vector[{j}]", {})
     a = parse_rational(doc["a"], where="a")
     # Rejects the zero vector, before any probability is computed.
     bound = anticonc.littlewood_offord_bound(vector)
-    prob = anticonc.atom_probability(vector, a, mode=args.mode, trials=params.sample_cap,
-                                     seed=params.seed, cap=params.enumeration_cap)
+    prob = anticonc.atom_probability(vector, a, mode=args.mode, trials=args.trials, seed=args.seed, cap=args.cap)
     return 0, {"probability": prob, "probability_float": float(prob),
                "littlewood_offord_bound": bound, "mode": args.mode}
 
 
-def _cmd_scales(args, params) -> tuple[int, dict]:
+def _cmd_scales(args) -> tuple[int, dict]:
     doc = _read_document(args.input, vector="list")
     vector = _parse_entries(doc["vector"], lambda j: f"vector[{j}]", {})
     try:
@@ -374,24 +352,29 @@ def _cmd_scales(args, params) -> tuple[int, dict]:
     return 0, wire(part)
 
 
-def _cmd_window(args, params) -> tuple[int, dict]:
+def _cmd_window(args) -> tuple[int, dict]:
     doc = _read_document(args.input, vector="list")
     row = _nonzero_row(doc["vector"], "vector")
     c0 = parse_rational(args.c0) if args.c0 is not None else None
     prob, ok = anticonc.concentration_window_prob(
-        row, C0=c0, mode=args.mode, trials=params.sample_cap, seed=params.seed, cap=params.enumeration_cap
+        row, C0=c0, mode=args.mode, trials=args.trials, seed=args.seed, cap=args.cap
     )
     return (0 if ok else 1), {"probability": prob, "probability_float": float(prob), "ok": ok}
 
 
-def _cmd_refute(args, params) -> tuple[int, dict]:
-    _check_limits(("--s", params.S), ("--w", params.W), ("--c5", params.C5), ("--c", params.w_multiplier))
+def _cmd_refute(args) -> tuple[int, dict]:
+    w = None if args.w is None else parse_rational(args.w)
+    gamma, c5, c = parse_rational(args.gamma), parse_rational(args.c5), parse_rational(args.c)
+    _check_limits(("--s", args.s), ("--w", w), ("--c5", c5), ("--c", c))
     system = parse_system(_read_input(args.input))
-    outcome = refute.attempt_refutation(system, params)
+    s = refute.derived_scale_count(system.n, c5) if args.s is None else args.s
+    w = refute.derived_column_budget(system.n, system.k, c) if w is None else w
+    outcome = refute.attempt_refutation(system, s, w, gamma, args.cap, args.trials, args.seed,
+                                        args.strict_hypotheses)
     return (0 if outcome.status == "uncovered" else 1), wire(outcome)
 
 
-def _cmd_bounds(args, params) -> tuple[int, dict]:
+def _cmd_bounds(args) -> tuple[int, dict]:
     n, k, s = args.n, args.k, args.s
     w = parse_rational(args.w)
     for flag, value in (("--n", n), ("--k", k), ("--s", s)):
@@ -450,15 +433,17 @@ def run_command(argv: list[str]) -> CommandResult:
         return CommandResult(3, "", _build_parser()[0].format_usage())
     stderr_lines: list[str] = []
     seeded = args.command in SEEDED_COMMANDS
-    seed = args.seed
-    if seeded and seed is None:
-        seed = random.SystemRandom().getrandbits(63)
-        stderr_lines.append(f"seed: {seed} (random; pass --seed {seed} to replay)")
+    if seeded and args.seed is None:
+        args.seed = random.SystemRandom().getrandbits(63)
+        stderr_lines.append(f"seed: {args.seed} (random; pass --seed {args.seed} to replay)")
     try:
-        params = _params_from(args, seed)
-        code, doc = _DISPATCH[args.command](args, params)
+        for flag, least in (("cap", 0), ("trials", 1)):
+            value = getattr(args, flag, least)
+            if value < least:
+                raise SystemFormatError(f"--{flag} must be >= {least}, got {value}")
+        code, doc = _DISPATCH[args.command](args)
         if seeded:
-            doc.setdefault("seed", seed)
+            doc.setdefault("seed", args.seed)
         return CommandResult(code, _emit(doc, args.format), "\n".join(stderr_lines) + ("\n" if stderr_lines else ""))
     except CapExceededError as exc:
         stderr_lines.append(f"precondition failure: {exc}")

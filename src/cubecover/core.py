@@ -20,8 +20,8 @@ them.  ``parse_system`` parses each distinct entry string once
 (``_parse_entries``).
 
 The paper's window constant C0 = 4.706, the constants that follow from it
-(C1, C3, TAU) and the default ENUMERATION_CAP are module constants; only the
-refute pipeline and the command line take ``Params``.
+(C1, C3, TAU) and the default ENUMERATION_CAP are module constants; every
+function takes the settings it reads as plain arguments.
 
 Results are written by one rule, ``wire``: a rational is its ratstr "p" or
 "p/q", a vertex its 0/1 bits, and a record (a dataclass) an object of its
@@ -45,6 +45,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 # bytes.translate table from the text "0101..." to the bit values 0 and 1.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_INT_ONLY = frozenset({int})
 
 
 class SystemFormatError(ValueError):
@@ -119,9 +120,11 @@ class Vertex:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # count() compares with ==, as ``in`` does: 1.0 and True count as 1.
-        if self.bits.count(0) + self.bits.count(1) != len(self.bits):
-            raise ValueError(f"vertex bits must be 0/1, got {self.bits}")
+        # count() compares with ==, so 1.0 and True would count as 1: the
+        # bits must also all be of type int.
+        bits = self.bits
+        if not (_INT_ONLY.issuperset(map(type, bits)) and bits.count(0) + bits.count(1) == len(bits)):
+            raise ValueError(f"vertex bits must be 0/1, got {bits}")
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -180,7 +183,6 @@ def _json_dumps(value: object, newline: str) -> str:
 
 # The mapping key types that json writes as the quoted text of their value.
 _KEY_TYPES = frozenset({int, float, bool, type(None)})
-_INT_ONLY = frozenset({int})
 _BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 _quote = json.encoder.encode_basestring_ascii
 
@@ -215,7 +217,7 @@ def _dump(value: object, newline: str) -> str:
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if kind is list or kind is tuple:
         items = [_dump(item, inner) for item in value]
-    elif kind is Vertex and _INT_ONLY.issuperset(map(type, value.bits)):
+    elif kind is Vertex:
         items = bytes(value.bits).translate(_BIT_TEXT).decode()  # one character per bit
     elif isinstance(value, (str, int, float, list, tuple, dict)):
         return _json_dumps(value, newline)
@@ -480,27 +482,3 @@ C3 = 1 + C1 * C1
 TAU = 1 / C3
 
 ENUMERATION_CAP = 24  # the default largest n of an exhaustive sweep or table
-
-
-@dataclass(frozen=True)
-class Params:
-    """The refute pipeline's tunables, built by the command line from its
-    options; the paper's constants C0, C1, C3 and TAU are module constants.
-
-    S and W default to None, meaning "derive from the instance" (the
-    refutation pipeline uses S = floor(C5 * ln n) and
-    W = w_multiplier * ln(n) * k^2 / n).
-    """
-
-    gamma: Fraction = Fraction(1, 3)
-    S: int | None = None
-    W: Fraction | None = None
-    C5: Fraction = Fraction(32)
-    w_multiplier: Fraction = Fraction(1)
-    enumeration_cap: int = ENUMERATION_CAP
-    sample_cap: int = 1000
-    seed: int = 0
-    require_hypotheses: bool = False
-
-
-DEFAULT_PARAMS = Params()

@@ -20,8 +20,8 @@ exact arithmetic (``cube.rows_through``, which reads the rational rows, not
 the cleared ones), of the original unrescaled system before being returned.
 A returned vertex is never unverified.
 
-Stage seeds are derived deterministically from params.seed (seed, seed+1,
-seed+2 for the N3 search, the N2 sampler and the rounding stage).
+Stage seeds are derived deterministically from the one ``seed`` (seed,
+seed+1, seed+2 for the N3 search, the N2 sampler and the rounding stage).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .core import ClearedRow, CoveringSystem, Params, DEFAULT_PARAMS, Vertex
+from .core import ENUMERATION_CAP, ClearedRow, CoveringSystem, Vertex
 from .cube import enumerate_uncovered, rows_through, sample_uncovered
 from .decompose import Decomposition2, second_decomposition
 from .plank import (
@@ -71,11 +71,9 @@ class RefutationOutcome:
     detail: dict
 
 
-def derived_scale_count(n: int, params: Params = DEFAULT_PARAMS) -> int:
+def derived_scale_count(n: int, C5: Fraction | int = 32) -> int:
     """Default S = max(1, floor(C5 * ln n))."""
-    if params.S is not None:
-        return params.S
-    return max(1, int(float(params.C5) * math.log(n))) if n > 1 else 1
+    return max(1, int(float(C5) * math.log(n))) if n > 1 else 1
 
 
 def _budget(n: int, k: int, c_num: int, c_den: int) -> Fraction:
@@ -90,25 +88,26 @@ def column_budget_floor(n: int, k: int) -> Fraction:
     return _budget(n, k, 1, 1)
 
 
-def derived_column_budget(n: int, k: int, params: Params = DEFAULT_PARAMS) -> Fraction:
-    """Default W = w_multiplier * ln(n) * k^2 / n, frozen as an exact rational
+def derived_column_budget(n: int, k: int, multiplier: Fraction | int = 1) -> Fraction:
+    """Default W = multiplier * ln(n) * k^2 / n, frozen as an exact rational
     (1/100 when that is not positive)."""
-    if params.W is not None:
-        return Fraction(params.W)
-    w = _budget(n, k, *params.w_multiplier.as_integer_ratio())
+    w = _budget(n, k, *multiplier.as_integer_ratio())
     return w if w > 0 else Fraction(1, 100)
 
 
 def choose_n3_assignment(
     system: CoveringSystem,
     d: Decomposition2,
-    params: Params = DEFAULT_PARAMS,
+    cap: int = ENUMERATION_CAP,
+    trials: int = 1000,
+    seed: int = 0,
 ) -> dict[int, int]:
     """Fix the N3 coordinates: a vertex avoiding every K1 hyperplane, restricted to N3.
 
     K1 rows are supported inside N3, so the search runs over the N3 subcube
-    only.  Empty N3 gives the empty assignment; empty K1 gives all zeros.
-    Raises StageFailure when no avoiding assignment is found within the caps.
+    only, exhaustively up to ``cap`` columns and else by ``trials`` draws
+    from ``seed``.  Empty N3 gives the empty assignment; empty K1 gives all
+    zeros.  Raises StageFailure when no avoiding assignment is found.
     """
     if not d.N3:
         return {}
@@ -116,10 +115,10 @@ def choose_n3_assignment(
         return {j: 0 for j in d.N3}
     cols = list(d.N3)
     sub = system.restrict(d.K1, cols)
-    if sub.n <= params.enumeration_cap:
-        report = enumerate_uncovered(sub, params.enumeration_cap)
+    if sub.n <= cap:
+        report = enumerate_uncovered(sub, cap)
     else:
-        report = sample_uncovered(sub, trials=params.sample_cap, seed=params.seed)
+        report = sample_uncovered(sub, trials=trials, seed=seed)
     if report.witness is None:
         raise StageFailure(
             "n3-assignment",
@@ -144,9 +143,11 @@ def sample_n2_assignment(
     system: CoveringSystem,
     d: Decomposition2,
     n3_assignment: Mapping[int, int],
-    params: Params = DEFAULT_PARAMS,
+    trials: int = 1000,
+    seed: int = 0,
 ) -> tuple[dict[int, int], dict]:
-    """Rejection-sample w on {0,1}^N2 until the K2/K4 acceptance certificate holds.
+    """Rejection-sample w on {0,1}^N2 (at most ``trials`` draws, from seed + 1)
+    until the K2/K4 acceptance certificate holds.
 
     Acceptance: every K2 row (zero on N1) misses its residual target exactly,
     and no N1 completion can satisfy any K4 row.  For the latter, with B the
@@ -181,9 +182,9 @@ def sample_n2_assignment(
         terms = [(j, b) for j, b in zip(row.support, row.ints) if j in n2 and j not in last]
         bound = system.n * sum(b * b for j, b in zip(row.support, row.ints) if j in n1 or j in last)
         k4_tests.append((terms, _target_less(row, set_cols), bound))
-    rng = random.Random(params.seed + 1)
+    rng = random.Random(seed + 1)
     rejections = {"k2": 0, "k4": 0}
-    for attempt in range(1, params.sample_cap + 1):
+    for attempt in range(1, trials + 1):
         w = {j: rng.getrandbits(1) for j in d.N2}
         if any(sum(b for j, b in terms if w[j]) == target for terms, target in k2_tests):
             rejections["k2"] += 1
@@ -194,25 +195,29 @@ def sample_n2_assignment(
     raise StageFailure(
         "n2-sampling",
         {
-            "attempts": params.sample_cap,
+            "attempts": trials,
             "rejections": rejections,
-            "rejection_rate": (rejections["k2"] + rejections["k4"]) / params.sample_cap,
+            "rejection_rate": (rejections["k2"] + rejections["k4"]) / trials,
             "k2_rows": list(d.K2),
             "k4_rows": list(d.K4),
         },
     )
 
 
-def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) -> RefutationOutcome:
+def attempt_refutation(system: CoveringSystem, S: int | None = None, W: Fraction | int | None = None,
+                       gamma: Fraction = Fraction(1, 3), cap: int = ENUMERATION_CAP, trials: int = 1000,
+                       seed: int = 0, strict: bool = False) -> RefutationOutcome:
     """Run the full pipeline; never returns an unverified vertex.
 
-    All failures are structured outcomes naming the first failed stage with
-    quantitative margins, never exceptions.
+    S and W left at None are derived at the default C5 and multiplier;
+    ``strict`` stops at failed decomposition hypotheses.  All failures are
+    structured outcomes naming the first failed stage with quantitative
+    margins, never exceptions.
     """
     n, k = system.n, system.k
-    S = derived_scale_count(n, params)
-    W = derived_column_budget(n, k, params)
-    d = second_decomposition(system, S, W, params.gamma)
+    S = derived_scale_count(n) if S is None else S
+    W = derived_column_budget(n, k) if W is None else Fraction(W)
+    d = second_decomposition(system, S, W, gamma)
     detail: dict = {
         "S": S,
         "W": W,
@@ -234,14 +239,14 @@ def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) 
             "N3": len(d.N3),
         },
     }
-    if params.require_hypotheses and not d.hypotheses_ok:
+    if strict and not d.hypotheses_ok:
         detail["note"] = "decomposition hypotheses do not hold and strict mode is on"
         return RefutationOutcome(status="failed", vertex=None, stage="decomposition-hypotheses", detail=detail)
 
     try:
-        u3 = choose_n3_assignment(system, d, params)
+        u3 = choose_n3_assignment(system, d, cap, trials, seed)
         detail["n3_assignment"] = {str(j): b for j, b in sorted(u3.items())}
-        w2, n2_detail = sample_n2_assignment(system, d, u3, params)
+        w2, n2_detail = sample_n2_assignment(system, d, u3, trials, seed)
         detail["n2_sampling"] = n2_detail
     except StageFailure as failure:
         detail[failure.stage] = failure.detail
@@ -265,7 +270,7 @@ def attempt_refutation(system: CoveringSystem, params: Params = DEFAULT_PARAMS) 
             )
         try:
             witness, attempts = find_uncovered_small_norm(
-                block, targets, params.sample_cap, params.seed + 2, check=precheck
+                block, targets, trials, seed + 2, check=precheck
             )
         except SampleCapError as exc:
             detail["rounding"] = {"attempts": exc.attempts}

@@ -16,7 +16,6 @@ import pytest
 
 from cubecover import (
     CoveringSystem,
-    Params,
     apply_rescaling,
     attempt_refutation,
     bang_signs,
@@ -247,7 +246,7 @@ def test_criterion_09_pipeline_soundness():
     """No false positives on true covers; verified vertices on 50 non-covers."""
     ok = True
     for n in range(2, 17, 2):
-        out = attempt_refutation(lr_cover(n), Params(seed=n))
+        out = attempt_refutation(lr_cover(n), seed=n)
         ok = ok and out.status == "failed" and out.vertex is None
     rng = random.Random(99009)
     found = 0
@@ -262,7 +261,7 @@ def test_criterion_09_pipeline_soundness():
             rows.append(row)
             mu.append(Fraction(2))
         system = CoveringSystem.from_rows(rows, mu)
-        out = attempt_refutation(system, Params(seed=trial))
+        out = attempt_refutation(system, seed=trial)
         ok = ok and out.status == "uncovered"
         if out.vertex is not None:
             ok = ok and not any(evaluate_row(system, i, out.vertex) for i in range(system.k))
@@ -274,7 +273,7 @@ def test_criterion_09_pipeline_soundness():
         row = [Fraction(0)] * n
         row[coord] = Fraction(1)
         system = CoveringSystem.from_rows([row], [bit])
-        out = attempt_refutation(system, Params(seed=1000 + trial))
+        out = attempt_refutation(system, seed=1000 + trial)
         ok = ok and out.status == "uncovered"
         if out.vertex is not None:
             ok = ok and not any(evaluate_row(system, i, out.vertex) for i in range(system.k))

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from _pins import record_missing
 from cubecover import cli, decompose, lr_cover, parse_system
 from cubecover.cli import _DISPATCH, run_command
-from cubecover.core import Params, Vertex, dump_json, wire
+from cubecover.core import Vertex, dump_json, wire
 from cubecover.essential import verify_essential
 from cubecover.refute import attempt_refutation
 from test_refute_pinned import _block_system, _plank_system, _system_text
@@ -797,7 +797,7 @@ LIMIT = sys.get_int_max_str_digits()
 EDGE_INTS = st.sampled_from((LIMIT - 1, LIMIT)).flatmap(lambda d: st.sampled_from((10**d, -(10**d))))
 EDGE_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308, 1e-06, 1e16)
 EDGE_TEXT = ('"', "\\", "a\x00\x1f\x7f", " \xe9", "\U0001f600", "\ud800")
-FALLBACKS = (Bit.ONE, Text("t"), Ratio(1, 2), OrderedDict(a=1), Vertex((True, 1.0, 0)), object())
+FALLBACKS = (Bit.ONE, Text("t"), Ratio(1, 2), OrderedDict(a=1), object())
 
 
 @functools.cache
@@ -805,8 +805,8 @@ def _records():
     """An essential report, a found and a failed refutation, and a second decomposition."""
     plank = parse_system(_system_text(*_plank_system(random.Random(0), 4, 16)))
     blocks = parse_system(_system_text(*_block_system(random.Random(0), 8, 60)))
-    return (verify_essential(lr_cover(4)), attempt_refutation(plank, Params(W=Fraction(1, 10**6), seed=1)),
-            attempt_refutation(lr_cover(8), Params(seed=7)),
+    return (verify_essential(lr_cover(4)), attempt_refutation(plank, W=Fraction(1, 10**6), seed=1),
+            attempt_refutation(lr_cover(8), seed=7),
             decompose.second_decomposition(blocks, S=1, W=Fraction(1, 10)))
 
 

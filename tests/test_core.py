@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -8,7 +7,6 @@ from hypothesis import given, strategies as st
 import cubecover.core as core
 from cubecover import (
     CoveringSystem,
-    Params,
     SystemFormatError,
     Vertex,
     apply_rescaling,
@@ -231,8 +229,6 @@ def test_paper_constants_are_exact_fractions():
     assert all(type(x) is Fraction for x in (core.C0, core.C1, core.C3, core.TAU))
     assert (core.C1, core.C3, core.TAU) == (4 * core.C0**2, 1 + core.C1**2, 1 / (1 + core.C1**2))
     assert (1 - core.TAU) / core.TAU == core.C1**2
-    # C0 is the paper's, not a tunable.
-    assert "C0" not in {f.name for f in dataclasses.fields(Params)}
 
 
 def test_restrict_carries_the_cleared_rows():
@@ -273,7 +269,7 @@ def _from_code_oracle(code, n):
 
 
 def _vertex_bits_ok_oracle(bits):
-    return not any(b not in (0, 1) for b in bits)
+    return all(type(b) is int and b in (0, 1) for b in bits)
 
 
 GOOD_ENTRIES = st.one_of(
@@ -346,6 +342,12 @@ def test_vertex_bits_check_matches_the_oracle(bits):
 def test_vertex_rejects_non_bits(bad):
     with pytest.raises(ValueError, match=r"vertex bits must be 0/1, got \(0, "):
         Vertex((0, bad, 1))
+
+
+@pytest.mark.parametrize("bits", [(True,), (1.0, 0)], ids=["bool", "float"])
+def test_vertex_rejects_bits_that_only_equal_0_or_1(bits):
+    with pytest.raises(ValueError, match=r"^vertex bits must be 0/1, got \("):
+        Vertex(bits)
 
 
 def test_parse_system_zero_spellings():

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import cubecover.plank as plank_module
 from cubecover import (
-    Params,
     PlankPreconditionError,
     SampleCapError,
     bang_signs,
@@ -246,7 +245,7 @@ def _fraction_precondition(rows):
     return SmallNormCheck(alpha=alpha, beta=beta, ell=ell, lhs=lhs, ok=lhs <= 1.0)
 
 
-def _dense_find_uncovered(rows, targets, params, seed):
+def _dense_find_uncovered(rows, targets, trials, seed):
     """The finder before the sparse Gram build; also returns the sign search's
     arguments and result."""
     ell = len(rows)
@@ -268,7 +267,7 @@ def _dense_find_uncovered(rows, targets, params, seed):
         theta * sum(vf[i][j] * sv.signs[i] for i in range(ell)) for j in range(m)
     ]
     y = [min(1.0, max(0.0, (c + 1.0) / 2.0)) for c in y_prime]
-    for attempt in range(1, params.sample_cap + 1):
+    for attempt in range(1, trials + 1):
         w = [1 if rng.random() < y_j else 0 for y_j in y]
         ok = True
         for i in range(ell):
@@ -278,7 +277,7 @@ def _dense_find_uncovered(rows, targets, params, seed):
                 break
         if ok:
             return (Vertex(tuple(w)), attempt), (gram, zeta), sv
-    raise SampleCapError("cap", params.sample_cap)
+    raise SampleCapError("cap", trials)
 
 
 MIXED = (Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7), Fraction(-1), Fraction(5, 2))
@@ -383,7 +382,7 @@ def test_sparse_finder_equals_dense_oracle(monkeypatch):
 
     monkeypatch.setattr(plank_module, "bang_signs", recording)
     rng = random.Random(31)
-    params = Params(sample_cap=200)
+    trials = 200
     compared = 0
     for trial in range(40):
         rows = _plank_block(rng, rng.randint(1, 6), rng.randint(8, 40), rng.choice((0, 0, 2, 4)))
@@ -395,13 +394,13 @@ def test_sparse_finder_equals_dense_oracle(monkeypatch):
             targets.append(rng.choice((half, Fraction(rng.randint(-2, 2)), half + Fraction(1, 3), 1)))
         seed = rng.randrange(1 << 20)
         try:
-            expected, (gram, zeta), sv = _dense_find_uncovered(rows, targets, params, seed)
+            expected, (gram, zeta), sv = _dense_find_uncovered(rows, targets, trials, seed)
         except SampleCapError:
             with pytest.raises(SampleCapError):
-                find_uncovered_small_norm(cleared_block(rows), targets, params.sample_cap, seed=seed)
+                find_uncovered_small_norm(cleared_block(rows), targets, trials, seed=seed)
             continue
         calls.clear()
-        assert find_uncovered_small_norm(cleared_block(rows), targets, params.sample_cap, seed=seed) == expected
+        assert find_uncovered_small_norm(cleared_block(rows), targets, trials, seed=seed) == expected
         (new_gram, new_zeta), new_sv = calls
         assert [[float(c).hex() for c in r] for r in new_gram] == [[float(c).hex() for c in r] for r in gram]
         assert [z.hex() for z in new_zeta] == [z.hex() for z in zeta]

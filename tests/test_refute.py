@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from cubecover import (
     CoveringSystem,
     Decomposition2,
-    Params,
     ScalePartition,
     StageFailure,
     apply_rescaling,
@@ -138,7 +137,7 @@ def test_sample_n2_cap_exhaustion_reports_stage():
     sys_ = CoveringSystem.from_rows([[1, -1], [1, 1]], [0, 1])
     d = empty_decomposition(sys_, K2=(0, 1), N2=(0, 1))
     with pytest.raises(StageFailure) as info:
-        sample_n2_assignment(sys_, d, {}, Params(sample_cap=64))
+        sample_n2_assignment(sys_, d, {}, trials=64)
     assert info.value.stage == "n2-sampling"
     assert info.value.detail["attempts"] == 64
 
@@ -182,7 +181,8 @@ def oracle_sample_n2_assignment(
     system: CoveringSystem,
     d: Decomposition2,
     n3_assignment: Mapping[int, int],
-    params: Params = Params(),
+    trials: int = 1000,
+    seed: int = 0,
 ) -> tuple[dict[int, int], dict]:
     relevant = list(d.K2) + list(d.K4)
     if not d.N2 or not relevant:
@@ -192,9 +192,9 @@ def oracle_sample_n2_assignment(
         - sum((system.rows[i][j] * n3_assignment[j] for j in d.N3), Fraction(0))
         for i in relevant
     }
-    rng = random.Random(params.seed + 1)
+    rng = random.Random(seed + 1)
     rejections = {"k2": 0, "k4": 0}
-    for attempt in range(1, params.sample_cap + 1):
+    for attempt in range(1, trials + 1):
         w = {j: rng.getrandbits(1) for j in d.N2}
         ok = True
         for i in d.K2:
@@ -214,18 +214,18 @@ def oracle_sample_n2_assignment(
     raise StageFailure(
         "n2-sampling",
         {
-            "attempts": params.sample_cap,
+            "attempts": trials,
             "rejections": rejections,
-            "rejection_rate": (rejections["k2"] + rejections["k4"]) / params.sample_cap,
+            "rejection_rate": (rejections["k2"] + rejections["k4"]) / trials,
             "k2_rows": list(d.K2),
             "k4_rows": list(d.K4),
         },
     )
 
 
-def _outcome(sample, system, d, n3_assignment, params):
+def _outcome(sample, system, d, n3_assignment, trials, seed):
     try:
-        return sample(system, d, n3_assignment, params)
+        return sample(system, d, n3_assignment, trials, seed)
     except StageFailure as failure:
         return failure.stage, failure.detail
 
@@ -278,9 +278,9 @@ def test_sampler_matches_the_fraction_oracle_on_random_blocks():
             "set-n3-column": 0}
     for _ in range(300):
         system, d, n3_assignment = random_block(rng)
-        params = Params(sample_cap=rng.choice((1, 4, 30)), seed=rng.randrange(1000))
-        expected = _outcome(oracle_sample_n2_assignment, system, d, n3_assignment, params)
-        assert _outcome(sample_n2_assignment, system, d, n3_assignment, params) == expected
+        trials, seed = rng.choice((1, 4, 30)), rng.randrange(1000)
+        expected = _outcome(oracle_sample_n2_assignment, system, d, n3_assignment, trials, seed)
+        assert _outcome(sample_n2_assignment, system, d, n3_assignment, trials, seed) == expected
         if expected[0] == "n2-sampling":
             seen["failed-k2-and-k4"] += bool(expected[1]["rejections"]["k2"] and expected[1]["rejections"]["k4"])
         elif expected[1]["vacuous"]:
@@ -329,7 +329,7 @@ def test_k4_predicate_implies_no_completion():
         assert accepted_any  # the predicate is satisfiable for these targets
         for seed in range(8):
             try:
-                w, _ = sample_n2_assignment(sys_, d, {}, Params(seed=seed, sample_cap=64))
+                w, _ = sample_n2_assignment(sys_, d, {}, trials=64, seed=seed)
             except StageFailure:
                 continue
             assert_no_completion(w, mu_val)
@@ -376,14 +376,14 @@ def test_refute_true_cover_fails_soundly():
 
 def test_refute_true_cover_many_seeds():
     for seed in range(5):
-        out = attempt_refutation(lr_cover(8), Params(seed=seed))
+        out = attempt_refutation(lr_cover(8), seed=seed)
         assert out.status == "failed"
         assert out.vertex is None
 
 
 def test_refute_disjoint_small_norm_instance():
     sys_ = disjoint_rows_system()
-    out = attempt_refutation(sys_, Params(seed=3))
+    out = attempt_refutation(sys_, seed=3)
     assert out.status == "uncovered"
     assert not any(evaluate_row(sys_, i, out.vertex) for i in range(sys_.k))
     assert out.detail["block_sizes"]["N3"] + out.detail["block_sizes"]["N1"] + out.detail[
@@ -396,20 +396,20 @@ def test_refute_rescaled_covers_stay_failed():
     for n in (6, 10):
         sys_ = lr_cover(n)
         factors = [Fraction(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(sys_.k)]
-        out = attempt_refutation(apply_rescaling(sys_, factors), Params(seed=n))
+        out = attempt_refutation(apply_rescaling(sys_, factors), seed=n)
         assert out.status == "failed"
         assert out.vertex is None
 
 
 def test_refute_deterministic_given_seed():
     sys_ = disjoint_rows_system()
-    a = attempt_refutation(sys_, Params(seed=42))
-    b = attempt_refutation(sys_, Params(seed=42))
+    a = attempt_refutation(sys_, seed=42)
+    b = attempt_refutation(sys_, seed=42)
     assert a == b
 
 
 def test_refute_strict_hypotheses_mode():
-    out = attempt_refutation(lr_cover(8), Params(require_hypotheses=True))
+    out = attempt_refutation(lr_cover(8), strict=True)
     assert out.status == "failed"
     assert out.stage == "decomposition-hypotheses"
 
@@ -448,21 +448,21 @@ def test_sampled_n3_search_returns_the_full_sample_witness():
         sys_ = CoveringSystem.from_rows(rows, [Fraction(rng.randint(-1, 1)) for _ in rows])
         cols = tuple(range(n))
         d = empty_decomposition(sys_, K1=tuple(range(sys_.k)), N3=cols)
-        params = Params(enumeration_cap=8, sample_cap=40, seed=rng.randrange(1000))
-        full = sample_uncovered(sys_, trials=params.sample_cap, seed=params.seed)
+        cap, trials, seed = 8, 40, rng.randrange(1000)
+        full = sample_uncovered(sys_, trials=trials, seed=seed)
         if full.witness is None:
             with pytest.raises(StageFailure) as info:
-                choose_n3_assignment(sys_, d, params)
-            assert info.value.detail["searched"] == params.sample_cap
+                choose_n3_assignment(sys_, d, cap, trials, seed)
+            assert info.value.detail["searched"] == trials
             continue
-        assignment = choose_n3_assignment(sys_, d, params)
+        assignment = choose_n3_assignment(sys_, d, cap, trials, seed)
         assert tuple(assignment[j] for j in cols) == full.witness.bits
         checked += 1
     assert checked > 0
 
 
 def _clear_count_systems():
-    """(name, system, params) runs of attempt_refutation that reach each block:
+    """(name, system, options) runs of attempt_refutation that reach each block:
     two pinned K2/K4 block systems whose K3 rows reach the plank
     precondition, one of them after a sampled N3 search; an LR cover whose N3
     subcube is swept exhaustively; and a plank system that runs the finder."""
@@ -470,11 +470,11 @@ def _clear_count_systems():
 
     for seed, n, s in ((46, 80, 2), (26, 160, 3)):
         rows, mu = _block_system(random.Random(seed), 6, n)
-        params = Params(S=s, W=Fraction(1, 10), enumeration_cap=16, sample_cap=40, seed=3)
-        yield f"blocks-{seed}", CoveringSystem.from_rows(rows, mu), params
-    yield "lr-8", lr_cover(8), Params(seed=7)
+        options = {"S": s, "W": Fraction(1, 10), "cap": 16, "trials": 40, "seed": 3}
+        yield f"blocks-{seed}", CoveringSystem.from_rows(rows, mu), options
+    yield "lr-8", lr_cover(8), {"seed": 7}
     rows, mu = _plank_system(random.Random(5), 4, 16)
-    yield "plank-4x16", CoveringSystem.from_rows(rows, mu), Params(W=Fraction(1, 10**6), seed=5)
+    yield "plank-4x16", CoveringSystem.from_rows(rows, mu), {"W": Fraction(1, 10**6), "seed": 5}
 
 
 @pytest.mark.parametrize("name", [case[0] for case in _clear_count_systems()])
@@ -483,7 +483,7 @@ def test_refutation_clears_each_row_once(name, monkeypatch):
 
     import cubecover.core as core
 
-    name, system, params = next(case for case in _clear_count_systems() if case[0] == name)
+    name, system, options = next(case for case in _clear_count_systems() if case[0] == name)
     original, calls = core.clear_row, []
 
     def counted(*args, **kwargs):
@@ -496,13 +496,13 @@ def test_refutation_clears_each_row_once(name, monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
-    outcome = attempt_refutation(system, params)
+    outcome = attempt_refutation(system, **options)
     assert len(calls) == system.k
     detail = outcome.detail
     if name.startswith("blocks-") or name.startswith("plank-"):
         assert detail["block_sizes"]["K3"] and "small_norm" in detail
     if name == "blocks-26":
-        assert detail["block_sizes"]["K1"] and detail["block_sizes"]["N3"] > params.enumeration_cap
+        assert detail["block_sizes"]["K1"] and detail["block_sizes"]["N3"] > options["cap"]
     if name == "lr-8":
         assert detail["n3-assignment"]["search_mode"] == "exhaustive"
     if name == "plank-4x16":
@@ -585,26 +585,32 @@ def _column_budget_floor_oracle(n, k):
     return Fraction(math.log(n) if n > 1 else 1.0) * k * k / n
 
 
-def _derived_column_budget_oracle(n, k, params):
-    if params.W is not None:
-        return Fraction(params.W)
-    w = params.w_multiplier * _column_budget_floor_oracle(n, k)
+def _derived_column_budget_oracle(n, k, multiplier):
+    w = multiplier * _column_budget_floor_oracle(n, k)
     return w if w > 0 else Fraction(1, 100)
 
 
 @settings(max_examples=300)
 @given(st.one_of(st.integers(1, 300), st.integers(1, 10**30)), st.integers(1, 10**5),
        st.one_of(st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(1, 3), Fraction(0), Fraction(-1), 2)),
-                 st.fractions(min_value=-10, max_value=10**6, max_denominator=10**6)),
-       st.one_of(st.none(), st.fractions(min_value=Fraction(1, 10**9), max_value=100, max_denominator=10**9)))
-def test_column_budget_matches_the_oracle(n, k, multiplier, w):
-    params = Params(w_multiplier=multiplier, W=w)
+                 st.fractions(min_value=-10, max_value=10**6, max_denominator=10**6)))
+def test_column_budget_matches_the_oracle(n, k, multiplier):
     assert column_budget_floor(n, k) == _column_budget_floor_oracle(n, k)
-    got = derived_column_budget(n, k, params)
-    assert got == _derived_column_budget_oracle(n, k, params) and type(got) is Fraction
+    got = derived_column_budget(n, k, multiplier)
+    assert got == _derived_column_budget_oracle(n, k, multiplier) and type(got) is Fraction
+
+
+@settings(max_examples=100)
+@given(st.one_of(st.none(), st.integers(1, 100),
+                 st.fractions(min_value=Fraction(1, 10**9), max_value=100, max_denominator=10**9)))
+def test_refutation_takes_a_given_column_budget_as_a_fraction(w):
+    # W left at None is the derived default; a given W is used as it is.
+    system = CoveringSystem.from_rows([[1] + [0] * 7], [0])
+    got = attempt_refutation(system, W=w).detail["W"]
+    assert got == (derived_column_budget(8, 1) if w is None else Fraction(w)) and type(got) is Fraction
 
 
 def test_column_budget_is_exact_for_an_int_or_float_multiplier():
     for multiplier in (2, 1.5, 0.1):
-        w = derived_column_budget(100, 5, Params(w_multiplier=multiplier))
+        w = derived_column_budget(100, 5, multiplier)
         assert type(w) is Fraction and w == Fraction(multiplier) * column_budget_floor(100, 5)

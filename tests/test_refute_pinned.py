@@ -23,7 +23,9 @@ code that copied every K3 row onto N1, parsed entries one at a time and
 built W and the hypothesis sides through chained Fraction operations; the
 random-6x36-*-big pins from the code that first refused option values beyond
 10^30; the plank-4x16-mu0-beyond-float-* pins from the code that first read
-such a K3 target as the infinity of its sign.  Any
+such a K3 target as the infinity of its sign; the random-6x36-gamma-1 and
+random-6x36-strict-hypotheses pins from the code that handed the pipeline
+its settings as one record.  Any
 change to the arithmetic of the refute path that alters a single byte of
 output fails here.
 
@@ -246,6 +248,10 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
     argv, text = runs["random-6x36"]
     for flag in ("--w", "--c", "--c5", "--s"):
         cases.append((f"random-6x36-{flag[2:]}-big", [*argv, flag, str(10**400)], text))
+    # The whole pipeline on a non-default gamma, and in strict mode, which
+    # stops at the decomposition hypotheses (exit 1).
+    cases.append(("random-6x36-gamma-1", [*argv, "--gamma", "1"], text))
+    cases.append(("random-6x36-strict-hypotheses", [*argv, "--strict-hypotheses"], text))
     block_text = _system_text(*_block_system(random.Random(1), 6, 80))
     cases.append(("decompose-second-blocks-1-6x80-s1-w10-gamma-2over3",
                   ["decompose", "--input", "-", "--seed", "3", "--stage", "second", "--s", "1", "--w", "10",

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from cubecover import (
     CoveringSystem,
-    Params,
     attempt_refutation,
     enumerate_uncovered,
     evaluate_row,
@@ -41,7 +40,7 @@ def test_refutation_consistent_with_ground_truth():
     for trial in range(60):
         system = random_system(rng)
         truth = enumerate_uncovered(system)
-        out = attempt_refutation(system, Params(seed=trial))
+        out = attempt_refutation(system, seed=trial)
         if out.status == "uncovered":
             assert truth.uncovered_count > 0
             assert not any(
@@ -64,7 +63,7 @@ def test_covers_with_redundant_rows_never_refuted():
         system = CoveringSystem.from_rows(extra_rows, extra_mu)
         assert enumerate_uncovered(system).uncovered_count == 0
         for seed in (0, 1, rng.randint(2, 10**6)):
-            out = attempt_refutation(system, Params(seed=seed))
+            out = attempt_refutation(system, seed=seed)
             assert out.status == "failed"
             assert out.vertex is None
 
@@ -78,6 +77,6 @@ def test_permuted_covers_never_refuted():
         rows = [tuple(row[perm[j]] for j in range(n)) for row in base.rows]
         system = CoveringSystem.from_rows(rows, base.mu)
         assert enumerate_uncovered(system).uncovered_count == 0
-        out = attempt_refutation(system, Params(seed=n))
+        out = attempt_refutation(system, seed=n)
         assert out.status == "failed"
         assert out.vertex is None
