@@ -5,6 +5,7 @@ from .core import (
     CapExceededError,
     ClearedBlock,
     CoveringSystem,
+    SparseRow,
     SystemFormatError,
     Vertex,
     apply_rescaling,

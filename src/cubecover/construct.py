@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import CoveringSystem
+from .core import CoveringSystem, SparseRow
 
 
 def lr_cover(n: int) -> CoveringSystem:
@@ -16,12 +16,8 @@ def lr_cover(n: int) -> CoveringSystem:
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be an even integer >= 2, got {n}")
-    rows = [tuple(Fraction(1) for _ in range(n))]
-    mu = [Fraction(n, 2)]
-    for i in range(n // 2):
-        row = [Fraction(0)] * n
-        row[2 * i] = Fraction(1)
-        row[2 * i + 1] = Fraction(-1)
-        rows.append(tuple(row))
-        mu.append(Fraction(0))
-    return CoveringSystem(n=n, k=n // 2 + 1, rows=tuple(rows), mu=tuple(mu))
+    one = Fraction(1)
+    rows = [SparseRow(list(range(n)), [one] * n)]
+    rows += [SparseRow([2 * i, 2 * i + 1], [one, Fraction(-1)]) for i in range(n // 2)]
+    mu = (Fraction(n, 2),) + (Fraction(0),) * (n // 2)
+    return CoveringSystem(n=n, k=n // 2 + 1, sparse_rows=tuple(rows), mu=mu)

@@ -7,17 +7,21 @@ rational.  A quantity that would be irrational (a row read as a unit vector,
 divided by its norm) is never materialized: a stage that reads rows so works
 out each row's rational squared norm itself, and compares squares.
 
+Each row is kept once, in sparse form (``SparseRow``: its nonzero columns
+and their Fractions), which ``parse_system`` builds straight from the
+document, parsing each distinct entry string once and reading from that
+parse whether it is zero.  ``CoveringSystem.rows`` is a dense view derived
+from it, ``from_rows`` the dense constructor.
+
 The exact kernels elsewhere work on integers through one helper,
-``clear_row``: a row's nonzero entries and an optional right-hand side,
-scaled by their least common denominator D.  ``CoveringSystem.cleared_rows``
-(row i with mu_i) holds that form, computed on first use; it is the only
-place a system's rows are cleared, as ``cleared_block`` is the only place a
-rational matrix is.  A ``ClearedBlock`` (cleared rows on numbered columns)
-is what the first decomposition and the plank stage read;
-``CoveringSystem.block`` cuts one from a system's cleared rows (renumbered,
-same D), and ``CoveringSystem.restrict`` builds a subsystem that carries
-them.  ``parse_system`` parses each distinct entry string once
-(``_parse_entries``).
+``clear_row``: a sparse row and an optional right-hand side, scaled by their
+least common denominator D.  ``CoveringSystem.cleared_rows`` (row i with
+mu_i) holds that form, computed on first use; it is the only place a
+system's rows are cleared, as ``cleared_block`` is the only place a rational
+matrix is.  A ``ClearedBlock`` (cleared rows on numbered columns) is what
+the first decomposition and the plank stage read; ``CoveringSystem.block``
+cuts one from a system's cleared rows (renumbered, same D), and
+``CoveringSystem.restrict`` filters the sparse rows to a subsystem.
 
 The paper's window constant C0 = 4.706, the constants that follow from it
 (C1, C3, TAU) and the default ENUMERATION_CAP are module constants; every
@@ -228,31 +232,64 @@ def _dump(value: object, newline: str) -> str:
     return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
+class SparseRow(NamedTuple):
+    """A rational row as a system keeps it: its nonzero columns in ascending
+    order and their entries, in lists (short tuples, once freed, pile up on
+    CPython's tuple free lists: 1.4 MB of peak RSS over the refute benchmark)."""
+
+    support: list[int]
+    values: list[Fraction]
+
+    def dense(self, n: int) -> tuple[Fraction, ...]:
+        """The row as its n entries, zeros included."""
+        row = [Fraction(0)] * n
+        for j, c in zip(self.support, self.values):
+            row[j] = c
+        return tuple(row)
+
+
+def _sparse_row(row: Sequence[Fraction]) -> SparseRow:
+    """The sparse form of a dense rational row, for the dense constructors."""
+    support = list(compress(range(len(row)), row))
+    return SparseRow(support, list(map(row.__getitem__, support)))
+
+
+def _on_columns(support: Sequence[int], entries: Sequence, index: Mapping[int, int]) -> tuple[list[int], list]:
+    """The columns of ``support`` that ``index`` maps, renumbered by it, and
+    their ``entries``.  An increasing ``index`` keeps the columns ascending."""
+    kept_support, kept = [], []
+    for j, b in zip(support, entries):
+        t = index.get(j)
+        if t is not None:
+            kept_support.append(t)
+            kept.append(b)
+    return kept_support, kept
+
+
 @dataclass(frozen=True)
 class CoveringSystem:
     """k rational hyperplanes <v_i, x> = mu_i over {0,1}^n.
 
-    Invariants enforced at construction: every row is nonzero (a zero row
-    with mu = 0 would cover everything and void minimality), all rows have
-    length n, and len(mu) = k.
+    Each row is kept once, as a ``SparseRow``; ``rows`` (dense) and
+    ``cleared_rows`` (integer) are derived from it on first read.  Invariants enforced at construction: every row is nonzero (a zero row
+    with mu = 0 would cover everything and void minimality), and there are
+    k rows and k entries of mu.
     """
 
     n: int
     k: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    sparse_rows: tuple[SparseRow, ...]
     mu: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise SystemFormatError(f"dimension must be positive, got {self.n}")
-        if self.k < 1 or len(self.rows) != self.k:
-            raise SystemFormatError(f"expected {self.k} rows, got {len(self.rows)}")
+        if self.k < 1 or len(self.sparse_rows) != self.k:
+            raise SystemFormatError(f"expected {self.k} rows, got {len(self.sparse_rows)}")
         if len(self.mu) != self.k:
             raise SystemFormatError(f"expected {self.k} mu entries, got {len(self.mu)}")
-        for i, row in enumerate(self.rows):
-            if len(row) != self.n:
-                raise SystemFormatError(f"row {i} has {len(row)} entries, expected {self.n}")
-            if not any(row):
+        for i, row in enumerate(self.sparse_rows):
+            if not row.support:
                 raise SystemFormatError(f"zero row at index {i}")
 
     @classmethod
@@ -261,15 +298,25 @@ class CoveringSystem:
         rows: Sequence[Sequence[Fraction | int | str]],
         mu: Sequence[Fraction | int | str],
     ) -> "CoveringSystem":
-        tup_rows = tuple(as_fractions(row) for row in rows)
+        """The system of the dense rows ``rows`` and right-hand sides ``mu``."""
+        tup_rows = [as_fractions(row) for row in rows]
         tup_mu = as_fractions(mu)
         n = len(tup_rows[0]) if tup_rows else 0
-        return cls(n=n, k=len(tup_rows), rows=tup_rows, mu=tup_mu)
+        for i, row in enumerate(tup_rows):
+            if len(row) != n:
+                raise SystemFormatError(f"row {i} has {len(row)} entries, expected {n}")
+        return cls(n=n, k=len(tup_rows), sparse_rows=tuple([_sparse_row(row) for row in tup_rows]), mu=tup_mu)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense rows, zeros included; no stage of ``verify`` or ``refute``
+        reads them."""
+        return tuple([row.dense(self.n) for row in self.sparse_rows])
 
     @cached_property
     def cleared_rows(self) -> list[ClearedRow]:
         """Row i and mu_i cleared over one D_i (``clear_row``), for every row."""
-        return [clear_row(row, mu) for row, mu in zip(self.rows, self.mu)]
+        return [clear_row(row, mu) for row, mu in zip(self.sparse_rows, self.mu)]
 
     def block(self, rows: Sequence[int], cols: Sequence[int]) -> ClearedBlock:
         """The cleared rows ``rows`` on the ascending columns ``cols``
@@ -283,21 +330,22 @@ class CoveringSystem:
 
     def restrict(self, rows: Sequence[int], cols: Sequence[int]) -> "CoveringSystem":
         """The rows ``rows`` with their mu_i, on the ascending columns ``cols``
-        (renumbered 0..len(cols)-1).  Its cleared rows are this system's
-        ``block``, so no row is cleared again."""
-        sub = CoveringSystem(
+        (renumbered 0..len(cols)-1): each sparse row filtered to ``cols``,
+        or this system itself, cleared rows and all, when it keeps them all."""
+        if len(cols) == self.n and list(rows) == list(range(self.k)):
+            return self
+        index = {j: t for t, j in enumerate(cols)}
+        return CoveringSystem(
             n=len(cols),
             k=len(rows),
-            rows=tuple([tuple([self.rows[i][j] for j in cols]) for i in rows]),
+            sparse_rows=tuple([SparseRow(*_on_columns(*self.sparse_rows[i], index)) for i in rows]),
             mu=tuple([self.mu[i] for i in rows]),
         )
-        sub.__dict__["cleared_rows"] = self.block(rows, cols).rows  # where the cached_property keeps its value
-        return sub
 
     def supports(self) -> tuple[list[list[int]], list[int]]:
-        """Every row's support (the lists of ``cleared_rows``, not copies) and
+        """Every row's support (the lists of ``sparse_rows``, not copies) and
         every column's support size."""
-        rows = [cleared.support for cleared in self.cleared_rows]
+        rows = [row.support for row in self.sparse_rows]
         sizes = [0] * self.n
         for support in rows:
             for j in support:
@@ -308,9 +356,27 @@ class CoveringSystem:
         """The input format that ``parse_system`` reads: n, rows and mu, not k."""
         return {
             "n": self.n,
-            "rows": [[format_rational(c) for c in row] for row in self.rows],
+            "rows": [[format_rational(c) for c in row.dense(self.n)] for row in self.sparse_rows],
             "mu": [format_rational(m) for m in self.mu],
         }
+
+
+def _parse_new(raw: list, where, parsed: dict[str, Fraction]) -> set[str]:
+    """Parse the distinct entries of ``raw`` that ``parsed`` lacks, add them to
+    it, and return them.  When an entry fails (a bad string, a number, or a
+    list or dict, which is unhashable) the entries are parsed again in
+    order, naming the place of the first bad one: ``where(j)`` names entry
+    j, and is only formatted then."""
+    try:
+        new = set(raw).difference(parsed)
+        for c in new:
+            # A non-string entry fails here, before it could be stored.
+            parsed[c] = parse_rational(c)
+    except (SystemFormatError, TypeError):
+        for j, c in enumerate(raw):
+            parse_rational(c, where=where(j))
+        raise
+    return new
 
 
 def _parse_entries(raw: list, where, parsed: dict[str, Fraction]) -> tuple[Fraction, ...]:
@@ -319,23 +385,14 @@ def _parse_entries(raw: list, where, parsed: dict[str, Fraction]) -> tuple[Fract
     strings give one Fraction object.
 
     When every entry is a string seen before, this is one lookup per entry.
-    Otherwise only the distinct entries not in ``parsed`` are parsed (a set
-    difference) before the lookups.  When an entry fails (a bad string, a
-    number, or a list or dict, which is unhashable) the entries are parsed
-    again in order, naming the place of the first bad one: ``where(j)``
-    names entry j, and is only formatted then."""
+    Otherwise only the distinct entries not in ``parsed`` are parsed
+    (``_parse_new``, which names the place of a bad one) before the
+    lookups."""
     try:
         return tuple([parsed[c] for c in raw])
     except (KeyError, TypeError):  # a new string, a number, a list or a dict
         pass
-    try:
-        for c in set(raw).difference(parsed):
-            # A non-string entry fails here, before it could be stored.
-            parsed[c] = parse_rational(c)
-    except (SystemFormatError, TypeError):
-        for j, c in enumerate(raw):
-            parse_rational(c, where=where(j))
-        raise
+    _parse_new(raw, where, parsed)
     return tuple([parsed[c] for c in raw])
 
 
@@ -363,8 +420,9 @@ def parse_system(text: str) -> CoveringSystem:
     """Parse the JSON wire format {"n": int, "rows": [[ratstr]], "mu": [ratstr]}.
 
     Every malformation is reported with its row/column location.  Each
-    distinct entry string is parsed once per call; equal strings share one
-    Fraction.
+    distinct entry string is parsed once per call, and whether it is zero is
+    read from that parse; equal strings share one Fraction.  Each row is
+    built in sparse form, its nonzero columns and their values.
     """
     doc = parse_object(text, ("n", "rows", "mu"))
     n = doc["n"]
@@ -380,13 +438,24 @@ def parse_system(text: str) -> CoveringSystem:
             f"expected {len(raw_rows)}"
         )
     parsed: dict[str, Fraction] = {}
+    nonzero: dict[str, bool] = {}  # the same strings as parsed
+    columns = range(n)
     rows = []
     for i, raw in enumerate(raw_rows):
         if not isinstance(raw, list) or len(raw) != n:
             raise SystemFormatError(f"row {i} has {len(raw) if isinstance(raw, list) else '??'} entries, expected {n}")
-        rows.append(_parse_entries(raw, lambda j: f"row {i}, column {j}", parsed))
+        # One pass over the row: each entry's zero flag, or a KeyError when
+        # it is not a string parsed before.
+        try:
+            support = list(compress(columns, map(nonzero.__getitem__, raw)))
+        except (KeyError, TypeError):  # a new string, a number, a list or a dict
+            for c in _parse_new(raw, lambda j: f"row {i}, column {j}", parsed):
+                nonzero[c] = parsed[c].numerator != 0
+            support = list(compress(columns, map(nonzero.__getitem__, raw)))
+        nonzeros = raw if len(support) == n else map(raw.__getitem__, support)  # their strings
+        rows.append(SparseRow(support, list(map(parsed.__getitem__, nonzeros))))
     mu = _parse_entries(raw_mu, lambda j: f"mu[{j}]", parsed)
-    return CoveringSystem(n=n, k=len(rows), rows=tuple(rows), mu=mu)
+    return CoveringSystem(n=n, k=len(rows), sparse_rows=tuple(rows), mu=mu)
 
 
 def apply_rescaling(system: CoveringSystem, factors: Sequence[Fraction | int]) -> CoveringSystem:
@@ -400,9 +469,9 @@ def apply_rescaling(system: CoveringSystem, factors: Sequence[Fraction | int]) -
         raise ValueError("rescaling factors must be positive")
     if len(factors) != system.k:
         raise ValueError(f"expected {system.k} factors, got {len(factors)}")
-    rows = tuple(tuple(f * c for c in row) for f, row in zip(factors, system.rows))
+    rows = tuple([SparseRow(row.support, [f * c for c in row.values]) for f, row in zip(factors, system.sparse_rows)])
     mu = tuple(f * m for f, m in zip(factors, system.mu))
-    return CoveringSystem(n=system.n, k=system.k, rows=rows, mu=mu)
+    return CoveringSystem(n=system.n, k=system.k, sparse_rows=rows, mu=mu)
 
 
 def clear_denominators(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
@@ -415,8 +484,9 @@ def clear_denominators(values: Sequence[Fraction | int]) -> tuple[list[int], int
     # tuples of as_fractions: a tuple grown from a generator is resized, and
     # resized short tuples pile up on CPython's tuple free lists (2-3 MB of
     # peak RSS over the refute benchmark).
-    mult = math.lcm(*[c.denominator for c in values])
-    return [c.numerator * (mult // c.denominator) for c in values], mult
+    pairs = [c.as_integer_ratio() for c in values]
+    mult = math.lcm(*[q for _, q in pairs])
+    return [p * (mult // q) for p, q in pairs], mult
 
 
 class ClearedRow(NamedTuple):
@@ -433,22 +503,16 @@ class ClearedRow(NamedTuple):
         same rhs and D.  An increasing ``index`` keeps the support ascending.
         D stays a positive multiple of the least common denominator of the
         entries kept, so the restricted row is still exact."""
-        support, ints = [], []
-        for j, b in zip(self.support, self.ints):
-            t = index.get(j)
-            if t is not None:
-                support.append(t)
-                ints.append(b)
+        support, ints = _on_columns(self.support, self.ints, index)
         return ClearedRow(support, ints, self.rhs, self.D)
 
 
-def clear_row(row: Sequence[Fraction | int], rhs: Fraction | int = 0) -> ClearedRow:
-    """Clear a row over its nonzero entries, together with ``rhs``, by the least
-    common denominator of those entries and ``rhs``."""
-    support = list(compress(range(len(row)), row))
-    ints, mult = clear_denominators([*[row[j] for j in support], rhs])
+def clear_row(row: SparseRow, rhs: Fraction | int = 0) -> ClearedRow:
+    """Clear a sparse row over its support (the same list), together with
+    ``rhs``, by the least common denominator of its entries and ``rhs``."""
+    ints, mult = clear_denominators([*row.values, rhs])
     top = ints.pop()
-    return ClearedRow(support, ints, top, mult)
+    return ClearedRow(row.support, ints, top, mult)
 
 
 @dataclass(frozen=True)
@@ -470,7 +534,7 @@ def cleared_block(matrix: Sequence[Sequence[Fraction | int | str]]) -> ClearedBl
     m = len(rows[0]) if rows else 0
     if any(len(row) != m for row in rows):
         raise ValueError("rows have inconsistent lengths")
-    return ClearedBlock([clear_row(row) for row in rows], m)
+    return ClearedBlock([clear_row(_sparse_row(row)) for row in rows], m)
 
 
 # The paper's window constant and the constants that follow from it, as

@@ -5,11 +5,12 @@ scaled by one positive D, so membership is unchanged) and run on plain
 Python integers from there: the whole sweep is exact.
 
 A reported vertex is checked again by ``rows_through``, independently of
-both engines: it reads the rational ``system.rows`` and ``system.mu``, never
-the cleared rows, and makes one exact pass per row over a whole batch of
-vertices (each row scaled by its own least common denominator, then one
-integer subset sum per vertex).  ``essential`` passes all of a sweep's
-witnesses in one batch; the sampler and ``refute`` pass one vertex.
+both engines: it reads the rational ``system.sparse_rows`` and ``system.mu``,
+never the cleared rows, and makes one exact pass per row over a whole batch
+of vertices (each row's nonzero entries scaled by their own least common
+denominator, then one integer subset sum per vertex).  ``essential`` passes
+all of a sweep's witnesses in one batch; the sampler and ``refute`` pass one
+vertex.
 
 Coordinate j of a vertex is stored at bit (n-1-j) of its integer code, which
 makes numeric order on codes equal to lexicographic order on bit tuples; the
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, compress, islice, repeat
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 from typing import Sequence
 
 from .core import ENUMERATION_CAP, CapExceededError, CoveringSystem, Vertex
@@ -72,8 +73,8 @@ def evaluate_row(system: CoveringSystem, i: int, x: Vertex) -> bool:
         raise IndexError(f"row index {i} out of range for k={system.k}")
     if len(x) != system.n:
         raise ValueError(f"vertex has {len(x)} bits, expected {system.n}")
-    row = system.rows[i]
-    total = sum((row[j] for j, b in enumerate(x.bits) if b and row[j]), Fraction(0))
+    support, values = system.sparse_rows[i]
+    total = sum((c for j, c in zip(support, values) if x.bits[j]), Fraction(0))
     return total == system.mu[i]
 
 
@@ -81,29 +82,32 @@ def rows_through(system: CoveringSystem, vertices: Sequence[Vertex]) -> list[lis
     """For each vertex, the ascending rows whose hyperplane holds it, exactly.
 
     This is the independent re-check of a reported vertex: it reads the
-    rational ``system.rows`` and ``system.mu`` only, never ``cleared_rows``.
-    Each row is taken on the columns set in at least one vertex and scaled,
-    with mu_i, by the least common denominator of its nonzero entries there
-    and mu_i; each vertex then costs one integer subset sum per row,
-    ``sum(compress(ints, bits))`` over its bits on those columns.
+    rational ``system.sparse_rows`` and ``system.mu`` only, never
+    ``cleared_rows``.  Each row is taken on its nonzero columns that are set
+    in at least one vertex and scaled, with mu_i, by the least common
+    denominator of its entries there and mu_i; each vertex then costs one
+    integer subset sum per row, ``sum(compress(ints, bits))`` over its bits
+    on those columns, picked by one ``itemgetter``.  No zero entry is read.
     """
     n = system.n
     for x in vertices:
         if len(x) != n:
             raise ValueError(f"vertex has {len(x)} bits, expected {n}")
-    cols = list(compress(range(n), map(any, zip(*[x.bits for x in vertices]))))
-    # Each vertex's bits on cols.
-    bits_on_cols = [list(map(x.bits.__getitem__, cols)) for x in vertices]
+    used = set().union(*[compress(range(n), x.bits) for x in vertices])  # columns some vertex sets
+    # Each vertex's bits and a 0 at index n, which every itemgetter picks
+    # twice, so that it returns a tuple however few columns it picks.
+    padded = [x.bits + (0,) for x in vertices]
     hits: list[list[int]] = [[] for _ in vertices]
-    for i, (row, mu) in enumerate(zip(system.rows, system.mu)):
-        # (numerator, denominator) in one call per entry; zeros skip the scaling.
-        pairs = [row[j].as_integer_ratio() for j in cols]
+    for i, ((support, values), mu) in enumerate(zip(system.sparse_rows, system.mu)):
+        keep = list(map(used.__contains__, support))
+        pick = itemgetter(*compress(support, keep), n, n)
+        pairs = [c.as_integer_ratio() for c in compress(values, keep)]
         top, bottom = mu.as_integer_ratio()
-        d = math.lcm(bottom, *[q for p, q in pairs if p])
-        ints = [p * (d // q) if p else 0 for p, q in pairs]
+        d = math.lcm(bottom, *[q for _, q in pairs])
+        ints = [p * (d // q) for p, q in pairs]
         target = top * (d // bottom)
-        for hit, bits in zip(hits, bits_on_cols):
-            if sum(compress(ints, bits)) == target:
+        for hit, bits in zip(hits, padded):
+            if sum(compress(ints, pick(bits))) == target:
                 hit.append(i)
     return hits
 

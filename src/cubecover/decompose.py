@@ -36,6 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
+from decimal import Context
 from fractions import Fraction
 from operator import mul
 from typing import Mapping, Sequence
@@ -298,10 +299,52 @@ class Decomposition2:
         object.__setattr__(self, "hypotheses_ok", hypotheses_ok)
 
 
+def _iroot(x: int, p: int) -> int:
+    """floor(x ** (1/p)) for integers x >= 1 and p >= 1 (Newton's method from
+    above)."""
+    if x.bit_length() <= p:  # x < 2**p
+        return 1
+    t = 1 << -(-x.bit_length() // p)
+    while True:
+        u = ((p - 1) * t + x // t ** (p - 1)) // p
+        if u >= t:
+            return t
+        t = u
+
+
 def _gamma_exceeds(count: int, base: int, gamma: Fraction) -> bool:
-    """Exact test of count > base**gamma for rational gamma in (0, 1]."""
-    p, qq = gamma.numerator, gamma.denominator
-    return count**qq > base**p
+    """Exact test of count > base**gamma for ints count, base >= 0 and
+    rational gamma = p/q in (0, 1], with no power larger than twice the
+    size of count or base, however large p and q are.
+
+    Bit lengths settle most cases, with 2**(a-1) <= count < 2**a and
+    2**((b-1) gamma) <= base**gamma < 2**(b gamma); every gamma below
+    1/b decides count >= 2 so.  Where those bounds overlap, count**q equals
+    base**p only when count = t**p and base = t**q for an integer t (gamma
+    is reduced); otherwise the sign of q ln count - p ln base is read with
+    ``decimal`` at growing precision, with ten times its rounding error to
+    spare.
+    """
+    p, q = gamma.numerator, gamma.denominator
+    if count == 0 or base == 0:  # 0**gamma = 0
+        return count > base
+    a, b = count.bit_length(), base.bit_length()
+    if q * (a - 1) >= p * b:
+        return True
+    if q * a <= p * (b - 1):
+        return False
+    t = _iroot(count, p)
+    # t >= 2 with q (bit_length(t) - 1) >= b has t**q >= 2**b > base.
+    if t**p == count and (t == 1 or q * (t.bit_length() - 1) < b) and t**q == base:
+        return False
+    prec = 32
+    while True:
+        ctx = Context(prec=prec)
+        x, y = ctx.multiply(q, ctx.ln(count)), ctx.multiply(p, ctx.ln(base))
+        diff = ctx.subtract(x, y)
+        if abs(diff) > ctx.scaleb(ctx.add(x, y), 2 - prec):
+            return diff > 0
+        prec *= 2
 
 
 def hypothesis_sides(n: int, k: int, S: int, W: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -474,7 +517,7 @@ def check_decomposition2(system: CoveringSystem, d: Decomposition2) -> bool:
         raise ValueError("N1..N3 do not partition the column set")
     if len(d.row_norm_sq) != k:
         raise ValueError("row_norm_sq length mismatch")
-    rows = system.rows
+    rows = [dict(zip(*row)) for row in system.sparse_rows]  # each row's nonzero entries by column
     n12 = d.N1 + d.N2
     thresh16 = Fraction(16 * k * k, n)
     column_sizes = system.supports()[1]
@@ -482,27 +525,25 @@ def check_decomposition2(system: CoveringSystem, d: Decomposition2) -> bool:
         if column_sizes[j] > thresh16:
             return False
     for i in d.K1:
-        if any(rows[i][j] != 0 for j in n12):
+        if any(j in rows[i] for j in n12):
             return False
     for i in d.K2:
-        if any(rows[i][j] != 0 for j in d.N1):
+        if any(j in rows[i] for j in d.N1):
             return False
-        if sum(1 for j in d.N2 if rows[i][j] != 0) < 4 * len(d.K2) ** 2:
+        if sum(1 for j in d.N2 if j in rows[i]) < 4 * len(d.K2) ** 2:
             return False
     inv_w = 1 / d.W
     for i in d.K3:
-        residual = sum((rows[i][j] * rows[i][j] for j in d.N1), Fraction(0))
+        residual = sum((rows[i][j] * rows[i][j] for j in d.N1 if j in rows[i]), Fraction(0))
         if residual != d.row_norm_sq[i]:
             return False
     linf_rhs = Fraction(16 * k * k, n) / d.W
     for j in d.N1:
-        col_sq = sum(
-            (rows[i][j] * rows[i][j] / d.row_norm_sq[i] for i in d.K3), Fraction(0)
-        )
+        col = [rows[i][j] * rows[i][j] / d.row_norm_sq[i] for i in d.K3 if j in rows[i]]
+        col_sq = sum(col, Fraction(0))
         if col_sq > inv_w:
             return False
-        supp_j = sum(1 for i in d.K3 if rows[i][j] != 0)
-        if col_sq > 0 and supp_j * col_sq >= linf_rhs:
+        if col_sq > 0 and len(col) * col_sq >= linf_rhs:
             return False
     n1_set = set(d.N1)
     coords = set(n12)
@@ -510,7 +551,7 @@ def check_decomposition2(system: CoveringSystem, d: Decomposition2) -> bool:
         part = d.scale_partitions.get(i)
         if part is None or part.S != d.S:
             return False
-        if not validate_scales(rows[i], part, coords=coords):
+        if not validate_scales(system.sparse_rows[i].dense(n), part, coords=coords):
             return False
         if part.smallest_scale_sq <= 0:
             return False

@@ -8,17 +8,18 @@ K3 x N1 block.  Every stage reads ``CoveringSystem.cleared_rows`` and
 clears no row again: the decomposition and the small-norm stage read them
 cut to their rows and columns by ``CoveringSystem.block`` (as they are, with
 no copy, when every column is kept, as on a plank system where nothing
-moves), and the N3 subcube is a ``CoveringSystem.restrict`` that carries
-them (and the rational rows, for the exact re-check of a sampled
-witness).  For the K2/K4
+moves).  The N3 subcube is a ``CoveringSystem.restrict``: the K1 rows kept
+once, in sparse form, filtered to N3, which clears them over their own
+support.  For the K2/K4
 certificate and the K3 block each row's integer terms, its target (D*mu_i
 less the entries on the set columns) and, for K4, its Cauchy-Schwarz bound
 are computed once, so a draw of the N2 sampler costs one integer sum per
 row.  Every certificate is a per-instance exact sufficient condition;
 the assembled vertex is additionally re-verified against every row, in
-exact arithmetic (``cube.rows_through``, which reads the rational rows, not
-the cleared ones), of the original unrescaled system before being returned.
-A returned vertex is never unverified.
+exact arithmetic (``cube.rows_through``, which reads the sparse rational
+rows, not the cleared ones), of the original unrescaled system before being
+returned.  A returned vertex is never unverified.  No stage reads the dense
+view ``CoveringSystem.rows``.
 
 Stage seeds are derived deterministically from the one ``seed`` (seed,
 seed+1, seed+2 for the N3 search, the N2 sampler and the rounding stage).

@@ -16,7 +16,7 @@ from cubecover import (
     parse_rational,
     parse_system,
 )
-from cubecover.core import clear_row
+from cubecover.core import cleared_block
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 
@@ -133,7 +133,7 @@ def test_rescaling_preserves_cover_verdict_exhaustively():
 def _norm_sq(row):
     """A row's squared norm as the stages that read rows as unit vectors work
     it out: sum b^2 / D^2 over its cleared form."""
-    _, ints, _, mult = clear_row(row)
+    _, ints, _, mult = cleared_block([row]).rows[0]
     return Fraction(sum(b * b for b in ints), mult * mult)
 
 
@@ -231,17 +231,20 @@ def test_paper_constants_are_exact_fractions():
     assert (1 - core.TAU) / core.TAU == core.C1**2
 
 
-def test_restrict_carries_the_cleared_rows():
-    from cubecover.core import ClearedRow, clear_row
+def test_restrict_filters_the_sparse_rows():
+    from cubecover.core import ClearedRow, SparseRow
 
     system = CoveringSystem.from_rows(
         [["1/2", "0", "1/3", "0"], ["0", "2/5", "1", "3"], ["1/7", "0", "0", "1"]], ["1", "2", "0"])
     sub = system.restrict([0, 1], [0, 2, 3])
     fresh = CoveringSystem.from_rows([["1/2", "1/3", "0"], ["0", "1", "3"]], ["1", "2"])
     assert sub == fresh
-    # Row 0 keeps its whole support, so its form is clear_row's; row 1 loses
-    # its 2/5 and keeps D = 5 where clear_row would take 1.
-    assert sub.cleared_rows == [clear_row(fresh.rows[0], fresh.mu[0]), ClearedRow([1, 2], [5, 15], 10, 5)]
+    assert sub.sparse_rows == (SparseRow([0, 1], [Fraction(1, 2), Fraction(1, 3)]), SparseRow([1, 2], [1, 3]))
+    # Row 1 loses its 2/5, so it is cleared over D = 1, not over the D = 5
+    # that the full row's cleared form cut by ``block`` keeps.
+    assert sub.cleared_rows == fresh.cleared_rows
+    assert sub.cleared_rows == [ClearedRow([0, 1], [3, 2], 6, 6), ClearedRow([1, 2], [1, 3], 2, 1)]
+    assert system.block([0, 1], [0, 2, 3]).rows[1] == ClearedRow([1, 2], [5, 15], 10, 5)
     assert enumerate_uncovered(sub) == enumerate_uncovered(fresh)
 
 

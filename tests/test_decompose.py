@@ -20,7 +20,7 @@ from cubecover import (
     validate_scales,
 )
 from cubecover import decompose
-from cubecover.core import C1, C3, TAU, ClearedBlock, as_fractions, clear_row, cleared_block
+from cubecover.core import C1, C3, TAU, ClearedBlock, cleared_block
 from cubecover.refute import derived_column_budget, derived_scale_count
 
 
@@ -485,14 +485,14 @@ def test_cleared_block_entry_matches_dense_and_reference():
     seen = {"larger D": 0, "zero row": 0, "L2": 0}
     for rows, kept, s, w in _restricted_block_cases():
         index = {j: t for t, j in enumerate(kept)}
-        block = ClearedBlock([clear_row(row).restricted(index) for row in rows], len(kept))
+        block = ClearedBlock([row.restricted(index) for row in cleared_block(rows).rows], len(kept))
         dense = [[row[j] for j in kept] for row in rows]
         assert _dense(block) == dense
         ours = first_decomposition(block, s, w)
         for other in (first_decomposition(cleared_block(dense), s, w), reference_first_decomposition(dense, s, w)):
             for field in dataclasses.fields(Decomposition1):
                 assert getattr(ours, field.name) == getattr(other, field.name), field.name
-        for full, restricted in zip(block.rows, map(clear_row, dense)):
+        for full, restricted in zip(block.rows, cleared_block(dense).rows):
             seen["larger D"] += full.D != restricted.D
             seen["zero row"] += not full.support
         seen["L2"] += bool(ours.L2)
@@ -549,8 +549,7 @@ def _first_decomposition_building_every_mass(matrix, S, W):
     if w <= 0:
         raise ValueError(f"W must be positive, got {W}")
     if not isinstance(matrix, ClearedBlock):
-        rows = [as_fractions(row) for row in matrix]
-        matrix = ClearedBlock([clear_row(row) for row in rows], len(rows[0]) if rows else 0)
+        matrix = cleared_block(matrix)
     ell, m = len(matrix.rows), matrix.m
     tau = TAU
     tau_num, tau_den = tau.numerator, tau.denominator
@@ -702,3 +701,35 @@ def test_hypothesis_sides_match_the_oracle(n, k, s, w):
     got = decompose.hypothesis_sides(n, k, s, w)
     assert got == _hypothesis_sides_oracle(n, k, s, w)
     assert all(type(side) is Fraction for pair in got for side in pair)
+
+
+@given(st.one_of(st.integers(0, 70), st.integers(0, 10**7)), st.one_of(st.integers(0, 70), st.integers(0, 10**7)),
+       st.integers(1, 9), st.integers(1, 9))
+@settings(max_examples=400)
+def test_gamma_exceeds_matches_the_power_test(count, base, p, q):
+    gamma = Fraction(min(p, q), max(p, q))
+    assert decompose._gamma_exceeds(count, base, gamma) == (count**gamma.denominator > base**gamma.numerator)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 10, 10**6 + 3])
+@pytest.mark.parametrize("gamma", [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5, 7)])
+def test_gamma_exceeds_at_and_next_to_equality(t, gamma):
+    # count**q == base**p exactly when count = t**p and base = t**q.
+    p, q = gamma.numerator, gamma.denominator
+    count, base = t**p, t**q
+    for c, b in ((count, base), (count + 1, base), (count, base + 1), (count - 1, base), (count, base - 1)):
+        assert decompose._gamma_exceeds(c, b, gamma) == (c**q > b**p)
+
+
+@pytest.mark.parametrize("count, base, gamma, exceeds", [
+    (2, 3, Fraction(1, 10**23), True),  # 3^(1/10^23) is just above 1
+    (1, 3, Fraction(1, 10**23), False),
+    (1, 0, Fraction(1, 10**40), True),
+    (5, 5, Fraction(10**23 - 1, 10**23), True),
+    (5, 5, Fraction(1), False),
+    (3, 10**9, Fraction(1, 18), False),  # 10^(1/2) > 3
+    (10**40 + 1, 10**60, Fraction(2, 3), True),  # a relative gap of 3/10^40
+    (10**40 - 1, 10**60, Fraction(2, 3), False),
+])
+def test_gamma_exceeds_with_huge_terms(count, base, gamma, exceeds):
+    assert decompose._gamma_exceeds(count, base, gamma) is exceeds

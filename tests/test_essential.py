@@ -172,11 +172,11 @@ def test_verify_rechecks_against_the_rational_rows(monkeypatch):
     # The sweep runs on cleared rows; one that reads row 0 of the LR cover as
     # sum = 4 instead of 3 calls the vertices with sum 3 and every pair split
     # uncovered.  The re-check reads the rational rows and finds them on row 0.
-    honest, row0 = core_mod.clear_row, lr_cover(6).rows[0]
+    honest, row0 = core_mod.clear_row, lr_cover(6).sparse_rows[0]
 
     def shifted(row, rhs=0):
         cleared = honest(row, rhs)
-        return cleared._replace(rhs=cleared.rhs + cleared.D) if tuple(row) == row0 else cleared
+        return cleared._replace(rhs=cleared.rhs + cleared.D) if row == row0 else cleared
 
     monkeypatch.setattr(core_mod, "clear_row", shifted)
     with pytest.raises(RuntimeError, match=r"sweep witness \(0, 1, 0, 1, 0, 1\) lies on rows \[0\], not on no row"):

@@ -486,9 +486,9 @@ def test_refutation_clears_each_row_once(name, monkeypatch):
     name, system, options = next(case for case in _clear_count_systems() if case[0] == name)
     original, calls = core.clear_row, []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(row, rhs=0):
+        calls.append(row)
+        return original(row, rhs)
 
     # Every module that bound the helper by name calls the counter instead.
     for module_name, module in list(sys.modules.items()):
@@ -497,8 +497,14 @@ def test_refutation_clears_each_row_once(name, monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     outcome = attempt_refutation(system, **options)
-    assert len(calls) == system.k
     detail = outcome.detail
+    # Each row is cleared once.  The N3 subcube, unless it is the whole
+    # system, is a system of its own (the K1 rows filtered to N3) and clears
+    # each of its rows once.
+    sizes = detail["block_sizes"]
+    again = 0 if (sizes["K1"], sizes["N3"]) == (system.k, system.n) else sizes["K1"]
+    assert calls[:system.k] == list(system.sparse_rows)
+    assert len(calls) == system.k + again
     if name.startswith("blocks-") or name.startswith("plank-"):
         assert detail["block_sizes"]["K3"] and "small_norm" in detail
     if name == "blocks-26":

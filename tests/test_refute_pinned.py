@@ -25,7 +25,9 @@ random-6x36-*-big pins from the code that first refused option values beyond
 10^30; the plank-4x16-mu0-beyond-float-* pins from the code that first read
 such a K3 target as the infinity of its sign; the random-6x36-gamma-1 and
 random-6x36-strict-hypotheses pins from the code that handed the pipeline
-its settings as one record.  Any
+its settings as one record; the *-gamma-1over10e* pins from the code that
+first decided count > |M2|^gamma from bit lengths (before it, both runs
+raised a count to the power 10^23 or 10^40 and never returned).  Any
 change to the arithmetic of the refute path that alters a single byte of
 output fails here.
 
@@ -261,6 +263,14 @@ def pinned_cases() -> list[tuple[str, list[str], str]]:
         rows, mu = _plank_system(random.Random(4), 4, 16)
         mu[0] = Fraction(sign * 10**400)
         cases.append((f"plank-4x16-mu0-beyond-float-{label}", plank_argv, _system_text(rows, mu)))
+    # An absorption exponent 1/10^23 or 1/10^40, far below 1/bit_length(|M2|):
+    # count > |M2|^gamma is decided from bit lengths, not from count^(10^23).
+    tiny_text = _system_text([[Fraction(c) for c in row] for row in ((1, 1, 0, 0), (0, 0, 1, -1))],
+                             [Fraction(1), Fraction(0)])
+    cases.append(("decompose-2x4-gamma-1over10e23",
+                  ["decompose", "--input", "-", "--seed", "3", "--gamma", f"1/{10**23}"], tiny_text))
+    argv, text = runs["random-6x36"]
+    cases.append(("random-6x36-gamma-1over10e40", [*argv, "--gamma", f"1/{10**40}"], text))
     return cases
 
 
