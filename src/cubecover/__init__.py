@@ -8,19 +8,13 @@ from .core import (
     SparseRow,
     SystemFormatError,
     Vertex,
-    apply_rescaling,
     cleared_block,
     format_rational,
     parse_rational,
     parse_system,
 )
-from .cube import CoverageReport, enumerate_uncovered, evaluate_row, rows_through, sample_uncovered
-from .essential import (
-    EssentialReport,
-    check_support_bound,
-    check_variable_usage,
-    verify_essential,
-)
+from .cube import CoverageReport, enumerate_uncovered, rows_through, sample_uncovered
+from .essential import EssentialReport, verify_essential
 from .construct import lr_cover
 from .anticonc import (
     ScalePartition,

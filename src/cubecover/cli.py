@@ -4,18 +4,19 @@ Exit codes: 0 success / property holds, 1 property fails (not essential,
 refutation failed soundly, no separated vertex), 2 precondition or hypothesis
 failure, 3 input error, 4 internal error (an unexpected exception; the
 traceback goes to stderr).  Every command is deterministic given --seed.  Only
-the commands that draw random numbers (``SEEDED_COMMANDS``) read the seed;
-when one of them runs without --seed, a random seed is drawn and logged to
-stderr so the run can be replayed, and the output records it.  The others
-ignore --seed and log nothing.
+the commands that draw random numbers read the seed; when one of them runs
+without --seed, a random seed is drawn and logged to stderr so the run can be
+replayed, and the output records it.  The others ignore --seed and log
+nothing.
 
-argv is parsed in up to two steps.  First ``_fast_args`` reads well-formed
-argv (every token an exact option of the command, given once, with a value
-that converts) into the namespace the command's subparser would give, from
-the option tables ``_COMMANDS``, without argparse.  Any other argv goes to
-the top-level parser, built from the same tables only then, which hands the
-command's arguments to that subparser, so that help, usage and errors read
-as the top-level parser gives them.
+One table, ``_COMMANDS``, holds each command's handler, whether it draws
+random numbers, its help and its options.  argv is parsed in up to two
+steps.  First ``_fast_args`` reads well-formed argv (every token an exact
+option of the command, given once, with a value that converts) into the
+namespace the command's subparser would give, from that table, without
+argparse.  Any other argv goes to the top-level parser, built from the same
+table only then, which hands the command's arguments to that subparser, so
+that help, usage and errors read as the top-level parser gives them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import anticonc, construct, decompose, plank, refute
 from .core import (
@@ -44,9 +45,6 @@ from .core import (
     wire,
 )
 from .essential import verify_essential
-
-# The commands that draw random numbers: only these read --seed.
-SEEDED_COMMANDS = frozenset({"bang", "find-uncovered", "refute", "atom-prob", "window"})
 
 # refute and bounds report floats of their numeric options: each option must
 # be at most this in magnitude, and --w at least its reciprocal, so that
@@ -153,18 +151,20 @@ _READS = {
 }
 
 
-def _command(help: str, *reads: str, **more: dict) -> tuple[str, dict[str, dict]]:
-    """A command's help and its options, option string to add_argument
-    keywords, in order: --seed, --format, each of ``reads`` (--input, --cap,
-    --trials) it reads, then ``more``, whose names are the option strings
-    without "--" and with "_" for "-"."""
+def _command(run: Callable, seeded: bool, help: str, *reads: str, **more: dict) -> tuple[Callable, bool, str, dict]:
+    """A command: its handler ``run``, whether it draws random numbers
+    (``seeded``: only then does it read --seed), its ``help``, and its
+    options, option string to add_argument keywords, in order: --seed,
+    --format, each of ``reads`` (--input, --cap, --trials) it reads, then
+    ``more``, whose names are the option strings without "--" and with "_"
+    for "-"."""
     options = {
         "--seed": {"type": _ascii_int, "default": None, "help": "RNG seed (random and logged if omitted)"},
         "--format": {"choices": ("json", "csv"), "default": "json"},
     }
     options.update((flag, _READS[flag]) for flag in reads)
     options.update(("--" + name.replace("_", "-"), kwargs) for name, kwargs in more.items())
-    return help, options
+    return run, seeded, help, options
 
 
 _INT = {"type": _ascii_int, "default": None}
@@ -172,32 +172,6 @@ _TEXT = {"type": str, "default": None}
 _GAMMA = dict(_TEXT, default="1/3")
 _REQUIRED_INT = {"type": _ascii_int, "required": True}
 _MODE = {"choices": ("exact", "sampled"), "default": "exact"}
-
-# Every command: its help and options.  ``_fast_args`` reads argv from these
-# tables; argparse is built from them (``_build_parser``) only for argv that
-# the fast path leaves to it.
-_COMMANDS = {
-    "verify": _command("decide the essential-cover axioms", "--input", "--cap"),
-    "construct-lr": _command("emit the n/2+1 reference cover", n=_REQUIRED_INT),
-    "decompose": _command(
-        "run the first or second decomposition", "--input", s=dict(_INT, help="scale count S"),
-        w=dict(_TEXT, help="column budget W (rational)"),
-        gamma=dict(_GAMMA, help="absorption exponent (rational in (0,1])"),
-        stage={"choices": ("first", "second"), "default": "second"}),
-    "bang": _command("sign vector separated from prescribed targets", "--input"),
-    "find-uncovered": _command("uncovered vertex for a small-column-norm system", "--input", "--trials"),
-    "atom-prob": _command("P(<x,v> = a) for uniform x", "--input", "--cap", "--trials", mode=_MODE),
-    "scales": _command("greedy scale partition of a vector", "--input", target_s=_INT),
-    "window": _command("concentration-window probability of a unit row", "--input", "--cap", "--trials",
-                       c0=dict(_TEXT, help="window constant (>= 4.706)"), mode=_MODE),
-    "refute": _command("assemble an uncovered vertex or report the failed stage", "--input", "--cap", "--trials",
-                       s=_INT, w=_TEXT, c5=dict(_TEXT, default="32"),
-                       c=dict(_TEXT, default="1", help="multiplier for the default W shape"),
-                       gamma=_GAMMA, strict_hypotheses={"action": "store_true"}),
-    "bounds": _command("evaluate the pipeline hypothesis inequalities", n=_REQUIRED_INT, k=_REQUIRED_INT,
-                       s=_REQUIRED_INT, w={"type": str, "required": True}),
-}
-
 
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -212,7 +186,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         description="Verify, construct, decompose and refute hyperplane covers of {0,1}^n.",
     )
     sub = parser.add_subparsers(dest="command")
-    for name, (help, options) in _COMMANDS.items():
+    for name, (_, _, help, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
         for flag, kwargs in options.items():
             p.add_argument(flag, **kwargs)
@@ -232,7 +206,7 @@ def _fast_args(command: str, rest: list[str]) -> argparse.Namespace | None:
     Anything else (help, an abbreviation, "--n=4", "--", a repeated option,
     a missing or bad value) is left to argparse, so that its messages stay
     its own."""
-    options = _COMMANDS[command][1]
+    _, _, _, options = _COMMANDS[command]
     values: dict[str, object] = {}
     tokens = iter(rest)
     for token in tokens:
@@ -404,17 +378,32 @@ def _cmd_bounds(args) -> tuple[int, dict]:
     }
 
 
-_DISPATCH = {
-    "verify": _cmd_verify,
-    "construct-lr": _cmd_construct_lr,
-    "decompose": _cmd_decompose,
-    "bang": _cmd_bang,
-    "find-uncovered": _cmd_find_uncovered,
-    "atom-prob": _cmd_atom_prob,
-    "scales": _cmd_scales,
-    "window": _cmd_window,
-    "refute": _cmd_refute,
-    "bounds": _cmd_bounds,
+# Every command, in the order --help lists them: its handler, whether it
+# draws random numbers, its help and its options.  ``_fast_args`` reads argv
+# from this table; argparse is built from it (``_build_parser``) only for
+# argv that the fast path leaves to it.
+_COMMANDS = {
+    "verify": _command(_cmd_verify, False, "decide the essential-cover axioms", "--input", "--cap"),
+    "construct-lr": _command(_cmd_construct_lr, False, "emit the n/2+1 reference cover", n=_REQUIRED_INT),
+    "decompose": _command(
+        _cmd_decompose, False, "run the first or second decomposition", "--input",
+        s=dict(_INT, help="scale count S"), w=dict(_TEXT, help="column budget W (rational)"),
+        gamma=dict(_GAMMA, help="absorption exponent (rational in (0,1])"),
+        stage={"choices": ("first", "second"), "default": "second"}),
+    "bang": _command(_cmd_bang, True, "sign vector separated from prescribed targets", "--input"),
+    "find-uncovered": _command(_cmd_find_uncovered, True, "uncovered vertex for a small-column-norm system",
+                               "--input", "--trials"),
+    "atom-prob": _command(_cmd_atom_prob, True, "P(<x,v> = a) for uniform x", "--input", "--cap", "--trials",
+                          mode=_MODE),
+    "scales": _command(_cmd_scales, False, "greedy scale partition of a vector", "--input", target_s=_INT),
+    "window": _command(_cmd_window, True, "concentration-window probability of a unit row", "--input", "--cap",
+                       "--trials", c0=dict(_TEXT, help="window constant (>= 4.706)"), mode=_MODE),
+    "refute": _command(_cmd_refute, True, "assemble an uncovered vertex or report the failed stage", "--input",
+                       "--cap", "--trials", s=_INT, w=_TEXT, c5=dict(_TEXT, default="32"),
+                       c=dict(_TEXT, default="1", help="multiplier for the default W shape"),
+                       gamma=_GAMMA, strict_hypotheses={"action": "store_true"}),
+    "bounds": _command(_cmd_bounds, False, "evaluate the pipeline hypothesis inequalities", n=_REQUIRED_INT,
+                       k=_REQUIRED_INT, s=_REQUIRED_INT, w={"type": str, "required": True}),
 }
 
 
@@ -429,10 +418,10 @@ def run_command(argv: list[str]) -> CommandResult:
     except SystemExit as exc:
         ok = exc.code in (0, None)
         return CommandResult(0 if ok else 3, "", "" if ok else "argument parsing failed\n")
-    if args.command is None or args.command not in _DISPATCH:
+    if args.command not in _COMMANDS:  # None: no command given
         return CommandResult(3, "", _build_parser()[0].format_usage())
+    run, seeded, _, _ = _COMMANDS[args.command]
     stderr_lines: list[str] = []
-    seeded = args.command in SEEDED_COMMANDS
     if seeded and args.seed is None:
         args.seed = random.SystemRandom().getrandbits(63)
         stderr_lines.append(f"seed: {args.seed} (random; pass --seed {args.seed} to replay)")
@@ -441,7 +430,7 @@ def run_command(argv: list[str]) -> CommandResult:
             value = getattr(args, flag, least)
             if value < least:
                 raise SystemFormatError(f"--{flag} must be >= {least}, got {value}")
-        code, doc = _DISPATCH[args.command](args)
+        code, doc = run(args)
         if seeded:
             doc.setdefault("seed", args.seed)
         return CommandResult(code, _emit(doc, args.format), "\n".join(stderr_lines) + ("\n" if stderr_lines else ""))

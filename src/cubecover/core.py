@@ -10,8 +10,10 @@ out each row's rational squared norm itself, and compares squares.
 Each row is kept once, in sparse form (``SparseRow``: its nonzero columns
 and their Fractions), which ``parse_system`` builds straight from the
 document, parsing each distinct entry string once and reading from that
-parse whether it is zero.  ``CoveringSystem.rows`` is a dense view derived
-from it, ``from_rows`` the dense constructor.
+parse whether it is zero.  ``CoveringSystem`` refuses a malformed one (a
+zero value, a column repeated, out of order or not below n).
+``CoveringSystem.rows`` is a dense view derived from it, ``from_rows`` the
+dense constructor.
 
 The exact kernels elsewhere work on integers through one helper,
 ``clear_row``: a sparse row and an optional right-hand side, scaled by their
@@ -30,8 +32,9 @@ function takes the settings it reads as plain arguments.
 Results are written by one rule, ``wire``: a rational is its ratstr "p" or
 "p/q", a vertex its 0/1 bits, and a record (a dataclass) an object of its
 fields in declaration order.  ``dump_json`` writes a result as indented JSON
-by that rule, the text of ``json.dumps(indent=2, default=wire)``; ``wire``
-is also the ``default=`` hook of the compact ``json.dumps`` of CSV values.
+by that rule, the text of ``json.dumps(indent=2, default=wire)``, for the
+exact types a result holds and nothing else; ``wire`` is also the
+``default=`` hook of the compact ``json.dumps`` of CSV values.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
+from operator import lt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
@@ -166,27 +170,16 @@ def wire(obj: object) -> object:
 
 
 def dump_json(value: object) -> str:
-    """``json.dumps(value, indent=2, default=wire)``: the same text, or the
-    same exception.  With ``indent`` set, ``json`` runs its pure-Python
-    encoder, a few generator frames per item; this writes the exact types a
-    result holds directly.  The rest goes to ``json.dumps`` itself: a
-    subclass of a type ``json`` writes natively, a dict with a key of any
-    type but str, int, float, bool and None, and a cycle, which ``json``
-    reports."""
-    try:
-        return _dump(value, "\n")
-    except RecursionError:  # a cycle, or nested deeper than the stack allows
-        return _json_dumps(value, "\n")
+    """The text of ``json.dumps(value, indent=2, default=wire)`` for a value
+    built of the exact types a result holds: str, int, bool, None, float,
+    Fraction, Vertex, list, tuple, dict with str or int keys, and dataclasses.
+    ``json`` would run its pure-Python encoder, a few generator frames per
+    item.  Anything else raises: a subclass of one of these types goes to
+    ``wire``, which refuses it (TypeError), a key of another type is a
+    TypeError, and a cycle a RecursionError."""
+    return _dump(value, "\n")
 
 
-def _json_dumps(value: object, newline: str) -> str:
-    """``json.dumps(value, indent=2, default=wire)`` with each line break
-    followed by the indentation that ``newline`` carries."""
-    return json.dumps(value, indent=2, default=wire).replace("\n", newline)
-
-
-# The mapping key types that json writes as the quoted text of their value.
-_KEY_TYPES = frozenset({int, float, bool, type(None)})
 _BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 _quote = json.encoder.encode_basestring_ascii
 
@@ -214,17 +207,15 @@ def _dump(value: object, newline: str) -> str:
         items = []
         for key, item in value.items():
             if type(key) is not str:
-                if type(key) not in _KEY_TYPES:
-                    return _json_dumps(value, newline)
-                key = _dump(key, newline)
+                if type(key) is not int:
+                    raise TypeError(f"keys must be str or int, not {type(key).__name__}")
+                key = int.__repr__(key)
             items.append(f"{_quote(key)}: {_dump(item, inner)}")
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if kind is list or kind is tuple:
         items = [_dump(item, inner) for item in value]
     elif kind is Vertex:
         items = bytes(value.bits).translate(_BIT_TEXT).decode()  # one character per bit
-    elif isinstance(value, (str, int, float, list, tuple, dict)):
-        return _json_dumps(value, newline)
     else:
         return _dump(wire(value), newline)
     if not items:
@@ -271,9 +262,13 @@ class CoveringSystem:
     """k rational hyperplanes <v_i, x> = mu_i over {0,1}^n.
 
     Each row is kept once, as a ``SparseRow``; ``rows`` (dense) and
-    ``cleared_rows`` (integer) are derived from it on first read.  Invariants enforced at construction: every row is nonzero (a zero row
-    with mu = 0 would cover everything and void minimality), and there are
-    k rows and k entries of mu.
+    ``cleared_rows`` (integer) are derived from it on first read.
+
+    Invariants enforced at construction: there are k rows and k entries of
+    mu, and every row is a well-formed nonzero sparse row: its columns
+    distinct, ascending and below n, one value per column, and no value
+    zero (a zero row with mu = 0 would cover everything and void
+    minimality).
     """
 
     n: int
@@ -288,9 +283,16 @@ class CoveringSystem:
             raise SystemFormatError(f"expected {self.k} rows, got {len(self.sparse_rows)}")
         if len(self.mu) != self.k:
             raise SystemFormatError(f"expected {self.k} mu entries, got {len(self.mu)}")
-        for i, row in enumerate(self.sparse_rows):
-            if not row.support:
+        for i, (support, values) in enumerate(self.sparse_rows):
+            if not support:
                 raise SystemFormatError(f"zero row at index {i}")
+            if len(values) != len(support):
+                raise SystemFormatError(f"row {i} has {len(support)} columns and {len(values)} values")
+            # Strictly ascending from support[0] >= 0 to support[-1] < n, in C.
+            if not (0 <= support[0] and support[-1] < self.n and all(map(lt, support, support[1:]))):
+                raise SystemFormatError(f"row {i}: columns must be distinct, ascending and below n = {self.n}")
+            if not all(values):
+                raise SystemFormatError(f"row {i} has a zero value")
 
     @classmethod
     def from_rows(
@@ -456,22 +458,6 @@ def parse_system(text: str) -> CoveringSystem:
         rows.append(SparseRow(support, list(map(parsed.__getitem__, nonzeros))))
     mu = _parse_entries(raw_mu, lambda j: f"mu[{j}]", parsed)
     return CoveringSystem(n=n, k=len(rows), sparse_rows=tuple(rows), mu=mu)
-
-
-def apply_rescaling(system: CoveringSystem, factors: Sequence[Fraction | int]) -> CoveringSystem:
-    """Return the system with row i replaced by phi_i * v_i and mu_i by phi_i * mu_i.
-
-    The factors phi_i must be positive: hyperplane solution sets are then
-    invariant.
-    """
-    factors = as_fractions(factors)
-    if any(f <= 0 for f in factors):
-        raise ValueError("rescaling factors must be positive")
-    if len(factors) != system.k:
-        raise ValueError(f"expected {system.k} factors, got {len(factors)}")
-    rows = tuple([SparseRow(row.support, [f * c for c in row.values]) for f, row in zip(factors, system.sparse_rows)])
-    mu = tuple(f * m for f, m in zip(factors, system.mu))
-    return CoveringSystem(n=system.n, k=system.k, sparse_rows=rows, mu=mu)
 
 
 def clear_denominators(values: Sequence[Fraction | int]) -> tuple[list[int], int]:

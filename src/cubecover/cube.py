@@ -4,13 +4,13 @@ Both engines read ``CoveringSystem.cleared_rows`` (each row and its mu_i
 scaled by one positive D, so membership is unchanged) and run on plain
 Python integers from there: the whole sweep is exact.
 
-A reported vertex is checked again by ``rows_through``, independently of
-both engines: it reads the rational ``system.sparse_rows`` and ``system.mu``,
-never the cleared rows, and makes one exact pass per row over a whole batch
-of vertices (each row's nonzero entries scaled by their own least common
-denominator, then one integer subset sum per vertex).  ``essential`` passes
-all of a sweep's witnesses in one batch; the sampler and ``refute`` pass one
-vertex.
+A reported vertex is checked again by ``rows_through``, the package's one
+exact membership test, independently of both engines: it reads the rational
+``system.sparse_rows`` and ``system.mu``, never the cleared rows, and makes
+one exact pass per row over a whole batch of vertices (each row's nonzero
+entries scaled by their own least common denominator, then one integer
+subset sum per vertex).  ``essential`` passes all of a sweep's witnesses in
+one batch; the sampler and ``refute`` pass one vertex.
 
 Coordinate j of a vertex is stored at bit (n-1-j) of its integer code, which
 makes numeric order on codes equal to lexicographic order on bit tuples; the
@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, compress, islice, repeat
 from operator import and_, itemgetter, or_
@@ -65,17 +64,6 @@ class CoverageReport:
     witness: Vertex | None
     mode: str  # "exhaustive" | "sampled"
     samples: int | None = None
-
-
-def evaluate_row(system: CoveringSystem, i: int, x: Vertex) -> bool:
-    """Exact test of sum_{j: x_j = 1} v_ij == mu_i."""
-    if not 0 <= i < system.k:
-        raise IndexError(f"row index {i} out of range for k={system.k}")
-    if len(x) != system.n:
-        raise ValueError(f"vertex has {len(x)} bits, expected {system.n}")
-    support, values = system.sparse_rows[i]
-    total = sum((c for j, c in zip(support, values) if x.bits[j]), Fraction(0))
-    return total == system.mu[i]
 
 
 def rows_through(system: CoveringSystem, vertices: Sequence[Vertex]) -> list[list[int]]:

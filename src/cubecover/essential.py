@@ -2,14 +2,15 @@
 
 A system is an essential cover when (E1) every vertex lies on some hyperplane,
 (E2) every variable appears in some row, and (E3) every row owns a vertex
-exclusively.  ``verify_essential`` is the one entry point for E1 and E3: it
-decides both in a single exhaustive sweep of the cube (``cube._coverage_sweep``)
-that finds, block by block, the vertices on no row and the vertices on exactly
-one row.  Every witness it reports is checked again against the rational rows
-before it is returned, all of a sweep's witnesses in one batch
-(``cube.rows_through``), so each row is read once for its k + 1 witnesses.
-Above the enumeration cap it refuses rather than guess: its output feeds
-certificates.
+exclusively.  ``verify_essential`` is the one entry point for all three
+axioms and the 2k support bound.  It decides E1 and E3 in a single exhaustive
+sweep of the cube (``cube._coverage_sweep``) that finds, block by block, the
+vertices on no row and the vertices on exactly one row, and E2 and the bound
+from the rows' supports.  Every witness it reports is checked again against
+the rational rows before it is returned, all of a sweep's witnesses in one
+batch (``cube.rows_through``), so each row is read once for its k + 1
+witnesses.  Above the enumeration cap it refuses rather than guess: its
+output feeds certificates.
 """
 
 from __future__ import annotations
@@ -58,29 +59,21 @@ def _rechecked(
     return vertices.get(None), tuple([vertices.get(i) for i in range(len(excl))])
 
 
-def check_variable_usage(system: CoveringSystem) -> tuple[bool, tuple[int, ...]]:
-    """(E2): True iff every column has a nonzero entry; lists unused columns (0-indexed)."""
-    unused = tuple(j for j, size in enumerate(system.supports()[1]) if size == 0)
-    return (len(unused) == 0, unused)
-
-
-def check_support_bound(system: CoveringSystem) -> tuple[bool, tuple[int, ...]]:
-    """True iff max_i |supp(v_i)| <= 2k (a theorem for essential systems)."""
-    sizes = tuple(map(len, system.supports()[0]))
-    return max(sizes) <= 2 * system.k, sizes
-
-
 def verify_essential(system: CoveringSystem, cap: int = ENUMERATION_CAP) -> EssentialReport:
-    """Full (E1)-(E3) report; E1 and E3 come from a single exhaustive sweep,
-    which needs n at most ``cap``."""
+    """Full (E1)-(E3) report and the support bound.  E1 and E3 come from a
+    single exhaustive sweep, which needs n at most ``cap``; E2 (every column
+    has a nonzero entry, ``unused_columns`` lists those that have none) and
+    the bound (max_i |supp(v_i)| <= 2k) from one ``supports()`` call."""
     if system.n > cap:
         raise CapExceededError(f"n={system.n} exceeds enumeration cap {cap}")
     uncovered, min_code, excl = _coverage_sweep(system, collect_exclusive=True)
     e1 = uncovered == 0
     e1_witness, e3_witnesses = _rechecked(system, min_code, excl)
-    e2, unused = check_variable_usage(system)
+    rows, column_sizes = system.supports()
+    unused = tuple([j for j, size in enumerate(column_sizes) if not size])
+    e2 = not unused
     e3 = all(w is not None for w in e3_witnesses)
-    support_ok, sizes = check_support_bound(system)
+    sizes = tuple(map(len, rows))
     return EssentialReport(
         e1=e1,
         e1_witness=e1_witness,
@@ -88,7 +81,7 @@ def verify_essential(system: CoveringSystem, cap: int = ENUMERATION_CAP) -> Esse
         unused_columns=unused,
         e3=e3,
         e3_witnesses=e3_witnesses,
-        support_bound_ok=support_ok,
+        support_bound_ok=max(sizes) <= 2 * system.k,
         support_sizes=sizes,
         is_essential=e1 and e2 and e3,
     )

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from _pins import record_missing
 from cubecover import cli, decompose, lr_cover, parse_system
-from cubecover.cli import _DISPATCH, run_command
+from cubecover.cli import _COMMANDS, run_command
 from cubecover.core import Vertex, dump_json, wire
 from cubecover.essential import verify_essential
 from cubecover.refute import attempt_refutation
@@ -349,7 +349,7 @@ def valid_argv(tmp_path, command):
     }[command]
 
 
-@pytest.mark.parametrize("command", sorted(_DISPATCH))
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_every_command_accepts_seed_and_format(tmp_path, command):
     result = run_command([*valid_argv(tmp_path, command), "--seed", "0", "--format", "csv"])
     assert result.exit_code in (0, 1, 2) and result.stderr == "", result
@@ -704,7 +704,7 @@ CANONICAL_ARGVS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_DISPATCH))
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_fast_args_read_every_option_of_each_command(command):
     rest = CANONICAL_ARGVS[command]
     subparser = SUBPARSERS[command]
@@ -775,19 +775,14 @@ def test_argparse_messages_are_pinned(name, argv, text):
 
 
 # dump_json must write what json.dumps(indent=2, default=wire) writes, or
-# raise what it raises.  The trees below mix every type a result holds with
-# the values at the edges of each (the int digit limit, float specials,
-# escaped and astral characters, keys json coerces or refuses), and with the
-# subclasses and unknown objects that dump_json hands to json itself.
+# raise what it raises, on every value built of the types a result holds.
+# The trees below mix those types with the values at the edges of each (the
+# int digit limit, float specials, escaped and astral characters, int keys).
 class Bit(enum.IntEnum):
     ONE = 1
 
 
 class Text(str):
-    pass
-
-
-class Ratio(Fraction):
     pass
 
 
@@ -797,7 +792,6 @@ LIMIT = sys.get_int_max_str_digits()
 EDGE_INTS = st.sampled_from((LIMIT - 1, LIMIT)).flatmap(lambda d: st.sampled_from((10**d, -(10**d))))
 EDGE_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308, 1e-06, 1e16)
 EDGE_TEXT = ('"', "\\", "a\x00\x1f\x7f", " \xe9", "\U0001f600", "\ud800")
-FALLBACKS = (Bit.ONE, Text("t"), Ratio(1, 2), OrderedDict(a=1), object())
 
 
 @functools.cache
@@ -810,18 +804,16 @@ def _records():
             decompose.second_decomposition(blocks, S=1, W=Fraction(1, 10)))
 
 
-_keys = st.one_of(st.text(), st.sampled_from(EDGE_TEXT), st.integers(), EDGE_INTS, st.floats(),
-                  st.booleans(), st.none(), st.sampled_from((Bit.ONE, Text("k"), (1, 2), Fraction(1, 2))))
+_keys = st.one_of(st.text(), st.sampled_from(EDGE_TEXT), st.integers(), EDGE_INTS)
 _leaves = st.one_of(
     st.text(), st.sampled_from(EDGE_TEXT), st.integers(), EDGE_INTS, st.floats(),
     st.sampled_from(EDGE_FLOATS), st.booleans(), st.none(), st.fractions(),
     st.just(LIMIT).map(lambda d: Fraction(10**d + 1, 3)),
     st.lists(st.integers(0, 1)).map(lambda bits: Vertex(tuple(bits))),
-    st.sampled_from(FALLBACKS), st.deferred(lambda: st.sampled_from(_records())),
+    st.deferred(lambda: st.sampled_from(_records())),
 )
 _trees = st.recursive(_leaves, lambda children: st.one_of(
-    st.lists(children), st.lists(children).map(tuple), st.dictionaries(_keys, children),
-    st.dictionaries(_keys, children).map(OrderedDict)), max_leaves=20)
+    st.lists(children), st.lists(children).map(tuple), st.dictionaries(_keys, children)), max_leaves=20)
 
 
 def _written(write, value):
@@ -837,17 +829,27 @@ def test_dump_json_writes_as_json_dumps(value):
     assert _written(dump_json, value) == _written(lambda v: json.dumps(v, indent=2, default=wire), value)
 
 
-def _cycles():
-    loop, mapping, ordered = [], {}, OrderedDict()
+def _refused():
+    """(value, exception, message) for values no result holds, which json
+    writes (or, for a cycle, refuses with a ValueError) and dump_json does not."""
+    loop, mapping = [], {}
     loop.append([loop])
     mapping["self"] = (mapping,)
-    ordered["list"] = [ordered]
-    return loop, mapping, [ordered]
+    unknown = "^Object of type {} is not JSON serializable$"
+    return [
+        ([Bit.ONE], TypeError, unknown.format("Bit")),
+        ({"text": Text("t")}, TypeError, unknown.format("Text")),
+        ([OrderedDict(a=1)], TypeError, unknown.format("OrderedDict")),
+        ({1.5: "x"}, TypeError, "^keys must be str or int, not float$"),
+        (loop, RecursionError, None),
+        (mapping, RecursionError, None),
+    ]
 
 
-@pytest.mark.parametrize("value", _cycles(), ids=["list", "dict", "fallback"])
-def test_dump_json_reports_a_cycle_as_json_dumps(value):
-    with pytest.raises(ValueError, match="^Circular reference detected$"):
+@pytest.mark.parametrize("value, error, message", _refused(),
+                         ids=["int-enum", "str-subclass", "ordered-dict", "float-key", "cycle-list", "cycle-dict"])
+def test_dump_json_refuses_what_no_result_holds(value, error, message):
+    with pytest.raises(error, match=message):
         dump_json(value)
 
 

@@ -9,7 +9,6 @@ from cubecover import (
     CoveringSystem,
     SystemFormatError,
     Vertex,
-    apply_rescaling,
     enumerate_uncovered,
     format_rational,
     lr_cover,
@@ -17,6 +16,7 @@ from cubecover import (
     parse_system,
 )
 from cubecover.core import cleared_block
+from _oracle import apply_rescaling
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 

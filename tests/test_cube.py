@@ -12,9 +12,7 @@ from cubecover import (
     CapExceededError,
     CoveringSystem,
     Vertex,
-    apply_rescaling,
     enumerate_uncovered,
-    evaluate_row,
     lr_cover,
     rows_through,
     sample_uncovered,
@@ -23,6 +21,7 @@ import cubecover.core as core_mod
 import cubecover.cube as cube_mod
 from cubecover.core import ClearedRow, clear_denominators
 from cubecover.cube import _coverage_sweep
+from _oracle import apply_rescaling, rows_on
 
 
 def naive_uncovered(system):
@@ -30,7 +29,7 @@ def naive_uncovered(system):
     uncovered = []
     for bits in itertools.product((0, 1), repeat=system.n):
         x = Vertex(bits)
-        if not any(evaluate_row(system, i, x) for i in range(system.k)):
+        if not rows_on(system, x):
             uncovered.append(x)
     return uncovered
 
@@ -47,33 +46,10 @@ def random_system(rng, n, k):
     return CoveringSystem.from_rows(rows, mu)
 
 
-def test_evaluate_row_examples():
-    sys_ = lr_cover(4)
-    x = Vertex((1, 0, 1, 0))
-    assert evaluate_row(sys_, 0, x) is True
-    assert evaluate_row(sys_, 1, x) is False
-    zero = Vertex((0, 0, 0, 0))
-    assert evaluate_row(sys_, 1, zero) is True  # empty sum hits mu = 0
-
-
-def test_evaluate_row_errors():
-    sys_ = lr_cover(4)
-    with pytest.raises(IndexError):
-        evaluate_row(sys_, 3, Vertex((0, 0, 0, 0)))
-    with pytest.raises(ValueError):
-        evaluate_row(sys_, 0, Vertex((0, 0)))
-
-
-def _fraction_evaluate_row(system: CoveringSystem, i: int, x: Vertex) -> bool:
-    """``evaluate_row`` as it stood when ``rows_through`` replaced its per-row
-    calls, kept verbatim as the oracle of both: one ``Fraction`` sum."""
-    if not 0 <= i < system.k:
-        raise IndexError(f"row index {i} out of range for k={system.k}")
-    if len(x) != system.n:
-        raise ValueError(f"vertex has {len(x)} bits, expected {system.n}")
-    row = system.rows[i]
-    total = sum((row[j] for j, b in enumerate(x.bits) if b and row[j]), Fraction(0))
-    return total == system.mu[i]
+def test_rows_through_examples():
+    # (1, 0, 1, 0) is on the sum row alone; the zero vertex is on both pair
+    # rows, whose empty sums hit mu = 0.
+    assert rows_through(lr_cover(4), [Vertex((1, 0, 1, 0)), Vertex((0, 0, 0, 0))]) == [[0], [1, 2]]
 
 
 def _oracle_cases():
@@ -117,16 +93,15 @@ def _oracle_cases():
 
 
 def _check_against_oracle(cases) -> int:
-    """rows_through on batches of 0, 1 and all vertices, and evaluate_row on
-    every (vertex, row), against the oracle; returns the number of hits."""
+    """rows_through on batches of 0, 1 and all vertices against the oracle;
+    returns the number of hits."""
     hits = 0
     for system, vertices in cases:
-        expected = [[i for i in range(system.k) if _fraction_evaluate_row(system, i, x)] for x in vertices]
+        expected = [rows_on(system, x) for x in vertices]
         assert rows_through(system, vertices) == expected
         assert rows_through(system, []) == []
         for x, want in zip(vertices, expected):
             assert rows_through(system, [x]) == [want]
-            assert [i for i in range(system.k) if evaluate_row(system, i, x)] == want
         hits += sum(map(len, expected))
     return hits
 
@@ -275,7 +250,7 @@ def test_sample_uncovered_finds_witness_high_dim():
     assert rep.mode == "sampled"
     assert rep.witness is not None
     assert rep.uncovered_count == 1 and 1 <= rep.samples <= 64
-    assert not any(evaluate_row(sys_, i, rep.witness) for i in range(sys_.k))
+    assert not rows_on(sys_, rep.witness)
 
 
 def test_sample_uncovered_on_true_cover():
@@ -304,7 +279,7 @@ def test_sampled_witnesses_reverify():
         sys_ = random_system(rng, 6, 2)
         rep = sample_uncovered(sys_, trials=50, seed=rng.randint(0, 10**6))
         if rep.witness is not None:
-            assert not any(evaluate_row(sys_, i, rep.witness) for i in range(sys_.k))
+            assert not rows_on(sys_, rep.witness)
 
 
 def full_sample(system, trials, seed):
@@ -315,7 +290,7 @@ def full_sample(system, trials, seed):
     first, index, uncovered = None, None, 0
     for drawn in range(1, trials + 1):
         x = Vertex.from_code(rng.getrandbits(system.n), system.n)
-        if not any(evaluate_row(system, i, x) for i in range(system.k)):
+        if not rows_on(system, x):
             uncovered += 1
             if first is None:
                 first, index = x, drawn

@@ -7,16 +7,13 @@ from cubecover import (
     CapExceededError,
     CoveringSystem,
     Vertex,
-    apply_rescaling,
-    check_support_bound,
-    check_variable_usage,
-    evaluate_row,
     lr_cover,
     verify_essential,
 )
+from _oracle import apply_rescaling, rows_on
 
 
-# E1 is decided by verify_essential, the one entry point for E1 and E3.
+# E1 is decided by verify_essential, the one entry point for E1-E3 and the support bound.
 def test_check_cover_lr6():
     report = verify_essential(lr_cover(6))
     assert report.e1 and report.e1_witness is None
@@ -46,11 +43,17 @@ def test_check_cover_refuses_above_cap():
         verify_essential(lr_cover(10), 8)
 
 
+# E2 and the support bound are read off the verify_essential report.
+def _variable_usage(system):
+    report = verify_essential(system)
+    return report.e2, report.unused_columns
+
+
 def test_variable_usage():
-    assert check_variable_usage(lr_cover(4)) == (True, ())
-    assert check_variable_usage(CoveringSystem.from_rows([[1, 0]], [0])) == (False, (1,))
+    assert _variable_usage(lr_cover(4)) == (True, ())
+    assert _variable_usage(CoveringSystem.from_rows([[1, 0]], [0])) == (False, (1,))
     identity = CoveringSystem.from_rows([[1, 0], [0, 1]], [0, 0])
-    assert check_variable_usage(identity) == (True, ())
+    assert _variable_usage(identity) == (True, ())
 
 
 def test_minimality_lr4():
@@ -58,8 +61,7 @@ def test_minimality_lr4():
     assert report.e3
     sys_ = lr_cover(4)
     for i, w in enumerate(report.e3_witnesses):
-        assert evaluate_row(sys_, i, w)
-        assert not any(evaluate_row(sys_, j, w) for j in range(sys_.k) if j != i)
+        assert rows_on(sys_, w) == [i]
 
 
 def test_minimality_duplicated_row():
@@ -78,14 +80,19 @@ def test_minimality_trivial_single_row():
     assert report.e3_witnesses == (Vertex((0,)),)
 
 
+def _support_bound(system):
+    report = verify_essential(system)
+    return report.support_bound_ok, report.support_sizes
+
+
 def test_support_bound_examples():
-    ok, sizes = check_support_bound(lr_cover(10))
+    ok, sizes = _support_bound(lr_cover(10))
     assert ok
     assert sizes == (10, 2, 2, 2, 2, 2)
     not_essential = CoveringSystem.from_rows([[1, 1, 1, 1]], [10])
-    ok, sizes = check_support_bound(not_essential)
+    ok, sizes = _support_bound(not_essential)
     assert not ok  # 4 > 2k = 2; such a system is never an essential cover
-    assert check_support_bound(lr_cover(4)) == (True, (4, 2, 2))
+    assert _support_bound(lr_cover(4)) == (True, (4, 2, 2))
 
 
 def test_verify_essential_lr8():
@@ -123,11 +130,10 @@ def test_witness_soundness():
         sys_ = CoveringSystem.from_rows(rows, [rng.randint(-2, 2) for _ in range(k)])
         report = verify_essential(sys_)
         if report.e1_witness is not None:
-            assert not any(evaluate_row(sys_, i, report.e1_witness) for i in range(k))
+            assert not rows_on(sys_, report.e1_witness)
         for i, w in enumerate(report.e3_witnesses):
             if w is not None:
-                assert evaluate_row(sys_, i, w)
-                assert not any(evaluate_row(sys_, j, w) for j in range(k) if j != i)
+                assert rows_on(sys_, w) == [i]
 
 
 def test_verdicts_invariant_under_rescaling():
