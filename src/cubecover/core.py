@@ -11,7 +11,8 @@ Each row is kept once, in sparse form (``SparseRow``: its nonzero columns
 and their Fractions), which ``parse_system`` builds straight from the
 document, parsing each distinct entry string once and reading from that
 parse whether it is zero.  ``CoveringSystem`` refuses a malformed one (a
-zero value, a column repeated, out of order or not below n).
+zero value, a column repeated, out of order or not below n); it tests the
+values only of rows that ``parse_system`` and ``restrict`` did not build.
 ``CoveringSystem.rows`` is a dense view derived from it, ``from_rows`` the
 dense constructor.
 
@@ -101,7 +102,7 @@ def format_rational(x: Fraction) -> str:
     also for a numerator or denominator of more digits than ``str`` writes
     under Python's int digit limit (``sys.get_int_max_str_digits()``)."""
     try:
-        return str(Fraction(x))
+        return str(x if type(x) is Fraction else Fraction(x))
     except ValueError:  # past the digit limit: write p and q in pieces
         x = Fraction(x)
         p = _decimal(x.numerator)
@@ -239,6 +240,15 @@ class SparseRow(NamedTuple):
         return tuple(row)
 
 
+class _NonzeroRow(SparseRow):
+    """A ``SparseRow`` whose values are nonzero by construction, which
+    ``CoveringSystem`` does not test again: ``parse_system`` builds it from
+    each entry's parsed zero flag, and ``restrict`` from rows that a system
+    has already checked."""
+
+    __slots__ = ()
+
+
 def _sparse_row(row: Sequence[Fraction]) -> SparseRow:
     """The sparse form of a dense rational row, for the dense constructors."""
     support = list(compress(range(len(row)), row))
@@ -268,7 +278,9 @@ class CoveringSystem:
     mu, and every row is a well-formed nonzero sparse row: its columns
     distinct, ascending and below n, one value per column, and no value
     zero (a zero row with mu = 0 would cover everything and void
-    minimality).
+    minimality).  A row that ``parse_system`` or ``restrict`` built (a
+    ``_NonzeroRow``) has no zero value by construction, so its values are
+    not tested again.
     """
 
     n: int
@@ -283,7 +295,8 @@ class CoveringSystem:
             raise SystemFormatError(f"expected {self.k} rows, got {len(self.sparse_rows)}")
         if len(self.mu) != self.k:
             raise SystemFormatError(f"expected {self.k} mu entries, got {len(self.mu)}")
-        for i, (support, values) in enumerate(self.sparse_rows):
+        for i, row in enumerate(self.sparse_rows):
+            support, values = row
             if not support:
                 raise SystemFormatError(f"zero row at index {i}")
             if len(values) != len(support):
@@ -291,7 +304,7 @@ class CoveringSystem:
             # Strictly ascending from support[0] >= 0 to support[-1] < n, in C.
             if not (0 <= support[0] and support[-1] < self.n and all(map(lt, support, support[1:]))):
                 raise SystemFormatError(f"row {i}: columns must be distinct, ascending and below n = {self.n}")
-            if not all(values):
+            if type(row) is not _NonzeroRow and not all(values):
                 raise SystemFormatError(f"row {i} has a zero value")
 
     @classmethod
@@ -340,7 +353,7 @@ class CoveringSystem:
         return CoveringSystem(
             n=len(cols),
             k=len(rows),
-            sparse_rows=tuple([SparseRow(*_on_columns(*self.sparse_rows[i], index)) for i in rows]),
+            sparse_rows=tuple([_NonzeroRow(*_on_columns(*self.sparse_rows[i], index)) for i in rows]),
             mu=tuple([self.mu[i] for i in rows]),
         )
 
@@ -455,7 +468,7 @@ def parse_system(text: str) -> CoveringSystem:
                 nonzero[c] = parsed[c].numerator != 0
             support = list(compress(columns, map(nonzero.__getitem__, raw)))
         nonzeros = raw if len(support) == n else map(raw.__getitem__, support)  # their strings
-        rows.append(SparseRow(support, list(map(parsed.__getitem__, nonzeros))))
+        rows.append(_NonzeroRow(support, list(map(parsed.__getitem__, nonzeros))))
     mu = _parse_entries(raw_mu, lambda j: f"mu[{j}]", parsed)
     return CoveringSystem(n=n, k=len(rows), sparse_rows=tuple(rows), mu=mu)
 

@@ -11,16 +11,20 @@ Two algorithms:
   q does.  A renormalization records only the length of M2 at that moment;
   a departed row's scale parts are the slices of M2 between those cut
   points, and their squared norms are read off its cleared row.  When
-  tau/W exceeds the row count no column can be heavy, and the run builds
-  none of this: it reads each row's squared norm and returns every row in
-  L1 and every column in M1.  It reads a ``core.ClearedBlock``: a
-  system's rows cut by ``CoveringSystem.block``, or a rational matrix
-  cleared by ``core.cleared_block``.
+  tau/W exceeds the row count no column can be heavy, and the run returns
+  at once, building none of this: it reads each row's squared norm and
+  returns every row in L1 and every column in M1.  It reads a
+  ``core.ClearedBlock``: a system's rows cut by ``CoveringSystem.block``,
+  or a rational matrix cleared by ``core.cleared_block``.
 * second_decomposition iterates the first decomposition, absorbing
   zero-residual rows and their columns, until the leftover zero rows are few
   and all have large support on the final moved columns.  It clears nothing:
   each round hands the first decomposition ``CoveringSystem.block`` of the
-  working rows and columns.
+  working rows and columns.  Each row's support is the ascending list that
+  ``CoveringSystem.supports`` returns, with no set per row: the column sets
+  test it with ``issuperset`` and ``intersection``.  When every column is
+  below the dense size ceil(16 k^2 / n) the dense-column filter makes no
+  pass over the columns.
 
 Row blocks are named L1/L2 (first stage) and K1..K4 (second stage); column
 blocks M1/M2 and N1..N3.  tau, C1 and C3 are the paper's constants
@@ -94,10 +98,10 @@ def first_decomposition(
     Q_i / D_i^2 (1 for a zero row).
     Under the initial normalizers b_ij^2 <= Q_i, so each of the l rows adds
     at most 1 to a column's mass, which is then at most l: when tau/W > l
-    no column is heavy and nothing moves.  That path builds no per-entry
-    tables and no masses: it reads each row's squared norm,
-    ``sum(map(mul, ints, ints))``, and reports every row in L1 and every
-    column in M1.
+    no column is heavy and nothing moves.  That path returns at once,
+    building no per-entry tables, masses, column sets or cut lists: it
+    reads each row's squared norm, ``sum(map(mul, ints, ints))``, and
+    reports every row in L1 and ``tuple(range(m))`` as M1.
 
     M1 is always the complement of M2, so a renormalization records only
     t_s = |M2| at that moment: M1 was then [m] - M2[:t_s].  A row in L2 has
@@ -119,29 +123,39 @@ def first_decomposition(
     scales = [row.D for row in block.rows]
     resid = [sum(map(mul, row.ints, row.ints)) for row in block.rows]  # sum over M1 of b_ij^2
     q = [r if r > 0 else d * d for r, d in zip(resid, scales)]  # a zero row keeps norm 1
+    t_num, t_den = threshold.numerator, threshold.denominator
+    if t_num > ell * t_den:  # above ell no initial mass is heavy, and nothing moves
+        return Decomposition1(
+            S=S,
+            W=w,
+            L1=tuple(range(ell)),
+            L2=(),
+            M1=tuple(range(m)),
+            M2=(),
+            row_norm_sq=tuple(Fraction(qi, d * d) for qi, d in zip(q, scales)),
+            renorm_counts=(0,) * ell,
+            scale_partitions={},
+        )
+    col_sq: list[list[tuple[int, int]]] = [[] for _ in range(m)]  # (row, b_ij^2), b_ij != 0
+    row_sq: list[list[tuple[int, int]]] = []  # per row, (column, b_ij^2), b_ij != 0
+    for i, (cols, ints, _, _) in enumerate(block.rows):
+        entries = [(j, b * b) for j, b in zip(cols, ints)]
+        row_sq.append(entries)
+        for j, sq in entries:
+            col_sq[j].append((i, sq))
+    # Initial column masses sum_i b_ij^2 / q_i, as integers over the common
+    # L = lcm(q): column j's mass is col_num[j] / L.  It becomes a Fraction
+    # in ``mass`` when a renormalization first changes it.
+    common = math.lcm(*q)
+    col_num = [0] * m
+    for entries, qi in zip(row_sq, q):
+        weight = common // qi
+        for j, sq in entries:
+            col_num[j] += sq * weight
     mass: dict[int, Fraction] = {}
     # A heap of the heavy columns; a column leaving M1 is dropped when it
     # surfaces.  Masses only grow, so each column crosses the threshold once.
-    heavy: list[int] = []
-    t_num, t_den = threshold.numerator, threshold.denominator
-    if t_num <= ell * t_den:  # above ell no initial mass is heavy, and nothing moves
-        col_sq: list[list[tuple[int, int]]] = [[] for _ in range(m)]  # (row, b_ij^2), b_ij != 0
-        row_sq: list[list[tuple[int, int]]] = []  # per row, (column, b_ij^2), b_ij != 0
-        for i, (cols, ints, _, _) in enumerate(block.rows):
-            entries = [(j, b * b) for j, b in zip(cols, ints)]
-            row_sq.append(entries)
-            for j, sq in entries:
-                col_sq[j].append((i, sq))
-        # Initial column masses sum_i b_ij^2 / q_i, as integers over the
-        # common L = lcm(q): column j's mass is col_num[j] / L.  It becomes a
-        # Fraction in ``mass`` when a renormalization first changes it.
-        common = math.lcm(*q)
-        col_num = [0] * m
-        for entries, qi in zip(row_sq, q):
-            weight = common // qi
-            for j, sq in entries:
-                col_num[j] += sq * weight
-        heavy = [j for j, num in enumerate(col_num) if num * t_den >= t_num * common]
+    heavy = [j for j, num in enumerate(col_num) if num * t_den >= t_num * common]
 
     l1 = list(range(ell))
     l2: list[int] = []
@@ -386,14 +400,17 @@ def second_decomposition(
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     cleared = system.cleared_rows
-    row_supports, column_sizes = system.supports()
-    supports = [frozenset(s) for s in row_supports]
+    supports, column_sizes = system.supports()
 
-    # Dense columns: support size >= 16 k^2 / n.
-    n3 = {j for j, size in enumerate(column_sizes) if size * n >= 16 * k * k}
-    k1 = {i for i in range(k) if supports[i] <= n3}
-    work_rows = sorted(set(range(k)) - k1)
-    work_cols = sorted(set(range(n)) - n3)
+    # Dense columns: support size >= 16 k^2 / n, that is >= ceil(16 k^2 / n).
+    dense = -(-16 * k * k // n)
+    if max(column_sizes) >= dense:
+        n3 = {j for j, size in enumerate(column_sizes) if size >= dense}
+        work_cols = [j for j in range(n) if j not in n3]
+    else:
+        n3, work_cols = set(), list(range(n))
+    k1 = {i for i in range(k) if n3.issuperset(supports[i])}
+    work_rows = [i for i in range(k) if i not in k1]
     # Rows the filter absorbs keep their full squared norm; every other row
     # is in the first round's working block and takes its normalizer there.
     q_final: dict[int, Fraction] = {}
@@ -416,23 +433,25 @@ def second_decomposition(
             n1, n2 = list(work_cols), []
             partitions = {}
             break
+        block = system.block(work_rows, work_cols)
         # The call looks up the public name, so a wrapper bound to it sees it.
-        d1 = first_decomposition(system.block(work_rows, work_cols), S, w)
+        d1 = first_decomposition(block, S, w)
         l1g = [work_rows[i] for i in d1.L1]
         l2g = [work_rows[i] for i in d1.L2]
-        m1g = [work_cols[j] for j in d1.M1]
         m2g = [work_cols[j] for j in d1.M2]
         for local, i in enumerate(work_rows):
             q_final[i] = d1.row_norm_sq[local]
-        m1g_set = set(m1g)
-        z = [i for i in l1g if not (supports[i] & m1g_set)]
+        # The working columns are M1 and M2, so a row misses M1 exactly when
+        # its support on them (its row of the block) lies in M2.
+        m2_local = set(d1.M2)
+        z = [work_rows[i] for i in d1.L1 if m2_local.issuperset(block.rows[i].support)]
         record = {
             "round": round_no,
             "rows": len(work_rows),
             "cols": len(work_cols),
             "L1": l1g,
             "L2": l2g,
-            "M1_size": len(m1g),
+            "M1_size": len(d1.M1),
             "M2": m2g,
             "Z": z,
         }
@@ -448,11 +467,11 @@ def second_decomposition(
         star = None
         limit = 4 * len(z) * len(z)
         for i in z:
-            if len(supports[i] & m2g_set) <= limit:
+            if len(m2g_set.intersection(supports[i])) <= limit:
                 star = i
                 break
         if star is not None:
-            absorbed_cols = sorted(supports[star] - n3)
+            absorbed_cols = [j for j in supports[star] if j not in n3]
             record["action"] = "absorb-sparse-row"
             record["row"] = star
             record["absorbed_cols"] = absorbed_cols
@@ -467,7 +486,7 @@ def second_decomposition(
         k2 = sorted(z)
         k3 = sorted(set(l1g) - set(z))
         k4 = sorted(l2g)
-        n1 = sorted(m1g)
+        n1 = [work_cols[j] for j in d1.M1]  # ascending, as M1 and work_cols are
         n2 = sorted(m2g)
         # work_cols is ascending, so each renumbered part stays sorted.
         partitions = {
@@ -479,7 +498,7 @@ def second_decomposition(
     (h1_lhs, h1_rhs), (h2_lhs, h2_rhs) = hypothesis_sides(n, k, S, w)
     h1 = h1_lhs <= h1_rhs
     h2 = h2_lhs <= h2_rhs
-    h3 = max(len(s) for s in supports) <= 2 * k
+    h3 = max(map(len, supports)) <= 2 * k
     return Decomposition2(
         K1=tuple(sorted(k1)),
         K2=tuple(k2),

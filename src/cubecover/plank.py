@@ -16,8 +16,12 @@ exact: column norms are integer sums over one common denominator.  The finder
 turns the separated point into a randomized rounding distribution over the
 cube, building the Gram matrix and the projection over the nonzero
 coefficients, read as b / D (zero terms cannot change a float sum, so the
-floats are those of the dense sums), and tests every candidate vertex with
-one integer subset sum per row, exactly against a rational target.
+floats are those of the dense sums).  Each row is a plain list of floats
+beside its support; two rows whose supports do not meet get 0.0 in the Gram
+matrix with no sum, as on a plank system, whose rows have disjoint supports.
+Every candidate vertex is tested with one integer subset sum per row
+(``compress`` of the cleared row by the candidate's bits on its support),
+exactly against a rational target.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul
+from itertools import compress
+from operator import add, itemgetter, mul
 from typing import Iterable, Sequence
 
 from .core import ClearedBlock, Vertex
@@ -213,10 +218,13 @@ def find_uncovered_small_norm(
             f"precondition 2*alpha*beta*log(4*ell) = {check.lhs:.6f} > 1", check
         )
 
-    # Each row as its nonzero (column, a_j / sqrt(q)) pairs in column order,
-    # with q = ||a||^2.  A zero term leaves a float sum unchanged, so every
-    # sum below equals its dense form bit for bit.  ``checks`` holds, per row, what the
-    # rounding tests: the cleared (column, b_j) pairs, D and the target.
+    # Each row as the floats a_j / sqrt(q) of its nonzero entries, a list
+    # beside its support (in column order), with q = ||a||^2.  A zero term
+    # leaves a float sum unchanged, so every sum below equals its dense form
+    # bit for bit.  ``checks`` holds, per row, what the rounding tests: a
+    # getter of the candidate's bits on the support, the cleared entries b_j,
+    # and the two sides num(t) * D and den(t) of the exact target test.
+    m = block.m
     vf, mu_f, checks = [], [], []
     for (support, ints, _, mult), t in zip(block.rows, targets):
         # The coefficients and the target are read scaled by 2^-e and q by
@@ -230,28 +238,39 @@ def find_uncovered_small_norm(
         up, down = max(-e, 0), max(e, 0)
         root = math.sqrt((q.numerator << 2 * up) / (q.denominator << 2 * down))
         den = mult << down
-        vf.append([(j, (b << up) / den / root) for j, b in zip(support, ints)])
+        vf.append([(b << up) / den / root for b in ints])
         try:
             mu_f.append((t.numerator << up) / (t.denominator << down) / root)
         except OverflowError:  # not copysign(inf, t), which calls float(t)
             mu_f.append(math.inf if t > 0 else -math.inf)
-        checks.append((list(zip(support, ints)), mult, t))
+        # Two more items (the pad bit m, appended to each candidate) make the
+        # getter return a tuple for any support; compress stops at ints' end.
+        checks.append((itemgetter(*support, m, m), ints, t.numerator * mult, t.denominator))
+    supports = [row.support for row in block.rows]
     theta = math.sqrt(2.0 * math.log(4.0 * ell))
-    zeta = [2.0 * mu_f[i] - _float_sum(v for _, v in vf[i]) for i in range(ell)]
-    lookup = [dict(entries) for entries in vf]
+    zeta = [2.0 * mu - _float_sum(v) for mu, v in zip(mu_f, vf)]
+    # Rows whose supports do not meet have inner product 0.  Entry (i, i2),
+    # i < i2, sums over row i's columns in order, looked up in row i2, which
+    # is read into a dict once if it meets any earlier row.
     gram = [[0.0] * ell for _ in range(ell)]
-    for i in range(ell):
-        for i2 in range(i, ell):
-            other = lookup[i2]
-            gram[i][i2] = gram[i2][i] = _float_sum(v * other[j] for j, v in vf[i] if j in other)
+    earlier: list[set[int]] = []
+    for i2, (support, v) in enumerate(zip(supports, vf)):
+        gram[i2][i2] = _float_sum(map(mul, v, v))
+        other = None
+        for i, columns in enumerate(earlier):
+            if not columns.isdisjoint(support):
+                if other is None:
+                    other = dict(zip(support, v))
+                gram[i][i2] = gram[i2][i] = _float_sum(x * other[j] for j, x in zip(supports[i], vf[i]) if j in other)
+        earlier.append(set(support))
     rng = random.Random(seed)
     sv = bang_signs(gram, zeta, [theta] * ell, seed=rng.getrandbits(63))
-    column_sums = [0.0] * block.m
-    for entries, sign in zip(vf, sv.signs):
-        for j, v in entries:
-            column_sums[j] += v * sign
+    column_sums = [0.0] * m
+    for support, v, sign in zip(supports, vf, sv.signs):
+        for j, x in zip(support, v):
+            column_sums[j] += x * sign
     y_prime = [theta * c for c in column_sums]
-    overflow = max(abs(c) for c in y_prime)
+    overflow = max(map(abs, y_prime))
     if overflow > 1.0 + FLOAT_TOL:
         raise RuntimeError(
             f"||y'||_inf = {overflow} exceeds 1; the precondition should forbid this"
@@ -265,9 +284,11 @@ def find_uncovered_small_norm(
 
     for attempt in range(1, trials + 1):
         w = [1 if rng.random() < y_j else 0 for y_j in y]
-        for terms, mult, t in checks:
-            if sum(b for j, b in terms if w[j]) * t.denominator == t.numerator * mult:
+        w.append(0)
+        for bits, ints, target, den in checks:
+            if sum(compress(ints, bits(w))) * den == target:
                 break
         else:
+            w.pop()
             return Vertex(tuple(w)), attempt
     raise SampleCapError(f"no separated vertex within {trials} rounding samples", trials)

@@ -19,7 +19,11 @@ the assembled vertex is additionally re-verified against every row, in
 exact arithmetic (``cube.rows_through``, which reads the sparse rational
 rows, not the cleared ones), of the original unrescaled system before being
 returned.  A returned vertex is never unverified.  No stage reads the dense
-view ``CoveringSystem.rows``.
+view ``CoveringSystem.rows``.  When N1 is every column (a plank system,
+where the decomposition moves nothing) no column is set before the
+small-norm stage, each K3 target is D*mu_i as it is, and the vertex is the
+finder's witness itself, built into no per-column table; it is re-verified
+all the same.
 
 Stage seeds are derived deterministically from the one ``seed`` (seed,
 seed+1, seed+2 for the N3 search, the N2 sampler and the rounding stage).
@@ -137,6 +141,8 @@ def choose_n3_assignment(
 def _target_less(row: ClearedRow, cols: set[int]) -> int:
     """D * mu_i less the entries b_j of the cleared row on ``cols``: the value
     the row's other columns must miss once the columns ``cols`` are set to 1."""
+    if not cols:
+        return row.rhs
     return row.rhs - sum(b for j, b in zip(row.support, row.ints) if j in cols)
 
 
@@ -253,14 +259,12 @@ def attempt_refutation(system: CoveringSystem, S: int | None = None, W: Fraction
         detail[failure.stage] = failure.detail
         return RefutationOutcome(status="failed", vertex=None, stage=failure.stage, detail=detail)
 
-    fixed = dict(u3)
-    fixed.update(w2)
-    n1_bits: dict[int, int] = {j: 0 for j in d.N1}
+    witness = Vertex((0,) * len(d.N1))  # the N1 bits
     if d.K3:
         # Row i on N1 and, over the same D, mu_i less the entries on the set
         # columns.
         block = system.block(d.K3, d.N1)
-        set_cols = {j for j in (*d.N2, *d.N3) if fixed[j]}
+        set_cols = {j for part in (u3, w2) for j, bit in part.items() if bit}
         cleared = system.cleared_rows
         targets = [Fraction(_target_less(cleared[i], set_cols), cleared[i].D) for i in d.K3]
         precheck = check_small_norm_precondition(block)
@@ -277,10 +281,14 @@ def attempt_refutation(system: CoveringSystem, S: int | None = None, W: Fraction
             detail["rounding"] = {"attempts": exc.attempts}
             return RefutationOutcome(status="failed", vertex=None, stage="rounding-cap", detail=detail)
         detail["rounding"] = {"attempts": attempts}
-        n1_bits = {j: bit for j, bit in zip(d.N1, witness.bits)}
 
-    fixed.update(n1_bits)
-    u = Vertex(tuple(list(map(fixed.__getitem__, range(n)))))
+    if len(d.N1) == n:  # N1 is every column, in order: the N1 bits are the vertex
+        u = witness
+    else:
+        fixed = dict(u3)
+        fixed.update(w2)
+        fixed.update(zip(d.N1, witness.bits))
+        u = Vertex(tuple(list(map(fixed.__getitem__, range(n)))))
     violating = rows_through(system, [u])[0]
     if violating:
         # The per-block certificates make this unreachable; report honestly

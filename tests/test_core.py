@@ -64,6 +64,14 @@ def test_format_rational_writes_past_the_int_digit_limit(x, text):
     assert format_rational(x) == text
 
 
+# A value that is not a Fraction is written as the Fraction it equals.
+@pytest.mark.parametrize("x, text", [(3, "3"), (-12, "-12"), (0, "0"), (True, "1"), (False, "0"),
+                                     (10**5000, "1" + "0" * 5000)],
+                         ids=["int", "negative-int", "zero", "true", "false", "int-past-the-digit-limit"])
+def test_format_rational_writes_an_int_or_bool_as_its_fraction(x, text):
+    assert format_rational(x) == text
+
+
 def test_parse_system_minimal():
     sys_ = parse_system('{"n": 1, "rows": [["1"]], "mu": ["0"]}')
     assert (sys_.n, sys_.k) == (1, 1)

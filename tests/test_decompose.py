@@ -681,9 +681,18 @@ def _threshold_blocks(draw):
 @settings(max_examples=300, deadline=None)
 @given(_threshold_blocks())
 def test_first_decomposition_matches_the_mass_building_oracle_around_the_row_count(case):
+    # Above tau/W = l the first decomposition returns before it builds any
+    # mass; at l and below it takes the general path.  Either way each field
+    # equals the mass-building oracle's.
     rows, s, threshold = case
     w = TAU / threshold
-    assert first_decomposition(cleared_block(rows), s, w) == _first_decomposition_building_every_mass(rows, s, w)
+    ours, general = first_decomposition(cleared_block(rows), s, w), _first_decomposition_building_every_mass(rows, s, w)
+    for field in dataclasses.fields(Decomposition1):
+        assert getattr(ours, field.name) == getattr(general, field.name), field.name
+    ell = len(rows)
+    if threshold > ell:
+        assert (ours.L1, ours.M1, ours.M2, ours.renorm_counts) == (
+            tuple(range(ell)), tuple(range(len(rows[0]))), (), (0,) * ell)
 
 
 # hypothesis_sides as it was before it built each side from integers, kept

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import cubecover.plank as plank_module
 from cubecover import (
@@ -370,7 +370,9 @@ def _plank_block(rng, ell, s, shared):
     return rows
 
 
-def test_sparse_finder_equals_dense_oracle(monkeypatch):
+def _record_sign_search(monkeypatch):
+    """Patch the module-level ``bang_signs`` that the finder calls; the list
+    returned gains the Gram matrix and zeta of each call, then its result."""
     calls = []
     original = plank_module.bang_signs
 
@@ -381,32 +383,81 @@ def test_sparse_finder_equals_dense_oracle(monkeypatch):
         return sv
 
     monkeypatch.setattr(plank_module, "bang_signs", recording)
+    return calls
+
+
+def _assert_finder_equals_dense_oracle(rows, targets, trials, seed, calls):
+    """The sparse finder returns the dense oracle's vertex and attempts, and
+    hands the sign search the same Gram matrix and zeta, bit for bit."""
+    try:
+        expected, (gram, zeta), sv = _dense_find_uncovered(rows, targets, trials, seed)
+    except SampleCapError:
+        with pytest.raises(SampleCapError):
+            find_uncovered_small_norm(cleared_block(rows), targets, trials, seed=seed)
+        return
+    calls.clear()
+    assert find_uncovered_small_norm(cleared_block(rows), targets, trials, seed=seed) == expected
+    (new_gram, new_zeta), new_sv = calls
+    assert [[float(c).hex() for c in r] for r in new_gram] == [[float(c).hex() for c in r] for r in gram]
+    assert [z.hex() for z in new_zeta] == [z.hex() for z in zeta]
+    assert (new_sv.signs, new_sv.flips, new_sv.objective) == (sv.signs, sv.flips, sv.objective)
+
+
+def _plank_targets(rng, rows):
+    targets = []
+    for r in rows:
+        half = sum(r, Fraction(0)) / 2
+        targets.append(rng.choice((half, Fraction(rng.randint(-2, 2)), half + Fraction(1, 3), 1)))
+    return targets
+
+
+def test_sparse_finder_equals_dense_oracle(monkeypatch):
+    calls = _record_sign_search(monkeypatch)
     rng = random.Random(31)
-    trials = 200
     compared = 0
     for trial in range(40):
         rows = _plank_block(rng, rng.randint(1, 6), rng.randint(8, 40), rng.choice((0, 0, 2, 4)))
         if not _fraction_precondition(rows).ok:
             continue
-        targets = []
-        for r in rows:
-            half = sum(r, Fraction(0)) / 2
-            targets.append(rng.choice((half, Fraction(rng.randint(-2, 2)), half + Fraction(1, 3), 1)))
-        seed = rng.randrange(1 << 20)
-        try:
-            expected, (gram, zeta), sv = _dense_find_uncovered(rows, targets, trials, seed)
-        except SampleCapError:
-            with pytest.raises(SampleCapError):
-                find_uncovered_small_norm(cleared_block(rows), targets, trials, seed=seed)
-            continue
-        calls.clear()
-        assert find_uncovered_small_norm(cleared_block(rows), targets, trials, seed=seed) == expected
-        (new_gram, new_zeta), new_sv = calls
-        assert [[float(c).hex() for c in r] for r in new_gram] == [[float(c).hex() for c in r] for r in gram]
-        assert [z.hex() for z in new_zeta] == [z.hex() for z in zeta]
-        assert (new_sv.signs, new_sv.flips, new_sv.objective) == (sv.signs, sv.flips, sv.objective)
+        targets = _plank_targets(rng, rows)
+        _assert_finder_equals_dense_oracle(rows, targets, 200, rng.randrange(1 << 20), calls)
         compared += 1
     assert compared >= 20
+
+
+def _meeting_block(meets, s, shared, layout_seed):
+    """Rows of s entries from MIXED[:3] on shuffled columns: row i + 1 shares
+    ``shared`` columns with row i where ``meets[i]``, and none otherwise;
+    rows further apart never meet."""
+    rng = random.Random(layout_seed)
+    starts = [0]
+    for meet in meets:
+        starts.append(starts[-1] + s - (shared if meet else 0))
+    m = starts[-1] + s
+    order = list(range(m))
+    rng.shuffle(order)
+    rows = []
+    for start in starts:
+        coeffs = [Fraction(0)] * m
+        for j in order[start:start + s]:
+            coeffs[j] = rng.choice(MIXED[:3])
+        rows.append(coeffs)
+    return rows, _plank_targets(rng, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(meets=st.lists(st.booleans(), max_size=5), s=st.integers(32, 64), shared=st.integers(1, 3),
+       layout_seed=st.integers(0, 2**32), seed=st.integers(0, 2**20))
+@example(meets=[False] * 5, s=40, shared=1, layout_seed=7, seed=11)  # every pair disjoint
+@example(meets=[True, False, True, True, False], s=48, shared=2, layout_seed=8, seed=12)
+@example(meets=[True] * 3, s=32, shared=3, layout_seed=9, seed=13)  # every consecutive pair meets
+def test_sparse_finder_equals_dense_oracle_whether_supports_meet_or_not(meets, s, shared, layout_seed, seed):
+    # The Gram matrix sums a product only for rows whose supports meet; a
+    # pair that does not has 0.0, as the dense sum of zero products gives.
+    rows, targets = _meeting_block(meets, s, shared, layout_seed)
+    assume(check_small_norm_precondition(cleared_block(rows)).ok)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_finder_equals_dense_oracle(rows, targets, 200, seed, _record_sign_search(monkeypatch))
 
 
 def test_float_targets_are_rejected():

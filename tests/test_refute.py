@@ -22,7 +22,10 @@ from cubecover import (
     sample_uncovered,
     second_decomposition,
 )
-from cubecover.core import wire
+import cubecover.refute as refute_module
+from cubecover.core import TAU, wire
+from cubecover.cube import rows_through
+from cubecover.plank import find_uncovered_small_norm
 from cubecover.refute import column_budget_floor, derived_column_budget
 from _oracle import apply_rescaling, rows_on
 
@@ -388,6 +391,44 @@ def test_refute_disjoint_small_norm_instance():
     assert out.detail["block_sizes"]["N3"] + out.detail["block_sizes"]["N1"] + out.detail[
         "block_sizes"
     ]["N2"] == sys_.n
+
+
+def _plank_with_heavy_columns():
+    """disjoint_rows_system with each row's first entry raised to 1: at
+    W = 10 tau those four columns are heavy and move to N2, the rest stay N1."""
+    rows = [list(row) for row in disjoint_rows_system().rows]
+    for i, row in enumerate(rows):
+        row[16 * i] = Fraction(1)
+    return CoveringSystem.from_rows(rows, [Fraction(2)] * 4)
+
+
+@pytest.mark.parametrize("system, w, n1", [
+    (disjoint_rows_system(), Fraction(1, 10**6), 64),
+    (_plank_with_heavy_columns(), 10 * TAU, 60),
+], ids=["n1-every-column", "n1-subset"])
+def test_a_plank_refute_rechecks_the_vertex_it_returns_once(system, w, n1, monkeypatch):
+    # When N1 is every column the vertex is the finder's witness itself; it
+    # is still re-checked exactly once, against every row, as when the
+    # vertex is assembled from the blocks.
+    checked, witnesses = [], []
+
+    def counting_rows_through(sys_, vertices):
+        checked.append((sys_, list(vertices)))
+        return rows_through(sys_, vertices)
+
+    def recording_finder(*args, **kwargs):
+        result = find_uncovered_small_norm(*args, **kwargs)
+        witnesses.append(result[0])
+        return result
+
+    monkeypatch.setattr(refute_module, "rows_through", counting_rows_through)
+    monkeypatch.setattr(refute_module, "find_uncovered_small_norm", recording_finder)
+    out = attempt_refutation(system, W=w, seed=3)
+    assert out.status == "uncovered" and out.detail["block_sizes"]["N1"] == n1
+    assert len(checked) == 1 and checked[0][0] is system
+    assert len(checked[0][1]) == 1 and checked[0][1][0] is out.vertex
+    assert not rows_on(system, out.vertex)
+    assert (out.vertex is witnesses[0]) == (n1 == system.n)
 
 
 def test_refute_rescaled_covers_stay_failed():
