@@ -15,7 +15,10 @@ middle (Horowitz and Sahni, 1974): it tabulates the subset sums of each half
 of the coordinates, 2^(dim/2) terms each, and counts the pairs that land in a
 window by bisection.  Sampled mode packs each trial's draws into bytes and
 sums one 256-entry subset-sum table lookup per group of 8 coordinates; a
-vector wider than 256 coordinates sums its selected entries one by one.
+vector wider than 256 coordinates sums its selected entries one by one.  A
+sampled trial lands in a window by a bisection and a parity, and in an atom
+(a window of one integer) by one equality: through byte tables, the sum of
+all groups but the last against the atom minus the last group's subset sum.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
-from operator import add, mul
+from operator import add, eq, mul
 from typing import Sequence
 
 from .core import (
@@ -136,7 +139,12 @@ def _window_mass(
     Up to ``_TABLE_DIM`` coordinates, a trial's sum is one lookup per group
     of 8 coordinates, in a 256-entry table of the group's subset sums, by
     the byte of its 8 draws; wider vectors, on which the tables measured
-    slower, sum the selected entries through ``compress``.
+    slower, sum the selected entries through ``compress``.  A trial is in the
+    window when bisect_right(edges, sum) is odd, and in a window of one
+    integer t (an atom) when its sum equals t: one equality per trial, which
+    through byte tables compares the sum of every group but the last with
+    t - (the last group's subset sum).  The sums are integers, so both count
+    the same hits.
     """
     dim = len(ints)
     if mode == "exact":
@@ -157,6 +165,11 @@ def _window_mass(
         raise ValueError(f"trials must be >= 1, got {trials}")
     draw = random.Random(seed).getrandbits
     tables = _byte_tables(ints) if 0 < dim <= _TABLE_DIM else None
+    # An atom t, and through byte tables need[b] = t - (the last group's
+    # subset sum at byte b), which the other groups' sum must equal.
+    atom = edges[0] if len(edges) == 2 and edges[1] == edges[0] + 1 else None
+    if atom is not None and tables is not None:
+        need = [atom - s for s in tables.pop()]
     per_call = max(1, _CHUNK_DRAWS // max(dim, 1))
     hits = 0
     for done in range(0, trials, per_call):
@@ -171,6 +184,7 @@ def _window_mass(
             # compress reads one selector per entry of ints, so each trial
             # takes the next dim bits from the shared iterator.
             sums = map(sum, map(compress, repeat(ints, chunk), repeat(iter(bits))))
+            targets = repeat(atom)
         else:
             # Bit 8p of y is draw p; after the shift-ORs, byte p of y holds
             # draws p..p+7, so byte t*dim + 8g selects trial t's group g.
@@ -179,10 +193,15 @@ def _window_mass(
             y |= y >> 14
             y |= y >> 28
             packed = y.to_bytes(n, "little")
-            sums = map(tables[0].__getitem__, packed[::dim])
+            sums = map(tables[0].__getitem__, packed[::dim]) if tables else repeat(0, chunk)
             for g in range(1, len(tables)):
                 sums = map(add, sums, map(tables[g].__getitem__, packed[8 * g :: dim]))
-        hits += sum(map((1).__and__, map(bisect_right, repeat(edges), sums)))
+            if atom is not None:
+                targets = map(need.__getitem__, packed[8 * len(tables) :: dim])
+        if atom is None:
+            hits += sum(map((1).__and__, map(bisect_right, repeat(edges), sums)))
+        else:
+            hits += sum(map(eq, sums, targets))
     return Fraction(hits, trials)
 
 
@@ -198,7 +217,7 @@ def atom_probability(
 
     Exact mode enumerates all subsets (dim must be at most ``cap``) and
     returns a reduced rational; sampled mode returns the empirical
-    frequency over ``trials`` draws from ``seed``.
+    frequency over ``trials`` draws from ``seed``, one equality per trial.
     """
     ints, (target,), _ = _integer_form(v, as_fractions([a])[0])
     return _window_mass(

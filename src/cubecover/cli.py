@@ -10,13 +10,14 @@ replayed, and the output records it.  The others ignore --seed and log
 nothing.
 
 One table, ``_COMMANDS``, holds each command's handler, whether it draws
-random numbers, its help and its options.  argv is parsed in up to two
-steps.  First ``_fast_args`` reads well-formed argv (every token an exact
-option of the command, given once, with a value that converts) into the
-namespace the command's subparser would give, from that table, without
-argparse.  Any other argv goes to the top-level parser, built from the same
-table only then, which hands the command's arguments to that subparser, so
-that help, usage and errors read as the top-level parser gives them.
+random numbers, its help, its options and the argv table derived from them.
+argv is parsed in up to two steps.  First ``_fast_args`` reads well-formed
+argv (every token an exact option of the command, given once, with a value
+that converts) into the namespace the command's subparser would give, from
+that argv table, without argparse.  Any other argv goes to the top-level
+parser, built from the same options only then, which hands the command's
+arguments to that subparser, so that help, usage and errors read as the
+top-level parser gives them.
 """
 
 from __future__ import annotations
@@ -151,20 +152,39 @@ _READS = {
 }
 
 
-def _command(run: Callable, seeded: bool, help: str, *reads: str, **more: dict) -> tuple[Callable, bool, str, dict]:
+def _command(run: Callable, seeded: bool, help: str, *reads: str, **more: dict) -> tuple[Callable, bool, str, dict, tuple]:
     """A command: its handler ``run``, whether it draws random numbers
-    (``seeded``: only then does it read --seed), its ``help``, and its
-    options, option string to add_argument keywords, in order: --seed,
-    --format, each of ``reads`` (--input, --cap, --trials) it reads, then
-    ``more``, whose names are the option strings without "--" and with "_"
-    for "-"."""
+    (``seeded``: only then does it read --seed), its ``help``, its options,
+    option string to add_argument keywords, in order: --seed, --format, each
+    of ``reads`` (--input, --cap, --trials) it reads, then ``more``, whose
+    names are the option strings without "--" and with "_" for "-"; and
+    last, the argv table that ``_fast_args`` reads (``_argv_table``)."""
     options = {
         "--seed": {"type": _ascii_int, "default": None, "help": "RNG seed (random and logged if omitted)"},
         "--format": {"choices": ("json", "csv"), "default": "json"},
     }
     options.update((flag, _READS[flag]) for flag in reads)
     options.update(("--" + name.replace("_", "-"), kwargs) for name, kwargs in more.items())
-    return run, seeded, help, options
+    return run, seeded, help, options, _argv_table(options)
+
+
+def _argv_table(options: dict[str, dict]) -> tuple[dict, dict, frozenset]:
+    """What the subparser of ``options`` reads, as ``_fast_args`` needs it:
+    each option string's dest, type (``str`` when it has none; None for the
+    store_true --strict-hypotheses) and choices (or None); the default of
+    each dest that need not be given, a str default through its type, as
+    argparse converts it; and the dests that must be given."""
+    reads, defaults, required = {}, {}, set()
+    for flag, kwargs in options.items():
+        dest = flag[2:].replace("-", "_")
+        kind = None if "action" in kwargs else kwargs.get("type", str)
+        reads[flag] = dest, kind, kwargs.get("choices")
+        if kwargs.get("required"):
+            required.add(dest)
+        else:
+            default = kwargs.get("default", False if kind is None else None)
+            defaults[dest] = kind(default) if isinstance(default, str) else default
+    return reads, defaults, frozenset(required)
 
 
 _INT = {"type": _ascii_int, "default": None}
@@ -174,9 +194,9 @@ _REQUIRED_INT = {"type": _ascii_int, "required": True}
 _MODE = {"choices": ("exact", "sampled"), "default": "exact"}
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The command-line parser and its subparsers by command name, built
-    from ``_COMMANDS`` once per process, when argparse is first needed.
+def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, with a subparser per command, built from
+    ``_COMMANDS`` once per process, when argparse is first needed.
 
     Parsing does not modify the parsers (every call gets a fresh namespace),
     so all calls of run_command share these.
@@ -186,59 +206,54 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         description="Verify, construct, decompose and refute hyperplane covers of {0,1}^n.",
     )
     sub = parser.add_subparsers(dest="command")
-    for name, (_, _, help, options) in _COMMANDS.items():
+    for name, (_, _, help, options, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
         for flag, kwargs in options.items():
             p.add_argument(flag, **kwargs)
-    return parser, sub.choices
+    return parser
 
 
 def _fast_args(command: str, rest: list[str]) -> argparse.Namespace | None:
     """The namespace the subparser of ``command`` gives for ``rest``, read
-    from ``_COMMANDS`` without argparse when ``rest`` is well formed, else None.
+    from the command's argv table (``_argv_table``) without argparse when
+    ``rest`` is well formed, else None.
 
     Well formed means: each token is an option string of the command, given
     exactly and at most once, followed by its value, or the bare
     --strict-hypotheses; each value is "-" or does not start with "-", and
     converts (``type``) to one of the option's ``choices``; every required
-    option is given.  An option not given gets its default, a str default
-    through ``type`` (not checked against ``choices``), as argparse does.
-    Anything else (help, an abbreviation, "--n=4", "--", a repeated option,
-    a missing or bad value) is left to argparse, so that its messages stay
-    its own."""
-    _, _, _, options = _COMMANDS[command]
+    option is given.  An option not given gets its default.  Anything else
+    (help, an abbreviation, "--n=4", "--", a repeated option, a missing or
+    bad value) is left to argparse, so that its messages stay its own."""
+    reads, defaults, required = _COMMANDS[command][4]
     values: dict[str, object] = {}
     tokens = iter(rest)
     for token in tokens:
-        kwargs = options.get(token)
-        dest = token[2:].replace("-", "_")
-        if kwargs is None or dest in values:
+        read = reads.get(token)
+        if read is None:
             return None
-        if "action" in kwargs:  # --strict-hypotheses, the one store_true
+        dest, kind, choices = read
+        if dest in values:
+            return None
+        if kind is None:  # --strict-hypotheses, the one store_true
             values[dest] = True
             continue
         text = next(tokens, None)
         if text is None or (text.startswith("-") and text != "-"):
             return None
-        kind = kwargs.get("type")
         try:
-            value = text if kind is None else kind(text)
+            value = kind(text)
         except (TypeError, ValueError):
             return None
-        if "choices" in kwargs and value not in kwargs["choices"]:
+        if choices is not None and value not in choices:
             return None
         values[dest] = value
-    for flag, kwargs in options.items():
-        dest = flag[2:].replace("-", "_")
-        if dest not in values:
-            if kwargs.get("required"):
-                return None
-            default = kwargs.get("default", False if "action" in kwargs else None)
-            if isinstance(default, str) and "type" in kwargs:
-                default = kwargs["type"](default)
-            values[dest] = default
+    if not required.issubset(values):
+        return None
     args = argparse.Namespace()
-    vars(args).update(values)  # Namespace(**values) sets them one by one: 3x slower
+    # Namespace(**values) sets them one by one: 3x slower.
+    vars(args).update(defaults)
+    vars(args).update(values)
     return args
 
 
@@ -379,9 +394,9 @@ def _cmd_bounds(args) -> tuple[int, dict]:
 
 
 # Every command, in the order --help lists them: its handler, whether it
-# draws random numbers, its help and its options.  ``_fast_args`` reads argv
-# from this table; argparse is built from it (``_build_parser``) only for
-# argv that the fast path leaves to it.
+# draws random numbers, its help, its options and its argv table.
+# ``_fast_args`` reads argv from the argv tables; argparse is built from the
+# options (``_build_parser``) only for argv that the fast path leaves to it.
 _COMMANDS = {
     "verify": _command(_cmd_verify, False, "decide the essential-cover axioms", "--input", "--cap"),
     "construct-lr": _command(_cmd_construct_lr, False, "emit the n/2+1 reference cover", n=_REQUIRED_INT),
@@ -412,15 +427,15 @@ def run_command(argv: list[str]) -> CommandResult:
     try:
         args = _fast_args(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
         if args is None:
-            args = _build_parser()[0].parse_args(argv)
+            args = _build_parser().parse_args(argv)
         else:
             args.command = argv[0]
     except SystemExit as exc:
         ok = exc.code in (0, None)
         return CommandResult(0 if ok else 3, "", "" if ok else "argument parsing failed\n")
     if args.command not in _COMMANDS:  # None: no command given
-        return CommandResult(3, "", _build_parser()[0].format_usage())
-    run, seeded, _, _ = _COMMANDS[args.command]
+        return CommandResult(3, "", _build_parser().format_usage())
+    run, seeded, _, _, _ = _COMMANDS[args.command]
     stderr_lines: list[str] = []
     if seeded and args.seed is None:
         args.seed = random.SystemRandom().getrandbits(63)

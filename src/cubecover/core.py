@@ -376,22 +376,21 @@ class CoveringSystem:
         }
 
 
-def _parse_new(raw: list, where, parsed: dict[str, Fraction]) -> set[str]:
-    """Parse the distinct entries of ``raw`` that ``parsed`` lacks, add them to
-    it, and return them.  When an entry fails (a bad string, a number, or a
-    list or dict, which is unhashable) the entries are parsed again in
-    order, naming the place of the first bad one: ``where(j)`` names entry
-    j, and is only formatted then."""
+def _parse_new(lists: list[list], where, parsed: dict[str, Fraction]) -> None:
+    """Parse the distinct entries of ``lists`` that ``parsed`` lacks, once
+    each, and add them to it.  When an entry fails (a bad string, a number,
+    or a list or dict, which is unhashable) the lists are parsed again in
+    order, naming the place of the first bad one: ``where(i, j)`` names
+    entry j of list i, and is only formatted then."""
     try:
-        new = set(raw).difference(parsed)
-        for c in new:
+        for c in set().union(*lists).difference(parsed):
             # A non-string entry fails here, before it could be stored.
             parsed[c] = parse_rational(c)
     except (SystemFormatError, TypeError):
-        for j, c in enumerate(raw):
-            parse_rational(c, where=where(j))
+        for i, raw in enumerate(lists):
+            for j, c in enumerate(raw):
+                parse_rational(c, where=where(i, j))
         raise
-    return new
 
 
 def _parse_entries(raw: list, where, parsed: dict[str, Fraction]) -> tuple[Fraction, ...]:
@@ -401,13 +400,13 @@ def _parse_entries(raw: list, where, parsed: dict[str, Fraction]) -> tuple[Fract
 
     When every entry is a string seen before, this is one lookup per entry.
     Otherwise only the distinct entries not in ``parsed`` are parsed
-    (``_parse_new``, which names the place of a bad one) before the
-    lookups."""
+    (``_parse_new``, which names the place ``where(j)`` of a bad one) before
+    the lookups."""
     try:
         return tuple([parsed[c] for c in raw])
     except (KeyError, TypeError):  # a new string, a number, a list or a dict
         pass
-    _parse_new(raw, where, parsed)
+    _parse_new([raw], lambda _, j: where(j), parsed)
     return tuple([parsed[c] for c in raw])
 
 
@@ -434,10 +433,12 @@ def parse_object(text: str, keys: Iterable[str]) -> dict:
 def parse_system(text: str) -> CoveringSystem:
     """Parse the JSON wire format {"n": int, "rows": [[ratstr]], "mu": [ratstr]}.
 
-    Every malformation is reported with its row/column location.  Each
-    distinct entry string is parsed once per call, and whether it is zero is
-    read from that parse; equal strings share one Fraction.  Each row is
-    built in sparse form, its nonzero columns and their values.
+    Every malformation is reported with its row/column location, the first
+    in document order.  After the shape checks, the document's distinct
+    entry strings are gathered and each is parsed once, and whether it is
+    zero is read from that parse; equal strings share one Fraction.  Each
+    row is then built in sparse form, its nonzero columns and their values,
+    in one pass over its entries' zero flags.
     """
     doc = parse_object(text, ("n", "rows", "mu"))
     n = doc["n"]
@@ -452,25 +453,27 @@ def parse_system(text: str) -> CoveringSystem:
             f"mu has {len(raw_mu) if isinstance(raw_mu, list) else '??'} entries, "
             f"expected {len(raw_rows)}"
         )
-    parsed: dict[str, Fraction] = {}
-    nonzero: dict[str, bool] = {}  # the same strings as parsed
-    columns = range(n)
-    rows = []
+    k = len(raw_rows)
+
+    def where(i: int, j: int) -> str:
+        return f"row {i}, column {j}" if i < k else f"mu[{j}]"
+
     for i, raw in enumerate(raw_rows):
         if not isinstance(raw, list) or len(raw) != n:
+            _parse_new(raw_rows[:i], where, {})  # a bad entry of an earlier row comes first
             raise SystemFormatError(f"row {i} has {len(raw) if isinstance(raw, list) else '??'} entries, expected {n}")
-        # One pass over the row: each entry's zero flag, or a KeyError when
-        # it is not a string parsed before.
-        try:
-            support = list(compress(columns, map(nonzero.__getitem__, raw)))
-        except (KeyError, TypeError):  # a new string, a number, a list or a dict
-            for c in _parse_new(raw, lambda j: f"row {i}, column {j}", parsed):
-                nonzero[c] = parsed[c].numerator != 0
-            support = list(compress(columns, map(nonzero.__getitem__, raw)))
+    # Every distinct string of the document, parsed once, and whether it is zero.
+    parsed: dict[str, Fraction] = {}
+    _parse_new([*raw_rows, raw_mu], where, parsed)
+    nonzero = {c: x.numerator != 0 for c, x in parsed.items()}
+    columns = range(n)
+    rows = []
+    for raw in raw_rows:
+        support = list(compress(columns, map(nonzero.__getitem__, raw)))
         nonzeros = raw if len(support) == n else map(raw.__getitem__, support)  # their strings
         rows.append(_NonzeroRow(support, list(map(parsed.__getitem__, nonzeros))))
-    mu = _parse_entries(raw_mu, lambda j: f"mu[{j}]", parsed)
-    return CoveringSystem(n=n, k=len(rows), sparse_rows=tuple(rows), mu=mu)
+    mu = tuple(map(parsed.__getitem__, raw_mu))
+    return CoveringSystem(n=n, k=k, sparse_rows=tuple(rows), mu=mu)
 
 
 def clear_denominators(values: Sequence[Fraction | int]) -> tuple[list[int], int]:

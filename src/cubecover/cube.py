@@ -26,6 +26,15 @@ vertices, and tracking the bits hit at least twice gives the vertices on
 exactly one row (the exclusive witnesses of the essential-cover axiom E3);
 both run in C builtins (``accumulate``, ``reduce``) over the block's masks.
 
+Codes are classified in increasing order, so the first uncovered code and
+each row's first exclusive code are the smallest.  Only ``enumerate_uncovered``
+sweeps every code and counts the uncovered ones exactly.  Verify mode (the
+sweep ``essential.verify_essential`` makes) reports no count and returns at
+its last witness: as soon as the smallest uncovered code and every row's
+smallest exclusive code are known.  It also classifies block 0 (the codes
+below 2^l) at a few small l while the tables grow, so a non-cover whose
+witnesses come early never builds the larger tables.
+
 The split l is chosen per system (``_split_further``): the tables grow one
 low coordinate at a time, all rows together, for as long as the entries one
 more coordinate would double, weighted by mask width past 2^10 bits, cost no
@@ -111,28 +120,86 @@ def _split_further(entries: int, low: int, n: int, k: int) -> bool:
     return entries << max(0, low - 10) <= k << (n - low - 1)
 
 
+# The low levels at which verify mode classifies block 0 while the tables
+# grow.  Each level's tables cost up to twice the last's, so a non-cover whose
+# witnesses lie below 2^4 or 2^7 skips most of the growth.
+_SCAN_LEVELS = (4, 7)
+
+
+def _classify(
+    masks: Sequence[int], base: int, full: int, open_rows: list[int], excl: list[int | None]
+) -> tuple[int, list[int]]:
+    """Classify one block of codes: bit b of ``masks[i]`` says whether code
+    base + b lies on row i, and ``full`` sets every bit of the block.  Sets
+    ``excl[i]`` to the row's smallest code on it alone, for each row of
+    ``open_rows`` that has one here.  Returns the block's uncovered bits and
+    the rows of ``open_rows`` still without an exclusive code."""
+    prefix = list(accumulate(masks, or_))
+    # Bits set in some mask and in an earlier one: on two rows or more.
+    alone = full ^ reduce(or_, map(and_, islice(masks, 1, None), prefix), 0)
+    still = []
+    for i in open_rows:
+        m = masks[i] & alone
+        if m:
+            excl[i] = base + (m & -m).bit_length() - 1
+        else:
+            still.append(i)
+    return full ^ prefix[-1], still
+
+
 def _coverage_sweep(
     system: CoveringSystem,
     collect_exclusive: bool = False,
-) -> tuple[int, int | None, list[int | None] | None]:
-    """Classify every vertex code, 2^l of them per step.
+) -> tuple[int | None, int | None, list[int | None] | None]:
+    """Classify the vertex codes in increasing order, 2^l of them per step.
 
     Returns (uncovered_count, min uncovered code or None, per-row minimal
-    exclusive codes when requested).
+    exclusive codes).  Without ``collect_exclusive`` every code is
+    classified and the count is exact; the third value is None.  With it
+    (verify mode), the sweep returns as soon as the smallest uncovered code
+    and every row's smallest exclusive code are known, and the count is
+    None: a non-cover whose rows all own a vertex stops at its last witness,
+    and a cover, or a row with no exclusive code, takes the whole sweep.  So
+    that witnesses early in code order cost little, verify mode also
+    classifies block 0 (the codes below 2^low) at the levels of
+    ``_SCAN_LEVELS`` while the tables grow, and at the final level before
+    the high codes' masks are built.
     """
     n, k = system.n, system.k
-    rows = [dict(zip(support, ints)) for support, ints, _, _ in system.cleared_rows]
+    cleared = system.cleared_rows
+    rows = [dict(zip(support, ints)) for support, ints, _, _ in cleared]
+    mus = [mu for _, _, mu, _ in cleared]
+    min_code: int | None = None
+    excl: list[int | None] | None = [None] * k if collect_exclusive else None
+    open_rows = list(range(k)) if collect_exclusive else []
     # tables[i][s]: the low codes x (as bits of a 2^low-bit mask) whose low
     # coordinates sum to s in row i; bit b of x is coordinate n-1-b.
     tables: list[dict[int, int]] = [{0: 1} for _ in rows]
     low = 0
-    while low < n and _split_further(sum(map(len, tables)), low, n, k):
-        shift = 1 << low
+    while True:
+        entries = sum(map(len, tables))
+        further = low < n and _split_further(entries, low, n, k)
+        # A scan costs about k lookups, and the growth it can save about the
+        # table entries: none is made on sparse tables (at most 4 entries a
+        # row, as on the LR covers), where it would cost a cover more than
+        # it could save a non-cover.
+        if collect_exclusive and (not further or low in _SCAN_LEVELS and entries > k << 2):
+            # Block 0 at this level: each row's mask is stored under mu.
+            full = (1 << (1 << low)) - 1
+            free, open_rows = _classify(list(map(dict.get, tables, mus, repeat(0))), 0, full, open_rows, excl)
+            if free and min_code is None:
+                min_code = (free & -free).bit_length() - 1
+            if min_code is not None and not open_rows:
+                return None, min_code, excl
+        if not further:
+            break
+        shift, j = 1 << low, n - 1 - low
         for i, row in enumerate(rows):
-            table, c = tables[i], row.get(n - 1 - low, 0)
+            table, c = tables[i], row.get(j, 0)
             nxt = dict(table)
             for s, m in table.items():
-                nxt[s + c] = nxt.get(s + c, 0) | (m << shift)
+                s += c
+                nxt[s] = nxt.get(s, 0) | (m << shift)
             tables[i] = nxt
         low += 1
 
@@ -140,37 +207,28 @@ def _coverage_sweep(
     # that puts high code y on the hyperplane; bit b of y is coordinate
     # n-1-low-b.
     cols: list[list[int]] = []
-    for row, table, (_, _, mu, _) in zip(rows, tables, system.cleared_rows):
+    for row, table, mu in zip(rows, tables, mus):
         need = [mu]
         for b in range(n - low):
             need += list(map(row.get(n - 1 - low - b, 0).__rsub__, need))
         cols.append(list(map(table.get, need, repeat(0))))
 
     uncovered = 0
-    min_code: int | None = None
-    excl: list[int | None] | None = [None] * k if collect_exclusive else None
-    open_rows = list(range(k)) if collect_exclusive else []
     full = (1 << (1 << low)) - 1
-    for y, masks in enumerate(zip(*cols)):
+    first = int(collect_exclusive)  # verify mode has classified block 0
+    for y, masks in enumerate(islice(zip(*cols), first, None), first):
         base = y << low
         if open_rows:
-            prefix = list(accumulate(masks, or_))
-            ones = prefix[-1]
-            # Bits set in some mask and in an earlier one: on two rows or more.
-            alone = full ^ reduce(or_, map(and_, islice(masks, 1, None), prefix), 0)
-            for i in open_rows:
-                m = masks[i] & alone
-                if m:
-                    excl[i] = base + (m & -m).bit_length() - 1
-            open_rows = [i for i in open_rows if excl[i] is None]
+            free, open_rows = _classify(masks, base, full, open_rows, excl)
         else:
-            ones = reduce(or_, masks)
-        free = full ^ ones
+            free = full ^ reduce(or_, masks)
         if free:
             uncovered += free.bit_count()
             if min_code is None:
                 min_code = base + (free & -free).bit_length() - 1
-    return uncovered, min_code, excl
+        if collect_exclusive and min_code is not None and not open_rows:
+            return None, min_code, excl
+    return (None if collect_exclusive else uncovered), min_code, excl
 
 
 def enumerate_uncovered(system: CoveringSystem, cap: int = ENUMERATION_CAP) -> CoverageReport:

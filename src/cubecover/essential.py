@@ -3,10 +3,14 @@
 A system is an essential cover when (E1) every vertex lies on some hyperplane,
 (E2) every variable appears in some row, and (E3) every row owns a vertex
 exclusively.  ``verify_essential`` is the one entry point for all three
-axioms and the 2k support bound.  It decides E1 and E3 in a single exhaustive
-sweep of the cube (``cube._coverage_sweep``) that finds, block by block, the
-vertices on no row and the vertices on exactly one row, and E2 and the bound
-from the rows' supports.  Every witness it reports is checked again against
+axioms and the 2k support bound.  It decides E1 and E3 in a single exact
+sweep of the cube (``cube._coverage_sweep``) that classifies the vertices in
+code order, block by block, into those on no row and those on exactly one
+row, and E2 and the bound from the rows' supports.  The sweep stops at its
+last witness: once it has the smallest uncovered vertex and each row's
+smallest exclusive vertex, the report is fixed, so a non-cover whose rows all
+own a vertex is not swept to the end; E1 holds exactly when no uncovered
+vertex is found.  Every witness it reports is checked again against
 the rational rows before it is returned, all of a sweep's witnesses in one
 batch (``cube.rows_through``), so each row is read once for its k + 1
 witnesses.  Above the enumeration cap it refuses rather than guess: its
@@ -61,13 +65,14 @@ def _rechecked(
 
 def verify_essential(system: CoveringSystem, cap: int = ENUMERATION_CAP) -> EssentialReport:
     """Full (E1)-(E3) report and the support bound.  E1 and E3 come from a
-    single exhaustive sweep, which needs n at most ``cap``; E2 (every column
-    has a nonzero entry, ``unused_columns`` lists those that have none) and
-    the bound (max_i |supp(v_i)| <= 2k) from one ``supports()`` call."""
+    single sweep that stops at its last witness and needs n at most ``cap``
+    (E1 holds when it finds no uncovered vertex); E2 (every column has a
+    nonzero entry, ``unused_columns`` lists those that have none) and the
+    bound (max_i |supp(v_i)| <= 2k) from one ``supports()`` call."""
     if system.n > cap:
         raise CapExceededError(f"n={system.n} exceeds enumeration cap {cap}")
-    uncovered, min_code, excl = _coverage_sweep(system, collect_exclusive=True)
-    e1 = uncovered == 0
+    _, min_code, excl = _coverage_sweep(system, collect_exclusive=True)
+    e1 = min_code is None
     e1_witness, e3_witnesses = _rechecked(system, min_code, excl)
     rows, column_sizes = system.supports()
     unused = tuple([j for j, size in enumerate(column_sizes) if not size])

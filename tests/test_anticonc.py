@@ -494,6 +494,31 @@ def per_coordinate_mass(ints, edges, trials, seed):
     return Fraction(hits, trials)
 
 
+
+def per_coordinate_atom(v, a, trials, seed):
+    """P(<x, v> = a) sampled as one getrandbits(1) per coordinate of every
+    trial, each trial's sum compared with a exactly, in Fractions."""
+    draw = random.Random(seed).getrandbits
+    hits = sum(sum((c for c in v if draw(1)), Fraction(0)) == a for _ in range(trials))
+    return Fraction(hits, trials)
+
+
+@pytest.mark.parametrize("dim", [1, 7, 8, 9, 16, 17, 24, 300])
+def test_sampled_atom_equals_per_coordinate_equalities(dim):
+    # A sampled atom sums every byte group but the last and compares that with
+    # a table of a - (last group's sum); wider vectors compare whole sums.
+    # Trial counts: one, and one past a getrandbits call of _CHUNK_DRAWS draws.
+    rng = random.Random(dim)
+    for v in ([rng.choice((-2, -1, 1, 1, 2)) for _ in range(dim)],
+              [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim)]):
+        a = sum((c for c in v if rng.getrandbits(1)), Fraction(0))
+        for trials in (1, _CHUNK_DRAWS // dim + 1, 2 * (_CHUNK_DRAWS // dim) + 3):
+            seed = rng.randrange(10**6)
+            got = atom_probability(v, a, mode="sampled", trials=trials, seed=seed)
+            assert got == per_coordinate_atom(v, a, trials, seed), (v, a, trials)
+            assert atom_probability(v, a + Fraction(1, 7), mode="sampled", trials=trials, seed=seed) == 0
+
+
 @st.composite
 def sampled_windows(draw):
     """(ints, edges, trials, seed): entries small or up to 10^30, dimension

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import enum
 import functools
@@ -65,7 +66,7 @@ def test_internal_error_exits_4(tmp_path, monkeypatch):
 
     # A sweep that reports the covered vertex 0 as uncovered: verify's exact
     # re-check raises, and that must not read as "not essential" (exit 1).
-    monkeypatch.setattr(essential, "_coverage_sweep", lambda system, **kw: (1, 0, [None] * system.k))
+    monkeypatch.setattr(essential, "_coverage_sweep", lambda system, **kw: (None, 0, [None] * system.k))
     path = write(tmp_path, "sys.json", lr_cover(4).to_json_dict())
     result = run_command(["verify", "--input", path, "--seed", "0"])
     assert result.exit_code == 4
@@ -643,7 +644,8 @@ def test_document_commands_reject_bad_entries(tmp_path, command):
 # cli._fast_args reads well-formed argv without argparse.  Whenever it returns
 # a namespace, that must be the namespace of the command's own subparser, with
 # no argument left over; anything it cannot read exactly, it leaves to argparse.
-SUBPARSERS = cli._build_parser()[1]
+SUBPARSERS = next(action.choices for action in cli._build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction))
 FAST_VALUES = ("4", "0", " 7", "1/2", "json", "csv", "first", "second", "exact", "sampled",
                "-", "", "-5", "\u0666", "1_0", "x", "--", "-h", "--inp", "--seed")
 HOSTILE_TOKENS = ("-", "", "-5", "\u0666", "1_0", "--inp", "--n=4", "-h", "--help", "--",

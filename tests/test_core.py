@@ -214,6 +214,18 @@ MALFORMED_ENTRIES = [
      "mu[0]: bad rational '7 /0' (expected 'p' or 'p/q')"),
     ({"n": 1, "rows": [["1/3"]], "mu": ["1/0"]},
      "mu[0]: zero denominator in '1/0'"),
+    # The first fault in document order, row by row, shape before entries,
+    # though every entry of the document is parsed together.
+    ({"n": 2, "rows": [["1", "x"], ["1"]], "mu": ["0", "0"]},
+     "row 0, column 1: bad rational 'x' (expected 'p' or 'p/q')"),
+    ({"n": 2, "rows": [["1", "2"], ["1"], ["x", "1"]], "mu": ["0", "0", "0"]},
+     "row 1 has 1 entries, expected 2"),
+    ({"n": 2, "rows": [["1", "2"], ["1", "2"], "12"], "mu": ["x", "0", "0"]},
+     "row 2 has ?? entries, expected 2"),
+    ({"n": 2, "rows": [["1", "2"], [[], "y"]], "mu": ["x", "0"]},
+     "row 1, column 0: bad rational [] (expected 'p' or 'p/q')"),
+    ({"n": 2, "rows": [["1", "2"], ["2", "1"]], "mu": ["2", "x"]},
+     "mu[1]: bad rational 'x' (expected 'p' or 'p/q')"),
 ]
 
 
@@ -303,8 +315,8 @@ def _outcome(parse, raw, parsed):
 @given(st.lists(st.lists(GOOD_ENTRIES, max_size=8), min_size=1, max_size=4), st.lists(BAD_ENTRIES, max_size=2),
        st.randoms(use_true_random=False))
 def test_parse_entries_matches_the_oracle(rows, bad, rnd):
-    # Rows parsed in turn through one shared dict, as parse_system does; the
-    # last row may carry bad entries anywhere.
+    # Rows parsed in turn through one shared dict; the last row may carry
+    # bad entries anywhere.
     last = rows[-1] + bad
     rnd.shuffle(last)
     rows = [*rows[:-1], last]

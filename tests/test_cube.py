@@ -480,7 +480,9 @@ def test_split_table_sweep_matches_gray_oracle(monkeypatch):
         for low in (None, *_forced_splits(sys_.n)):
             forced = rule if low is None else (lambda entries, at, n, k, low=low: at < low)
             monkeypatch.setattr(cube_mod, "_split_further", forced)
-            assert _coverage_sweep(sys_, collect_exclusive=True) == expected, (sys_, low)
+            # Verify mode stops at its last witness and counts nothing: its
+            # witnesses, and so e1, are the oracle's.
+            assert _coverage_sweep(sys_, collect_exclusive=True) == (None, *expected[1:]), (sys_, low)
             assert _coverage_sweep(sys_) == (*expected[:2], None), (sys_, low)
         monkeypatch.setattr(cube_mod, "_split_further", rule)
         rep = enumerate_uncovered(sys_)
@@ -518,3 +520,63 @@ def test_split_point_grows_with_sparse_tables_and_stays_near_half_on_dense_rows(
         rows = [[Fraction(rng.randint(-big, big) or 1, rng.randint(1, 4)) for _ in range(n)] for _ in range(k)]
         mu = [sum(c for c in row if rng.random() < 0.5) for row in rows]
         assert _split_point(CoveringSystem.from_rows(rows, mu)) <= (n + 1) // 2 + 1, (k, n)
+
+
+def _binary_rows(n, codes):
+    """One row per code c, sum_j 2^(n-1-j) x_j = c: it holds the vertex of
+    code c alone, and its subset sums are all distinct (dense tables)."""
+    return CoveringSystem.from_rows([[2 ** (n - 1 - j) for j in range(n)]] * len(codes), codes)
+
+
+def _classified_blocks(sys_, monkeypatch):
+    """Verify mode's result on sys_, and each block it classified as
+    (first code, number of codes)."""
+    blocks, classify = [], cube_mod._classify
+
+    def spy(masks, base, full, open_rows, excl):
+        blocks.append((base, full.bit_length()))
+        return classify(masks, base, full, open_rows, excl)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cube_mod, "_classify", spy)
+        return _coverage_sweep(sys_, collect_exclusive=True), blocks
+
+
+def test_verify_mode_returns_at_its_last_witness(monkeypatch):
+    n = 16
+    low4, low7 = cube_mod._SCAN_LEVELS
+    final = _split_point(_binary_rows(n, [1, 2]))
+    assert (low4, low7, final) == (4, 7, 8)
+    scans = [(0, 1 << low4), (0, 1 << low7), (0, 1 << final)]
+    # (row codes, blocks classified): the last witness at code 1, below and
+    # just past each scan level, and past block 0, where the high codes'
+    # blocks take over.
+    for codes, classified in (
+        ([1], scans[:1]),  # uncovered 0, row 0 alone at 1
+        ([0, 1], scans[:1]),  # uncovered 2
+        ([3, (1 << low4) - 1], scans[:1]),
+        ([3, 1 << low4], scans[:2]),
+        ([(1 << low7) - 1, 5], scans[:2]),
+        ([1 << low7, 5], scans),
+        ([(1 << final) - 1, 0], scans),
+        ([1 << final, 5], [*scans, (1 << final, 1 << final)]),
+        ([5, (5 << final) + 3], [*scans, *[(y << final, 1 << final) for y in range(1, 6)]]),
+    ):
+        sys_ = _binary_rows(n, codes)
+        got, blocks = _classified_blocks(sys_, monkeypatch)
+        assert got == (None, *gray_coverage_sweep(sys_, collect_exclusive=True)[1:]), codes
+        assert blocks == classified, codes
+    # Nowhere: rows 0 and 1 hold the same vertex, so neither owns one, and
+    # every block is classified.
+    got, blocks = _classified_blocks(_binary_rows(n, [6, 6, 9]), monkeypatch)
+    assert got == (None, 0, [None, None, 9])
+    assert blocks == [*scans, *[(y << final, 1 << final) for y in range(1, 1 << (n - final))]]
+
+
+def test_verify_mode_makes_no_scan_on_sparse_tables(monkeypatch):
+    # LR rows have few distinct low sums: no block-0 scan while the tables
+    # grow; block 0 is first classified at the final level.
+    for sys_ in (lr_cover(12), lr_cover(16)):
+        got, blocks = _classified_blocks(sys_, monkeypatch)
+        assert blocks[0] == (0, 1 << _split_point(sys_))
+        assert got[:2] == (None, None) and None not in got[2]

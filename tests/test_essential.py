@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubecover import (
     CapExceededError,
@@ -160,14 +161,14 @@ def test_sweep_witnesses_are_rechecked(monkeypatch):
 
     # x0 = 0 and x0 = 1: the zero vertex lies on row 0 alone, (1, 0) on row 1 alone.
     sys_ = CoveringSystem.from_rows([[1, 0], [1, 0]], [0, 1])
-    monkeypatch.setattr(essential_mod, "_coverage_sweep", lambda system, **kw: (1, 0, [None, None]))
+    monkeypatch.setattr(essential_mod, "_coverage_sweep", lambda system, **kw: (None, 0, [None, None]))
     with pytest.raises(RuntimeError, match="not on no row"):
         verify_essential(sys_)
-    monkeypatch.setattr(essential_mod, "_coverage_sweep", lambda system, **kw: (0, None, [0, 2]))
+    monkeypatch.setattr(essential_mod, "_coverage_sweep", lambda system, **kw: (None, None, [0, 2]))
     report = verify_essential(sys_)
     assert (report.e1, report.e3) == (True, True)
     assert report.e3_witnesses == (Vertex((0, 0)), Vertex((1, 0)))
-    monkeypatch.setattr(essential_mod, "_coverage_sweep", lambda system, **kw: (0, None, [2, 2]))
+    monkeypatch.setattr(essential_mod, "_coverage_sweep", lambda system, **kw: (None, None, [2, 2]))
     with pytest.raises(RuntimeError, match="not on row 0 alone"):
         verify_essential(sys_)
 
@@ -187,3 +188,64 @@ def test_verify_rechecks_against_the_rational_rows(monkeypatch):
     monkeypatch.setattr(core_mod, "clear_row", shifted)
     with pytest.raises(RuntimeError, match=r"sweep witness \(0, 1, 0, 1, 0, 1\) lies on rows \[0\], not on no row"):
         verify_essential(lr_cover(6))
+
+
+def _brute_force(system):
+    """(e1, smallest uncovered vertex, each row's smallest vertex on it alone)
+    from ``rows_on`` at every vertex, in code order."""
+    uncovered, alone = None, [None] * system.k
+    for code in range(1 << system.n):
+        x = Vertex.from_code(code, system.n)
+        hit = rows_on(system, x)
+        if not hit and uncovered is None:
+            uncovered = x
+        elif len(hit) == 1 and alone[hit[0]] is None:
+            alone[hit[0]] = x
+    return uncovered is None, uncovered, tuple(alone)
+
+
+@st.composite
+def small_systems(draw):
+    """Systems with k <= 8 rows on n <= 12 columns: random rows (on a subset
+    sum of their own, or on any target), covers (x_j = 0 and x_j = 1 among
+    the rows, or a rescaled LR cover with its columns permuted) and systems
+    that fail E3 (a repeated row, or a row on no vertex)."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["random", "random", "cover", "lr", "repeated", "empty row"]))
+    if kind == "lr":
+        n += n % 2
+        base = lr_cover(n)
+        cols = draw(st.permutations(range(n)))
+        rows = [[row[j] for j in cols] for row in base.rows]
+        return apply_rescaling(CoveringSystem.from_rows(rows, base.mu),
+                               draw(st.lists(st.integers(1, 9), min_size=len(rows), max_size=len(rows))))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    rows, mu = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        row = draw(st.lists(entry, min_size=n, max_size=n).filter(any))
+        bits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        rows.append(row)
+        own = draw(st.sampled_from([True, True, True, False]))  # mostly a target the row reaches
+        mu.append(sum(c for c, b in zip(row, bits) if b) if own else draw(st.integers(-4, 4)))
+    if kind == "cover":
+        j = draw(st.integers(0, n - 1))
+        unit = [int(t == j) for t in range(n)]
+        rows[:0], mu[:0] = [unit, unit], [0, 1]
+    elif kind == "repeated":
+        i = draw(st.integers(0, len(rows) - 1))
+        rows.append(rows[i])
+        mu.append(mu[i])
+    elif kind == "empty row":
+        rows.append([2] * n)
+        mu.append(1)  # an even sum is never 1
+    return CoveringSystem.from_rows(rows, mu)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_systems())
+def test_verify_equals_brute_force(system):
+    # verify stops at its last witness; what it reports must be what the
+    # whole cube says, vertex by vertex.
+    report = verify_essential(system)
+    assert (report.e1, report.e1_witness, report.e3_witnesses) == _brute_force(system)
+    assert report.e3 == all(w is not None for w in report.e3_witnesses)

@@ -600,13 +600,36 @@ core.clear_row = clear_row
 import cubecover.essential as essential
 from cubecover import verify_essential
 
-for axiom, sweep in (("E1", (1, 0, [None, None])), ("E3", (0, None, [None, 0]))):
+real_sweep = essential._coverage_sweep
+for axiom, sweep in (("E1", (None, 0, [None, None])), ("E3", (None, None, [None, 0]))):
     essential._coverage_sweep = lambda system, **kw: sweep
     try:
         verify_essential(cover)
         sys.exit(f"verify_essential returned an unverified {axiom} witness")
     except RuntimeError:
         pass
+essential._coverage_sweep = real_sweep
+
+# Rows sum_j 2^(15-j) x_j = 1 and = 2 hold the vertices of codes 1 and 2
+# alone.  With row 0 cleared as = 3, the sweep's witnesses (0 on no row, 3 on
+# row 0 alone, 2 on row 1 alone) lie in block 0 of its first scan, where it
+# returns, long before its last block: verify must refuse the wrong one.
+import cubecover.cube as cube
+
+weights = [2 ** (15 - j) for j in range(16)]
+early = CoveringSystem.from_rows([weights, weights], [1, 2])
+blocks, classify = [], cube._classify
+cube._classify = lambda masks, base, full, *rest: blocks.append(full.bit_length()) or classify(masks, base, full, *rest)
+core.clear_row = lambda row, rhs=0: clear_row(row, 3 if rhs == 1 else rhs)
+try:
+    verify_essential(early)
+    sys.exit("verify_essential returned an unverified early witness")
+except RuntimeError:
+    pass
+if blocks != [16]:
+    sys.exit(f"the sweep classified blocks of {blocks} codes, not the first scan's 16 alone")
+cube._classify = classify
+core.clear_row = clear_row
 print("ok")
 """
 
