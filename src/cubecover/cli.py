@@ -108,7 +108,7 @@ def _numbers(values: list, key: str) -> list[float]:
 def _nonzero_row(values: list, where: str) -> tuple[Fraction, ...]:
     """The rationals ``values``, a row that the command reads as a unit
     vector: a zero row is an input error that names its place ``where``."""
-    coeffs = _parse_entries(values, lambda j: f"{where}[{j}]", {})
+    coeffs = _parse_entries(values, lambda j: f"{where}[{j}]")
     if not any(coeffs):
         raise SystemFormatError(f"{where}: cannot unit-normalize a zero row")
     return coeffs
@@ -308,7 +308,7 @@ def _cmd_bang(args) -> tuple[int, dict]:
 def _cmd_find_uncovered(args) -> tuple[int, dict]:
     doc = _read_document(args.input, rows="matrix", targets="list")
     rows = [_nonzero_row(r, f"rows[{i}]") for i, r in enumerate(doc["rows"])]
-    targets = _parse_entries(doc["targets"], lambda j: f"targets[{j}]", {})
+    targets = _parse_entries(doc["targets"], lambda j: f"targets[{j}]")
     block = cleared_block(rows)
     check = plank.check_small_norm_precondition(block)
     try:
@@ -322,7 +322,7 @@ def _cmd_find_uncovered(args) -> tuple[int, dict]:
 
 def _cmd_atom_prob(args) -> tuple[int, dict]:
     doc = _read_document(args.input, vector="list", a="scalar")
-    vector = _parse_entries(doc["vector"], lambda j: f"vector[{j}]", {})
+    vector = _parse_entries(doc["vector"], lambda j: f"vector[{j}]")
     a = parse_rational(doc["a"], where="a")
     # Rejects the zero vector, before any probability is computed.
     bound = anticonc.littlewood_offord_bound(vector)
@@ -333,7 +333,7 @@ def _cmd_atom_prob(args) -> tuple[int, dict]:
 
 def _cmd_scales(args) -> tuple[int, dict]:
     doc = _read_document(args.input, vector="list")
-    vector = _parse_entries(doc["vector"], lambda j: f"vector[{j}]", {})
+    vector = _parse_entries(doc["vector"], lambda j: f"vector[{j}]")
     try:
         part = anticonc.scale_partition(vector, target_S=args.target_s)
     except anticonc.ScalePartitionError as exc:

@@ -24,7 +24,9 @@ system's rows are cleared, as ``cleared_block`` is the only place a rational
 matrix is.  A ``ClearedBlock`` (cleared rows on numbered columns) is what
 the first decomposition and the plank stage read; ``CoveringSystem.block``
 cuts one from a system's cleared rows (renumbered, same D), and
-``CoveringSystem.restrict`` filters the sparse rows to a subsystem.
+``CoveringSystem.restrict`` filters the sparse rows to a subsystem.  The
+N3 and N2 samplers, the refute targets and the plank rounding read a
+cleared row's value at a 0/1 point through one helper, ``_evaluator``.
 
 The paper's window constant C0 = 4.706, the constants that follow from it
 (C1, C3, TAU) and the default ENUMERATION_CAP are module constants; every
@@ -48,7 +50,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from operator import lt
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
@@ -393,19 +395,11 @@ def _parse_new(lists: list[list], where, parsed: dict[str, Fraction]) -> None:
         raise
 
 
-def _parse_entries(raw: list, where, parsed: dict[str, Fraction]) -> tuple[Fraction, ...]:
-    """Parse a list of rationals, each distinct string once: ``parsed`` maps the
-    strings already seen to their values, and gains the new ones.  Equal
-    strings give one Fraction object.
-
-    When every entry is a string seen before, this is one lookup per entry.
-    Otherwise only the distinct entries not in ``parsed`` are parsed
-    (``_parse_new``, which names the place ``where(j)`` of a bad one) before
-    the lookups."""
-    try:
-        return tuple([parsed[c] for c in raw])
-    except (KeyError, TypeError):  # a new string, a number, a list or a dict
-        pass
+def _parse_entries(raw: list, where) -> tuple[Fraction, ...]:
+    """Parse a list of rationals, each distinct string once (``_parse_new``,
+    which names the place ``where(j)`` of a bad one), then look each entry
+    up.  Equal strings give one Fraction object."""
+    parsed: dict[str, Fraction] = {}
     _parse_new([raw], lambda _, j: where(j), parsed)
     return tuple([parsed[c] for c in raw])
 
@@ -507,6 +501,17 @@ class ClearedRow(NamedTuple):
         entries kept, so the restricted row is still exact."""
         support, ints = _on_columns(self.support, self.ints, index)
         return ClearedRow(support, ints, self.rhs, self.D)
+
+
+def _evaluator(row: tuple) -> tuple[itemgetter, list[int], int]:
+    """A ``ClearedRow``, or its fields as a plain tuple, as (pick, ints, rhs):
+    its value at a 0/1 point ``bits`` (a tuple, list or bytes indexed by
+    column) is ``sum(compress(ints, pick(bits)))``.  ``pick`` takes a slice on
+    one column (an itemgetter would return the bare bit) or on none (value 0)."""
+    support, ints, rhs, _ = row
+    if len(support) > 1:
+        return itemgetter(*support), ints, rhs
+    return itemgetter(slice(support[0], support[0] + 1) if support else slice(0)), ints, rhs
 
 
 def clear_row(row: SparseRow, rhs: Fraction | int = 0) -> ClearedRow:

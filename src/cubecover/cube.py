@@ -2,7 +2,8 @@
 
 Both engines read ``CoveringSystem.cleared_rows`` (each row and its mu_i
 scaled by one positive D, so membership is unchanged) and run on plain
-Python integers from there: the whole sweep is exact.
+Python integers from there: the whole sweep is exact.  The sampler reads a
+row at a drawn vertex through ``core._evaluator``, as the refute stages do.
 
 A reported vertex is checked again by ``rows_through``, the package's one
 exact membership test, independently of both engines: it reads the rational
@@ -55,7 +56,7 @@ from itertools import accumulate, compress, islice, repeat
 from operator import and_, itemgetter, or_
 from typing import Sequence
 
-from .core import ENUMERATION_CAP, CapExceededError, CoveringSystem, Vertex
+from .core import _BIT_BYTES, ENUMERATION_CAP, CapExceededError, CoveringSystem, Vertex, _evaluator
 
 
 @dataclass(frozen=True)
@@ -249,32 +250,23 @@ def enumerate_uncovered(system: CoveringSystem, cap: int = ENUMERATION_CAP) -> C
 def sample_uncovered(system: CoveringSystem, trials: int, seed: int) -> CoverageReport:
     """Draw uniform vertices until the first uncovered one, at most ``trials``.
 
-    ``samples`` counts the draws made: all ``trials`` when none is
-    uncovered.  The witness is re-verified exactly against the rational
-    rows.  Identical (system, trials, seed) yields identical reports.
+    A draw is one ``getrandbits(n)`` word, read as n bits as by
+    ``Vertex.from_code``.  Only the witness becomes a ``Vertex``, and it is
+    re-verified exactly against the rational rows.  ``samples`` counts the
+    draws made: all ``trials`` when none is uncovered.  Identical (system,
+    trials, seed) yields identical reports.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = system.n
-    # Per row, (bit position, coefficient) over the support: coordinate j
-    # sits at bit n-1-j of the drawn word, as in Vertex.from_code.
-    sparse = [
-        ([(n - 1 - j, c) for j, c in zip(support, ints)], mu)
-        for support, ints, mu, _ in system.cleared_rows
-    ]
+    tests = list(map(_evaluator, system.cleared_rows))
+    spec = f"0{n}b"  # n binary digits: coordinate j is bit n-1-j of the word
     rng = random.Random(seed)
     witness: Vertex | None = None
     for drawn in range(1, trials + 1):
-        word = rng.getrandbits(n)
-        for terms, mu in sparse:
-            total = 0
-            for b, c in terms:
-                if (word >> b) & 1:
-                    total += c
-            if total == mu:
-                break
-        else:
-            witness = Vertex.from_code(word, n)
+        bits = format(rng.getrandbits(n), spec).encode().translate(_BIT_BYTES)
+        if not any(sum(compress(ints, pick(bits))) == rhs for pick, ints, rhs in tests):
+            witness = Vertex(tuple(bits))
             hit = rows_through(system, [witness])[0]
             if hit:
                 raise RuntimeError(

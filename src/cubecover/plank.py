@@ -19,9 +19,10 @@ coefficients, read as b / D (zero terms cannot change a float sum, so the
 floats are those of the dense sums).  Each row is a plain list of floats
 beside its support; two rows whose supports do not meet get 0.0 in the Gram
 matrix with no sum, as on a plank system, whose rows have disjoint supports.
-Every candidate vertex is tested with one integer subset sum per row
-(``compress`` of the cleared row by the candidate's bits on its support),
-exactly against a rational target.
+Every candidate vertex is tested with one integer subset sum per row, the
+cleared row's value at it (``core._evaluator``, shared with the refute
+samplers), exactly against the integer t * D of its rational target t; a
+row whose t * D is no integer can never be hit and is not tested.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
-from operator import add, itemgetter, mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
-from .core import ClearedBlock, Vertex
+from .core import ClearedBlock, Vertex, _evaluator
 
 # Slack of the float checks: M's symmetry and diagonal in bang_signs, and
 # ||y'||_inf <= 1 in the finder.
@@ -199,9 +200,10 @@ def find_uncovered_small_norm(
     P(w_j = 1) = y_j, at most ``trials`` draws from ``seed``, until all
     separations hold.  A candidate's inner product with row i is the subset
     sum s of the cleared row over D_i: a target t, which must be rational (a
-    Fraction or an int, on the scale of a_i), is hit iff
-    s * den(t) == num(t) * D_i, exactly.  A target beyond the float range is
-    the infinity of its sign in the floats: the sign search's limit as t grows.
+    Fraction or an int, on the scale of a_i), is hit iff s == t * D_i,
+    exactly, so a row whose t * D_i is no integer is not tested.  A target
+    beyond the float range is the infinity of its sign in the floats: the
+    sign search's limit as t grows.
     """
     ell = len(block.rows)
     if ell == 0:
@@ -221,11 +223,10 @@ def find_uncovered_small_norm(
     # Each row as the floats a_j / sqrt(q) of its nonzero entries, a list
     # beside its support (in column order), with q = ||a||^2.  A zero term
     # leaves a float sum unchanged, so every sum below equals its dense form
-    # bit for bit.  ``checks`` holds, per row, what the rounding tests: a
-    # getter of the candidate's bits on the support, the cleared entries b_j,
-    # and the two sides num(t) * D and den(t) of the exact target test.
+    # bit for bit.  ``tests`` holds the evaluators of the rows that the
+    # rounding can hit: the cleared row with rhs t * D.
     m = block.m
-    vf, mu_f, checks = [], [], []
+    vf, mu_f, tests = [], [], []
     for (support, ints, _, mult), t in zip(block.rows, targets):
         # The coefficients and the target are read scaled by 2^-e and q by
         # 4^-e, with 4^e near q, so that rows far from unit scale neither
@@ -243,9 +244,9 @@ def find_uncovered_small_norm(
             mu_f.append((t.numerator << up) / (t.denominator << down) / root)
         except OverflowError:  # not copysign(inf, t), which calls float(t)
             mu_f.append(math.inf if t > 0 else -math.inf)
-        # Two more items (the pad bit m, appended to each candidate) make the
-        # getter return a tuple for any support; compress stops at ints' end.
-        checks.append((itemgetter(*support, m, m), ints, t.numerator * mult, t.denominator))
+        rhs, rest = divmod(t.numerator * mult, t.denominator)
+        if not rest:  # else t * D is no integer, which no subset sum is
+            tests.append(_evaluator((support, ints, rhs, mult)))
     supports = [row.support for row in block.rows]
     theta = math.sqrt(2.0 * math.log(4.0 * ell))
     zeta = [2.0 * mu - _float_sum(v) for mu, v in zip(mu_f, vf)]
@@ -284,11 +285,9 @@ def find_uncovered_small_norm(
 
     for attempt in range(1, trials + 1):
         w = [1 if rng.random() < y_j else 0 for y_j in y]
-        w.append(0)
-        for bits, ints, target, den in checks:
-            if sum(compress(ints, bits(w))) * den == target:
+        for pick, ints, rhs in tests:
+            if sum(compress(ints, pick(w))) == rhs:
                 break
         else:
-            w.pop()
             return Vertex(tuple(w)), attempt
     raise SampleCapError(f"no separated vertex within {trials} rounding samples", trials)

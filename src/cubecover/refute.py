@@ -11,10 +11,10 @@ no copy, when every column is kept, as on a plank system where nothing
 moves).  The N3 subcube is a ``CoveringSystem.restrict``: the K1 rows kept
 once, in sparse form, filtered to N3, which clears them over their own
 support.  For the K2/K4
-certificate and the K3 block each row's integer terms, its target (D*mu_i
-less the entries on the set columns) and, for K4, its Cauchy-Schwarz bound
-are computed once, so a draw of the N2 sampler costs one integer sum per
-row.  Every certificate is a per-instance exact sufficient condition;
+certificate and the K3 block each row is read once, through the evaluator
+the N3 sampler uses (``core._evaluator``): a draw of the N2 sampler costs
+one integer sum per row, and a target is D*mu_i less the row's value at
+the N3 (or N3 u N2) point.  Every certificate is a per-instance exact sufficient condition;
 the assembled vertex is additionally re-verified against every row, in
 exact arithmetic (``cube.rows_through``, which reads the sparse rational
 rows, not the cleared ones), of the original unrescaled system before being
@@ -35,9 +35,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
 from typing import Mapping
 
-from .core import ENUMERATION_CAP, ClearedRow, CoveringSystem, Vertex
+from .core import ENUMERATION_CAP, CoveringSystem, Vertex, _evaluator
 from .cube import enumerate_uncovered, rows_through, sample_uncovered
 from .decompose import Decomposition2, second_decomposition
 from .plank import (
@@ -138,14 +139,6 @@ def choose_n3_assignment(
     return {j: bit for j, bit in zip(cols, report.witness.bits)}
 
 
-def _target_less(row: ClearedRow, cols: set[int]) -> int:
-    """D * mu_i less the entries b_j of the cleared row on ``cols``: the value
-    the row's other columns must miss once the columns ``cols`` are set to 1."""
-    if not cols:
-        return row.rhs
-    return row.rhs - sum(b for j, b in zip(row.support, row.ints) if j in cols)
-
-
 def sample_n2_assignment(
     system: CoveringSystem,
     d: Decomposition2,
@@ -163,42 +156,45 @@ def sample_n2_assignment(
     (Cauchy-Schwarz), so (<v|_{N2-B}, w> - mu')^2 > n * ||v|_{N1 u B}||^2
     rules every completion out.
 
-    Each row is read from ``system.cleared_rows`` once, before the first
-    draw: its terms (j, b_j) on N2 (on N2 - B for a K4 row), its target D*mu_i
-    less the b_j on the set N3 columns, and for a K4 row the bound
-    n * sum b_j^2 over N1 u B.  A draw then rejects on a K2 row whose sum of
-    terms equals the target, or on a K4 row where (sum - target)^2 <= bound;
-    the D^2 cancels from both sides.  Empty N2 or empty K2 u K4 accepts the
+    Each draw writes the N2 columns of one point that holds the N3
+    assignment, its N1 columns 0.  Each row is read from
+    ``system.cleared_rows`` once, through ``core._evaluator``: a K2 row whole,
+    and a draw rejects on it when the point lies on it; a K4 row on N2 - B,
+    with its target D*mu_i less its value at the N3 point and the bound
+    n * sum b_j^2 over N1 u B, and a draw rejects on it when
+    (value - target)^2 <= bound; the D^2 cancels from both sides.  Empty N2 or empty K2 u K4 accepts the
     empty assignment vacuously.  Raises StageFailure with the empirical
     rejection rate when the cap is exhausted.
     """
     if not d.N2 or not (d.K2 or d.K4):
         return ({j: 0 for j in d.N2}, {"attempts": 0, "vacuous": True})
-    set_cols = {j for j in d.N3 if n3_assignment[j]}
-    n1, n2 = set(d.N1), set(d.N2)
-    k2_tests = []
-    for i in d.K2:
-        row = system.cleared_rows[i]
-        terms = [(j, b) for j, b in zip(row.support, row.ints) if j in n2]
-        k2_tests.append((terms, _target_less(row, set_cols)))
+    cleared = system.cleared_rows
+    point = [0] * system.n
+    for j in d.N3:
+        point[j] = n3_assignment[j]
+    k2_tests = [_evaluator(cleared[i]) for i in d.K2]
+    n1 = set(d.N1)
     k4_tests = []
     for i in d.K4:
-        row = system.cleared_rows[i]
+        row = cleared[i]
+        pick, ints, rhs = _evaluator(row)
+        target = rhs - sum(compress(ints, pick(point)))
         # The smallest scale: B and the N1 columns it holds, none of them in N2.
         last = set(d.scale_partitions[i].parts[-1])
-        terms = [(j, b) for j, b in zip(row.support, row.ints) if j in n2 and j not in last]
+        pick, ints, _ = _evaluator(row.restricted({j: j for j in d.N2 if j not in last}))
         bound = system.n * sum(b * b for j, b in zip(row.support, row.ints) if j in n1 or j in last)
-        k4_tests.append((terms, _target_less(row, set_cols), bound))
+        k4_tests.append((pick, ints, target, bound))
     rng = random.Random(seed + 1)
     rejections = {"k2": 0, "k4": 0}
     for attempt in range(1, trials + 1):
-        w = {j: rng.getrandbits(1) for j in d.N2}
-        if any(sum(b for j, b in terms if w[j]) == target for terms, target in k2_tests):
+        for j in d.N2:
+            point[j] = rng.getrandbits(1)
+        if any(sum(compress(ints, pick(point))) == rhs for pick, ints, rhs in k2_tests):
             rejections["k2"] += 1
-        elif any((sum(b for j, b in terms if w[j]) - target) ** 2 <= bound for terms, target, bound in k4_tests):
+        elif any((sum(compress(ints, pick(point))) - target) ** 2 <= bound for pick, ints, target, bound in k4_tests):
             rejections["k4"] += 1
         else:
-            return (w, {"attempts": attempt, "vacuous": False})
+            return ({j: point[j] for j in d.N2}, {"attempts": attempt, "vacuous": False})
     raise StageFailure(
         "n2-sampling",
         {
@@ -260,13 +256,21 @@ def attempt_refutation(system: CoveringSystem, S: int | None = None, W: Fraction
         return RefutationOutcome(status="failed", vertex=None, stage=failure.stage, detail=detail)
 
     witness = Vertex((0,) * len(d.N1))  # the N1 bits
+    if len(d.N1) < n:  # the N3 and N2 bits; the N1 bits are written in last
+        point = [0] * n
+        for j, bit in chain(u3.items(), w2.items()):
+            point[j] = bit
     if d.K3:
-        # Row i on N1 and, over the same D, mu_i less the entries on the set
-        # columns.
+        # Row i on N1 and, over the same D, mu_i less the row's value at the
+        # point.  When N1 is every column no column is set, and each target
+        # is mu_i as it is.
         block = system.block(d.K3, d.N1)
-        set_cols = {j for part in (u3, w2) for j, bit in part.items() if bit}
-        cleared = system.cleared_rows
-        targets = [Fraction(_target_less(cleared[i], set_cols), cleared[i].D) for i in d.K3]
+        if len(d.N1) == n:
+            targets = [Fraction(row.rhs, row.D) for row in block.rows]
+        else:
+            rows = [system.cleared_rows[i] for i in d.K3]
+            targets = [Fraction(rhs - sum(compress(ints, pick(point))), row.D)
+                       for row, (pick, ints, rhs) in zip(rows, map(_evaluator, rows))]
         precheck = check_small_norm_precondition(block)
         detail["small_norm"] = precheck
         if not precheck.ok:
@@ -285,10 +289,9 @@ def attempt_refutation(system: CoveringSystem, S: int | None = None, W: Fraction
     if len(d.N1) == n:  # N1 is every column, in order: the N1 bits are the vertex
         u = witness
     else:
-        fixed = dict(u3)
-        fixed.update(w2)
-        fixed.update(zip(d.N1, witness.bits))
-        u = Vertex(tuple(list(map(fixed.__getitem__, range(n)))))
+        for j, bit in zip(d.N1, witness.bits):
+            point[j] = bit
+        u = Vertex(tuple(point))
     violating = rows_through(system, [u])[0]
     if violating:
         # The per-block certificates make this unreachable; report honestly

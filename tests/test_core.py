@@ -305,9 +305,9 @@ BAD_ENTRIES = st.one_of(
 )
 
 
-def _outcome(parse, raw, parsed):
+def _outcome(parse, *args):
     try:
-        return "ok", parse(raw, lambda j: f"row 3, column {j}", parsed)
+        return "ok", parse(*args)
     except SystemFormatError as exc:
         return "error", str(exc)
 
@@ -315,22 +315,22 @@ def _outcome(parse, raw, parsed):
 @given(st.lists(st.lists(GOOD_ENTRIES, max_size=8), min_size=1, max_size=4), st.lists(BAD_ENTRIES, max_size=2),
        st.randoms(use_true_random=False))
 def test_parse_entries_matches_the_oracle(rows, bad, rnd):
-    # Rows parsed in turn through one shared dict; the last row may carry
-    # bad entries anywhere.
+    # Rows parsed in turn, each on its own (the oracle from an empty dict);
+    # the last row may carry bad entries anywhere.
     last = rows[-1] + bad
     rnd.shuffle(last)
     rows = [*rows[:-1], last]
-    parsed, parsed_oracle = {}, {}
+    where = lambda j: f"row 3, column {j}"
     for raw in rows:
-        got, want = _outcome(core._parse_entries, raw, parsed), _outcome(_parse_entries_oracle, raw, parsed_oracle)
+        got, want = _outcome(core._parse_entries, raw, where), _outcome(_parse_entries_oracle, raw, where, {})
         assert got == want
         if got[0] == "error":
             break
-        assert parsed == parsed_oracle
         values = got[1]
         assert all(type(x) is Fraction for x in values)
-        # Equal strings share one Fraction, the one the dict holds.
-        assert all(x is parsed[c] for c, x in zip(raw, values))
+        # Equal strings share one Fraction.
+        first = {}
+        assert all(first.setdefault(c, x) is x for c, x in zip(raw, values))
 
 
 @pytest.mark.parametrize("entry", [["1"], {"p": 1}, [], {}])
@@ -338,7 +338,7 @@ def test_parse_entries_names_an_unhashable_entry(entry):
     raw = ["1", "2/3", entry, "x"]
     where = lambda j: f"vector[{j}]"
     with pytest.raises(SystemFormatError) as exc:
-        core._parse_entries(raw, where, {})
+        core._parse_entries(raw, where)
     with pytest.raises(SystemFormatError) as oracle:
         _parse_entries_oracle(raw, where, {})
     assert str(exc.value) == str(oracle.value) == f"vector[2]: bad rational {entry!r} (expected 'p' or 'p/q')"

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import types
+from itertools import compress
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,8 @@ from cubecover import (
 )
 import cubecover.core as core_mod
 import cubecover.cube as cube_mod
-from cubecover.core import ClearedRow, clear_denominators
-from cubecover.cube import _coverage_sweep
+from cubecover.core import ClearedRow, SparseRow, _evaluator, clear_denominators
+from cubecover.cube import CoverageReport, _coverage_sweep
 from _oracle import apply_rescaling, rows_on
 
 
@@ -312,6 +313,119 @@ def test_stop_at_witness_draws_the_same_witness():
             assert rep.samples == index and rep.uncovered_count == 1
             stopped_early += uncovered > 1
     assert stopped_early > 10  # draws after the witness would have found more
+
+
+# The sampler as it was before it read rows through ``core._evaluator``, one
+# shift of the drawn word per term, kept verbatim as an oracle of the
+# getrandbits(n) stream and the bit order.
+def sample_uncovered_oracle(system: CoveringSystem, trials: int, seed: int) -> CoverageReport:
+    """Draw uniform vertices until the first uncovered one, at most ``trials``.
+
+    ``samples`` counts the draws made: all ``trials`` when none is
+    uncovered.  The witness is re-verified exactly against the rational
+    rows.  Identical (system, trials, seed) yields identical reports.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    n = system.n
+    # Per row, (bit position, coefficient) over the support: coordinate j
+    # sits at bit n-1-j of the drawn word, as in Vertex.from_code.
+    sparse = [
+        ([(n - 1 - j, c) for j, c in zip(support, ints)], mu)
+        for support, ints, mu, _ in system.cleared_rows
+    ]
+    rng = random.Random(seed)
+    witness: Vertex | None = None
+    for drawn in range(1, trials + 1):
+        word = rng.getrandbits(n)
+        for terms, mu in sparse:
+            total = 0
+            for b, c in terms:
+                if (word >> b) & 1:
+                    total += c
+            if total == mu:
+                break
+        else:
+            witness = Vertex.from_code(word, n)
+            hit = rows_through(system, [witness])[0]
+            if hit:
+                raise RuntimeError(
+                    f"sampled witness {witness.bits} lies on rows {hit} in exact arithmetic"
+                )
+            break
+    return CoverageReport(
+        total_vertices=1 << n,
+        uncovered_count=int(witness is not None),
+        witness=witness,
+        mode="sampled",
+        samples=drawn,
+    )
+
+
+def _sparse_system(rng, n):
+    """1-8 rows on 1-4 random columns of n, entries p/q with p in +-1..3 and
+    q in 1..3, each mu a subset sum of its row (so a row holds from 1/16 to
+    1/2 of the cube); now and then x_0 = 0 and x_0 = 1 as well, which cover
+    it all."""
+    rows, mu = [], []
+    for _ in range(rng.randint(1, 8)):
+        support = sorted(rng.sample(range(n), rng.randint(1, min(n, 4))))
+        values = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) for _ in support]
+        rows.append(SparseRow(support, values))
+        mu.append(sum((c for c in values if rng.random() < 0.5), Fraction(0)))
+    if rng.random() < 0.15:
+        rows += [SparseRow([0], [Fraction(1)])] * 2
+        mu += [Fraction(0), Fraction(1)]
+    return CoveringSystem(n=n, k=len(rows), sparse_rows=tuple(rows), mu=tuple(mu))
+
+
+def test_sampler_matches_the_shift_per_term_oracle():
+    rng = random.Random(2029)
+    seen = {"witness-first-draw": 0, "witness-later": 0, "none": 0, "witness-past-64-columns": 0}
+    for _ in range(300):
+        n = rng.choice((rng.randint(1, 10), rng.randint(60, 70), rng.randint(120, 200)))
+        system = _sparse_system(rng, n)
+        trials, seed = rng.randint(1, 50), rng.randrange(10**9)
+        expected = sample_uncovered_oracle(system, trials, seed)
+        assert sample_uncovered(system, trials, seed) == expected
+        if expected.witness is None:
+            seen["none"] += 1
+        else:
+            seen["witness-first-draw" if expected.samples == 1 else "witness-later"] += 1
+            seen["witness-past-64-columns"] += n > 64
+    assert min(seen.values()) >= 10, seen
+
+
+@st.composite
+def _systems_points_and_columns(draw):
+    """A system of ``_systems_and_batches`` with one more row on a single
+    column (its mu 0, its entry or another), its vertices, and a set of
+    columns (empty at times) to restrict the cleared rows to."""
+    system, vertices = draw(_systems_and_batches())
+    n = system.n
+    j, c = draw(st.integers(0, n - 1)), draw(st.sampled_from((Fraction(-2), Fraction(1, 3), Fraction(5))))
+    rows = (*system.sparse_rows, SparseRow([j], [c]))
+    mu = (*system.mu, draw(st.sampled_from((Fraction(0), c, Fraction(7)))))
+    system = CoveringSystem(n=n, k=len(rows), sparse_rows=rows, mu=mu)
+    vertices.append(Vertex(tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))))
+    return system, vertices, draw(st.sets(st.integers(0, n - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems_points_and_columns())
+def test_evaluator_verdict_matches_the_fraction_oracle(case):
+    system, vertices, keep = case
+    tests = [_evaluator(row) for row in system.cleared_rows]
+    restricted = [_evaluator(row.restricted({j: j for j in sorted(keep)})) for row in system.cleared_rows]
+    for x in vertices:
+        for bits in (x.bits, list(x.bits), bytes(x.bits)):
+            assert [i for i, (pick, ints, rhs) in enumerate(tests)
+                    if sum(compress(ints, pick(bits))) == rhs] == rows_on(system, x)
+            # On the kept columns only: D times the Fraction sum there, 0
+            # when no column is kept.
+            for (pick, ints, _), row, d in zip(restricted, system.sparse_rows, system.cleared_rows):
+                on = sum((c for j, c in zip(*row) if j in keep and x[j]), Fraction(0))
+                assert sum(compress(ints, pick(bits))) == on * d.D
 
 
 def test_sampled_witness_failing_exact_recheck_raises(monkeypatch):
