@@ -1,13 +1,16 @@
 """Command-line surface for the library.
 
-Exit codes: 0 success / property holds, 1 property fails (not essential,
-refutation failed soundly, no separated vertex), 2 precondition or hypothesis
-failure, 3 input error, 4 internal error (an unexpected exception; the
-traceback goes to stderr).  Every command is deterministic given --seed.  Only
-the commands that draw random numbers read the seed; when one of them runs
-without --seed, a random seed is drawn and logged to stderr so the run can be
-replayed, and the output records it.  The others ignore --seed and log
-nothing.
+Exit codes: 0 success / property holds; 1 property fails (not essential, no
+separated vertex, or a refutation failed soundly at any stage, its
+hypotheses and small-norm precondition included); 2 a failed hypothesis of
+``decompose --stage second``, a failed small-norm precondition of
+``find-uncovered``, or a refusal above the enumeration cap (``verify``, and
+``atom-prob`` and ``window`` in exact mode); 3 input error; 4 internal
+error (an unexpected exception; the traceback goes to stderr).  Every
+command is deterministic given --seed.  Only the commands that draw random
+numbers read the seed; when one of them runs without --seed, a random seed
+is drawn and logged to stderr so the run can be replayed, and the output
+records it.  The others ignore --seed and log nothing.
 
 One table, ``_COMMANDS``, holds each command's handler, whether it draws
 random numbers, its help, its options and the argv table derived from them.
@@ -354,6 +357,9 @@ def _cmd_window(args) -> tuple[int, dict]:
 def _cmd_refute(args) -> tuple[int, dict]:
     w = None if args.w is None else parse_rational(args.w)
     gamma, c5, c = parse_rational(args.gamma), parse_rational(args.c5), parse_rational(args.c)
+    for flag, value, text in (("--c5", c5, args.c5), ("--c", c, args.c)):
+        if value <= 0:
+            raise SystemFormatError(f"{flag} must be positive, got {text}")
     _check_limits(("--s", args.s), ("--w", w), ("--c5", c5), ("--c", c))
     system = parse_system(_read_input(args.input))
     s = refute.derived_scale_count(system.n, c5) if args.s is None else args.s

@@ -4,8 +4,9 @@ A covering system is a k x n rational matrix V together with a right-hand side
 mu; row i defines the hyperplane <v_i, x> = mu_i over vertices x in {0,1}^n.
 Membership is an exact predicate, so every scalar is an arbitrary-precision
 rational.  A quantity that would be irrational (a row read as a unit vector,
-divided by its norm) is never materialized: a stage that reads rows so works
-out each row's rational squared norm itself, and compares squares.
+divided by its norm) is never materialized: a stage that reads rows so takes
+each row's squared norm from its cleared form, which carries the integer
+sum of its squared entries, and compares squares.
 
 Each row is kept once, in sparse form (``SparseRow``: its nonzero columns
 and their Fractions), which ``parse_system`` builds straight from the
@@ -18,7 +19,9 @@ dense constructor.
 
 The exact kernels elsewhere work on integers through one helper,
 ``clear_row``: a sparse row and an optional right-hand side, scaled by their
-least common denominator D.  ``CoveringSystem.cleared_rows`` (row i with
+least common denominator D, with the sum of the squares of the row's
+integers (``ClearedRow.sq``, set there and by ``ClearedRow.restricted``
+alone).  ``CoveringSystem.cleared_rows`` (row i with
 mu_i) holds that form, computed on first use; it is the only place a
 system's rows are cleared, as ``cleared_block`` is the only place a rational
 matrix is.  A ``ClearedBlock`` (cleared rows on numbered columns) is what
@@ -50,7 +53,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from operator import itemgetter, lt
+from operator import itemgetter, lt, mul
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
@@ -487,28 +490,33 @@ def clear_denominators(values: Sequence[Fraction | int]) -> tuple[list[int], int
 
 class ClearedRow(NamedTuple):
     """A rational row <a, x> = rhs scaled by a positive integer D: the columns
-    of its nonzero entries in ascending order, D * a over them, D * rhs and D."""
+    of its nonzero entries in ascending order, D * a over them, D * rhs, D,
+    and sq, the sum of the squares of those integers: D^2 ||a||^2, which
+    every stage that reads the row as a unit vector takes its norm from."""
 
     support: list[int]
     ints: list[int]
     rhs: int
     D: int
+    sq: int
 
     def restricted(self, index: Mapping[int, int]) -> "ClearedRow":
         """The entries on the columns ``index`` maps, renumbered by it, with the
-        same rhs and D.  An increasing ``index`` keeps the support ascending.
-        D stays a positive multiple of the least common denominator of the
-        entries kept, so the restricted row is still exact."""
+        same rhs and D, and sq summed over the entries kept (0 when none is).
+        An increasing ``index`` keeps the support ascending.  D stays a
+        positive multiple of the least common denominator of the entries
+        kept, so the restricted row is still exact."""
         support, ints = _on_columns(self.support, self.ints, index)
-        return ClearedRow(support, ints, self.rhs, self.D)
+        return ClearedRow(support, ints, self.rhs, self.D, sum(map(mul, ints, ints)))
 
 
 def _evaluator(row: tuple) -> tuple[itemgetter, list[int], int]:
-    """A ``ClearedRow``, or its fields as a plain tuple, as (pick, ints, rhs):
-    its value at a 0/1 point ``bits`` (a tuple, list or bytes indexed by
-    column) is ``sum(compress(ints, pick(bits)))``.  ``pick`` takes a slice on
-    one column (an itemgetter would return the bare bit) or on none (value 0)."""
-    support, ints, rhs, _ = row
+    """A ``ClearedRow``, or its support, ints and rhs as a plain tuple, as
+    (pick, ints, rhs): its value at a 0/1 point ``bits`` (a tuple, list or
+    bytes indexed by column) is ``sum(compress(ints, pick(bits)))``.  ``pick``
+    takes a slice on one column (an itemgetter would return the bare bit) or
+    on none (value 0)."""
+    support, ints, rhs = row[:3]
     if len(support) > 1:
         return itemgetter(*support), ints, rhs
     return itemgetter(slice(support[0], support[0] + 1) if support else slice(0)), ints, rhs
@@ -516,10 +524,11 @@ def _evaluator(row: tuple) -> tuple[itemgetter, list[int], int]:
 
 def clear_row(row: SparseRow, rhs: Fraction | int = 0) -> ClearedRow:
     """Clear a sparse row over its support (the same list), together with
-    ``rhs``, by the least common denominator of its entries and ``rhs``."""
+    ``rhs``, by the least common denominator of its entries and ``rhs``, and
+    sum the squares of the cleared entries."""
     ints, mult = clear_denominators([*row.values, rhs])
     top = ints.pop()
-    return ClearedRow(row.support, ints, top, mult)
+    return ClearedRow(row.support, ints, top, mult, sum(map(mul, ints, ints)))
 
 
 @dataclass(frozen=True)

@@ -168,8 +168,8 @@ def _coverage_sweep(
     """
     n, k = system.n, system.k
     cleared = system.cleared_rows
-    rows = [dict(zip(support, ints)) for support, ints, _, _ in cleared]
-    mus = [mu for _, _, mu, _ in cleared]
+    rows = [dict(zip(support, ints)) for support, ints, _, _, _ in cleared]
+    mus = [mu for _, _, mu, _, _ in cleared]
     min_code: int | None = None
     excl: list[int | None] | None = [None] * k if collect_exclusive else None
     open_rows = list(range(k)) if collect_exclusive else []

@@ -12,8 +12,9 @@ Two algorithms:
   a departed row's scale parts are the slices of M2 between those cut
   points, and their squared norms are read off its cleared row.  When
   tau/W exceeds the row count no column can be heavy, and the run returns
-  at once, building none of this: it reads each row's squared norm and
-  returns every row in L1 and every column in M1.  It reads a
+  at once, building none of this: it reads each row's squared norm off its
+  cleared row (``ClearedRow.sq``) and returns every row in L1 and every
+  column in M1.  It reads a
   ``core.ClearedBlock``: a system's rows cut by ``CoveringSystem.block``,
   or a rational matrix cleared by ``core.cleared_block``.
 * second_decomposition iterates the first decomposition, absorbing
@@ -42,7 +43,6 @@ import math
 from dataclasses import dataclass, field, replace
 from decimal import Context
 from fractions import Fraction
-from operator import mul
 from typing import Mapping, Sequence
 
 from .anticonc import ScalePartition, validate_scales
@@ -82,7 +82,8 @@ def first_decomposition(
 ) -> Decomposition1:
     """Move heavy columns to M2 until all remaining column masses are below tau/W.
 
-    Rows are unit-normalized internally (q_i starts at the full squared norm)
+    Rows are unit-normalized internally (q_i starts at the full squared norm,
+    the cleared row's ``sq``)
     and renormalized to unit residual norm whenever their M1 mass falls into
     (0, tau]; the S-th renormalization moves the row to L2 together with its
     remaining support.  Terminates in at most m iterations since every
@@ -100,8 +101,8 @@ def first_decomposition(
     at most 1 to a column's mass, which is then at most l: when tau/W > l
     no column is heavy and nothing moves.  That path returns at once,
     building no per-entry tables, masses, column sets or cut lists: it
-    reads each row's squared norm, ``sum(map(mul, ints, ints))``, and
-    reports every row in L1 and ``tuple(range(m))`` as M1.
+    reads each row's squared norm, the cleared row's ``sq``, and reports
+    every row in L1 and ``tuple(range(m))`` as M1.
 
     M1 is always the complement of M2, so a renormalization records only
     t_s = |M2| at that moment: M1 was then [m] - M2[:t_s].  A row in L2 has
@@ -121,7 +122,7 @@ def first_decomposition(
     threshold = TAU / w
 
     scales = [row.D for row in block.rows]
-    resid = [sum(map(mul, row.ints, row.ints)) for row in block.rows]  # sum over M1 of b_ij^2
+    resid = [row.sq for row in block.rows]  # sum over M1 of b_ij^2
     q = [r if r > 0 else d * d for r, d in zip(resid, scales)]  # a zero row keeps norm 1
     t_num, t_den = threshold.numerator, threshold.denominator
     if t_num > ell * t_den:  # above ell no initial mass is heavy, and nothing moves
@@ -138,7 +139,7 @@ def first_decomposition(
         )
     col_sq: list[list[tuple[int, int]]] = [[] for _ in range(m)]  # (row, b_ij^2), b_ij != 0
     row_sq: list[list[tuple[int, int]]] = []  # per row, (column, b_ij^2), b_ij != 0
-    for i, (cols, ints, _, _) in enumerate(block.rows):
+    for i, (cols, ints, _, _, _) in enumerate(block.rows):
         entries = [(j, b * b) for j, b in zip(cols, ints)]
         row_sq.append(entries)
         for j, sq in entries:
@@ -413,10 +414,7 @@ def second_decomposition(
     work_rows = [i for i in range(k) if i not in k1]
     # Rows the filter absorbs keep their full squared norm; every other row
     # is in the first round's working block and takes its normalizer there.
-    q_final: dict[int, Fraction] = {}
-    for i in k1:
-        _, ints, _, mult = cleared[i]
-        q_final[i] = Fraction(sum(map(mul, ints, ints)), mult * mult)
+    q_final: dict[int, Fraction] = {i: Fraction(cleared[i].sq, cleared[i].D**2) for i in k1}
     trace: list[dict] = []
     if n3 or k1:
         trace.append(

@@ -8,9 +8,10 @@ inequality, so the search here is strict steepest-ascent coordinate flipping
 from a seeded random start rather than exhaustive maximization.
 
 Both stages read a ``core.ClearedBlock`` and each row b = D a as the unit
-vector a / ||a||, working out its squared norm sum b^2 / D^2 themselves: the
-refute pipeline hands over the K3 rows of ``CoveringSystem.block``, other
-callers a matrix cleared by ``core.cleared_block``.  Any positive D works,
+vector a / ||a||, with ||a||^2 = sq / D^2 read off the cleared row
+(``ClearedRow.sq``, the sum of b^2): the refute pipeline hands over the K3
+rows of ``CoveringSystem.block``, other callers a matrix cleared by
+``core.cleared_block``.  Any positive D works,
 as both stages are invariant under it.  The small-norm precondition is
 exact: column norms are integer sums over one common denominator.  The finder
 turns the separated point into a randomized rounding distribution over the
@@ -157,22 +158,20 @@ def check_small_norm_precondition(block: ClearedBlock) -> SmallNormCheck:
 
     Column norms are those of the rows read as unit vectors: column j
     contributes sum_i a_ij^2 / ||a_i||^2, exactly.  With each row's cleared
-    form b_ij = D_i a_ij and P_i = sum_j b_ij^2 = D_i^2 ||a_i||^2, the sum is
-    sum_i b_ij^2 (L / P_i) over the common L = lcm(P_i): integers, with
-    beta = max_j (that sum) / L.
+    form b_ij = D_i a_ij and P_i = sum_j b_ij^2 = D_i^2 ||a_i||^2 (the cleared
+    row's ``sq``), the sum is sum_i b_ij^2 (L / P_i) over the common
+    L = lcm(P_i): integers, with beta = max_j (that sum) / L.
     """
     ell = len(block.rows)
     if ell == 0:
         return SmallNormCheck(alpha=0, beta=Fraction(0), ell=0, lhs=0.0, ok=True)
-    norms = []  # P_i
-    for support, ints, _, _ in block.rows:
-        if not support:
-            raise ValueError("zero row")
-        norms.append(sum(map(mul, ints, ints)))
+    norms = [row.sq for row in block.rows]  # P_i
+    if not all(norms):
+        raise ValueError("zero row")
     common = math.lcm(*norms)
     supp = [0] * block.m
     col_sq = [0] * block.m
-    for (support, ints, _, _), p in zip(block.rows, norms):
+    for (support, ints, _, _, _), p in zip(block.rows, norms):
         weight = common // p
         for j, b in zip(support, ints):
             supp[j] += 1
@@ -227,14 +226,14 @@ def find_uncovered_small_norm(
     # rounding can hit: the cleared row with rhs t * D.
     m = block.m
     vf, mu_f, tests = [], [], []
-    for (support, ints, _, mult), t in zip(block.rows, targets):
+    for (support, ints, _, mult, sq), t in zip(block.rows, targets):
         # The coefficients and the target are read scaled by 2^-e and q by
         # 4^-e, with 4^e near q, so that rows far from unit scale neither
         # underflow nor overflow a float.  A power of two changes no rounding:
         # while the unscaled values are in range, every float here is theirs.
         # Each is an int true division of shifted integers, correctly rounded
         # as float() of a Fraction is.
-        q = Fraction(sum(map(mul, ints, ints)), mult * mult)
+        q = Fraction(sq, mult * mult)
         e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
         up, down = max(-e, 0), max(e, 0)
         root = math.sqrt((q.numerator << 2 * up) / (q.denominator << 2 * down))
@@ -246,7 +245,7 @@ def find_uncovered_small_norm(
             mu_f.append(math.inf if t > 0 else -math.inf)
         rhs, rest = divmod(t.numerator * mult, t.denominator)
         if not rest:  # else t * D is no integer, which no subset sum is
-            tests.append(_evaluator((support, ints, rhs, mult)))
+            tests.append(_evaluator((support, ints, rhs)))
     supports = [row.support for row in block.rows]
     theta = math.sqrt(2.0 * math.log(4.0 * ell))
     zeta = [2.0 * mu - _float_sum(v) for mu, v in zip(mu_f, vf)]

@@ -95,10 +95,9 @@ def column_budget_floor(n: int, k: int) -> Fraction:
 
 
 def derived_column_budget(n: int, k: int, multiplier: Fraction | int = 1) -> Fraction:
-    """Default W = multiplier * ln(n) * k^2 / n, frozen as an exact rational
-    (1/100 when that is not positive)."""
-    w = _budget(n, k, *multiplier.as_integer_ratio())
-    return w if w > 0 else Fraction(1, 100)
+    """Default W = multiplier * ln(n) * k^2 / n, frozen as an exact rational:
+    positive for a positive multiplier, as ``second_decomposition`` needs."""
+    return _budget(n, k, *multiplier.as_integer_ratio())
 
 
 def choose_n3_assignment(

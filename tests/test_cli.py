@@ -256,6 +256,13 @@ def test_option_magnitudes_are_limited(tmp_path, command, flag, value, message):
     assert run_command(argv) == (3, "", f"input error: {message}\n")
 
 
+@pytest.mark.parametrize("flag, value", (("--c", "0"), ("--c", "-1"), ("--c", "0/7"), ("--c5", "0"), ("--c5", "-3")))
+def test_refute_refuses_a_multiplier_that_is_not_positive(tmp_path, flag, value):
+    # Refused before the input is read: the input file does not exist.
+    argv = ["refute", "--input", str(tmp_path / "missing.json"), "--seed", "0", flag, value]
+    assert run_command(argv) == (3, "", f"input error: {flag} must be positive, got {value}\n")
+
+
 @pytest.mark.parametrize("value", (str(cli.OPTION_LIMIT), f"1/{cli.OPTION_LIMIT}"))
 def test_bounds_floats_stay_finite_at_the_option_limit(value):
     limit = str(cli.OPTION_LIMIT)

@@ -15,7 +15,7 @@ from cubecover import (
     parse_rational,
     parse_system,
 )
-from cubecover.core import cleared_block
+from cubecover.core import SparseRow, clear_row, cleared_block
 from _oracle import apply_rescaling
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
@@ -139,9 +139,9 @@ def test_rescaling_preserves_cover_verdict_exhaustively():
 
 
 def _norm_sq(row):
-    """A row's squared norm as the stages that read rows as unit vectors work
-    it out: sum b^2 / D^2 over its cleared form."""
-    _, ints, _, mult = cleared_block([row]).rows[0]
+    """A row's squared norm summed from its cleared form, sum b^2 / D^2, not
+    read from the cleared row's ``sq``."""
+    _, ints, _, mult, _ = cleared_block([row]).rows[0]
     return Fraction(sum(b * b for b in ints), mult * mult)
 
 
@@ -252,7 +252,7 @@ def test_paper_constants_are_exact_fractions():
 
 
 def test_restrict_filters_the_sparse_rows():
-    from cubecover.core import ClearedRow, SparseRow
+    from cubecover.core import ClearedRow
 
     system = CoveringSystem.from_rows(
         [["1/2", "0", "1/3", "0"], ["0", "2/5", "1", "3"], ["1/7", "0", "0", "1"]], ["1", "2", "0"])
@@ -263,9 +263,56 @@ def test_restrict_filters_the_sparse_rows():
     # Row 1 loses its 2/5, so it is cleared over D = 1, not over the D = 5
     # that the full row's cleared form cut by ``block`` keeps.
     assert sub.cleared_rows == fresh.cleared_rows
-    assert sub.cleared_rows == [ClearedRow([0, 1], [3, 2], 6, 6), ClearedRow([1, 2], [1, 3], 2, 1)]
-    assert system.block([0, 1], [0, 2, 3]).rows[1] == ClearedRow([1, 2], [5, 15], 10, 5)
+    assert sub.cleared_rows == [ClearedRow([0, 1], [3, 2], 6, 6, 13), ClearedRow([1, 2], [1, 3], 2, 1, 10)]
+    assert system.block([0, 1], [0, 2, 3]).rows[1] == ClearedRow([1, 2], [5, 15], 10, 5, 250)
     assert enumerate_uncovered(sub) == enumerate_uncovered(fresh)
+
+
+# Nonzero entries with large denominators, so that D is large and far from
+# each entry's own denominator.
+_big_entries = st.builds(Fraction, st.integers(-(10**30), 10**30).filter(bool), st.integers(1, 10**30))
+
+
+def _squares(ints):
+    return sum(b * b for b in ints)
+
+
+@st.composite
+def _rows_and_index_maps(draw):
+    """A sparse row on up to 40 columns, a right-hand side, and an increasing
+    map that keeps none, one or some of the columns, renumbered with gaps."""
+    n = draw(st.integers(1, 40))
+    support = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+    row = SparseRow(support, [draw(_big_entries) for _ in support])
+    rhs = draw(st.one_of(st.integers(-5, 5), _big_entries))
+    kind = draw(st.sampled_from(("none", "one", "some")))
+    if kind == "none":
+        kept = []
+    elif kind == "one":
+        kept = [draw(st.sampled_from(support))]
+    else:
+        kept = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    targets = sorted(draw(st.sets(st.integers(0, 100), min_size=len(kept), max_size=len(kept))))
+    return row, rhs, dict(zip(kept, targets))
+
+
+@given(_rows_and_index_maps())
+def test_a_cleared_row_carries_the_sum_of_its_squares(case):
+    row, rhs, index = case
+    cleared = clear_row(row, rhs)
+    assert cleared.sq == _squares(cleared.ints) > 0
+    cut = cleared.restricted(index)
+    assert cut.sq == _squares(cut.ints) == _squares(b for j, b in zip(cleared.support, cleared.ints) if j in index)
+    assert (cut.sq == 0) == (not cut.support)
+
+
+@given(st.integers(1, 8).flatmap(lambda m: st.lists(
+    st.lists(st.one_of(st.just(Fraction(0)), _big_entries), min_size=m, max_size=m), min_size=1, max_size=5)))
+def test_cleared_block_rows_carry_the_sum_of_their_squares(matrix):
+    matrix.append([Fraction(0)] * len(matrix[0]))  # a zero row has sq 0
+    rows = cleared_block(matrix).rows
+    assert [row.sq for row in rows] == [_squares(row.ints) for row in rows]
+    assert rows[-1].sq == 0
 
 
 # The entry parser and the vertex constructors as they were before they ran

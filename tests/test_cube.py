@@ -332,7 +332,7 @@ def sample_uncovered_oracle(system: CoveringSystem, trials: int, seed: int) -> C
     # sits at bit n-1-j of the drawn word, as in Vertex.from_code.
     sparse = [
         ([(n - 1 - j, c) for j, c in zip(support, ints)], mu)
-        for support, ints, mu, _ in system.cleared_rows
+        for support, ints, mu, _, _ in system.cleared_rows
     ]
     rng = random.Random(seed)
     witness: Vertex | None = None
@@ -434,7 +434,7 @@ def test_sampled_witness_failing_exact_recheck_raises(monkeypatch):
     # x0 = 0 and x0 = 1 cover the cube; an integer form that reads both targets
     # as 2 makes the draw loop call every vertex uncovered.
     sys_ = CoveringSystem.from_rows([[1] + [0] * 9, [1] + [0] * 9], [0, 1])
-    monkeypatch.setattr(core_mod, "clear_row", lambda row, rhs=0: ClearedRow([0], [1], 2, 1))
+    monkeypatch.setattr(core_mod, "clear_row", lambda row, rhs=0: ClearedRow([0], [1], 2, 1, 1))
     with pytest.raises(RuntimeError, match="exact arithmetic"):
         sample_uncovered(sys_, trials=64, seed=0)
 

@@ -558,7 +558,7 @@ def _first_decomposition_building_every_mass(matrix, S, W):
     scales: list[int] = []
     col_sq: list[list[tuple[int, int]]] = [[] for _ in range(m)]  # (row, b_ij^2), b_ij != 0
     row_sq: list[list[tuple[int, int]]] = []  # per row, (column, b_ij^2), b_ij != 0
-    for i, (cols, ints, _, mult) in enumerate(matrix.rows):
+    for i, (cols, ints, _, mult, _) in enumerate(matrix.rows):
         scales.append(mult)
         entries = [(j, b * b) for j, b in zip(cols, ints)]
         row_sq.append(entries)

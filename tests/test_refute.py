@@ -587,7 +587,7 @@ except ValueError:
 # x0 = 0 and x0 = 1 cover the cube; a wrong integer form calls every draw uncovered.
 cover = CoveringSystem.from_rows([[1] + [0] * 9, [1] + [0] * 9], [0, 1])
 clear_row = core.clear_row
-core.clear_row = lambda row, rhs=0: core.ClearedRow([0], [1], 2, 1)
+core.clear_row = lambda row, rhs=0: core.ClearedRow([0], [1], 2, 1, 1)
 try:
     sample_uncovered(cover, trials=8, seed=0)
     sys.exit("a covered vertex was returned as a witness")
@@ -656,8 +656,7 @@ def _column_budget_floor_oracle(n, k):
 
 
 def _derived_column_budget_oracle(n, k, multiplier):
-    w = multiplier * _column_budget_floor_oracle(n, k)
-    return w if w > 0 else Fraction(1, 100)
+    return multiplier * _column_budget_floor_oracle(n, k)
 
 
 @settings(max_examples=300)

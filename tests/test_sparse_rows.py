@@ -158,7 +158,7 @@ def test_the_recheck_never_reads_the_cleared_rows(seed):
 
 def _hyperplane(cleared):
     """A cleared row as the rational hyperplane it stands for."""
-    support, ints, rhs, d = cleared
+    support, ints, rhs, d, _ = cleared
     return list(support), [Fraction(b, d) for b in ints], Fraction(rhs, d)
 
 
